@@ -19,7 +19,7 @@ import (
 // steady state without a single heap allocation — no goroutine spawns
 // (the engine keeps persistent workers), no message-buffer churn (the
 // per-processor free lists circulate every array), no table rebuilds
-// (the compiled body, routing scratch and emission closures persist).
+// (the compiled body, routing scratch and the FullSort run table persist).
 // Covered at P=1 (the in-place local path) and P=4 (staging, FullSort
 // merges and the exchange board). The kernel pool is pinned to one
 // lane so the assertion means the same thing on any host; the

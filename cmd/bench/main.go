@@ -256,8 +256,9 @@ func kernelSweep(quick bool, reps int) []Entry {
 
 // kernelGroupOf measures one element type's kernels: the hybrid radix
 // sort, the full local sort (radix + direction fix-up), the bitonic
-// merge of a bitonic sequence, and the two-way merge — the per-phase
-// primitives every parallel run is built from.
+// merge of a bitonic sequence, the two-way merge, and MergeRuns on
+// FullSort's P=2 shape (two runs, the second stored descending) — the
+// per-phase primitives every parallel run is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
 	work := make([]E, size)
@@ -271,6 +272,9 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	b := append([]E(nil), keys[size/2:]...)
 	localsort.SortScratch(a, true, scratch)
 	localsort.SortScratch(b, true, scratch)
+	bDesc := append([]E(nil), b...)
+	localsort.Reverse(bDesc)
+	runs := []localsort.RunOf[E]{{Keys: a}, {Keys: bDesc, Desc: true}}
 
 	var out []Entry
 	for _, k := range []struct {
@@ -281,6 +285,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		{"localsort", func() { copy(work, keys); localsort.SortScratch(work, true, scratch) }},
 		{"bitonic-merge", func() { bitseq.SortBitonic(work, bitonic, true) }},
 		{"merge-two", func() { localsort.MergeTwo(work, a, b, true) }},
+		{"merge-runs", func() { localsort.MergeRuns(work, runs) }},
 	} {
 		mean, min := measureKernel(reps, k.f)
 		out = append(out, Entry{

@@ -48,6 +48,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"parbitonic"
@@ -367,6 +368,9 @@ func runCalibrate(path string, quick bool, timeout time.Duration) error {
 	}
 	fmt.Printf("comm             remap=%.0f ns  word=%.2f ns  msg=%.0f ns\n",
 		prof.Comm.RemapNS, prof.Comm.WordNS, prof.Comm.MsgNS)
+	if len(prof.CommFallback) > 0 {
+		fmt.Printf("comm fallback    %s (not identified by the observed runs)\n", strings.Join(prof.CommFallback, ", "))
+	}
 	fmt.Printf("profile          %s\n", path)
 	return nil
 }

@@ -6,7 +6,9 @@ import (
 
 	"parbitonic"
 	"parbitonic/element"
+	"parbitonic/internal/localsort"
 	"parbitonic/internal/workload"
+	"parbitonic/internal/workpool"
 )
 
 // The tests in this file cover the shared-memory fast path: the native
@@ -123,6 +125,56 @@ func TestNativeTypedMatchesReference(t *testing.T) {
 		}
 		runTypedNative(t, less, total)
 	})
+}
+
+// TestNativeFullSortParallelPool checks the fused FullSort merges at
+// shapes that really run in parallel: P=2 and P=4 native processors
+// with a four-lane kernel pool (so the radix tiles run concurrently
+// whatever the host's core count) and N/P = 2^16 keys per processor —
+// past the hybrid radix threshold and inside the FullSort regime —
+// for all five element types, against a reference sort.
+func TestNativeFullSortParallelPool(t *testing.T) {
+	pool := workpool.New(4)
+	defer pool.Close()
+	localsort.SetPool(pool)
+	defer localsort.SetPool(nil)
+
+	lt := func(a, b uint32) bool { return a < b }
+	t.Run("u32", func(t *testing.T) { runFullSortParallel(t, lt, lt) })
+	lt64 := func(a, b uint64) bool { return a < b }
+	t.Run("u64", func(t *testing.T) { runFullSortParallel(t, lt64, lt64) })
+	ltf32 := func(a, b float32) bool { return a < b }
+	t.Run("f32", func(t *testing.T) { runFullSortParallel(t, ltf32, ltf32) })
+	ltf64 := func(a, b float64) bool { return a < b }
+	t.Run("f64", func(t *testing.T) { runFullSortParallel(t, ltf64, ltf64) })
+	t.Run("kv64", func(t *testing.T) {
+		less := func(a, b element.KV64) bool { return a.K < b.K }
+		total := func(a, b element.KV64) bool {
+			if a.K != b.K {
+				return a.K < b.K
+			}
+			return a.V < b.V
+		}
+		runFullSortParallel(t, less, total)
+	})
+}
+
+func runFullSortParallel[E element.Elem](t *testing.T, less, total func(a, b E) bool) {
+	for _, p := range []int{2, 4} {
+		e, err := parbitonic.NewEngineOf[E](parbitonic.Config{Processors: p, Backend: parbitonic.Native})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []workload.Dist{workload.Uniform31, workload.FewDistinct} {
+			in := workload.Elems[E](d, p<<16, uint64(p)+uint64(d))
+			keys := slices.Clone(in)
+			if _, err := e.Sort(keys); err != nil {
+				t.Fatalf("P=%d %v: %v", p, d, err)
+			}
+			checkSortedPerm(t, in, keys, less, total)
+		}
+		e.Close()
+	}
 }
 
 // TestNativeSimulatedIdentical is the seam test for the zero-copy

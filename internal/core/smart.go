@@ -57,31 +57,10 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 }
 
 // fullScratch is a processor's persistent FullSort working state,
-// parked on pr.Scratch between runs: the run table, the round's
-// routing views, and the two emission closures. The closures are
-// built once — a fresh func literal per round would heap-allocate its
-// capture — and read the routing views through the struct, which the
-// loop repoints every round.
+// parked on pr.Scratch between runs: the run table, reused every round
+// so steady-state runs allocate nothing.
 type fullScratch[E element.Elem] struct {
-	runs      []localsort.RunOf[E]
-	out       [][]E
-	dest, off []int32
-	n         int
-	emitAsc   func(int, E)
-	emitDesc  func(int, E)
-}
-
-func newFullScratch[E element.Elem](p int) *fullScratch[E] {
-	s := &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, p)}
-	// Merge-with-pack emission: the element of ascending rank e sits at
-	// local index e (ascending region) or n-1-e (descending region),
-	// and goes to the next plan's destination slot for that index.
-	s.emitAsc = func(rank int, v E) { s.out[s.dest[rank]][s.off[rank]] = v }
-	s.emitDesc = func(rank int, v E) {
-		l := s.n - 1 - rank
-		s.out[s.dest[l]][s.off[l]] = v
-	}
-	return s
+	runs []localsort.RunOf[E]
 }
 
 // dirAfterRemap gives the direction processor q's keys are sorted in
@@ -131,12 +110,12 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	// the thesis's first Chapter 7 refinement). Only the final phase
 	// materializes a local array. Routing tables come from the
 	// processor's own pack scratch (safe here: prepacked exchanges never
-	// run the pack routing) and the run table, routing views and
-	// emission closures persist on the processor across rounds AND runs.
+	// run the pack routing) and the run table persists on the processor
+	// across rounds AND runs.
 	n := len(pr.Data)
 	s, _ := pr.Scratch.(*fullScratch[E])
 	if s == nil {
-		s = newFullScratch[E](pr.P())
+		s = &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
 		pr.Scratch = s
 	}
 	in := pr.RemapExchangeRuns(sched[0].Plan, true)
@@ -178,19 +157,17 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 			return
 		}
 
+		// Merge-with-pack: the element of ascending rank e sits at local
+		// index e (ascending region) or n-1-e (descending region) and goes
+		// to the next plan's destination slot for that index.
 		next := sched[i+1].Plan
-		s.out = pr.PackBuffers(next)
-		s.dest, s.off = pr.RouteTables(n)
-		s.n = n
-		next.Route(pr.ID, s.dest, s.off)
-		if dirAfterRemap(sched, lgn, i, pr.ID) {
-			localsort.MergeRunsEmit(runs, total, s.emitAsc)
-		} else {
-			localsort.MergeRunsEmit(runs, total, s.emitDesc)
-		}
+		out := pr.PackBuffers(next)
+		dest, off := pr.RouteTables(n)
+		next.Route(pr.ID, dest, off)
+		localsort.MergeRunsRouted(out, dest, off, runs, dirAfterRemap(sched, lgn, i, pr.ID))
 		pr.ChargeMerge(total)
 		recycleRuns(pr, in)
-		in = pr.RemapExchangePrepacked(next, s.out)
+		in = pr.RemapExchangePrepacked(next, out)
 		pr.ClearPackBuffers()
 	}
 }
@@ -247,11 +224,4 @@ func smartPhase[E element.Elem](pr *spmd.ProcOf[E], r schedule.Remap, lgn, lgP i
 		pr.ChargeMerge(n)
 	}
 	return scratch
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -51,6 +51,31 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 		localsort.MergeTwo(dst, a, b, true)
 	})
 
+	// FullSort's shapes: runs with one read from its tail, merged into
+	// dst (two-run kernel, loser tree) or routed into two buffers.
+	desc := append([]E(nil), b...)
+	localsort.Reverse(desc)
+	two := []localsort.RunOf[E]{{Keys: a}, {Keys: desc, Desc: true}}
+	q := allocN / 4
+	four := []localsort.RunOf[E]{{Keys: a[:q]}, {Keys: a[q:]}, {Keys: desc[:q], Desc: true}, {Keys: desc[q:], Desc: true}}
+	assertZeroAllocs(t, "MergeRuns/2", func() {
+		localsort.MergeRuns(dst, two)
+	})
+	assertZeroAllocs(t, "MergeRuns/4", func() {
+		localsort.MergeRuns(dst, four)
+	})
+	out := [][]E{make([]E, allocN/2), make([]E, allocN/2)}
+	dest, off := make([]int32, allocN), make([]int32, allocN)
+	for l := range dest {
+		dest[l], off[l] = int32(l&1), int32(l>>1)
+	}
+	assertZeroAllocs(t, "MergeRunsRouted/2", func() {
+		localsort.MergeRunsRouted(out, dest, off, two, false)
+	})
+	assertZeroAllocs(t, "MergeRunsRouted/4", func() {
+		localsort.MergeRunsRouted(out, dest, off, four, true)
+	})
+
 	// Hoisted: a func literal inside a measured closure of a generic
 	// function allocates its dictionary capture per run.
 	dir := func(b int) bool { return b%2 == 0 }

@@ -276,3 +276,42 @@ func BenchmarkSortBitonicVsRadix(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMergeRuns times the merge kernels on FullSort's P=2 shape:
+// two sorted runs of 256Ki uint32 keys each, one of them descending,
+// merged into a contiguous array or routed into two message buffers,
+// and a four-run merge through the loser tree.
+func BenchmarkMergeRuns(b *testing.B) {
+	const half = 1 << 18
+	rng := rand.New(rand.NewSource(9))
+	mk := func(n int, desc bool) Run {
+		keys := sortedCopy(randomKeys(rng, n))
+		if desc {
+			Reverse(keys)
+		}
+		return Run{Keys: keys, Desc: desc}
+	}
+	two := []Run{mk(half, false), mk(half, true)}
+	four := []Run{mk(half/2, false), mk(half/2, true), mk(half/2, false), mk(half/2, true)}
+	dst := make([]uint32, 2*half)
+	b.Run("two", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRuns(dst, two)
+		}
+	})
+	b.Run("four", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRuns(dst, four)
+		}
+	})
+	out := [][]uint32{make([]uint32, half), make([]uint32, half)}
+	dest, off := make([]int32, 2*half), make([]int32, 2*half)
+	for l := range dest {
+		dest[l], off[l] = int32(l&1), int32(l>>1)
+	}
+	b.Run("two-routed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRunsRouted(out, dest, off, two, false)
+		}
+	})
+}

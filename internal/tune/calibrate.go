@@ -3,7 +3,9 @@ package tune
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,11 +83,11 @@ func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 		p.Kernels[t.String()] = k
 	}
 
-	comm, err := calibrateComm(ctx, opts)
+	comm, fallback, err := calibrateComm(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.Comm = comm
+	p.Comm, p.CommFallback = comm, fallback
 
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("tune: calibration produced an invalid profile: %w", err)
@@ -214,6 +216,14 @@ type commRun struct {
 	residualNS float64
 }
 
+// commKeys are the CommCosts JSON keys of the R, V and M coefficients.
+var commKeys = [3]string{"remap_ns", "word_ns", "msg_ns"}
+
+// col returns the observation's R (c=0), V (1) or M (2) counter.
+func (o commRun) col(c int) float64 {
+	return [3]float64{o.r, o.v, o.m}[c]
+}
+
 // calibrateComm fits CommCosts from measured native runs. For several
 // (P, n, algorithm) shapes it runs the real parallel sort, reads the
 // measured R/V/M counters and per-phase busy times, and fits
@@ -223,8 +233,9 @@ type commRun struct {
 // by non-negative least squares. On a shared-memory host the residual
 // is barrier synchronization plus exchange hand-off — the effective
 // (L+2o−g), G and (g−G) of this machine's "network". A single-core
-// host cannot run the fit and gets the fallback communication costs.
-func calibrateComm(ctx context.Context, opts Options) (CommCosts, error) {
+// host cannot run the fit and gets the fallback communication costs;
+// the returned names list the coefficients taken from the fallback.
+func calibrateComm(ctx context.Context, opts Options) (CommCosts, []string, error) {
 	maxP := opts.MaxP
 	if maxP <= 0 {
 		maxP = runtime.GOMAXPROCS(0)
@@ -237,7 +248,7 @@ func calibrateComm(ctx context.Context, opts Options) (CommCosts, error) {
 		maxP /= 2
 	}
 	if maxP < 2 {
-		return Fallback().Comm, nil
+		return Fallback().Comm, slices.Clone(commKeys[:]), nil
 	}
 
 	sizes := []int{1 << 11, 1 << 13}
@@ -251,13 +262,13 @@ func calibrateComm(ctx context.Context, opts Options) (CommCosts, error) {
 	for p := 2; p <= maxP; p *= 2 {
 		eng, err := native.NewOf[uint32](native.Config{P: p})
 		if err != nil {
-			return CommCosts{}, err
+			return CommCosts{}, nil, err
 		}
 		for _, n := range sizes {
 			for _, alg := range []core.Algorithm{core.Smart, core.CyclicBlocked} {
 				res, err := bestOf(ctx, eng, p, n, alg, runReps, opts.Seed)
 				if err != nil {
-					return CommCosts{}, err
+					return CommCosts{}, nil, err
 				}
 				busy := res.Mean.Total()
 				residual := res.Time - busy
@@ -273,11 +284,7 @@ func calibrateComm(ctx context.Context, opts Options) (CommCosts, error) {
 			}
 		}
 	}
-	c, err := fitComm(runs)
-	if err != nil {
-		return CommCosts{}, err
-	}
-	return c, nil
+	return fitComm(runs)
 }
 
 // bestOf runs the (p, n, alg) native sort reps times and returns the
@@ -306,19 +313,41 @@ func bestOf(ctx context.Context, eng *native.EngineOf[uint32], p, n int, alg cor
 }
 
 // fitComm solves the three-parameter non-negative least-squares
-// problem residual ≈ a·R + b·V + c·M over the observed runs: the
-// unconstrained normal equations first, then columns whose coefficient
-// comes out negative are dropped (clamped to zero) and the rest
-// refit — a tiny active-set NNLS adequate for three variables.
-func fitComm(runs []commRun) (CommCosts, error) {
+// problem residual ≈ a·R + b·V + c·M over the observed runs. Columns
+// the runs cannot tell apart are not fitted: identifiable keeps a
+// column only when it is linearly independent of the ones kept before
+// it (in R, V, M order). At P=2, for instance, smart and
+// cyclic-blocked both make two remaps of one message each, so M
+// repeats R and only R and V are identified. An unidentified
+// coefficient takes Fallback().Comm's value, its share is subtracted
+// from the residual, and the returned names (CommCosts JSON keys) say
+// which coefficients are fallbacks. The identified columns are fitted
+// by the normal equations; any whose coefficient comes out negative
+// is dropped (clamped to zero) and the rest refit — a tiny active-set
+// NNLS adequate for three variables.
+func fitComm(runs []commRun) (CommCosts, []string, error) {
 	if len(runs) < 3 {
-		return CommCosts{}, fmt.Errorf("tune: %d communication observations, need >= 3", len(runs))
+		return CommCosts{}, nil, fmt.Errorf("tune: %d communication observations, need >= 3", len(runs))
 	}
-	active := []bool{true, true, true}
+	fb := Fallback().Comm
+	fbCoef := [3]float64{fb.RemapNS, fb.WordNS, fb.MsgNS}
+	ident := identifiable(runs)
+	var fallback []string
+	fit := slices.Clone(runs)
+	for c, ok := range ident {
+		if ok {
+			continue
+		}
+		fallback = append(fallback, commKeys[c])
+		for i := range fit {
+			fit[i].residualNS -= fbCoef[c] * fit[i].col(c)
+		}
+	}
+	active := ident
 	for iter := 0; iter < 4; iter++ {
-		coef, ok := solveLSQ(runs, active)
+		coef, ok := solveLSQ(fit, active[:])
 		if !ok {
-			return CommCosts{}, fmt.Errorf("tune: singular communication fit")
+			return CommCosts{}, nil, fmt.Errorf("tune: singular communication fit")
 		}
 		clamped := false
 		for i, v := range coef {
@@ -328,10 +357,56 @@ func fitComm(runs []commRun) (CommCosts, error) {
 			}
 		}
 		if !clamped {
-			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2]}, nil
+			for c, ok := range ident {
+				if !ok {
+					coef[c] = fbCoef[c]
+				}
+			}
+			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2]}, fallback, nil
 		}
 	}
-	return CommCosts{}, fmt.Errorf("tune: communication fit did not converge")
+	return CommCosts{}, nil, fmt.Errorf("tune: communication fit did not converge")
+}
+
+// identifiable reports, for the R, V and M columns in that order,
+// whether each is linearly independent of the columns kept before it:
+// Gram-Schmidt over the observation vectors, keeping a column whose
+// component orthogonal to the kept ones retains more than a 1e-9 share
+// of its norm. An all-zero column is never kept.
+func identifiable(runs []commRun) [3]bool {
+	var keep [3]bool
+	var basis [][]float64
+	for c := 0; c < 3; c++ {
+		col := make([]float64, len(runs))
+		for i, r := range runs {
+			col[i] = r.col(c)
+		}
+		norm := math.Sqrt(dot(col, col))
+		for _, q := range basis {
+			d := dot(col, q)
+			for i := range col {
+				col[i] -= d * q[i]
+			}
+		}
+		rest := math.Sqrt(dot(col, col))
+		if norm == 0 || rest <= 1e-9*norm {
+			continue
+		}
+		for i := range col {
+			col[i] /= rest
+		}
+		basis = append(basis, col)
+		keep[c] = true
+	}
+	return keep
+}
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }
 
 // solveLSQ solves the normal equations of the least-squares fit over
@@ -355,12 +430,11 @@ func solveLSQ(runs []commRun, active []bool) ([3]float64, bool) {
 		ata[i] = make([]float64, k)
 	}
 	for _, r := range runs {
-		x := [3]float64{r.r, r.v, r.m}
 		for i, ci := range cols {
 			for j, cj := range cols {
-				ata[i][j] += x[ci] * x[cj]
+				ata[i][j] += r.col(ci) * r.col(cj)
 			}
-			atb[i] += x[ci] * r.residualNS
+			atb[i] += r.col(ci) * r.residualNS
 		}
 	}
 	// Gaussian elimination with partial pivoting.

@@ -49,7 +49,11 @@ const ProfileSchema = "parbitonic-profile"
 // radix, branchless splits, mod-free bitonic merges) changed every
 // measured kernel constant, so version-1 profiles describe kernels
 // that no longer exist and must be re-calibrated.
-const ProfileVersion = 2
+//
+// Version 3: MergeTwo became the closure-free two-run kernel FullSort
+// runs (branchless, conditional-move select), which moved the
+// calibrated merge_ns; version-2 profiles priced the old loop.
+const ProfileVersion = 3
 
 // KernelCosts are the measured local-computation costs for one element
 // type, in nanoseconds per element.
@@ -119,6 +123,11 @@ type Profile struct {
 
 	// Comm holds the fitted native-backend communication costs.
 	Comm CommCosts `json:"comm"`
+	// CommFallback names the Comm coefficients (CommCosts JSON keys)
+	// the calibration could not identify and took from Fallback: all
+	// three on a single-core host, and those whose R/V/M columns were
+	// collinear in the observed runs (msg_ns at P=2, where M repeats R).
+	CommFallback []string `json:"comm_fallback,omitempty"`
 }
 
 // Validate checks that the profile is internally usable: correct

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"parbitonic/element"
@@ -353,12 +354,15 @@ func TestFitCommRecoversKnownModel(t *testing.T) {
 			residualNS: want.RemapNS*rv[0] + want.WordNS*rv[1] + want.MsgNS*rv[2],
 		})
 	}
-	got, err := fitComm(runs)
+	got, fallback, err := fitComm(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !close(got.RemapNS, want.RemapNS) || !close(got.WordNS, want.WordNS) || !close(got.MsgNS, want.MsgNS) {
 		t.Errorf("fit = %+v, want %+v", got, want)
+	}
+	if len(fallback) != 0 {
+		t.Errorf("independent columns: fallback %v, want none", fallback)
 	}
 
 	// A column pulling negative must clamp to zero, not go negative.
@@ -368,12 +372,54 @@ func TestFitCommRecoversKnownModel(t *testing.T) {
 			runs[i].residualNS = 0
 		}
 	}
-	got, err = fitComm(runs)
+	got, _, err = fitComm(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.RemapNS < 0 || got.WordNS < 0 || got.MsgNS < 0 {
 		t.Errorf("fit produced negative costs: %+v", got)
+	}
+}
+
+// TestFitCommCollinearColumns is the P=2 calibration shape: every run
+// makes two remaps of one message each, so the M column repeats R and
+// the normal equations are singular. The fit must identify R and V,
+// take MsgNS from the fallback, and report it as such.
+func TestFitCommCollinearColumns(t *testing.T) {
+	fb := Fallback().Comm
+	want := CommCosts{RemapNS: 25000, WordNS: 1.5, MsgNS: fb.MsgNS}
+	var runs []commRun
+	for _, v := range []float64{1024, 4096, 2048, 8192} {
+		runs = append(runs, commRun{
+			r: 2, v: v, m: 2,
+			residualNS: want.RemapNS*2 + want.WordNS*v + want.MsgNS*2,
+		})
+	}
+	got, fallback, err := fitComm(runs)
+	if err != nil {
+		t.Fatalf("collinear R/M: %v", err)
+	}
+	if !close(got.RemapNS, want.RemapNS) || !close(got.WordNS, want.WordNS) || got.MsgNS != fb.MsgNS {
+		t.Errorf("fit = %+v, want %+v", got, want)
+	}
+	if !slices.Equal(fallback, []string{"msg_ns"}) {
+		t.Errorf("fallback = %v, want [msg_ns]", fallback)
+	}
+
+	// A constant V as well leaves only R identified.
+	for i := range runs {
+		runs[i].v = 4096
+		runs[i].residualNS = want.RemapNS*2 + fb.WordNS*4096 + fb.MsgNS*2
+	}
+	got, fallback, err = fitComm(runs)
+	if err != nil {
+		t.Fatalf("rank-one observations: %v", err)
+	}
+	if !close(got.RemapNS, want.RemapNS) || got.WordNS != fb.WordNS || got.MsgNS != fb.MsgNS {
+		t.Errorf("rank-one fit = %+v, want RemapNS %v and fallback word/msg costs", got, want.RemapNS)
+	}
+	if !slices.Equal(fallback, []string{"word_ns", "msg_ns"}) {
+		t.Errorf("rank-one fallback = %v, want [word_ns msg_ns]", fallback)
 	}
 }
 
