@@ -143,7 +143,7 @@ func TestSortPaddedMinShare(t *testing.T) {
 
 // TestNativeTracedRace runs a traced native sort with more workers than
 // cores so goroutine interleaving, the buffer pool, the zero-copy
-// exchange and the trace recorder are all exercised under the race
+// exchange and the span collector are all exercised under the race
 // detector (CI runs this file with -race).
 func TestNativeTracedRace(t *testing.T) {
 	for _, alg := range allAlgorithms {
@@ -155,7 +155,7 @@ func TestNativeTracedRace(t *testing.T) {
 			Processors: 8,
 			Algorithm:  alg,
 			Backend:    parbitonic.Native,
-			Trace:      rec,
+			Obs:        rec,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -137,15 +137,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rec *parbitonic.TraceRecorder
-	if *showTrace {
-		rec = new(parbitonic.TraceRecorder)
-	}
-
 	// Assemble the observability pipeline from the requested sinks;
-	// obs.Multi skips nil entries, so unused sinks cost nothing.
+	// obs.Multi skips nil entries, so unused sinks cost nothing. One
+	// span collector serves both the ASCII timeline and the trace JSON.
 	var chrome *obs.ChromeTrace
-	if *traceOut != "" {
+	if *showTrace || *traceOut != "" {
 		chrome = obs.NewChromeTrace()
 	}
 	var metrics *obs.Metrics
@@ -203,7 +199,6 @@ func main() {
 		ShortMessages:  *short,
 		SimulateSteps:  *simulate,
 		FusePackUnpack: *fused,
-		Trace:          rec,
 		Verify:         *doVerify,
 		Obs:            sink,
 		Observe:        observe,
@@ -264,13 +259,13 @@ func main() {
 		fmt.Println("verify           ok (local order, boundaries, multiset checksum)")
 	}
 	if *showTrace {
-		fmt.Print(rec.Timeline(100))
-		fmt.Printf("barrier-wait share: %.1f%%\n", rec.WaitShare()*100)
+		fmt.Print(chrome.Timeline(100))
+		fmt.Printf("barrier-wait share: %.1f%%\n", chrome.WaitShare()*100)
 	}
 	if *drift {
 		fmt.Print(report)
 	}
-	if chrome != nil {
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)

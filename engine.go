@@ -92,7 +92,7 @@ func NewEngineOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 	var err error
 	switch cfg.Backend {
 	case Native:
-		nc := native.Config{P: p, Trace: cfg.Trace, Sink: cfg.Obs, Labels: labels, WrapCharger: cfg.WrapCharger}
+		nc := native.Config{P: p, Sink: cfg.Obs, Labels: labels, WrapCharger: cfg.WrapCharger}
 		if cfg.Costs != nil {
 			nc.Costs = *cfg.Costs
 		}

@@ -20,7 +20,6 @@ import (
 	"parbitonic/internal/logp"
 	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
-	"parbitonic/internal/trace"
 )
 
 // The runtime types algorithms and callers program against live in
@@ -52,10 +51,6 @@ type Config struct {
 	Model logp.Params // LogGP communication parameters
 	Costs CostModel   // per-key local computation costs (see DefaultCosts)
 	Long  bool        // use long messages (LogGP) rather than per-key short messages (LogP)
-
-	// Trace, when non-nil, records every virtual-time span (including
-	// barrier waits) for timeline rendering. Adds some overhead.
-	Trace *trace.Recorder
 
 	// Sink, when non-nil, receives the observability stream (spans,
 	// run lifecycle, abort events) and enables pprof goroutine labels;
@@ -112,7 +107,6 @@ func NewOf[E element.Elem](cfg Config) (*MachineOf[E], error) {
 		Costs:  cfg.Costs,
 		Long:   cfg.Long,
 		Charge: charge,
-		Trace:  cfg.Trace,
 		Sink:   cfg.Sink,
 		Labels: cfg.Labels,
 	})
@@ -131,8 +125,7 @@ func (m *MachineOf[E]) Config() Config { return m.cfg }
 // simCharger advances the virtual clocks: every phase costs what the
 // LogGP formulas (communication) and the calibrated per-element cost
 // model (computation) say it would on the modelled machine. Spans go
-// through PC.Span, which feeds both the trace recorder and the
-// observability sink.
+// through PC.Span into the observability sink.
 //
 // Element width enters through p.Words(): pack/unpack and wire volume
 // are memory-bound, so their per-element costs scale with the
@@ -145,18 +138,12 @@ type simCharger struct {
 	long  bool
 }
 
-// span records a phase of duration t starting at the processor's
-// current virtual clock.
-func (c *simCharger) span(p *spmd.PC, ph trace.Phase, t float64) {
-	p.Span(ph, p.Clock, p.Clock+t)
-}
-
 func (c *simCharger) Start(*spmd.PC) {}
 
 func (c *simCharger) Synced(*spmd.PC) {}
 
 func (c *simCharger) Compute(p *spmd.PC, t float64) {
-	c.span(p, trace.Compute, t)
+	p.Span(obs.PhaseCompute, p.Clock, p.Clock+t)
 	p.Clock += t
 	p.Stats.ComputeTime += t
 }
@@ -164,7 +151,7 @@ func (c *simCharger) Compute(p *spmd.PC, t float64) {
 func (c *simCharger) Pack(p *spmd.PC, n int) {
 	w := n * p.Words()
 	t := c.costs.Pack * float64(w) * c.costs.CacheFactor(w)
-	c.span(p, trace.Pack, t)
+	p.Span(obs.PhasePack, p.Clock, p.Clock+t)
 	p.Clock += t
 	p.Stats.PackTime += t
 }
@@ -172,7 +159,7 @@ func (c *simCharger) Pack(p *spmd.PC, n int) {
 func (c *simCharger) Unpack(p *spmd.PC, n int) {
 	w := n * p.Words()
 	t := c.costs.Unpack * float64(w) * c.costs.CacheFactor(w)
-	c.span(p, trace.Unpack, t)
+	p.Span(obs.PhaseUnpack, p.Clock, p.Clock+t)
 	p.Clock += t
 	p.Stats.UnpackTime += t
 }
@@ -184,7 +171,7 @@ func (c *simCharger) Transfer(p *spmd.PC, volume, msgs int) {
 	} else {
 		t = c.model.ShortRemapTime(volume * p.Words())
 	}
-	c.span(p, trace.Transfer, t)
+	p.Span(obs.PhaseTransfer, p.Clock, p.Clock+t)
 	p.Clock += t
 	p.Stats.TransferTime += t
 }

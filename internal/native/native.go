@@ -24,7 +24,6 @@ import (
 	"parbitonic/element"
 	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
-	"parbitonic/internal/trace"
 )
 
 // Config configures a native engine.
@@ -35,10 +34,6 @@ type Config struct {
 	// Charge* helpers consult it to compute model values the wall-clock
 	// charger then ignores); zero value uses the defaults.
 	Costs spmd.CostModel
-
-	// Trace, when non-nil, records measured wall-clock spans per phase
-	// (including barrier waits). Adds some overhead.
-	Trace *trace.Recorder
 
 	// Sink, when non-nil, receives the observability stream (spans,
 	// run lifecycle, abort events) and enables pprof goroutine labels;
@@ -83,7 +78,6 @@ func NewOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 		Long:   true, // long-message code paths; pack cost is real copying here
 		Shared: true, // one address space: remaps may gather directly
 		Charge: charge,
-		Trace:  cfg.Trace,
 		Sink:   cfg.Sink,
 		Labels: cfg.Labels,
 	})
@@ -140,10 +134,6 @@ func (c *wallCharger) lap(p *spmd.PC) float64 {
 	return dt
 }
 
-func (c *wallCharger) span(p *spmd.PC, ph trace.Phase, dt float64) {
-	p.Span(ph, p.Clock, p.Clock+dt)
-}
-
 func (c *wallCharger) Start(p *spmd.PC) { c.marks[p.ID] = time.Now() }
 
 // Synced resets the phase boundary after a barrier so time spent
@@ -153,28 +143,28 @@ func (c *wallCharger) Synced(p *spmd.PC) { c.marks[p.ID] = time.Now() }
 
 func (c *wallCharger) Compute(p *spmd.PC, _ float64) {
 	dt := c.lap(p)
-	c.span(p, trace.Compute, dt)
+	p.Span(obs.PhaseCompute, p.Clock, p.Clock+dt)
 	p.Clock += dt
 	p.Stats.ComputeTime += dt
 }
 
 func (c *wallCharger) Pack(p *spmd.PC, _ int) {
 	dt := c.lap(p)
-	c.span(p, trace.Pack, dt)
+	p.Span(obs.PhasePack, p.Clock, p.Clock+dt)
 	p.Clock += dt
 	p.Stats.PackTime += dt
 }
 
 func (c *wallCharger) Unpack(p *spmd.PC, _ int) {
 	dt := c.lap(p)
-	c.span(p, trace.Unpack, dt)
+	p.Span(obs.PhaseUnpack, p.Clock, p.Clock+dt)
 	p.Clock += dt
 	p.Stats.UnpackTime += dt
 }
 
 func (c *wallCharger) Transfer(p *spmd.PC, _, _ int) {
 	dt := c.lap(p)
-	c.span(p, trace.Transfer, dt)
+	p.Span(obs.PhaseTransfer, p.Clock, p.Clock+dt)
 	p.Clock += dt
 	p.Stats.TransferTime += dt
 }

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
-	"parbitonic/internal/trace"
 )
 
 func mustNew(t testing.TB, cfg Config) *Engine {
@@ -106,8 +106,8 @@ func TestChargeHelpersMeasure(t *testing.T) {
 // TestTraceRecordsSpans checks the traced timeline includes the
 // measured phases.
 func TestTraceRecordsSpans(t *testing.T) {
-	rec := new(trace.Recorder)
-	e := mustNew(t, Config{P: 2, Trace: rec})
+	rec := obs.NewChromeTrace()
+	e := mustNew(t, Config{P: 2, Sink: rec})
 	data := [][]uint32{{4, 3, 2, 1}, {8, 7, 6, 5}}
 	mustRun(t, e, data, func(p *spmd.Proc) {
 		p.ChargeCompute(0)

@@ -14,25 +14,7 @@ import (
 // run-time histograms: log-spaced from 1 µs (a single short phase) to
 // 10 s (a large native sort), which covers both the simulator's
 // virtual microseconds and native wall times.
-var histBuckets = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-
-const numHistBuckets = 8 // len(histBuckets); array lengths must be constants
-
-// histogram is a fixed-bucket cumulative histogram in the Prometheus
-// sense: counts[i] counts observations <= histBuckets[i]; overflow
-// lands only in the implicit +Inf bucket (count).
-type histogram struct {
-	counts [numHistBuckets + 1]uint64 // last slot = +Inf overflow
-	sum    float64
-	count  uint64
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(histBuckets[:], v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-}
+var histBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
 // knownEventKinds are pre-registered so a scrape always exposes the
 // fault/verify/cancel counter families at zero — Prometheus treats an
@@ -56,17 +38,22 @@ type Metrics struct {
 	volume   float64            // keys sent between processors
 	messages float64
 
-	phase    [NumPhases]histogram // span durations by phase, seconds
-	makespan histogram            // run makespan, backend-clock seconds
-	wall     histogram            // run wall duration, seconds
+	phase    [NumPhases]Histogram // span durations by phase, seconds
+	makespan Histogram            // run makespan, backend-clock seconds
+	wall     Histogram            // run wall duration, seconds
 }
 
 // NewMetrics returns a Metrics sink with all known counter families
 // pre-registered at zero.
 func NewMetrics() *Metrics {
 	m := &Metrics{
-		runs:   map[string]float64{"ok": 0, "error": 0},
-		events: map[string]float64{},
+		runs:     map[string]float64{"ok": 0, "error": 0},
+		events:   map[string]float64{},
+		makespan: NewHistogram(histBuckets),
+		wall:     NewHistogram(histBuckets),
+	}
+	for ph := range m.phase {
+		m.phase[ph] = NewHistogram(histBuckets)
 	}
 	for _, k := range knownEventKinds {
 		m.events[k] = 0
@@ -83,7 +70,7 @@ func (m *Metrics) FlushSpans(_ int, spans []Span) {
 	m.mu.Lock()
 	for _, s := range spans {
 		if s.Phase < NumPhases {
-			m.phase[s.Phase].observe(s.Duration() / 1e6) // µs -> s
+			m.phase[s.Phase].Observe(s.Duration() / 1e6) // µs -> s
 		}
 	}
 	m.mu.Unlock()
@@ -110,8 +97,8 @@ func (m *Metrics) RunEnd(s RunSummary) {
 	m.remaps += float64(s.Remaps)
 	m.volume += float64(s.Volume)
 	m.messages += float64(s.Messages)
-	m.makespan.observe(s.Makespan / 1e6)
-	m.wall.observe(s.WallSeconds)
+	m.makespan.Observe(s.Makespan / 1e6)
+	m.wall.Observe(s.WallSeconds)
 }
 
 // EventCount returns the count of one event kind.
@@ -137,7 +124,7 @@ func (m *Metrics) PhaseSeconds(p Phase) (seconds float64, spans uint64) {
 	if p >= NumPhases {
 		return 0, 0
 	}
-	return m.phase[p].sum, m.phase[p].count
+	return m.phase[p].Sum(), m.phase[p].Count()
 }
 
 // WriteProm writes the metrics in the Prometheus text exposition
@@ -145,74 +132,42 @@ func (m *Metrics) PhaseSeconds(p Phase) (seconds float64, spans uint64) {
 func (m *Metrics) WriteProm(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	p := NewPromWriter(w, true)
 
-	p("# HELP parbitonic_runs_total Completed sort runs by outcome.\n")
-	p("# TYPE parbitonic_runs_total counter\n")
+	p.Header("parbitonic_runs_total", "counter", "Completed sort runs by outcome.")
 	for _, outcome := range sortedKeys(m.runs) {
-		p("parbitonic_runs_total{outcome=%q} %v\n", outcome, m.runs[outcome])
+		p.Printf("parbitonic_runs_total{outcome=%q} %v\n", outcome, m.runs[outcome])
 	}
 
-	p("# HELP parbitonic_events_total Runtime events by kind: injected faults, verification failures, cancellations, deadlines, panics, aborts.\n")
-	p("# TYPE parbitonic_events_total counter\n")
+	p.Header("parbitonic_events_total", "counter", "Runtime events by kind: injected faults, verification failures, cancellations, deadlines, panics, aborts.")
 	for _, kind := range sortedKeys(m.events) {
-		p("parbitonic_events_total{kind=%q} %v\n", kind, m.events[kind])
+		p.Printf("parbitonic_events_total{kind=%q} %v\n", kind, m.events[kind])
 	}
 
-	p("# HELP parbitonic_keys_sorted_total Keys sorted by successful runs.\n")
-	p("# TYPE parbitonic_keys_sorted_total counter\n")
-	p("parbitonic_keys_sorted_total %v\n", m.keys)
+	p.Header("parbitonic_keys_sorted_total", "counter", "Keys sorted by successful runs.")
+	p.Printf("parbitonic_keys_sorted_total %v\n", m.keys)
 
-	p("# HELP parbitonic_remaps_total Remap rounds participated in, summed over processors (the paper's R).\n")
-	p("# TYPE parbitonic_remaps_total counter\n")
-	p("parbitonic_remaps_total %v\n", m.remaps)
+	p.Header("parbitonic_remaps_total", "counter", "Remap rounds participated in, summed over processors (the paper's R).")
+	p.Printf("parbitonic_remaps_total %v\n", m.remaps)
 
-	p("# HELP parbitonic_volume_keys_total Keys sent between processors (the paper's V).\n")
-	p("# TYPE parbitonic_volume_keys_total counter\n")
-	p("parbitonic_volume_keys_total %v\n", m.volume)
+	p.Header("parbitonic_volume_keys_total", "counter", "Keys sent between processors (the paper's V).")
+	p.Printf("parbitonic_volume_keys_total %v\n", m.volume)
 
-	p("# HELP parbitonic_messages_total Messages sent between processors (the paper's M).\n")
-	p("# TYPE parbitonic_messages_total counter\n")
-	p("parbitonic_messages_total %v\n", m.messages)
+	p.Header("parbitonic_messages_total", "counter", "Messages sent between processors (the paper's M).")
+	p.Printf("parbitonic_messages_total %v\n", m.messages)
 
-	p("# HELP parbitonic_phase_seconds Span durations by phase, backend-clock seconds.\n")
-	p("# TYPE parbitonic_phase_seconds histogram\n")
+	p.Header("parbitonic_phase_seconds", "histogram", "Span durations by phase, backend-clock seconds.")
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		writeHist(p, "parbitonic_phase_seconds", fmt.Sprintf("phase=%q", ph), &m.phase[ph])
+		p.Hist("parbitonic_phase_seconds", fmt.Sprintf("phase=%q", ph), &m.phase[ph])
 	}
 
-	p("# HELP parbitonic_run_makespan_seconds Run makespan on the backend clock, seconds.\n")
-	p("# TYPE parbitonic_run_makespan_seconds histogram\n")
-	writeHist(p, "parbitonic_run_makespan_seconds", "", &m.makespan)
+	p.Header("parbitonic_run_makespan_seconds", "histogram", "Run makespan on the backend clock, seconds.")
+	p.Hist("parbitonic_run_makespan_seconds", "", &m.makespan)
 
-	p("# HELP parbitonic_run_wall_seconds Measured wall duration of runs, seconds.\n")
-	p("# TYPE parbitonic_run_wall_seconds histogram\n")
-	writeHist(p, "parbitonic_run_wall_seconds", "", &m.wall)
+	p.Header("parbitonic_run_wall_seconds", "histogram", "Measured wall duration of runs, seconds.")
+	p.Hist("parbitonic_run_wall_seconds", "", &m.wall)
 
-	return err
-}
-
-func writeHist(p func(string, ...any), name, label string, h *histogram) {
-	sep := ""
-	if label != "" {
-		sep = ","
-	}
-	cum := uint64(0)
-	for i, ub := range histBuckets {
-		cum += h.counts[i]
-		p("%s_bucket{%s%sle=\"%g\"} %d\n", name, label, sep, ub, cum)
-	}
-	p("%s_bucket{%s%sle=\"+Inf\"} %d\n", name, label, sep, h.count)
-	if label != "" {
-		label = "{" + label + "}"
-	}
-	p("%s_sum%s %v\n", name, label, h.sum)
-	p("%s_count%s %d\n", name, label, h.count)
+	return p.Err()
 }
 
 func sortedKeys(m map[string]float64) []string {
@@ -240,8 +195,8 @@ func (m *Metrics) ExpvarFunc() expvar.Func {
 		phases := map[string]any{}
 		for ph := Phase(0); ph < NumPhases; ph++ {
 			phases[ph.String()] = map[string]any{
-				"seconds": sanitize(m.phase[ph].sum),
-				"spans":   m.phase[ph].count,
+				"seconds": sanitize(m.phase[ph].Sum()),
+				"spans":   m.phase[ph].Count(),
 			}
 		}
 		return map[string]any{

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,7 @@ func TestPhaseStrings(t *testing.T) {
 	want := map[Phase]string{
 		PhaseCompute: "compute", PhasePack: "pack", PhaseTransfer: "transfer",
 		PhaseUnpack: "unpack", PhaseWait: "wait", PhaseAbort: "abort",
-		NumPhases: "unknown",
+		PhaseDegraded: "degraded", NumPhases: "unknown",
 	}
 	for ph, w := range want {
 		if got := ph.String(); got != w {
@@ -190,10 +191,10 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
-	var h histogram
-	h.observe(1e-6) // exactly on the first bound: le="1e-06" must include it
-	h.observe(2e-6)
-	h.observe(1000) // beyond every bound: only +Inf
+	h := NewHistogram(histBuckets)
+	h.Observe(1e-6) // exactly on the first bound: le="1e-06" must include it
+	h.Observe(2e-6)
+	h.Observe(1000) // beyond every bound: only +Inf
 	if h.counts[0] != 1 {
 		t.Errorf("first bucket = %d, want 1 (boundary value is <= bound)", h.counts[0])
 	}
@@ -203,8 +204,39 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if h.counts[len(histBuckets)] != 1 {
 		t.Errorf("overflow bucket = %d, want 1", h.counts[len(histBuckets)])
 	}
-	if h.count != 3 {
-		t.Errorf("count = %d, want 3", h.count)
+	if h.Count() != 3 {
+		t.Errorf("count = %d, want 3", h.Count())
+	}
+}
+
+// failWriter fails every write after the first n bytes.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(b []byte) (int, error) {
+	if f.n < len(b) {
+		return 0, errors.New("disk full")
+	}
+	f.n -= len(b)
+	return len(b), nil
+}
+
+// The exposition writer latches its first error and writes nothing
+// after it; a headerless writer drops HELP/TYPE lines only.
+func TestPromWriterLatchesErrorAndHeaders(t *testing.T) {
+	fw := &failWriter{n: 10}
+	p := NewPromWriter(fw, true)
+	p.Printf("a 1\n")
+	p.Header("b", "counter", "B.")
+	p.Printf("c 1\n")
+	if p.Err() == nil || fw.n != 6 {
+		t.Fatalf("err = %v, bytes left = %d; want the header write to fail and latch", p.Err(), fw.n)
+	}
+	var buf bytes.Buffer
+	q := NewPromWriter(&buf, false)
+	q.Header("b", "counter", "B.")
+	q.Printf("b 1\n")
+	if buf.String() != "b 1\n" {
+		t.Fatalf("headerless output = %q", buf.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime/metrics"
 )
@@ -75,12 +74,7 @@ func (r *RuntimeHealth) WriteProm(w io.Writer) error {
 	}
 	metrics.Read(samples)
 
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	p := NewPromWriter(w, true)
 	u64 := func(s metrics.Sample) uint64 {
 		if s.Value.Kind() == metrics.KindUint64 {
 			return s.Value.Uint64()
@@ -94,31 +88,26 @@ func (r *RuntimeHealth) WriteProm(w io.Writer) error {
 		return nil
 	}
 
-	p("# HELP parbitonic_runtime_heap_bytes Live heap object bytes (runtime/metrics).\n")
-	p("# TYPE parbitonic_runtime_heap_bytes gauge\n")
-	p("parbitonic_runtime_heap_bytes %d\n", u64(samples[0]))
+	p.Header("parbitonic_runtime_heap_bytes", "gauge", "Live heap object bytes (runtime/metrics).")
+	p.Printf("parbitonic_runtime_heap_bytes %d\n", u64(samples[0]))
 
-	p("# HELP parbitonic_runtime_goroutines Live goroutine count.\n")
-	p("# TYPE parbitonic_runtime_goroutines gauge\n")
-	p("parbitonic_runtime_goroutines %d\n", u64(samples[1]))
+	p.Header("parbitonic_runtime_goroutines", "gauge", "Live goroutine count.")
+	p.Printf("parbitonic_runtime_goroutines %d\n", u64(samples[1]))
 
-	p("# HELP parbitonic_runtime_gc_cycles_total Completed GC cycles.\n")
-	p("# TYPE parbitonic_runtime_gc_cycles_total counter\n")
-	p("parbitonic_runtime_gc_cycles_total %d\n", u64(samples[2]))
+	p.Header("parbitonic_runtime_gc_cycles_total", "counter", "Completed GC cycles.")
+	p.Printf("parbitonic_runtime_gc_cycles_total %d\n", u64(samples[2]))
 
-	p("# HELP parbitonic_runtime_gc_pause_seconds GC stop-the-world pause quantiles since process start.\n")
-	p("# TYPE parbitonic_runtime_gc_pause_seconds gauge\n")
+	p.Header("parbitonic_runtime_gc_pause_seconds", "gauge", "GC stop-the-world pause quantiles since process start.")
 	gp := hist(samples[3])
-	p("parbitonic_runtime_gc_pause_seconds{q=\"0.5\"} %g\n", sanitize(histQuantile(gp, 0.5)))
-	p("parbitonic_runtime_gc_pause_seconds{q=\"0.99\"} %g\n", sanitize(histQuantile(gp, 0.99)))
+	p.Printf("parbitonic_runtime_gc_pause_seconds{q=\"0.5\"} %g\n", sanitize(histQuantile(gp, 0.5)))
+	p.Printf("parbitonic_runtime_gc_pause_seconds{q=\"0.99\"} %g\n", sanitize(histQuantile(gp, 0.99)))
 
-	p("# HELP parbitonic_runtime_sched_latency_seconds Goroutine scheduling latency quantiles since process start.\n")
-	p("# TYPE parbitonic_runtime_sched_latency_seconds gauge\n")
+	p.Header("parbitonic_runtime_sched_latency_seconds", "gauge", "Goroutine scheduling latency quantiles since process start.")
 	sl := hist(samples[4])
-	p("parbitonic_runtime_sched_latency_seconds{q=\"0.5\"} %g\n", sanitize(histQuantile(sl, 0.5)))
-	p("parbitonic_runtime_sched_latency_seconds{q=\"0.99\"} %g\n", sanitize(histQuantile(sl, 0.99)))
+	p.Printf("parbitonic_runtime_sched_latency_seconds{q=\"0.5\"} %g\n", sanitize(histQuantile(sl, 0.5)))
+	p.Printf("parbitonic_runtime_sched_latency_seconds{q=\"0.99\"} %g\n", sanitize(histQuantile(sl, 0.99)))
 
-	return err
+	return p.Err()
 }
 
 // Snapshot returns the sampler's signals as a plain map for the sortz

@@ -76,7 +76,7 @@ var tailQuantiles = [...]float64{0.50, 0.95, 0.99}
 type Stages struct {
 	mu        sync.Mutex
 	elem      string
-	hist      [NumStages]histogram // stage durations, seconds
+	hist      [NumStages]Histogram // stage durations, seconds
 	negatives uint64               // clamped negative stage readings
 	tails     [len(tailQuantiles)]*P2Quantile
 	slo       *SLOTracker // nil when no objective is configured
@@ -86,6 +86,9 @@ type Stages struct {
 // slo may be the zero SLOConfig to disable objective tracking.
 func NewStages(elem string, slo SLOConfig) *Stages {
 	s := &Stages{elem: elem, slo: NewSLOTracker(slo)}
+	for st := range s.hist {
+		s.hist[st] = NewHistogram(histBuckets)
+	}
 	for i, q := range tailQuantiles {
 		s.tails[i] = NewP2Quantile(q)
 	}
@@ -102,7 +105,7 @@ func NewStages(elem string, slo SLOConfig) *Stages {
 func (s *Stages) Observe(b StageBreakdown, total time.Duration, negClamped int, ok bool) {
 	s.mu.Lock()
 	for st := Stage(0); st < NumStages; st++ {
-		s.hist[st].observe(b[st].Seconds())
+		s.hist[st].Observe(b[st].Seconds())
 	}
 	s.negatives += uint64(negClamped)
 	if ok {
@@ -140,7 +143,7 @@ func (s *Stages) StageSeconds(st Stage) (seconds float64, count uint64) {
 	if st >= NumStages {
 		return 0, 0
 	}
-	return s.hist[st].sum, s.hist[st].count
+	return s.hist[st].Sum(), s.hist[st].Count()
 }
 
 // SLOReady reports readiness under the configured objective and the
@@ -174,55 +177,33 @@ func (s *Stages) SLOConfigured() (SLOConfig, bool) {
 func (s *Stages) WriteProm(w io.Writer, headers bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			if !headers && len(format) > 0 && format[0] == '#' {
-				return
-			}
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	p := NewPromWriter(w, headers)
 
-	p("# HELP parbitonic_serve_stage_seconds Per-request wall time by pipeline stage (queue wait, batch coalesce, engine, retry backoff, copy-out).\n")
-	p("# TYPE parbitonic_serve_stage_seconds histogram\n")
+	p.Header("parbitonic_serve_stage_seconds", "histogram", "Per-request wall time by pipeline stage (queue wait, batch coalesce, engine, retry backoff, copy-out).")
 	for st := Stage(0); st < NumStages; st++ {
-		h := &s.hist[st]
-		label := fmt.Sprintf("elem=%q,stage=%q", s.elem, st)
-		cum := uint64(0)
-		for i, ub := range histBuckets {
-			cum += h.counts[i]
-			p("parbitonic_serve_stage_seconds_bucket{%s,le=\"%g\"} %d\n", label, ub, cum)
-		}
-		p("parbitonic_serve_stage_seconds_bucket{%s,le=\"+Inf\"} %d\n", label, h.count)
-		p("parbitonic_serve_stage_seconds_sum{%s} %v\n", label, h.sum)
-		p("parbitonic_serve_stage_seconds_count{%s} %d\n", label, h.count)
+		p.Hist("parbitonic_serve_stage_seconds", fmt.Sprintf("elem=%q,stage=%q", s.elem, st), &s.hist[st])
 	}
 
-	p("# HELP parbitonic_serve_stage_negative_total Stage readings clamped from negative to zero (must stay 0; a monotonic pipeline never produces one).\n")
-	p("# TYPE parbitonic_serve_stage_negative_total counter\n")
-	p("parbitonic_serve_stage_negative_total{elem=%q} %d\n", s.elem, s.negatives)
+	p.Header("parbitonic_serve_stage_negative_total", "counter", "Stage readings clamped from negative to zero (must stay 0; a monotonic pipeline never produces one).")
+	p.Printf("parbitonic_serve_stage_negative_total{elem=%q} %d\n", s.elem, s.negatives)
 
-	p("# HELP parbitonic_serve_latency_quantile_seconds Streaming end-to-end latency tail estimates (P-square).\n")
-	p("# TYPE parbitonic_serve_latency_quantile_seconds gauge\n")
+	p.Header("parbitonic_serve_latency_quantile_seconds", "gauge", "Streaming end-to-end latency tail estimates (P-square).")
 	for i, q := range tailQuantiles {
-		p("parbitonic_serve_latency_quantile_seconds{elem=%q,q=\"%g\"} %v\n", s.elem, q, sanitize(s.tails[i].Value()))
+		p.Printf("parbitonic_serve_latency_quantile_seconds{elem=%q,q=\"%g\"} %v\n", s.elem, q, sanitize(s.tails[i].Value()))
 	}
 
-	p("# HELP parbitonic_serve_slo_burn_rate Error-budget burn rate over the sliding window (0 when no objective is configured).\n")
-	p("# TYPE parbitonic_serve_slo_burn_rate gauge\n")
+	p.Header("parbitonic_serve_slo_burn_rate", "gauge", "Error-budget burn rate over the sliding window (0 when no objective is configured).")
 	burn := 0.0
 	var sloTotal, sloBreach float64
 	if s.slo != nil {
 		burn = s.slo.BurnRate()
 		sloTotal, sloBreach = s.slo.Totals()
 	}
-	p("parbitonic_serve_slo_burn_rate{elem=%q} %v\n", s.elem, sanitize(burn))
+	p.Printf("parbitonic_serve_slo_burn_rate{elem=%q} %v\n", s.elem, sanitize(burn))
 
-	p("# HELP parbitonic_serve_slo_requests_total Requests judged against the latency objective, by verdict.\n")
-	p("# TYPE parbitonic_serve_slo_requests_total counter\n")
-	p("parbitonic_serve_slo_requests_total{elem=%q,verdict=\"ok\"} %v\n", s.elem, sloTotal-sloBreach)
-	p("parbitonic_serve_slo_requests_total{elem=%q,verdict=\"breach\"} %v\n", s.elem, sloBreach)
+	p.Header("parbitonic_serve_slo_requests_total", "counter", "Requests judged against the latency objective, by verdict.")
+	p.Printf("parbitonic_serve_slo_requests_total{elem=%q,verdict=\"ok\"} %v\n", s.elem, sloTotal-sloBreach)
+	p.Printf("parbitonic_serve_slo_requests_total{elem=%q,verdict=\"breach\"} %v\n", s.elem, sloBreach)
 
-	return err
+	return p.Err()
 }

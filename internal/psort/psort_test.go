@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"parbitonic/internal/machine"
-	"parbitonic/internal/trace"
+	"parbitonic/internal/obs"
 	"parbitonic/internal/workload"
 )
 
@@ -212,14 +212,14 @@ func TestQuickBothSortersRandom(t *testing.T) {
 	}
 }
 
-// The trace recorder makes §5.5's load imbalance directly visible:
+// The span timeline makes §5.5's load imbalance directly visible:
 // sample sort on a zero-entropy input idles most processors at
 // barriers, while the uniform input keeps them busy.
 func TestTraceShowsSampleSortImbalance(t *testing.T) {
 	run := func(d workload.Dist) float64 {
-		var rec trace.Recorder
+		var rec obs.ChromeTrace
 		cfg := machine.DefaultConfig(8)
-		cfg.Trace = &rec
+		cfg.Sink = &rec
 		m, err := machine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestTraceShowsSampleSortImbalance(t *testing.T) {
 		if _, err := SampleSort(m, copyData(data)); err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.Events()) == 0 {
+		if len(rec.Spans()) == 0 {
 			t.Fatal("trace recorded nothing")
 		}
 		return rec.WaitShare()

@@ -58,45 +58,22 @@ type ActiveBatch struct {
 
 // latencyBuckets are the request-latency histogram upper bounds in
 // seconds: log-spaced from 100µs (a pooled in-memory hit) to 10s.
-var latencyBuckets = [...]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 10}
+var latencyBuckets = []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 10}
 
 // sizeBuckets are the batch-size histogram upper bounds in requests.
-var sizeBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64}
+var sizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // driftBuckets are the plan-drift histogram upper bounds: the
 // measured/predicted engine-time ratio of Auto runs, bracketed around
 // 1.0 (an exact prediction). Mass above 2 means the planner's machine
 // profile no longer describes the host — re-calibrate (TUNING.md).
-var driftBuckets = [...]float64{0.5, 0.75, 0.9, 1, 1.1, 1.25, 1.5, 2, 4}
+var driftBuckets = []float64{0.5, 0.75, 0.9, 1, 1.1, 1.25, 1.5, 2, 4}
 
 // planShape identifies one autotuner-chosen execution shape for the
 // plan_chosen counter labels.
 type planShape struct {
 	alg string
 	p   int
-}
-
-// hist is a fixed-bucket cumulative histogram (Prometheus semantics):
-// counts[i] counts observations ≤ bounds[i], overflow lands only in
-// the implicit +Inf bucket.
-type hist struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newHist(bounds []float64) *hist {
-	return &hist{bounds: bounds, counts: make([]uint64, len(bounds))}
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	if i < len(h.counts) {
-		h.counts[i]++
-	}
-	h.sum += v
-	h.count++
 }
 
 // poolStatser decouples Metrics from the pool's element type: every
@@ -118,14 +95,14 @@ type Metrics struct {
 	elem     string             // element-type label value (u32, u64, ...)
 	requests map[string]float64 // outcome -> count
 	batches  float64
-	batched  float64 // requests that shared a run with >= 1 companion
-	retries  float64 // engine runs retried after a transient failure
-	degraded float64 // requests served by the sequential fallback
-	latency  *hist   // seconds, admission to response
-	size     *hist   // requests per batch
+	batched  float64       // requests that shared a run with >= 1 companion
+	retries  float64       // engine runs retried after a transient failure
+	degraded float64       // requests served by the sequential fallback
+	latency  obs.Histogram // seconds, admission to response
+	size     obs.Histogram // requests per batch
 
 	planKinds map[planShape]float64 // Auto runs by plan-chosen shape
-	planDrift *hist                 // measured/predicted engine time, native Auto runs
+	planDrift obs.Histogram         // measured/predicted engine time, native Auto runs
 
 	queueDepth   func() int // sampled at scrape time
 	breakerState func() int // sampled at scrape time; nil = no breaker
@@ -149,10 +126,10 @@ func newMetrics(elem string, queueDepth func() int, pool poolStatser, slo obs.SL
 			"ok": 0, "overloaded": 0, "canceled": 0, "deadline": 0,
 			"verify-failure": 0, "breaker-open": 0, "error": 0,
 		},
-		latency:    newHist(latencyBuckets[:]),
-		size:       newHist(sizeBuckets[:]),
+		latency:    obs.NewHistogram(latencyBuckets),
+		size:       obs.NewHistogram(sizeBuckets),
 		planKinds:  make(map[planShape]float64),
-		planDrift:  newHist(driftBuckets[:]),
+		planDrift:  obs.NewHistogram(driftBuckets),
 		queueDepth: queueDepth,
 		pool:       pool,
 		stages:     obs.NewStages(elem, slo),
@@ -164,7 +141,6 @@ func newMetrics(elem string, queueDepth func() int, pool poolStatser, slo obs.SL
 // label set (pre-registered at zero in newMetrics so absent series
 // never alias to zero series in alerts).
 func outcome(err error) string {
-	var verr *verify.Error
 	switch {
 	case err == nil:
 		return "ok"
@@ -176,17 +152,20 @@ func outcome(err error) string {
 		return "canceled"
 	case errors.Is(err, spmd.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
-	case errors.As(err, &verr):
-		return "verify-failure"
-	default:
-		return "error"
 	}
+	// errors.As moves its target to the heap; declaring it only on the
+	// error path keeps a successful request allocation-free.
+	var verr *verify.Error
+	if errors.As(err, &verr) {
+		return "verify-failure"
+	}
+	return "error"
 }
 
 func (m *Metrics) observeRequest(d time.Duration, err error) {
 	m.mu.Lock()
 	m.requests[outcome(err)]++
-	m.latency.observe(d.Seconds())
+	m.latency.Observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -230,7 +209,7 @@ func (m *Metrics) planChoose(alg string, p int) {
 // exact, above 1 the run was slower than predicted.
 func (m *Metrics) planObserve(ratio float64) {
 	m.mu.Lock()
-	m.planDrift.observe(ratio)
+	m.planDrift.Observe(ratio)
 	m.mu.Unlock()
 }
 
@@ -249,7 +228,7 @@ func (m *Metrics) PlanChosenCount(alg string, p int) float64 {
 func (m *Metrics) PlanDrift() (count uint64, sum float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.planDrift.count, m.planDrift.sum
+	return m.planDrift.Count(), m.planDrift.Sum()
 }
 
 // recordRequest folds one completed request's stage track into the
@@ -353,7 +332,7 @@ func (m *Metrics) observeBatch(size int) {
 	if size > 1 {
 		m.batched += float64(size)
 	}
-	m.size.observe(float64(size))
+	m.size.Observe(float64(size))
 	m.mu.Unlock()
 }
 
@@ -401,56 +380,36 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 func (m *Metrics) writeProm(w io.Writer, headers bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	if !headers {
-		raw := p
-		p = func(format string, args ...any) {
-			if len(format) > 0 && format[0] == '#' {
-				return
-			}
-			raw(format, args...)
-		}
-	}
+	p := obs.NewPromWriter(w, headers)
+	elemLabel := fmt.Sprintf("elem=%q", m.elem)
 
-	p("# HELP parbitonic_serve_requests_total Sort requests by outcome.\n")
-	p("# TYPE parbitonic_serve_requests_total counter\n")
+	p.Header("parbitonic_serve_requests_total", "counter", "Sort requests by outcome.")
 	keys := make([]string, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		p("parbitonic_serve_requests_total{elem=%q,outcome=%q} %v\n", m.elem, k, m.requests[k])
+		p.Printf("parbitonic_serve_requests_total{elem=%q,outcome=%q} %v\n", m.elem, k, m.requests[k])
 	}
 
-	p("# HELP parbitonic_serve_queue_depth Requests waiting in the admission queue (sampled at scrape).\n")
-	p("# TYPE parbitonic_serve_queue_depth gauge\n")
-	p("parbitonic_serve_queue_depth{elem=%q} %d\n", m.elem, m.queueDepth())
+	p.Header("parbitonic_serve_queue_depth", "gauge", "Requests waiting in the admission queue (sampled at scrape).")
+	p.Printf("parbitonic_serve_queue_depth{elem=%q} %d\n", m.elem, m.queueDepth())
 
-	p("# HELP parbitonic_serve_batches_total Engine runs executed (a batch of size 1 is a solo run).\n")
-	p("# TYPE parbitonic_serve_batches_total counter\n")
-	p("parbitonic_serve_batches_total{elem=%q} %v\n", m.elem, m.batches)
+	p.Header("parbitonic_serve_batches_total", "counter", "Engine runs executed (a batch of size 1 is a solo run).")
+	p.Printf("parbitonic_serve_batches_total{elem=%q} %v\n", m.elem, m.batches)
 
-	p("# HELP parbitonic_serve_batched_requests_total Requests that shared a run with at least one companion.\n")
-	p("# TYPE parbitonic_serve_batched_requests_total counter\n")
-	p("parbitonic_serve_batched_requests_total{elem=%q} %v\n", m.elem, m.batched)
+	p.Header("parbitonic_serve_batched_requests_total", "counter", "Requests that shared a run with at least one companion.")
+	p.Printf("parbitonic_serve_batched_requests_total{elem=%q} %v\n", m.elem, m.batched)
 
-	p("# HELP parbitonic_serve_retries_total Engine runs retried after a transient failure.\n")
-	p("# TYPE parbitonic_serve_retries_total counter\n")
-	p("parbitonic_serve_retries_total{elem=%q} %v\n", m.elem, m.retries)
+	p.Header("parbitonic_serve_retries_total", "counter", "Engine runs retried after a transient failure.")
+	p.Printf("parbitonic_serve_retries_total{elem=%q} %v\n", m.elem, m.retries)
 
-	p("# HELP parbitonic_serve_degraded_total Requests served by the sequential degraded-mode fallback.\n")
-	p("# TYPE parbitonic_serve_degraded_total counter\n")
-	p("parbitonic_serve_degraded_total{elem=%q} %v\n", m.elem, m.degraded)
+	p.Header("parbitonic_serve_degraded_total", "counter", "Requests served by the sequential degraded-mode fallback.")
+	p.Printf("parbitonic_serve_degraded_total{elem=%q} %v\n", m.elem, m.degraded)
 
 	if len(m.planKinds) > 0 {
-		p("# HELP parbitonic_serve_plan_chosen_total Engine runs by autotuner-chosen plan shape (Config.Engine.Auto).\n")
-		p("# TYPE parbitonic_serve_plan_chosen_total counter\n")
+		p.Header("parbitonic_serve_plan_chosen_total", "counter", "Engine runs by autotuner-chosen plan shape (Config.Engine.Auto).")
 		shapes := make([]planShape, 0, len(m.planKinds))
 		for k := range m.planKinds {
 			shapes = append(shapes, k)
@@ -462,57 +421,37 @@ func (m *Metrics) writeProm(w io.Writer, headers bool) error {
 			return shapes[i].p < shapes[j].p
 		})
 		for _, k := range shapes {
-			p("parbitonic_serve_plan_chosen_total{elem=%q,alg=%q,p=\"%d\"} %v\n", m.elem, k.alg, k.p, m.planKinds[k])
+			p.Printf("parbitonic_serve_plan_chosen_total{elem=%q,alg=%q,p=\"%d\"} %v\n", m.elem, k.alg, k.p, m.planKinds[k])
 		}
-		p("# HELP parbitonic_serve_plan_drift_ratio Measured/predicted engine time of successful Auto runs (native backend).\n")
-		p("# TYPE parbitonic_serve_plan_drift_ratio histogram\n")
-		m.writeServeHist(p, "parbitonic_serve_plan_drift_ratio", m.planDrift)
+		p.Header("parbitonic_serve_plan_drift_ratio", "histogram", "Measured/predicted engine time of successful Auto runs (native backend).")
+		p.Hist("parbitonic_serve_plan_drift_ratio", elemLabel, &m.planDrift)
 	}
 
 	if m.breakerState != nil {
-		p("# HELP parbitonic_serve_breaker_state Circuit breaker position (0 closed, 1 open, 2 half-open).\n")
-		p("# TYPE parbitonic_serve_breaker_state gauge\n")
-		p("parbitonic_serve_breaker_state{elem=%q} %d\n", m.elem, m.breakerState())
+		p.Header("parbitonic_serve_breaker_state", "gauge", "Circuit breaker position (0 closed, 1 open, 2 half-open).")
+		p.Printf("parbitonic_serve_breaker_state{elem=%q} %d\n", m.elem, m.breakerState())
 	}
 
-	p("# HELP parbitonic_serve_batch_requests Requests coalesced per engine run.\n")
-	p("# TYPE parbitonic_serve_batch_requests histogram\n")
-	m.writeServeHist(p, "parbitonic_serve_batch_requests", m.size)
+	p.Header("parbitonic_serve_batch_requests", "histogram", "Requests coalesced per engine run.")
+	p.Hist("parbitonic_serve_batch_requests", elemLabel, &m.size)
 
-	p("# HELP parbitonic_serve_request_seconds End-to-end request latency, admission to response.\n")
-	p("# TYPE parbitonic_serve_request_seconds histogram\n")
-	m.writeServeHist(p, "parbitonic_serve_request_seconds", m.latency)
+	p.Header("parbitonic_serve_request_seconds", "histogram", "End-to-end request latency, admission to response.")
+	p.Hist("parbitonic_serve_request_seconds", elemLabel, &m.latency)
 
 	ps := m.pool.Stats()
-	p("# HELP parbitonic_serve_pool_gets_total Engine checkouts from the pool.\n")
-	p("# TYPE parbitonic_serve_pool_gets_total counter\n")
-	p("parbitonic_serve_pool_gets_total{elem=%q} %d\n", m.elem, ps.Gets)
-	p("# HELP parbitonic_serve_pool_hits_total Checkouts served without constructing an engine.\n")
-	p("# TYPE parbitonic_serve_pool_hits_total counter\n")
-	p("parbitonic_serve_pool_hits_total{elem=%q} %d\n", m.elem, ps.Hits)
-	p("# HELP parbitonic_serve_pool_idle_engines Engines currently parked in the pool.\n")
-	p("# TYPE parbitonic_serve_pool_idle_engines gauge\n")
-	p("parbitonic_serve_pool_idle_engines{elem=%q} %d\n", m.elem, ps.Idle)
-	p("# HELP parbitonic_serve_quarantined_engines_total Engines destroyed instead of recycled after an unhealthy run.\n")
-	p("# TYPE parbitonic_serve_quarantined_engines_total counter\n")
-	p("parbitonic_serve_quarantined_engines_total{elem=%q} %d\n", m.elem, ps.Quarantined)
-	p("# HELP parbitonic_serve_evicted_engines_total Idle engines evicted by a per-shape failure streak.\n")
-	p("# TYPE parbitonic_serve_evicted_engines_total counter\n")
-	p("parbitonic_serve_evicted_engines_total{elem=%q} %d\n", m.elem, ps.Evicted)
+	p.Header("parbitonic_serve_pool_gets_total", "counter", "Engine checkouts from the pool.")
+	p.Printf("parbitonic_serve_pool_gets_total{elem=%q} %d\n", m.elem, ps.Gets)
+	p.Header("parbitonic_serve_pool_hits_total", "counter", "Checkouts served without constructing an engine.")
+	p.Printf("parbitonic_serve_pool_hits_total{elem=%q} %d\n", m.elem, ps.Hits)
+	p.Header("parbitonic_serve_pool_idle_engines", "gauge", "Engines currently parked in the pool.")
+	p.Printf("parbitonic_serve_pool_idle_engines{elem=%q} %d\n", m.elem, ps.Idle)
+	p.Header("parbitonic_serve_quarantined_engines_total", "counter", "Engines destroyed instead of recycled after an unhealthy run.")
+	p.Printf("parbitonic_serve_quarantined_engines_total{elem=%q} %d\n", m.elem, ps.Quarantined)
+	p.Header("parbitonic_serve_evicted_engines_total", "counter", "Idle engines evicted by a per-shape failure streak.")
+	p.Printf("parbitonic_serve_evicted_engines_total{elem=%q} %d\n", m.elem, ps.Evicted)
 
-	if err == nil {
-		err = m.stages.WriteProm(w, headers)
+	if err := p.Err(); err != nil {
+		return err
 	}
-	return err
-}
-
-func (m *Metrics) writeServeHist(p func(string, ...any), name string, h *hist) {
-	cum := uint64(0)
-	for i, ub := range h.bounds {
-		cum += h.counts[i]
-		p("%s_bucket{elem=%q,le=\"%g\"} %d\n", name, m.elem, ub, cum)
-	}
-	p("%s_bucket{elem=%q,le=\"+Inf\"} %d\n", name, m.elem, h.count)
-	p("%s_sum{elem=%q} %v\n", name, m.elem, h.sum)
-	p("%s_count{elem=%q} %d\n", name, m.elem, h.count)
+	return m.stages.WriteProm(w, headers)
 }

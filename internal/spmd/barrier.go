@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"parbitonic/internal/obs"
-	"parbitonic/internal/trace"
 )
 
 // barrier is a reusable sense-reversing barrier for exactly p
@@ -39,7 +38,7 @@ func newBarrier(p int) *barrier {
 // goroutine's pprof phase label reads "wait" while blocked.
 func (b *barrier) maxClock(pr *PC) {
 	prevTag := pr.curTag
-	pr.tag(int(obs.PhaseWait))
+	pr.tag(obs.PhaseWait)
 	b.mu.Lock()
 	if b.broken {
 		b.mu.Unlock()
@@ -67,7 +66,7 @@ func (b *barrier) maxClock(pr *PC) {
 		}
 	}
 	if b.prevMax > pr.Clock {
-		pr.Span(trace.Wait, pr.Clock, b.prevMax)
+		pr.Span(obs.PhaseWait, pr.Clock, b.prevMax)
 	}
 	pr.Clock = b.prevMax
 	b.mu.Unlock()

@@ -45,7 +45,7 @@ func (p *ProcOf[E]) DirectRemap(plan *addr.RemapPlan) bool {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.checkAbort()
-	p.tag(int(obs.PhaseTransfer))
+	p.tag(obs.PhaseTransfer)
 
 	// Publish this processor's memory on the board diagonal and keep
 	// the packed path's counters: the gather below reads exactly the
@@ -82,7 +82,7 @@ func (p *ProcOf[E]) DirectRemap(plan *addr.RemapPlan) bool {
 	old := p.Data
 	p.Data = next
 	p.PutBuf(old)
-	p.tag(int(obs.PhaseCompute))
+	p.tag(obs.PhaseCompute)
 	p.Stats.Remaps++
 	return true
 }

@@ -13,7 +13,6 @@ import (
 	"parbitonic/element"
 	"parbitonic/internal/intbits"
 	"parbitonic/internal/obs"
-	"parbitonic/internal/trace"
 )
 
 // EngineConfig configures the shared SPMD substrate.
@@ -31,10 +30,6 @@ type EngineConfig struct {
 	// false; its processors model distributed memories and must keep
 	// charging the §3.4 pack/transfer/unpack pipeline unchanged.
 	Shared bool
-
-	// Trace, when non-nil, receives barrier-wait spans from the engine;
-	// chargers add the busy-phase spans. Adds some overhead.
-	Trace *trace.Recorder
 
 	// Sink, when non-nil, receives the observability stream: run
 	// lifecycle, per-processor phase spans (buffered per processor and
@@ -165,7 +160,6 @@ func NewEngineOf[E element.Elem](cfg EngineConfig) (*EngineOf[E], error) {
 		shared:   cfg.Shared,
 		costs:    cfg.Costs,
 		charge:   cfg.Charge,
-		rec:      cfg.Trace,
 		sink:     cfg.Sink,
 		labels:   cfg.Labels,
 		bar:      newBarrier(cfg.P),

@@ -18,7 +18,7 @@ import (
 // consume it (or copy the headers out) before the next round.
 func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 	p.checkAbort()
-	p.tag(int(obs.PhaseTransfer))
+	p.tag(obs.PhaseTransfer)
 	e := p.e
 	if len(out) != e.p {
 		panic(fmt.Sprintf("spmd: Exchange wants %d destination slices, got %d", e.p, len(out)))
@@ -43,7 +43,7 @@ func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 	}
 	e.charge.Transfer(&p.PC, vol, msgs)
 	e.bar.maxClock(&p.PC) // everyone has read; board reusable, clocks synced
-	p.tag(int(obs.PhaseCompute))
+	p.tag(obs.PhaseCompute)
 	return in
 }
 
@@ -53,7 +53,7 @@ func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 // baseline, whose remote steps exchange full halves between pairs.
 func (p *ProcOf[E]) PairExchange(partner int, out []E) []E {
 	p.checkAbort()
-	p.tag(int(obs.PhaseTransfer))
+	p.tag(obs.PhaseTransfer)
 	e := p.e
 	if partner < 0 || partner >= e.p || partner == p.ID {
 		panic(fmt.Sprintf("spmd: bad partner %d for processor %d", partner, p.ID))
@@ -65,7 +65,7 @@ func (p *ProcOf[E]) PairExchange(partner int, out []E) []E {
 	in := e.board[partner][p.ID].data
 	e.charge.Transfer(&p.PC, len(out), 1)
 	e.bar.maxClock(&p.PC)
-	p.tag(int(obs.PhaseCompute))
+	p.tag(obs.PhaseCompute)
 	return in
 }
 
@@ -113,7 +113,7 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 	if len(p.Data) != n {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
-	p.tag(int(obs.PhasePack))
+	p.tag(obs.PhasePack)
 	out := p.pack(plan, n)
 	if e.long && !fused {
 		e.charge.Pack(&p.PC, n)
@@ -125,7 +125,7 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 	// copied every key out of p.Data during pack, so the backing array
 	// is free the moment the messages are in flight, and steady-state
 	// remapping allocates nothing.
-	p.tag(int(obs.PhaseUnpack))
+	p.tag(obs.PhaseUnpack)
 	next := p.GetBuf(n)
 	nl := p.nlScratch(plan.MsgLen)
 	for src, msg := range in {
@@ -143,7 +143,7 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 	if e.long && !fused {
 		e.charge.Unpack(&p.PC, n)
 	}
-	p.tag(int(obs.PhaseCompute))
+	p.tag(obs.PhaseCompute)
 	p.Stats.Remaps++
 }
 
@@ -162,7 +162,7 @@ func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, fusedPack bool) [][]
 	if len(p.Data) != n {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
-	p.tag(int(obs.PhasePack))
+	p.tag(obs.PhasePack)
 	out := p.pack(plan, n)
 	if e.long && !fusedPack {
 		e.charge.Pack(&p.PC, n)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"parbitonic/internal/obs"
-	"parbitonic/internal/trace"
 )
 
 // PC is the element-independent core of a processor: identity, clock,
@@ -44,7 +43,7 @@ type PC struct {
 	// contexts (one per phase tag; nil when profiling is off).
 	obsBuf   []obs.Span
 	labelCtx []context.Context
-	curTag   int
+	curTag   obs.Phase
 }
 
 // procOps is the seam through which element-independent code touches a
@@ -69,7 +68,6 @@ type state struct {
 	shared bool
 	costs  CostModel
 	charge Charger
-	rec    *trace.Recorder
 	sink   obs.Sink          // nil = observability disabled
 	labels map[string]string // static telemetry labels
 	bar    *barrier
@@ -207,40 +205,18 @@ func (p *PC) nlScratch(msgLen int) []int32 {
 
 // ---- observability services ----
 
-// obsPhase maps the trace recorder's phase letters onto the
-// observability layer's dense phase enum.
-func obsPhase(ph trace.Phase) obs.Phase {
-	switch ph {
-	case trace.Compute:
-		return obs.PhaseCompute
-	case trace.Pack:
-		return obs.PhasePack
-	case trace.Transfer:
-		return obs.PhaseTransfer
-	case trace.Unpack:
-		return obs.PhaseUnpack
-	case trace.Wait:
-		return obs.PhaseWait
-	}
-	return obs.PhaseAbort
-}
-
 // Span records one completed phase span [start, end) on the
-// processor's backend clock. It feeds both consumers at once: the
-// trace recorder (if configured) for timeline rendering, and the
-// observability sink (if configured) via the processor's private span
-// buffer, stamped with the current remap round and a wall-clock
-// timestamp. Chargers call it at every phase boundary; with neither
-// consumer configured it is two pointer checks.
-func (p *PC) Span(ph trace.Phase, start, end float64) {
-	if r := p.st.rec; r != nil {
-		r.Add(trace.Event{Proc: p.ID, Phase: ph, Start: start, End: end})
-	}
+// processor's backend clock. When a sink is configured the span goes
+// into the processor's private buffer, stamped with the current remap
+// round and a wall-clock timestamp, and reaches the sink at the next
+// barrier flush. Chargers call it at every phase boundary; with no
+// sink it is one pointer check.
+func (p *PC) Span(ph obs.Phase, start, end float64) {
 	if p.st.sink != nil && end > start {
 		p.obsBuf = append(p.obsBuf, obs.Span{
 			Proc:  p.ID,
 			Round: p.Stats.Remaps,
-			Phase: obsPhase(ph),
+			Phase: ph,
 			Start: start,
 			End:   end,
 			Wall:  time.Now().UnixNano(),
@@ -276,10 +252,6 @@ func (p *PC) abortSpan() {
 	})
 }
 
-// phaseTagNames order must match the obs.Phase constants; abort never
-// becomes a goroutine label.
-var phaseTagNames = [...]string{"compute", "pack", "transfer", "unpack", "wait"}
-
 // initObs prepares the processor's observability state at run start:
 // the span buffer is cleared and, when a sink is configured, one pprof
 // label context per phase is prebuilt (proc, phase, plus the engine's
@@ -298,21 +270,22 @@ func (p *PC) initObs() {
 		for k, v := range p.st.labels {
 			kv = append(kv, k, v)
 		}
-		p.labelCtx = make([]context.Context, len(phaseTagNames))
-		for i, name := range phaseTagNames {
-			args := append(kv[:len(kv):len(kv)], "phase", name)
-			p.labelCtx[i] = pprof.WithLabels(context.Background(), pprof.Labels(args...))
+		// One context per engine phase; abort never becomes a label.
+		p.labelCtx = make([]context.Context, obs.PhaseAbort)
+		for ph := range p.labelCtx {
+			args := append(kv[:len(kv):len(kv)], "phase", obs.Phase(ph).String())
+			p.labelCtx[ph] = pprof.WithLabels(context.Background(), pprof.Labels(args...))
 		}
 	}
-	p.tag(int(obs.PhaseCompute))
+	p.tag(obs.PhaseCompute)
 }
 
 // tag switches the goroutine's pprof phase label; no-op when profiling
 // is off.
-func (p *PC) tag(t int) {
+func (p *PC) tag(ph obs.Phase) {
 	if p.labelCtx == nil {
 		return
 	}
-	p.curTag = t
-	pprof.SetGoroutineLabels(p.labelCtx[t])
+	p.curTag = ph
+	pprof.SetGoroutineLabels(p.labelCtx[ph])
 }

@@ -152,7 +152,7 @@ func (r Result) TimePerKey(totalKeys int) float64 { return r.Time / float64(tota
 // Charger decides what every phase of a run costs. The simulator's
 // charger advances virtual clocks by the LogGP formulas; the native
 // charger timestamps phases with the real clock. Implementations own
-// the updates to p.Clock, p.Stats time fields and the trace recorder;
+// the updates to p.Clock, p.Stats time fields and the phase spans;
 // the runtime calls them at every phase boundary.
 //
 // Chargers see the element-independent processor core (*PC), never the

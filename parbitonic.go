@@ -40,7 +40,6 @@ import (
 	"parbitonic/internal/obs"
 	"parbitonic/internal/schedule"
 	"parbitonic/internal/spmd"
-	"parbitonic/internal/trace"
 	"parbitonic/internal/verify"
 )
 
@@ -168,12 +167,6 @@ type Config struct {
 	// calibrated defaults.
 	Costs *machine.CostModel
 
-	// Trace, when non-nil, records every processor's virtual-time spans
-	// (compute/pack/transfer/unpack/barrier-wait) during the sort; use
-	// its Timeline method to render a Gantt view. The zero value of
-	// TraceRecorder is ready to use.
-	Trace *TraceRecorder
-
 	// Verify runs a post-sort invariant check over the output: every
 	// processor's keys ascending, processor boundaries in order, and
 	// multiset preservation against an input checksum taken before the
@@ -188,7 +181,8 @@ type Config struct {
 	// failures), and a run summary at the end. It also enables pprof
 	// goroutine labels (proc/phase/alg/backend) on the worker
 	// goroutines. Ready-made sinks live in internal/obs: ChromeTrace
-	// (Perfetto-loadable trace JSON), Metrics (Prometheus/expvar
+	// (Perfetto-loadable trace JSON, plus the ASCII Gantt timeline;
+	// exported here as TraceRecorder), Metrics (Prometheus/expvar
 	// export), SlogSink (structured logs); combine with obs.Multi. Nil
 	// costs nothing on the hot path.
 	Obs Sink
@@ -226,9 +220,11 @@ type KV64 = element.KV64
 // the corrupted output — do not use them.
 type VerifyError = verify.Error
 
-// TraceRecorder collects per-processor virtual-time events; see
-// Config.Trace.
-type TraceRecorder = trace.Recorder
+// TraceRecorder collects a run's per-processor phase spans when passed
+// as Config.Obs; its Timeline method renders them as a Gantt view and
+// WaitShare reports the barrier-wait fraction. The zero value is ready
+// to use.
+type TraceRecorder = obs.ChromeTrace
 
 // RemapStrategy selects how the smart remaps are shifted relative to
 // the network's step stream (Lemma 5).
@@ -389,7 +385,6 @@ func machineConfig(cfg Config) machine.Config {
 	if cfg.Costs != nil {
 		mc.Costs = *cfg.Costs
 	}
-	mc.Trace = cfg.Trace
 	return mc
 }
 

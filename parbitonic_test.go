@@ -241,10 +241,10 @@ func TestSortPadded(t *testing.T) {
 func TestTraceThroughFacade(t *testing.T) {
 	rec := new(TraceRecorder)
 	keys := workload.Keys(workload.Uniform31, 4096, 2)
-	if _, err := Sort(keys, Config{Processors: 8, Trace: rec}); err != nil {
+	if _, err := Sort(keys, Config{Processors: 8, Obs: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events()) == 0 {
+	if len(rec.Spans()) == 0 {
 		t.Fatal("facade trace recorded nothing")
 	}
 	if rec.WaitShare() < 0 || rec.WaitShare() > 1 {
