@@ -54,15 +54,16 @@ func (p Plan) String() string {
 }
 
 // Apply returns cfg specialized to this plan: Processors, Algorithm
-// and Strategy replaced by the plan's choices and Auto cleared, every
-// other field (Backend, Verify, telemetry sinks, model overrides)
-// preserved. The result is a normal fixed-shape Config, usable with
+// and Sim.Strategy replaced by the plan's choices and Auto cleared,
+// every other field (Backend, Verify, telemetry sinks, the other Sim
+// options) preserved. Native plans always choose HeadRemap, the zero
+// Strategy. The result is a normal fixed-shape Config, usable with
 // NewEngineOf.
 func (p Plan) Apply(cfg Config) Config {
 	cfg.Auto = false
 	cfg.Processors = p.Processors
 	cfg.Algorithm = p.Algorithm
-	cfg.Strategy = p.Strategy
+	cfg.Sim.Strategy = p.Strategy
 	return cfg
 }
 

@@ -59,7 +59,7 @@ func BenchmarkTable51_PerKey(b *testing.B) {
 	}
 	// The production configuration: fully fused local computation.
 	b.Run("smart-bitonic-fullsort", func(b *testing.B) {
-		runConfig(b, 32, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, FusePackUnpack: true})
+		runConfig(b, 32, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{FusePackUnpack: true}})
 	})
 }
 
@@ -106,7 +106,7 @@ func BenchmarkTable53_ShortLong(b *testing.B) {
 		short bool
 	}{{"long", false}, {"short", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			res := runConfig(b, 16, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, ShortMessages: mode.short})
+			res := runConfig(b, 16, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{ShortMessages: mode.short}})
 			b.ReportMetric(res.CommTime()/float64(16*benchN)*1000, "model-comm-ns/key")
 		})
 	}
@@ -132,7 +132,7 @@ func benchCompare(b *testing.B, p int) {
 		parbitonic.SmartBitonic, parbitonic.RadixSort, parbitonic.SampleSort,
 	} {
 		b.Run(alg.String(), func(b *testing.B) {
-			cfg := parbitonic.Config{Algorithm: alg, FusePackUnpack: alg == parbitonic.SmartBitonic}
+			cfg := parbitonic.Config{Algorithm: alg, Sim: parbitonic.SimOptions{FusePackUnpack: alg == parbitonic.SmartBitonic}}
 			runConfig(b, p, benchN, cfg)
 		})
 	}
@@ -233,7 +233,7 @@ func BenchmarkAblation_Compute(b *testing.B) {
 		sim  bool
 	}{{"optimized", false}, {"simulated", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			res := runConfig(b, 16, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, SimulateSteps: mode.sim})
+			res := runConfig(b, 16, benchN, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{SimulateSteps: mode.sim}})
 			b.ReportMetric(res.ComputeTime/float64(16*benchN)*1000, "model-compute-ns/key")
 		})
 	}

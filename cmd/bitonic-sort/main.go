@@ -11,6 +11,10 @@
 //	             [-short] [-simulate] [-fused] [-seed S] [-timeout D]
 //	             [-verify] [-v]
 //
+// -short, -simulate and -fused are the simulator's ablation switches
+// (parbitonic.SimOptions); with -backend native they are a usage
+// error.
+//
 // Observability (see internal/obs):
 //
 //	-trace-out FILE        write a Chrome trace-event JSON of the run
@@ -84,9 +88,9 @@ func main() {
 	backendName := flag.String("backend", "simulated", "execution backend: simulated (model time) or native (wall-clock)")
 	distName := flag.String("dist", "uniform", "distribution: uniform, fullrange, sorted, reverse, fewdistinct, gaussian, allequal")
 	keytypeName := flag.String("keytype", "u32", "element type: u32, u64, f32, f64, kv64 (kv64 = 64-bit key + 64-bit payload)")
-	short := flag.Bool("short", false, "use short (elementwise) messages")
-	simulate := flag.Bool("simulate", false, "simulate every network step instead of optimized local sorts")
-	fused := flag.Bool("fused", false, "fuse pack/unpack into local computation (§4.3)")
+	short := flag.Bool("short", false, "use short (elementwise) messages (simulated backend only)")
+	simulate := flag.Bool("simulate", false, "simulate every network step instead of optimized local sorts (simulated backend only)")
+	fused := flag.Bool("fused", false, "fuse pack/unpack into local computation, §4.3 (simulated backend only)")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	timeout := flag.Duration("timeout", 0, "abort the sort after this duration (0 = no limit)")
 	doVerify := flag.Bool("verify", false, "verify the output: per-processor order, boundaries, multiset checksum")
@@ -134,6 +138,10 @@ func main() {
 		backend = parbitonic.Native
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendName)
+		os.Exit(2)
+	}
+	if backend == parbitonic.Native && (*short || *simulate || *fused) {
+		fmt.Fprintln(os.Stderr, "-short, -simulate and -fused shape the simulated model; -backend native always runs the fused fast path")
 		os.Exit(2)
 	}
 
@@ -193,17 +201,15 @@ func main() {
 		defer cancel()
 	}
 	ecfg := parbitonic.Config{
-		Processors:     *p,
-		Algorithm:      alg,
-		Backend:        backend,
-		ShortMessages:  *short,
-		SimulateSteps:  *simulate,
-		FusePackUnpack: *fused,
-		Verify:         *doVerify,
-		Obs:            sink,
-		Observe:        observe,
-		Auto:           *auto,
-		ProfilePath:    *profilePath,
+		Processors:  *p,
+		Algorithm:   alg,
+		Backend:     backend,
+		Sim:         parbitonic.SimOptions{ShortMessages: *short, SimulateSteps: *simulate, FusePackUnpack: *fused},
+		Verify:      *doVerify,
+		Obs:         sink,
+		Observe:     observe,
+		Auto:        *auto,
+		ProfilePath: *profilePath,
 	}
 	headTail := 0
 	if *verbose {

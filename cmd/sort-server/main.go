@@ -21,9 +21,9 @@
 // the machine profile).
 //
 // Endpoints: POST /sort (JSON {"keys":[...]} or
-// application/octet-stream — a legacy little-endian uint32 stream or
-// a versioned binary frame whose header names the element type: u32,
-// u64, f32, f64 or kv64; optional ?timeout_ms=N), GET /healthz
+// application/octet-stream — a binary frame whose 8-byte header names
+// the element type: u32, u64, f32, f64 or kv64; a body without the
+// header is refused with 400; optional ?timeout_ms=N), GET /healthz
 // (503-unready under sustained SLO burn), GET /stats, GET /metrics
 // (Prometheus, including per-stage latency histograms, tail quantile
 // estimates and runtime health), GET /debug/sortz (live ops page;

@@ -67,8 +67,9 @@ type Engine = EngineOf[uint32]
 // NewEngineOf validates cfg, builds its execution backend once, and
 // returns the reusable engine for element type E. Everything in cfg
 // except the per-call key slice is fixed for the engine's lifetime:
-// processor count, algorithm, backend, model overrides, telemetry
-// sinks.
+// processor count, algorithm, backend, simulator options, telemetry
+// sinks. A Native config with a non-zero Sim is an error naming the
+// first field set.
 func NewEngineOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 	if cfg.Auto {
 		return nil, fmt.Errorf("parbitonic: Config.Auto is resolved per sort size and cannot build a fixed-shape engine; use the package-level Sort/SortPadded, or PlanFor + Plan.Apply")
@@ -92,11 +93,7 @@ func NewEngineOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 	var err error
 	switch cfg.Backend {
 	case Native:
-		nc := native.Config{P: p, Sink: cfg.Obs, Labels: labels, WrapCharger: cfg.WrapCharger}
-		if cfg.Costs != nil {
-			nc.Costs = *cfg.Costs
-		}
-		m, err = native.NewOf[E](nc)
+		m, err = native.NewOf[E](native.Config{P: p, Sink: cfg.Obs, Labels: labels, WrapCharger: cfg.WrapCharger})
 	case Simulated:
 		mc := machineConfig(cfg)
 		mc.Sink = cfg.Obs
@@ -289,31 +286,26 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 }
 
 // coreOptions maps the public Config to core.Options for the three
-// bitonic algorithms at machine shape (p, n).
+// bitonic algorithms at machine shape (p, n). Native smart sorts, and
+// simulated ones that ask for fusion alone, run core.FusedSmart.
+// Fusion combined with step simulation or a non-Head strategy is
+// passed through for core.Options.Validate to reject.
 func coreOptions(cfg Config, p, n int) core.Options {
-	opts := core.Options{Fused: cfg.FusePackUnpack}
+	sim := cfg.Sim
+	opts := core.Options{Fused: sim.FusePackUnpack, Strategy: sim.Strategy.schedule()}
 	switch cfg.Algorithm {
 	case CyclicBlockedBitonic:
 		opts.Algorithm = core.CyclicBlocked
 	case BlockedMergeBitonic:
 		opts.Algorithm = core.BlockedMerge
 	default:
+		if cfg.Backend == Native || sim.FusePackUnpack && !sim.SimulateSteps && sim.Strategy == HeadRemap {
+			return core.FusedSmart(p, n)
+		}
 		opts.Algorithm = core.Smart
 	}
-	opts.Strategy = cfg.Strategy.schedule()
-	if cfg.SimulateSteps || opts.Strategy != schedule.Head {
+	if sim.SimulateSteps || opts.Strategy != schedule.Head {
 		opts.Compute = core.Simulated
-	}
-	if cfg.Backend == Native && opts.Algorithm == core.Smart && !cfg.SimulateSteps {
-		// Natively the fused path is simply the fast one — there is
-		// no model-ablation reason to keep pack/unpack separate.
-		opts.Fused = true
-	}
-	if opts.Fused && opts.Algorithm == core.Smart && !cfg.SimulateSteps {
-		lgn, lgP := intbits.Log2(n), intbits.Log2(p)
-		if p == 1 || lgP*(lgP+1)/2 <= lgn {
-			opts.Compute = core.FullSort
-		}
 	}
 	return opts
 }

@@ -3,10 +3,56 @@ package parbitonic
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"parbitonic/internal/machine"
 	"parbitonic/internal/spmd"
 )
+
+// TestNewEngineSimOptionsBackend: each SimOptions field is a simulator
+// knob. NewEngineOf rejects it under Native with an error naming the
+// field, and accepts it, and sorts, under Simulated.
+func TestNewEngineSimOptionsBackend(t *testing.T) {
+	costs := machine.DefaultCosts()
+	for _, tc := range []struct {
+		field string
+		sim   SimOptions
+	}{
+		{"ShortMessages", SimOptions{ShortMessages: true}},
+		{"SimulateSteps", SimOptions{SimulateSteps: true}},
+		{"FusePackUnpack", SimOptions{FusePackUnpack: true}},
+		{"Strategy", SimOptions{Strategy: TailRemap}},
+		{"Model", SimOptions{Model: &ModelParams{L: 1, O: 1, Gap: 1, GKey: 0.1, ShortKey: 1}}},
+		{"Costs", SimOptions{Costs: &costs}},
+	} {
+		if tc.sim.firstSet() != tc.field {
+			t.Fatalf("%s: firstSet = %q", tc.field, tc.sim.firstSet())
+		}
+		_, err := NewEngine(Config{Processors: 4, Backend: Native, Sim: tc.sim})
+		if err == nil || !strings.Contains(err.Error(), "Sim."+tc.field) {
+			t.Errorf("Native with Sim.%s: err = %v, want an error naming the field", tc.field, err)
+		}
+		e, err := NewEngine(Config{Processors: 4, Backend: Simulated, Sim: tc.sim})
+		if err != nil {
+			t.Errorf("Simulated with Sim.%s: %v", tc.field, err)
+			continue
+		}
+		keys := make([]uint32, 256)
+		rng := rand.New(rand.NewSource(7))
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+		ref := sortedRef(keys)
+		if _, err := e.Sort(keys); err != nil {
+			t.Errorf("Simulated with Sim.%s: sort: %v", tc.field, err)
+		} else if !slices.Equal(keys, ref) {
+			t.Errorf("Simulated with Sim.%s: output not sorted", tc.field)
+		}
+		e.Close()
+	}
+}
 
 // TestEngineReuse runs many sorts of varying sizes and contents
 // through ONE engine per backend and checks every output against the

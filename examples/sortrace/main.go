@@ -21,7 +21,7 @@ func race(p, n int, dist workload.Dist, seed uint64) map[parbitonic.Algorithm]pa
 	out := map[parbitonic.Algorithm]parbitonic.Result{}
 	for _, alg := range []parbitonic.Algorithm{parbitonic.SmartBitonic, parbitonic.RadixSort, parbitonic.SampleSort} {
 		keys := workload.Keys(dist, p*n, seed)
-		res, err := parbitonic.Sort(keys, parbitonic.Config{Processors: p, Algorithm: alg, FusePackUnpack: alg == parbitonic.SmartBitonic})
+		res, err := parbitonic.Sort(keys, parbitonic.Config{Processors: p, Algorithm: alg, Sim: parbitonic.SimOptions{FusePackUnpack: alg == parbitonic.SmartBitonic}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -124,12 +124,12 @@ func TestOverrideValidation(t *testing.T) {
 		cfg  parbitonic.Config
 		want string
 	}{
-		{"NaN model L", parbitonic.Config{Processors: 2, Model: &parbitonic.ModelParams{L: math.NaN()}}, "Model.L"},
-		{"negative gap", parbitonic.Config{Processors: 2, Model: &parbitonic.ModelParams{Gap: -1}}, "Model.Gap"},
-		{"Inf GKey", parbitonic.Config{Processors: 2, Model: &parbitonic.ModelParams{GKey: math.Inf(1)}}, "Model.GKey"},
-		{"negative merge cost", parbitonic.Config{Processors: 2, Costs: &machine.CostModel{Merge: -2, RadixPasses: 1}}, "Costs.Merge"},
-		{"NaN pack cost", parbitonic.Config{Processors: 2, Costs: &machine.CostModel{Pack: math.NaN(), RadixPasses: 1}}, "Costs.Pack"},
-		{"negative radix passes", parbitonic.Config{Processors: 2, Costs: &machine.CostModel{RadixPasses: -1}}, "Costs.RadixPasses"},
+		{"NaN model L", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Model: &parbitonic.ModelParams{L: math.NaN()}}}, "Model.L"},
+		{"negative gap", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Model: &parbitonic.ModelParams{Gap: -1}}}, "Model.Gap"},
+		{"Inf GKey", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Model: &parbitonic.ModelParams{GKey: math.Inf(1)}}}, "Model.GKey"},
+		{"negative merge cost", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Costs: &machine.CostModel{Merge: -2, RadixPasses: 1}}}, "Costs.Merge"},
+		{"NaN pack cost", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Costs: &machine.CostModel{Pack: math.NaN(), RadixPasses: 1}}}, "Costs.Pack"},
+		{"negative radix passes", parbitonic.Config{Processors: 2, Sim: parbitonic.SimOptions{Costs: &machine.CostModel{RadixPasses: -1}}}, "Costs.RadixPasses"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

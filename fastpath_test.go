@@ -200,14 +200,14 @@ func TestNativeSimulatedIdentical(t *testing.T) {
 			in := workload.Elems[element.KV64](workload.FewDistinct, sh.n, uint64(31*sh.p+sh.n))
 			sim := slices.Clone(in)
 			nat := slices.Clone(in)
-			// FusePackUnpack on the simulated Smart run so the simulator
+			// Sim.FusePackUnpack on the simulated Smart run so the simulator
 			// picks the same compute mode the native backend forces;
 			// otherwise FullSort vs optimized merge tied payloads in a
 			// different (equally valid) order. The baselines reject the
 			// flag and have a single compute mode anyway.
 			simRes, err := parbitonic.Sort(sim, parbitonic.Config{
 				Processors: sh.p, Algorithm: alg, Verify: true,
-				FusePackUnpack: alg == parbitonic.SmartBitonic,
+				Sim: parbitonic.SimOptions{FusePackUnpack: alg == parbitonic.SmartBitonic},
 			})
 			if err != nil {
 				t.Fatalf("simulated p=%d n=%d %v: %v", sh.p, sh.n, alg, err)

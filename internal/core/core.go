@@ -97,6 +97,19 @@ type Options struct {
 	Fused bool
 }
 
+// FusedSmart returns the options of the fused smart sort at machine
+// shape (p processors of n keys each), the fastest implementation and
+// the one the native backend always runs: the FullSort p-way merges in
+// the usual regime lgP(lgP+1)/2 <= lg n, and outside it the optimized
+// local computation with pack/unpack fused into the local sorts.
+func FusedSmart(p, n int) Options {
+	opts := Options{Algorithm: Smart, Fused: true}
+	if lgn, lgP := intbits.Log2(n), intbits.Log2(p); lgP*(lgP+1)/2 <= lgn {
+		opts.Compute = FullSort
+	}
+	return opts
+}
+
 // Validate checks option consistency against a machine and data shape.
 func (o Options) Validate(p, n int) error {
 	if n < 1 || n&(n-1) != 0 {

@@ -299,7 +299,7 @@ func Table53(c Config) *Table {
 	const p = 16
 	for _, k := range paperSizesK {
 		n := c.keysPerProc(k)
-		short := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, ShortMessages: true})
+		short := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{ShortMessages: true}})
 		long := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic})
 		sPer := short.CommTime() / float64(p*n)
 		lPer := long.CommTime() / float64(p*n)
@@ -375,7 +375,7 @@ func compareSorts(c Config, p int, id string) *Table {
 			continue
 		}
 		seen[n] = true
-		bi := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, FusePackUnpack: true})
+		bi := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{FusePackUnpack: true}})
 		ra := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.RadixSort})
 		sa := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SampleSort})
 		t.Rows = append(t.Rows, []string{
@@ -463,7 +463,7 @@ func AblationCompute(c Config) *Table {
 	const p = 16
 	for _, k := range []int{128, 1024} {
 		n := c.keysPerProc(k)
-		sim := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, SimulateSteps: true})
+		sim := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic, Sim: parbitonic.SimOptions{SimulateSteps: true}})
 		opt := c.run(p, n, parbitonic.Config{Algorithm: parbitonic.SmartBitonic})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%dK", k),

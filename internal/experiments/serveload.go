@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"parbitonic"
+	"parbitonic/element"
 	"parbitonic/internal/intbits"
 	"parbitonic/internal/serve"
 	"parbitonic/internal/workload"
@@ -110,7 +111,7 @@ func ServeLoad(c Config) *Table {
 	return t
 }
 
-// LoadHTTP drives a live sort-server over HTTP (binary content type)
+// LoadHTTP drives a live sort-server over HTTP (binary u32 frames)
 // through the same concurrency sweep as ServeLoad. url is the server
 // base, e.g. http://localhost:8357. Every request carries a unique
 // X-Request-ID; a response that fails to echo it back counts as an
@@ -118,10 +119,10 @@ func ServeLoad(c Config) *Table {
 func LoadHTTP(url string, reqsPerClient int, seed uint64) *Table {
 	t := &Table{
 		ID:      "HTTP load",
-		Title:   fmt.Sprintf("POST %s/sort, %d-key binary requests", url, serveLoadKeys),
+		Title:   fmt.Sprintf("POST %s/sort, %d-key binary frame requests", url, serveLoadKeys),
 		Columns: []string{"clients", "req/s", "p50 ms", "p99 ms", "errors"},
 		Notes: []string{
-			"wire format: application/octet-stream, little-endian uint32 keys.",
+			"wire format: application/octet-stream, a u32 frame (8-byte PBSF header, then little-endian uint32 keys).",
 			"latency includes HTTP round-trip; compare shapes, not absolutes, with the in-process Serve load table.",
 			"every request sends X-Request-ID; a missing or wrong echo on the response counts as an error.",
 		},
@@ -132,9 +133,9 @@ func LoadHTTP(url string, reqsPerClient int, seed uint64) *Table {
 		var errs int64
 		var errMu sync.Mutex
 		rps, p50, p99 := runLoad(clients, reqsPerClient, seed, func(keys []uint32) error {
-			body := make([]byte, 4*len(keys))
-			for i, k := range keys {
-				binary.LittleEndian.PutUint32(body[4*i:], k)
+			body := serve.FrameHeader(element.TU32)
+			for _, k := range keys {
+				body = binary.LittleEndian.AppendUint32(body, k)
 			}
 			id := fmt.Sprintf("load-%d-%d", clients, reqSeq.Add(1))
 			req, err := http.NewRequest(http.MethodPost, url+"/sort", bytes.NewReader(body))

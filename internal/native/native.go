@@ -30,11 +30,6 @@ import (
 type Config struct {
 	P int // number of processors (power of two, >= 1)
 
-	// Costs is carried for API compatibility with the simulator (the
-	// Charge* helpers consult it to compute model values the wall-clock
-	// charger then ignores); zero value uses the defaults.
-	Costs spmd.CostModel
-
 	// Sink, when non-nil, receives the observability stream (spans,
 	// run lifecycle, abort events) and enables pprof goroutine labels;
 	// see spmd.EngineConfig.Sink.
@@ -74,7 +69,6 @@ func NewOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 	}
 	eng, err := spmd.NewEngineOf[E](spmd.EngineConfig{
 		P:      cfg.P,
-		Costs:  cfg.Costs,
 		Long:   true, // long-message code paths; pack cost is real copying here
 		Shared: true, // one address space: remaps may gather directly
 		Charge: charge,

@@ -7,10 +7,8 @@ import (
 	"parbitonic/element"
 )
 
-// Versioned binary frame, v1. The sort-server's original binary body
-// was a bare little-endian uint32 stream with no header; the versioned
-// frame prefixes an 8-byte header so a request can name its element
-// type:
+// Binary frame, v1. Every binary body is a frame: an 8-byte header
+// naming the element type, then the elements.
 //
 //	[0:4]  magic "PBSF"
 //	[4]    version (currently 1)
@@ -20,12 +18,7 @@ import (
 //	[8:]   payload: little-endian elements (kv64: key word then
 //	       payload word)
 //
-// A body that does not start with the magic is decoded as a legacy
-// unversioned u32 stream, so old clients keep working unchanged. (The
-// one collision: a legacy stream whose first key is 0x46534250 —
-// "PBSF" little-endian — reads as a frame header; such a client must
-// switch to versioned frames.) Responses mirror the request: versioned
-// in, versioned out.
+// Responses carry the request's header.
 const (
 	frameVersion   = 1
 	frameHeaderLen = 8
@@ -33,12 +26,12 @@ const (
 
 var frameMagic = [4]byte{'P', 'B', 'S', 'F'}
 
-// FrameError describes a malformed versioned binary frame. The HTTP
-// layer maps it to status 400 with the machine-readable Code in the
-// JSON error body, so clients can distinguish (say) an element-width
-// mismatch from a bad version without parsing prose.
+// FrameError describes a malformed binary frame. The HTTP layer maps
+// it to status 400 with the machine-readable Code in the JSON error
+// body, so clients can distinguish (say) an element-width mismatch
+// from a bad version without parsing prose.
 type FrameError struct {
-	// Code is one of "truncated-header", "bad-version",
+	// Code is one of "truncated-header", "bad-magic", "bad-version",
 	// "bad-elem-type", "bad-reserved", "width-mismatch".
 	Code string
 	// Detail is the human-readable explanation.
@@ -50,32 +43,32 @@ func (e *FrameError) Error() string {
 	return fmt.Sprintf("serve: bad frame (%s): %s", e.Code, e.Detail)
 }
 
-// decodeFrame classifies a binary body: a versioned frame yields its
-// element type and payload, anything else is a legacy u32 stream
-// (versioned == false). Payload width is validated later by the typed
-// server, which knows its element width.
-func decodeFrame(raw []byte) (t element.Type, payload []byte, versioned bool, err error) {
-	if len(raw) < len(frameMagic) || [4]byte(raw[:4]) != frameMagic {
-		return 0, raw, false, nil
-	}
+// decodeFrame parses a binary body's header, returning the element
+// type and the payload after the header. Payload width is validated
+// later by the typed server, which knows its element width.
+func decodeFrame(raw []byte) (t element.Type, payload []byte, err error) {
 	if len(raw) < frameHeaderLen {
-		return 0, nil, true, &FrameError{Code: "truncated-header", Detail: fmt.Sprintf("frame header is %d bytes, need %d", len(raw), frameHeaderLen)}
+		return 0, nil, &FrameError{Code: "truncated-header", Detail: fmt.Sprintf("frame header is %d bytes, need %d", len(raw), frameHeaderLen)}
+	}
+	if [4]byte(raw[:4]) != frameMagic {
+		return 0, nil, &FrameError{Code: "bad-magic", Detail: fmt.Sprintf("body starts with %q, not the frame magic %q", raw[:4], frameMagic[:])}
 	}
 	if raw[4] != frameVersion {
-		return 0, nil, true, &FrameError{Code: "bad-version", Detail: fmt.Sprintf("frame version %d, this server speaks %d", raw[4], frameVersion)}
+		return 0, nil, &FrameError{Code: "bad-version", Detail: fmt.Sprintf("frame version %d, this server speaks %d", raw[4], frameVersion)}
 	}
 	t = element.Type(raw[5])
 	if t.Width() == 0 {
-		return 0, nil, true, &FrameError{Code: "bad-elem-type", Detail: fmt.Sprintf("unknown element type byte %d", raw[5])}
+		return 0, nil, &FrameError{Code: "bad-elem-type", Detail: fmt.Sprintf("unknown element type byte %d", raw[5])}
 	}
 	if raw[6] != 0 || raw[7] != 0 {
-		return 0, nil, true, &FrameError{Code: "bad-reserved", Detail: "reserved header bytes must be zero"}
+		return 0, nil, &FrameError{Code: "bad-reserved", Detail: "reserved header bytes must be zero"}
 	}
-	return t, raw[frameHeaderLen:], true, nil
+	return t, raw[frameHeaderLen:], nil
 }
 
-// frameHeader renders the v1 header for a response of element type t.
-func frameHeader(t element.Type) []byte {
+// FrameHeader renders the 8-byte v1 frame header for element type t,
+// the prefix of every binary request and response body.
+func FrameHeader(t element.Type) []byte {
 	h := make([]byte, frameHeaderLen)
 	copy(h, frameMagic[:])
 	h[4] = frameVersion
@@ -84,7 +77,7 @@ func frameHeader(t element.Type) []byte {
 }
 
 // elemServer is the type-erased face of a ServerOf: the Gateway routes
-// each versioned frame to the server of its element type through it.
+// each frame to the server of its element type through it.
 type elemServer interface {
 	sortPayload(ctx context.Context, payload []byte) (out []byte, degraded bool, err error)
 	retryAfterSeconds(err error) int
@@ -125,11 +118,11 @@ func (s *ServerOf[E]) sortPayload(ctx context.Context, payload []byte) ([]byte, 
 func (s *ServerOf[E]) poolStats() PoolStats { return s.pool.Stats() }
 
 // Gateway fronts one typed server per element type behind a single
-// HTTP handler (NewGatewayHandler): versioned binary frames route to
-// the server of their element type; JSON and legacy binary requests go
-// to the u32 server. All servers share one Config (and therefore one
-// engine shape), but each has its own pool, queue and batcher —
-// batches never mix element types.
+// HTTP handler (NewGatewayHandler): binary frames route to the server
+// of their element type; JSON requests go to the u32 server. All
+// servers share one Config (and therefore one engine shape), but each
+// has its own pool, queue and batcher — batches never mix element
+// types.
 type Gateway struct {
 	u32     *Server
 	servers map[element.Type]elemServer
@@ -173,8 +166,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// U32 returns the gateway's uint32 server — the one JSON and legacy
-// binary requests are served by.
+// U32 returns the gateway's uint32 server — the one JSON requests are
+// served by.
 func (g *Gateway) U32() *Server { return g.u32 }
 
 // Close shuts every typed server down (graceful drain each).

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,7 +37,35 @@ func newTestGateway(t *testing.T) (*Gateway, *httptest.Server) {
 
 // frame builds a v1 request frame around payload.
 func frame(t element.Type, payload []byte) []byte {
-	return append(frameHeader(t), payload...)
+	return append(FrameHeader(t), payload...)
+}
+
+// u32Frame builds a v1 u32 request frame of keys.
+func u32Frame(keys []uint32) []byte {
+	payload := make([]byte, 4*len(keys))
+	for i, k := range keys {
+		binary.LittleEndian.PutUint32(payload[4*i:], k)
+	}
+	return frame(element.TU32, payload)
+}
+
+// readU32Frame reads a response body that must be a u32 frame and
+// returns its keys.
+func readU32Frame(t *testing.T, r io.Reader) []uint32 {
+	t.Helper()
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := decodeFrame(raw)
+	if err != nil || typ != element.TU32 || len(payload)%4 != 0 {
+		t.Fatalf("response is not a u32 frame: type=%v len=%d err=%v", typ, len(raw), err)
+	}
+	keys := make([]uint32, len(payload)/4)
+	for i := range keys {
+		keys[i] = binary.LittleEndian.Uint32(payload[4*i:])
+	}
+	return keys
 }
 
 func postSort(t *testing.T, url string, body []byte) *http.Response {
@@ -48,33 +78,86 @@ func postSort(t *testing.T, url string, body []byte) *http.Response {
 	return resp
 }
 
-// TestGatewayLegacyU32 pins backward compatibility: an unversioned
-// little-endian u32 stream sent to the gateway sorts on the u32 server
-// and is answered unversioned, exactly like the pre-frame protocol.
-func TestGatewayLegacyU32(t *testing.T) {
+// TestGatewayBareU32BadMagic: a bare little-endian u32 stream, the
+// pre-frame wire format, is refused with the typed bad-magic code. A
+// stream whose first key is 0x46534250 ("PBSF" little-endian) has
+// exactly one parse: its first eight bytes are a frame header.
+func TestGatewayBareU32BadMagic(t *testing.T) {
 	_, ts := newTestGateway(t)
-	keys := []uint32{9, 2, 7, 2, 0, 1<<31 + 5}
-	raw := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint32(raw[4*i:], k)
+	for _, keys := range [][]uint32{
+		{9, 2, 7, 2, 0, 1<<31 + 5},
+		{0x46534249, 1, 9, 2}, // one below the magic
+		{1, 0x46534250, 9, 2}, // the magic, but not first
+	} {
+		bare := u32Frame(keys)[frameHeaderLen:]
+		resp := postSort(t, ts.URL, bare)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bare stream %v: status %d, want 400", keys, resp.StatusCode)
+		}
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Code != "bad-magic" {
+			t.Fatalf("bare stream %v: code %q, want bad-magic (error: %s)", keys, e.Code, e.Error)
+		}
 	}
-	resp := postSort(t, ts.URL, raw)
+
+	// The old collision: key 0 is the magic and key 1 reads as version
+	// 1, type u32, reserved zero, so the rest is a u32 payload.
+	collision := u32Frame([]uint32{0x46534250, 1, 9, 2, 7})[frameHeaderLen:]
+	resp := postSort(t, ts.URL, collision)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("colliding stream: status %d, want 200", resp.StatusCode)
 	}
-	got, err := readBinaryKeys(resp.Body)
-	if err != nil {
+	if got := readU32Frame(t, resp.Body); !slices.Equal(got, []uint32{2, 7, 9}) {
+		t.Fatalf("colliding stream sorted as %v, want the frame payload [2 7 9]", got)
+	}
+	// With any other second key it is a malformed frame, never a
+	// stream of keys.
+	resp = postSort(t, ts.URL, u32Frame([]uint32{0x46534250, 5, 9})[frameHeaderLen:])
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	want := sortedRef(keys)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("legacy round-trip wrong at %d: got %v want %v", i, got, want)
-		}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != "bad-version" {
+		t.Fatalf("colliding stream, version byte 5: status %d code %q, want 400 bad-version", resp.StatusCode, e.Code)
 	}
 }
 
-// TestGatewayU64Frame round-trips a versioned u64 frame, checking the
+// FuzzDecodeFrame: every body either fails with a FrameError carrying
+// one of decodeFrame's documented codes, or is an 8-byte header that
+// FrameHeader reproduces followed by the returned payload.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("abc"))
+	f.Add(u32Frame([]uint32{0x46534250, 1, 9, 2}))
+	f.Add(u32Frame([]uint32{0x46534250, 1, 9, 2})[frameHeaderLen:])
+	f.Add(frame(element.TKV64, make([]byte, 16)))
+	f.Add([]byte("PBSG\x01\x00\x00\x00"))
+	f.Add([]byte("PBSF\x01\x05\x00\x00"))
+	f.Add([]byte("PBSF\x01\x00\x00\x01"))
+	f.Add([]byte("PBSF\x63\x00\x00\x00"))
+	codes := map[string]bool{"truncated-header": true, "bad-magic": true, "bad-version": true, "bad-elem-type": true, "bad-reserved": true}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		typ, payload, err := decodeFrame(raw)
+		if err != nil {
+			var ferr *FrameError
+			if !errors.As(err, &ferr) || !codes[ferr.Code] {
+				t.Fatalf("decodeFrame(%x) = %v, want a FrameError with a documented code", raw, err)
+			}
+			return
+		}
+		if !bytes.Equal(FrameHeader(typ), raw[:frameHeaderLen]) {
+			t.Fatalf("decodeFrame(%x) accepted a header that FrameHeader(%v) renders as %x", raw, typ, FrameHeader(typ))
+		}
+		if !bytes.Equal(payload, raw[frameHeaderLen:]) {
+			t.Fatalf("decodeFrame(%x) payload %x, want %x", raw, payload, raw[frameHeaderLen:])
+		}
+	})
+}
+
+// TestGatewayU64Frame round-trips a u64 frame, checking the
 // response mirrors the request header.
 func TestGatewayU64Frame(t *testing.T) {
 	_, ts := newTestGateway(t)
@@ -88,9 +171,9 @@ func TestGatewayU64Frame(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	raw, _ := io.ReadAll(resp.Body)
-	gotT, out, versioned, err := decodeFrame(raw)
-	if err != nil || !versioned || gotT != element.TU64 {
-		t.Fatalf("response not a u64 frame: type=%v versioned=%v err=%v", gotT, versioned, err)
+	gotT, out, err := decodeFrame(raw)
+	if err != nil || gotT != element.TU64 {
+		t.Fatalf("response not a u64 frame: type=%v err=%v", gotT, err)
 	}
 	want := append([]uint64(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -115,9 +198,9 @@ func TestGatewayKV64Frame(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	raw, _ := io.ReadAll(resp.Body)
-	gotT, out, versioned, err := decodeFrame(raw)
-	if err != nil || !versioned || gotT != element.TKV64 {
-		t.Fatalf("response not a kv64 frame: type=%v versioned=%v err=%v", gotT, versioned, err)
+	gotT, out, err := decodeFrame(raw)
+	if err != nil || gotT != element.TKV64 {
+		t.Fatalf("response not a kv64 frame: type=%v err=%v", gotT, err)
 	}
 	want := []element.KV64{{K: 10, V: 100}, {K: 30, V: 300}, {K: 50, V: 500}}
 	for i := range want {
@@ -143,6 +226,7 @@ func TestGatewayFrameErrors(t *testing.T) {
 		code string
 	}{
 		{"truncated-header", frameMagic[:], "truncated-header"},
+		{"bad-magic", []byte("PBSG\x01\x00\x00\x00"), "bad-magic"},
 		{"bad-version", badVersion, "bad-version"},
 		{"bad-elem-type", badType, "bad-elem-type"},
 		{"bad-reserved", badReserved, "bad-reserved"},
@@ -213,10 +297,31 @@ func TestGatewayStatsAndMetrics(t *testing.T) {
 	if typeLines != 1 {
 		t.Fatalf("parbitonic_serve_requests_total has %d TYPE headers, want exactly 1", typeLines)
 	}
+
+	// Idle element servers list their requests as [], not null, so the
+	// sortz JSON reads the same whether or not a type saw traffic.
+	zresp, err := http.Get(ts.URL + "/debug/sortz?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zresp.Body.Close()
+	var z struct {
+		Elems []map[string]json.RawMessage `json:"elems"`
+	}
+	if err := json.NewDecoder(zresp.Body).Decode(&z); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range z.Elems {
+		for _, k := range []string{"recent", "slowest"} {
+			if v := string(e[k]); v == "" || v == "null" {
+				t.Errorf("sortz %s %s = %q, want a list", e["elem"], k, v)
+			}
+		}
+	}
 }
 
 // TestSingleServerRejectsForeignFrames: the plain (non-gateway) u32
-// handler must answer versioned non-u32 frames with 501, not sort them
+// handler must answer non-u32 frames with 501, not sort them
 // wrong.
 func TestSingleServerRejectsForeignFrames(t *testing.T) {
 	_, ts := newTestServer(t)

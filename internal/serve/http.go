@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,9 +68,9 @@ func requestID(r *http.Request) string {
 }
 
 // front is what the /sort handler routes through: a u32 server for
-// JSON and legacy binary bodies, plus the per-element-type servers
-// reachable by versioned frames. NewHandler fronts a single u32
-// server; NewGatewayHandler fronts a full Gateway.
+// JSON bodies, plus the per-element-type servers reachable by binary
+// frames. NewHandler fronts a single u32 server; NewGatewayHandler
+// fronts a full Gateway.
 type front struct {
 	u32     *Server
 	servers map[element.Type]elemServer
@@ -83,12 +82,11 @@ type front struct {
 // server:
 //
 //	POST /sort        sort keys; application/json {"keys":[...]} or
-//	                  application/octet-stream — either a legacy
-//	                  little-endian uint32 stream or a versioned
-//	                  binary frame (see the frame format in
-//	                  gateway.go; only element type u32 is enabled
-//	                  here, others get 501); optional ?timeout_ms=N
-//	                  per-request deadline
+//	                  application/octet-stream — a binary frame
+//	                  (see the frame format in gateway.go; only
+//	                  element type u32 is enabled here, others get
+//	                  501); optional ?timeout_ms=N per-request
+//	                  deadline
 //	GET  /healthz     readiness: 200 "ok", or 503 with JSON reasons
 //	                  under sustained SLO error-budget burn
 //	GET  /stats       JSON snapshot of server + pool counters
@@ -123,10 +121,10 @@ func NewHandler(s *Server, runMetrics *obs.Metrics) http.Handler {
 	return newMux(f, runMetrics)
 }
 
-// NewGatewayHandler is NewHandler for a Gateway: versioned binary
-// frames of every element type are served by their typed server, and
-// /stats and /metrics aggregate across all of them (series are told
-// apart by the elem label / stats key).
+// NewGatewayHandler is NewHandler for a Gateway: binary frames of
+// every element type are served by their typed server, and /stats and
+// /metrics aggregate across all of them (series are told apart by the
+// elem label / stats key).
 func NewGatewayHandler(g *Gateway, runMetrics *obs.Metrics) http.Handler {
 	f := &front{
 		u32:     g.u32,
@@ -263,9 +261,9 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(sortResponse{Keys: sorted, Degraded: degraded, RequestID: id})
 }
 
-// handleBinarySort serves an octet-stream body: a versioned frame is
-// routed to the server of its element type and answered with a
-// matching frame; a legacy body is a bare u32 stream answered in kind.
+// handleBinarySort serves an octet-stream body: a binary frame is
+// routed to the server of its element type and answered with a frame
+// of the same type.
 func handleBinarySort(f *front, ctx context.Context, w http.ResponseWriter, body io.Reader) {
 	raw, err := io.ReadAll(body)
 	if err != nil {
@@ -275,27 +273,9 @@ func handleBinarySort(f *front, ctx context.Context, w http.ResponseWriter, body
 		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
-	t, payload, versioned, err := decodeFrame(raw)
+	t, payload, err := decodeFrame(raw)
 	if err != nil {
 		sortError(w, err, 0)
-		return
-	}
-	if !versioned {
-		keys, err := decodeLegacyKeys(payload)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		sorted, degraded, err := f.u32.SortDegradable(ctx, keys)
-		if err != nil {
-			sortError(w, err, f.u32.retryAfterSeconds(err))
-			return
-		}
-		if degraded {
-			w.Header().Set(degradedHeader, "1")
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		writeBinaryKeys(w, sorted)
 		return
 	}
 	s, ok := f.servers[t]
@@ -312,7 +292,7 @@ func handleBinarySort(f *front, ctx context.Context, w http.ResponseWriter, body
 		w.Header().Set(degradedHeader, "1")
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(frameHeader(t))
+	w.Write(FrameHeader(t))
 	w.Write(out)
 }
 
@@ -375,34 +355,4 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorResponse{Error: msg, RequestID: w.Header().Get(requestIDHeader)})
-}
-
-// decodeLegacyKeys decodes an unversioned little-endian uint32 stream.
-func decodeLegacyKeys(raw []byte) ([]uint32, error) {
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("binary body length %d is not a multiple of 4", len(raw))
-	}
-	keys := make([]uint32, len(raw)/4)
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-	return keys, nil
-}
-
-// readBinaryKeys decodes a little-endian uint32 stream from r.
-func readBinaryKeys(r io.Reader) ([]uint32, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeLegacyKeys(raw)
-}
-
-// writeBinaryKeys encodes keys as a little-endian uint32 stream.
-func writeBinaryKeys(w io.Writer, keys []uint32) {
-	buf := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint32(buf[4*i:], k)
-	}
-	w.Write(buf)
 }

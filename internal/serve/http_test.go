@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -60,11 +59,7 @@ func TestHTTPSortJSON(t *testing.T) {
 func TestHTTPSortBinary(t *testing.T) {
 	_, ts := newTestServer(t)
 	keys := randKeys(rand.New(rand.NewSource(2)), 1000, 1<<28)
-	raw := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint32(raw[4*i:], k)
-	}
-	resp, err := http.Post(ts.URL+"/sort", "application/octet-stream", bytes.NewReader(raw))
+	resp, err := http.Post(ts.URL+"/sort", "application/octet-stream", bytes.NewReader(u32Frame(keys)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +70,7 @@ func TestHTTPSortBinary(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("response content type %q", ct)
 	}
-	got, err := readBinaryKeys(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readU32Frame(t, resp.Body)
 	want := sortedRef(keys)
 	for i := range want {
 		if got[i] != want[i] {
@@ -104,7 +96,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// 400: binary body not a multiple of 4.
+	// 400: binary body shorter than a frame header.
 	resp, _ = http.Post(ts.URL+"/sort", "application/octet-stream", strings.NewReader("abc"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ragged binary status %d, want 400", resp.StatusCode)

@@ -306,11 +306,11 @@ func (m *Metrics) RecentRequests() []RequestRecord {
 }
 
 // SlowestRequests returns the slowest completed requests since start,
-// slowest first.
+// slowest first; never nil, so an idle server's sortz JSON lists [].
 func (m *Metrics) SlowestRequests() []RequestRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]RequestRecord(nil), m.slowest...)
+	return append([]RequestRecord{}, m.slowest...)
 }
 
 // ActiveBatches returns the engine runs currently in flight, oldest

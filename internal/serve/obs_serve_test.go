@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -563,11 +562,7 @@ func TestE2EStageSumAcceptance(t *testing.T) {
 	client := ts.Client()
 
 	keys := randKeys(rand.New(rand.NewSource(99)), 1<<18, 1<<31)
-	body := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.LittleEndian.PutUint32(body[4*i:], k)
-	}
-	req, _ := http.NewRequest("POST", ts.URL+"/sort", bytes.NewReader(body))
+	req, _ := http.NewRequest("POST", ts.URL+"/sort", bytes.NewReader(u32Frame(keys)))
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-Request-ID", "abc")
 	resp, err := client.Do(req)

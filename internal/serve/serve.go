@@ -35,7 +35,7 @@
 //
 // Every server sorts ONE element type, fixed by its type parameter;
 // Server is the uint32 instantiation existing callers use, and Gateway
-// fronts one server per element type behind the versioned binary
+// fronts one server per element type behind the binary frame
 // protocol. Observability threads through internal/obs: engine runs
 // stream spans/events into the configured sink, and the serve layer
 // adds queue-depth, batch-size, request-latency and rejection metrics
@@ -84,7 +84,9 @@ type Config struct {
 	// Engine is the template every pooled engine is built from:
 	// Processors (required), Algorithm, Backend, Verify (per-batch
 	// result verification), Obs (telemetry sink for every run),
-	// WrapCharger (fault-injection seam), and the model overrides.
+	// WrapCharger (fault-injection seam), and, for the Simulated
+	// backend only, Sim (the model overrides and ablation knobs; a
+	// Native template must leave it zero, or New fails).
 	//
 	// With Engine.Auto set the shape fields become autotuner inputs
 	// instead: the planner (internal/tune, TUNING.md) picks Algorithm,

@@ -18,7 +18,7 @@ import (
 // EngineConfig configures the shared SPMD substrate.
 type EngineConfig struct {
 	P      int       // number of processors (power of two)
-	Costs  CostModel // consulted by the model charge helpers
+	Costs  CostModel // model costs of the charge helpers; zero = DefaultCosts
 	Long   bool      // long messages (pack/unpack phases exist)
 	Charge Charger   // time-accounting policy (simulated or wall-clock)
 

@@ -98,12 +98,6 @@ func (p *PC) Costs() CostModel { return p.st.costs }
 // Long reports whether the runtime uses long messages.
 func (p *PC) Long() bool { return p.st.long }
 
-// SharedMem reports whether the processors share one address space
-// (EngineConfig.Shared): the capability gate for the zero-copy gather
-// remap. False on the simulator, whose distributed-memory cost model
-// must keep seeing the packed pipeline.
-func (p *PC) SharedMem() bool { return p.st.shared }
-
 // Words returns the engine's element width in 32-bit words (1 for
 // uint32): the factor chargers scale memory-bound costs by.
 func (p *PC) Words() int { return p.st.words }

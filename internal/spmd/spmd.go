@@ -39,8 +39,9 @@ import (
 // of each local-computation routine. The defaults are calibrated so the
 // simulated per-key times land in the same regime as the paper's Meiko
 // CS-2 measurements (see DESIGN.md §2); only relative magnitudes carry
-// meaning. Wall-clock backends carry a CostModel for API compatibility
-// but never consult it.
+// meaning. Wall-clock backends run with DefaultCosts: the charge
+// helpers still compute model values from it, and the wall-clock
+// charger ignores them and measures instead.
 //
 // The per-element values are calibrated for the paper's 4-byte keys.
 // Wider elements charge proportionally more: every memory-bound charge

@@ -292,11 +292,7 @@ func calibrateComm(ctx context.Context, opts Options) (CommCosts, []string, erro
 func bestOf(ctx context.Context, eng *native.EngineOf[uint32], p, n int, alg core.Algorithm, reps int, seed uint64) (spmd.Result, error) {
 	copts := core.Options{Algorithm: alg}
 	if alg == core.Smart {
-		copts.Fused = true
-		lgn, lgP := intbits.Log2(n), intbits.Log2(p)
-		if lgP*(lgP+1)/2 <= lgn {
-			copts.Compute = core.FullSort
-		}
+		copts = core.FusedSmart(p, n)
 	}
 	var best spmd.Result
 	for i := 0; i < reps; i++ {
@@ -318,48 +314,52 @@ func bestOf(ctx context.Context, eng *native.EngineOf[uint32], p, n int, alg cor
 // column only when it is linearly independent of the ones kept before
 // it (in R, V, M order). At P=2, for instance, smart and
 // cyclic-blocked both make two remaps of one message each, so M
-// repeats R and only R and V are identified. An unidentified
-// coefficient takes Fallback().Comm's value, its share is subtracted
-// from the residual, and the returned names (CommCosts JSON keys) say
-// which coefficients are fallbacks. The identified columns are fitted
-// by the normal equations; any whose coefficient comes out negative
-// is dropped (clamped to zero) and the rest refit — a tiny active-set
-// NNLS adequate for three variables.
+// repeats R and only R and V are identified. The identified columns
+// are fitted by the normal equations. A coefficient that comes out
+// negative, which a non-negative fit would clamp to zero, is not
+// measured either: at P=2 the R column is constant, so timing noise
+// can push its intercept below zero. Unidentified and clamped
+// coefficients alike take Fallback().Comm's value, their share is
+// subtracted from the residual, the rest is refit, and the returned
+// names (CommCosts JSON keys, in R, V, M order) say which coefficients
+// are fallbacks.
 func fitComm(runs []commRun) (CommCosts, []string, error) {
 	if len(runs) < 3 {
 		return CommCosts{}, nil, fmt.Errorf("tune: %d communication observations, need >= 3", len(runs))
 	}
 	fb := Fallback().Comm
 	fbCoef := [3]float64{fb.RemapNS, fb.WordNS, fb.MsgNS}
-	ident := identifiable(runs)
-	var fallback []string
 	fit := slices.Clone(runs)
-	for c, ok := range ident {
-		if ok {
-			continue
-		}
-		fallback = append(fallback, commKeys[c])
+	active := identifiable(runs)
+	useFallback := func(c int) {
+		active[c] = false
 		for i := range fit {
 			fit[i].residualNS -= fbCoef[c] * fit[i].col(c)
 		}
 	}
-	active := ident
+	for c, ok := range active {
+		if !ok {
+			useFallback(c)
+		}
+	}
 	for iter := 0; iter < 4; iter++ {
 		coef, ok := solveLSQ(fit, active[:])
 		if !ok {
 			return CommCosts{}, nil, fmt.Errorf("tune: singular communication fit")
 		}
 		clamped := false
-		for i, v := range coef {
-			if active[i] && v < 0 {
-				active[i] = false
+		for c, v := range coef {
+			if active[c] && v < 0 {
+				useFallback(c)
 				clamped = true
 			}
 		}
 		if !clamped {
-			for c, ok := range ident {
+			var fallback []string
+			for c, ok := range active {
 				if !ok {
 					coef[c] = fbCoef[c]
+					fallback = append(fallback, commKeys[c])
 				}
 			}
 			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2]}, fallback, nil

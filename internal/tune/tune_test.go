@@ -423,6 +423,37 @@ func TestFitCommCollinearColumns(t *testing.T) {
 	}
 }
 
+// TestFitCommClampedCoefficientFallsBack is the noisy P=2 shape: R is
+// constant, M repeats it, and the unconstrained fit puts the remap
+// intercept below zero. The non-negative fit must not report
+// RemapNS = 0 but take it from the fallback like an unidentified
+// coefficient, subtract its share and refit WordNS alone.
+func TestFitCommClampedCoefficientFallsBack(t *testing.T) {
+	fb := Fallback().Comm
+	var runs []commRun
+	var vr, vv float64
+	for _, v := range []float64{4096, 8192, 16384, 32768} {
+		res := 3*v - 4000 // RemapNS = -2000 per remap, WordNS = 3
+		runs = append(runs, commRun{r: 2, v: v, m: 2, residualNS: res})
+		vr += v * (res - 2*fb.RemapNS - 2*fb.MsgNS)
+		vv += v * v
+	}
+	if coef, ok := solveLSQ(runs, []bool{true, true, false}); !ok || coef[0] >= 0 {
+		t.Fatalf("unconstrained fit = %v (ok=%v), want a negative RemapNS", coef, ok)
+	}
+	got, fallback, err := fitComm(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CommCosts{RemapNS: fb.RemapNS, WordNS: vr / vv, MsgNS: fb.MsgNS}
+	if got.RemapNS != want.RemapNS || !close(got.WordNS, want.WordNS) || got.MsgNS != want.MsgNS || !(got.WordNS > 0) {
+		t.Errorf("fit = %+v, want %+v", got, want)
+	}
+	if !slices.Equal(fallback, []string{"remap_ns", "msg_ns"}) {
+		t.Errorf("fallback = %v, want [remap_ns msg_ns]", fallback)
+	}
+}
+
 func mustRank(t *testing.T, pl *Planner, total int, typ element.Type) []Plan {
 	t.Helper()
 	r, err := pl.Rank(total, typ)

@@ -106,8 +106,8 @@ func (a Algorithm) String() string {
 }
 
 // Config configures a sort. The zero value plus a Processors count is a
-// sensible default: the smart algorithm, long messages, optimized local
-// computation, Meiko-CS-2-like model parameters.
+// sensible default: the smart algorithm on the simulator, with the
+// paper's default model (see SimOptions).
 type Config struct {
 	// Processors is the machine size P (power of two, >= 1): simulated
 	// processors under the Simulated backend, worker goroutines under
@@ -132,40 +132,13 @@ type Config struct {
 	ProfilePath string
 
 	// Backend selects where the sort runs: the virtual-time simulator
-	// (default) or the native wall-clock runtime. Model-shaping options
-	// (ShortMessages, Model) apply only to the simulator.
+	// (default) or the native wall-clock runtime.
 	Backend Backend
 
-	// ShortMessages switches the remaps to elementwise transfers
-	// (§3.3's baseline); the default is long messages.
-	ShortMessages bool
-
-	// SimulateSteps replaces the optimized local computation with the
-	// step-by-step compare-exchange simulation (the Chapter 4 ablation;
-	// bitonic algorithms only).
-	SimulateSteps bool
-
-	// FusePackUnpack folds packing/unpacking into the local sorts
-	// (§4.3; SmartBitonic without step simulation only). In the usual
-	// regime (lgP(lgP+1)/2 <= lg(N/P)) this runs the fully fused
-	// FullSort implementation — one p-way merge per remap, no separate
-	// pack/unpack passes at all (§4.1, Figure 4.8); outside it the
-	// optimized implementation runs with the fusion accounted in the
-	// cost model.
-	FusePackUnpack bool
-
-	// Strategy shifts the smart remaps relative to the step stream
-	// (Lemma 5). Non-Head strategies imply SimulateSteps (the optimized
-	// local computation is derived for the Head alignment).
-	Strategy RemapStrategy
-
-	// Model overrides the LogGP machine parameters; nil uses
-	// Meiko-CS-2-like defaults.
-	Model *ModelParams
-
-	// Costs overrides the local-computation cost model; nil uses the
-	// calibrated defaults.
-	Costs *machine.CostModel
+	// Sim holds the simulator's model and ablation options. They apply
+	// to the Simulated backend only: NewEngineOf rejects a Native
+	// config whose Sim is not the zero value.
+	Sim SimOptions
 
 	// Verify runs a post-sort invariant check over the output: every
 	// processor's keys ascending, processor boundaries in order, and
@@ -201,6 +174,66 @@ type Config struct {
 	// package: this field is for module-internal tooling; external
 	// callers leave it nil.
 	WrapCharger func(spmd.Charger) spmd.Charger
+}
+
+// SimOptions are the paper's ablation knobs and model overrides, which
+// only the Simulated backend has a meaning for. The zero value is the
+// paper's default: long messages, optimized local computation with
+// separate pack/unpack passes, Head remaps, Meiko-CS-2-like LogGP
+// parameters and the default cost model. The native backend always
+// runs the fastest implementation (smart sorts fused, see
+// FusePackUnpack) and measures instead of modelling.
+type SimOptions struct {
+	// ShortMessages switches the remaps to elementwise transfers
+	// (§3.3's baseline); the default is long messages.
+	ShortMessages bool
+
+	// SimulateSteps replaces the optimized local computation with the
+	// step-by-step compare-exchange simulation (the Chapter 4 ablation;
+	// bitonic algorithms only).
+	SimulateSteps bool
+
+	// FusePackUnpack folds packing/unpacking into the local sorts
+	// (§4.3; SmartBitonic without step simulation only). In the usual
+	// regime (lgP(lgP+1)/2 <= lg(N/P)) this runs the fully fused
+	// FullSort implementation — one p-way merge per remap, no separate
+	// pack/unpack passes at all (§4.1, Figure 4.8); outside it the
+	// optimized implementation runs with the fusion accounted in the
+	// cost model.
+	FusePackUnpack bool
+
+	// Strategy shifts the smart remaps relative to the step stream
+	// (Lemma 5). Non-Head strategies imply SimulateSteps (the optimized
+	// local computation is derived for the Head alignment).
+	Strategy RemapStrategy
+
+	// Model overrides the LogGP machine parameters; nil uses
+	// Meiko-CS-2-like defaults.
+	Model *ModelParams
+
+	// Costs overrides the local-computation cost model; nil uses the
+	// calibrated defaults.
+	Costs *machine.CostModel
+}
+
+// firstSet names the first field of s that differs from its zero
+// value, or returns "" when s is the zero value.
+func (s SimOptions) firstSet() string {
+	switch {
+	case s.ShortMessages:
+		return "ShortMessages"
+	case s.SimulateSteps:
+		return "SimulateSteps"
+	case s.FusePackUnpack:
+		return "FusePackUnpack"
+	case s.Strategy != HeadRemap:
+		return "Strategy"
+	case s.Model != nil:
+		return "Model"
+	case s.Costs != nil:
+		return "Costs"
+	}
+	return ""
 }
 
 // Sink is the observability consumer interface; see Config.Obs and
@@ -335,22 +368,26 @@ func SortContext[E element.Elem](ctx context.Context, keys []E, cfg Config) (Res
 	return e.SortContext(ctx, keys)
 }
 
-// validateOverrides rejects non-finite or negative Model and Costs
+// validateOverrides rejects Sim options on the native backend, which
+// has no model to shape, and non-finite or negative Model and Costs
 // overrides before they can poison a run: a NaN model parameter makes
 // every virtual time NaN, and a negative cost runs clocks backwards —
 // both previously surfaced only as absurd Results.
 func validateOverrides(cfg Config) error {
-	if m := cfg.Model; m != nil {
+	if f := cfg.Sim.firstSet(); f != "" && cfg.Backend == Native {
+		return fmt.Errorf("parbitonic: Sim.%s applies to the Simulated backend only; a Native config takes the zero Sim", f)
+	}
+	if m := cfg.Sim.Model; m != nil {
 		for _, f := range []struct {
 			name string
 			v    float64
 		}{{"L", m.L}, {"O", m.O}, {"Gap", m.Gap}, {"GKey", m.GKey}, {"ShortKey", m.ShortKey}} {
 			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-				return fmt.Errorf("parbitonic: Model.%s = %v must be finite and non-negative", f.name, f.v)
+				return fmt.Errorf("parbitonic: Sim.Model.%s = %v must be finite and non-negative", f.name, f.v)
 			}
 		}
 	}
-	if c := cfg.Costs; c != nil {
+	if c := cfg.Sim.Costs; c != nil {
 		for _, f := range []struct {
 			name string
 			v    float64
@@ -360,14 +397,14 @@ func validateOverrides(cfg Config) error {
 			{"Unpack", c.Unpack}, {"CacheAlpha", c.CacheAlpha},
 		} {
 			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-				return fmt.Errorf("parbitonic: Costs.%s = %v must be finite and non-negative", f.name, f.v)
+				return fmt.Errorf("parbitonic: Sim.Costs.%s = %v must be finite and non-negative", f.name, f.v)
 			}
 		}
 		if c.RadixPasses < 0 {
-			return fmt.Errorf("parbitonic: Costs.RadixPasses = %d must be non-negative", c.RadixPasses)
+			return fmt.Errorf("parbitonic: Sim.Costs.RadixPasses = %d must be non-negative", c.RadixPasses)
 		}
 		if c.LgCacheKeys < 0 {
-			return fmt.Errorf("parbitonic: Costs.LgCacheKeys = %d must be non-negative", c.LgCacheKeys)
+			return fmt.Errorf("parbitonic: Sim.Costs.LgCacheKeys = %d must be non-negative", c.LgCacheKeys)
 		}
 	}
 	return nil
@@ -375,15 +412,15 @@ func validateOverrides(cfg Config) error {
 
 func machineConfig(cfg Config) machine.Config {
 	mc := machine.DefaultConfig(cfg.Processors)
-	mc.Long = !cfg.ShortMessages
-	if cfg.Model != nil {
+	mc.Long = !cfg.Sim.ShortMessages
+	if m := cfg.Sim.Model; m != nil {
 		mc.Model = logp.Params{
-			L: cfg.Model.L, O: cfg.Model.O, Gap: cfg.Model.Gap,
-			GKey: cfg.Model.GKey, ShortKey: cfg.Model.ShortKey, P: cfg.Processors,
+			L: m.L, O: m.O, Gap: m.Gap,
+			GKey: m.GKey, ShortKey: m.ShortKey, P: cfg.Processors,
 		}
 	}
-	if cfg.Costs != nil {
-		mc.Costs = *cfg.Costs
+	if cfg.Sim.Costs != nil {
+		mc.Costs = *cfg.Sim.Costs
 	}
 	return mc
 }
@@ -464,7 +501,7 @@ type Prediction struct {
 }
 
 // Predict evaluates the §3.4 analysis for sorting 2^lgN keys on 2^lgP
-// processors under Meiko-like parameters (or cfg.Model overrides).
+// processors under Meiko-like parameters (or model overrides).
 func Predict(lgN, lgP int, longMessages bool, model *ModelParams) []Prediction {
 	p := logp.MeikoCS2(1 << uint(lgP))
 	if model != nil {

@@ -70,21 +70,21 @@ func TestConfigKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, ShortMessages: true})
+	short, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, Sim: SimOptions{ShortMessages: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if long.Time >= short.Time {
 		t.Errorf("long messages should win: %v vs %v", long.Time, short.Time)
 	}
-	fused, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, FusePackUnpack: true})
+	fused, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, Sim: SimOptions{FusePackUnpack: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fused.PackTime != 0 || fused.UnpackTime != 0 {
 		t.Error("fused run should report zero pack/unpack time")
 	}
-	sim, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, SimulateSteps: true})
+	sim, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, Sim: SimOptions{SimulateSteps: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestConfigKnobs(t *testing.T) {
 		t.Errorf("simulated steps should cost more compute: %v vs %v", sim.ComputeTime, long.ComputeTime)
 	}
 	custom := &ModelParams{L: 1, O: 0.5, Gap: 2, GKey: 0.1, ShortKey: 3}
-	res, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, Model: custom})
+	res, err := Sort(append([]uint32(nil), keys...), Config{Processors: 16, Sim: SimOptions{Model: custom}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRemapStrategies(t *testing.T) {
 	var volumes []int
 	for _, strat := range []RemapStrategy{HeadRemap, TailRemap, MiddleRemap1, MiddleRemap2} {
 		work := append([]uint32(nil), keys...)
-		res, err := Sort(work, Config{Processors: 16, Strategy: strat})
+		res, err := Sort(work, Config{Processors: 16, Sim: SimOptions{Strategy: strat}})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

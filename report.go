@@ -144,7 +144,7 @@ func buildReport(cfg Config, total, words int, res Result) SortReport {
 	withRemaps := true
 	switch cfg.Algorithm {
 	case SmartBitonic:
-		sched := schedule.New(lgN, lgP, cfg.Strategy.schedule())
+		sched := schedule.New(lgN, lgP, cfg.Sim.Strategy.schedule())
 		m = logp.Metrics{
 			Name: "smart",
 			R:    len(sched),
@@ -178,7 +178,7 @@ func buildReport(cfg Config, total, words int, res Result) SortReport {
 		tm := m
 		tm.V *= words
 		pred := tm.LongTime(params)
-		if cfg.ShortMessages {
+		if cfg.Sim.ShortMessages {
 			pred = tm.ShortTime(params)
 		}
 		rep.Quantities = append(rep.Quantities, DriftQuantity{

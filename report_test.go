@@ -72,9 +72,9 @@ func TestSortReportShortMessages(t *testing.T) {
 	keys := randomKeys(t, 1<<12)
 	var rep SortReport
 	_, err := Sort(keys, Config{
-		Processors:    4,
-		ShortMessages: true,
-		Observe:       func(r SortReport) { rep = r },
+		Processors: 4,
+		Sim:        SimOptions{ShortMessages: true},
+		Observe:    func(r SortReport) { rep = r },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,18 +120,18 @@ func collectSimGolden(t *testing.T) []simGoldenEntry {
 	// Smart variants: fused, fullsort regime, simulated steps, short messages.
 	{
 		cfg := base(4)
-		cfg.FusePackUnpack = true
+		cfg.Sim.FusePackUnpack = true
 		add(runSimGoldenCase[uint32](t, "smart/fused", 4096, cfg))
 		cfg = base(4)
-		cfg.SimulateSteps = true
+		cfg.Sim.SimulateSteps = true
 		add(runSimGoldenCase[uint32](t, "smart/simulated", 4096, cfg))
 		cfg = base(4)
-		cfg.ShortMessages = true
+		cfg.Sim.ShortMessages = true
 		add(runSimGoldenCase[uint32](t, "smart/short", 4096, cfg))
 		// Irregular regime: lgP(lgP+1)/2 = 6 > lg n = 5 keeps the fused
 		// config on the optimized (non-FullSort) path.
 		cfg = base(8)
-		cfg.FusePackUnpack = true
+		cfg.Sim.FusePackUnpack = true
 		add(runSimGoldenCase[uint32](t, "smart/fused-irregular", 8*32, cfg))
 	}
 
@@ -140,7 +140,7 @@ func collectSimGolden(t *testing.T) []simGoldenEntry {
 		parbitonic.TailRemap, parbitonic.MiddleRemap1, parbitonic.MiddleRemap2,
 	} {
 		cfg := base(4)
-		cfg.Strategy = s
+		cfg.Sim.Strategy = s
 		add(runSimGoldenCase[uint32](t, fmt.Sprintf("strategy/%d", s), 4096, cfg))
 	}
 
