@@ -19,19 +19,21 @@ import (
 // steady state without a single heap allocation — no goroutine spawns
 // (the engine keeps persistent workers), no message-buffer churn (the
 // per-processor free lists circulate every array), no table rebuilds
-// (the compiled body, routing scratch and the FullSort run table persist).
-// Covered at P=1 (the in-place local path) and P=4 (staging, FullSort
-// merges and the exchange board). The kernel pool is pinned to one
-// lane so the assertion means the same thing on any host; the
-// parallel tile paths draw per-tile scratch by design and are covered
-// in the localsort package tests.
+// (the compiled body, the plans' routing deltas and the FullSort run
+// table persist). Covered at P=1 (the in-place local path), P=4
+// (staging, FullSort merges and the exchange board), P=8 at 16 keys a
+// processor (the optimized smart phases over DirectRemap) and the
+// cyclic-blocked baseline (DirectRemap with strided local sorts). The
+// kernel pool is pinned to one lane so the assertion means the same
+// thing on any host; the parallel tile paths draw per-tile scratch by
+// design and are covered in the localsort package tests.
 func TestNativeSortZeroAllocs(t *testing.T) {
 	seq := workpool.New(1)
 	defer seq.Close()
 	localsort.SetPool(seq)
 	defer localsort.SetPool(nil)
 
-	run := func(t *testing.T, p int, f func() error) {
+	run := func(t *testing.T, name string, f func() error) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // warm the free lists and spawn workers
 			if err := f(); err != nil {
@@ -39,20 +41,29 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 			}
 		}
 		if avg := testing.AllocsPerRun(10, func() { f() }); avg != 0 {
-			t.Errorf("P=%d: %.1f allocs/op in steady state, want 0", p, avg)
+			t.Errorf("%s: %.1f allocs/op in steady state, want 0", name, avg)
 		}
 	}
 
-	for _, p := range []int{1, 4} {
+	for _, c := range []struct {
+		name string
+		p, n int
+		alg  parbitonic.Algorithm
+	}{
+		{"smart P=1", 1, 1 << 14, parbitonic.SmartBitonic},
+		{"smart P=4", 4, 1 << 14, parbitonic.SmartBitonic},
+		{"smart P=8", 8, 128, parbitonic.SmartBitonic},
+		{"cyclic-blocked P=4", 4, 1 << 14, parbitonic.CyclicBlockedBitonic},
+	} {
 		e, err := parbitonic.NewEngineOf[uint32](parbitonic.Config{
-			Processors: p, Backend: parbitonic.Native,
+			Processors: c.p, Algorithm: c.alg, Backend: parbitonic.Native,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		keys := workload.Elems[uint32](workload.FullRange, 1<<14, 5)
-		run(t, p, func() error { _, err := e.Sort(keys); return err })
+		keys := workload.Elems[uint32](workload.FullRange, c.n, 5)
+		run(t, c.name, func() error { _, err := e.Sort(keys); return err })
 	}
 
 	// The record path moves twice the bytes through the same machinery.
@@ -64,5 +75,5 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 	}
 	defer ekv.Close()
 	recs := workload.Elems[element.KV64](workload.FullRange, 1<<14, 9)
-	run(t, 4, func() error { _, err := ekv.Sort(recs); return err })
+	run(t, "kv64 smart P=4", func() error { _, err := ekv.Sort(recs); return err })
 }

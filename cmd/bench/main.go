@@ -84,7 +84,7 @@ type Snapshot struct {
 	Quick   bool    `json:"quick"`
 	GoOS    string  `json:"goos"`
 	GoArch  string  `json:"goarch"`
-	CPUs    int     `json:"cpus"`
+	CPUs    int     `json:"cpus"` // GOMAXPROCS of the sweep: the cores it could use
 	Entries []Entry `json:"entries"`
 }
 
@@ -208,7 +208,7 @@ func shapeName(cfg parbitonic.Config) string {
 func runSweep(quick bool, reps int, profilePath string) (*Snapshot, error) {
 	snap := &Snapshot{
 		Schema: BenchSchema, Version: BenchVersion, Quick: quick,
-		GoOS: runtime.GOOS, GoArch: runtime.GOARCH, CPUs: runtime.NumCPU(),
+		GoOS: runtime.GOOS, GoArch: runtime.GOARCH, CPUs: runtime.GOMAXPROCS(0),
 	}
 	for _, size := range sweepSizes(quick) {
 		for _, et := range sweepElems(quick) {

@@ -202,7 +202,7 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 	case SmartBitonic, CyclicBlockedBitonic, BlockedMergeBitonic:
 		// The compiled body depends only on the engine's fixed config
 		// and the per-processor share n, so repeated sorts of one size
-		// reuse it — schedule, remap plans and gather tables included.
+		// reuse it — schedule and remap plans included.
 		if e.compiled == nil || e.compiledN != n {
 			e.compiled, err = core.Compile[E](p, n, coreOptions(cfg, p, n))
 			if err != nil {

@@ -2,7 +2,7 @@ package addr
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 )
 
 // bitMove describes moving bit `from` of a source word to bit `to` of a
@@ -21,7 +21,8 @@ func gather(word int, moves []bitMove) int {
 // to layout New with long messages: destination processors, pack offsets
 // (the "pack mask" of Figure 3.18) and unpack positions (the "unpack
 // mask" of Figure 3.19). Because all layouts are bit permutations the
-// plan is a set of bit-routing tables independent of the data.
+// plan is a set of bit moves independent of the data, and every routing
+// over consecutive addresses is a Walk stepped by XOR deltas.
 type RemapPlan struct {
 	Old, New *Layout // source and destination layouts
 
@@ -40,161 +41,98 @@ type RemapPlan struct {
 	nlFromM   []bitMove // new local bits sourced from the message offset
 	nlFromP   []bitMove // new local bits sourced from the sender's proc number
 
-	// Lazily built lookup tables: the l-dependent parts of Dest and
-	// PackOffset, and the m-dependent part of UnpackLocal, are
-	// processor-independent, so one table per plan serves every
-	// processor. Built on first use; safe for concurrent readers.
-	lutOnce sync.Once
-	destLut []int32 // [n] destination bits contributed by l
-	offLut  []int32 // [n] pack offset of l
-	nlLut   []int32 // [MsgLen] new-local bits contributed by m
-	hasLuts bool
-
-	// Lazily built inverse (gather) tables for the shared-memory
-	// zero-copy remap: for each NEW local address they name the source
-	// the element comes from. Processor-independent like the forward
-	// LUTs; see GatherLuts.
-	gatherOnce sync.Once
-	groupLut   []int32 // [n] sender-group index of new local address i
-	srcLut     []int32 // [n] old-local bits of i contributed by the message offset
-	hasGather  bool
+	// XOR deltas of the three walks (see Walk): (dest, offset) over old
+	// local addresses, new local over message offsets, and (sender
+	// group, source local) over new local addresses. They depend on the
+	// bit moves only, so one set serves every processor.
+	packDelta, unpackDelta, gatherDelta [32][2]int32
 }
 
-// lutMaxEntries bounds LUT memory: plans over more local keys than this
-// fall back to per-call bit gathering.
-const lutMaxEntries = 1 << 22
-
-func (p *RemapPlan) luts() bool {
-	p.lutOnce.Do(func() {
-		n := p.Old.LocalN()
-		if n > lutMaxEntries {
-			return
-		}
-		p.destLut = make([]int32, n)
-		p.offLut = make([]int32, n)
-		for l := 0; l < n; l++ {
-			p.destLut[l] = int32(gather(l, p.destFromL))
-			p.offLut[l] = int32(gather(l, p.offFromL))
-		}
-		p.nlLut = make([]int32, p.MsgLen)
-		for m := 0; m < p.MsgLen; m++ {
-			p.nlLut[m] = int32(gather(m, p.nlFromM))
-		}
-		p.hasLuts = true
-	})
-	return p.hasLuts
+// Walk enumerates a bit routing over consecutive inputs without a
+// table. A and B are the routing's two outputs at the current input;
+// Next steps to the next input. A bit routing f is linear over XOR, so
+// f(x) ^ f(x+1) = f(x ^ (x+1)), and x ^ (x+1) is the mask of the
+// t+1 low bits where t = TrailingZeros(^x): one 32-entry delta table
+// per output covers every step. A descending walk over a power-of-two
+// region starts at n-1 and steps by the same deltas, since
+// n-1-e = (n-1) ^ e.
+type Walk struct {
+	A, B  int32         // the routing's outputs at the current input
+	e     uint32        // steps taken
+	delta *[32][2]int32 // delta[t]: the outputs' change across a t-trailing-ones step
 }
 
-// Route fills dest[l] and off[l] for every local address of processor
-// proc in one pass — the hot path used by the machine's remap exchange.
-func (p *RemapPlan) Route(proc int, dest, off []int32) {
-	n := p.Old.LocalN()
-	if len(dest) != n || len(off) != n {
-		panic("addr: Route buffer length mismatch")
-	}
-	fixed := int32(gather(proc, p.destFromP))
-	if p.luts() {
-		for l := 0; l < n; l++ {
-			dest[l] = fixed | p.destLut[l]
-			off[l] = p.offLut[l]
-		}
-		return
-	}
-	for l := 0; l < n; l++ {
-		dest[l] = fixed | int32(gather(l, p.destFromL))
-		off[l] = int32(gather(l, p.offFromL))
+// Next returns the walk advanced by one input. It is a value method so
+// the walk stays in registers in the scatter loops that step it.
+func (w Walk) Next() Walk {
+	d := &w.delta[bits.TrailingZeros32(^w.e)&31]
+	w.A ^= d[0]
+	w.B ^= d[1]
+	w.e++
+	return w
+}
+
+// fillDeltas sets d[t] to the outputs of the routings a and b at the
+// input whose t+1 low bits are set.
+func fillDeltas(d *[32][2]int32, a, b []bitMove) {
+	for t := range d {
+		x := 1<<uint(t+1) - 1
+		d[t] = [2]int32{int32(gather(x, a)), int32(gather(x, b))}
 	}
 }
 
-// UnpackTable fills nl[m] with the new local address for each message
-// position of a message arriving from srcProc.
-func (p *RemapPlan) UnpackTable(srcProc int, nl []int32) {
-	if len(nl) != p.MsgLen {
-		panic("addr: UnpackTable buffer length mismatch")
+// PackWalk walks processor proc's old local addresses, from 0 upwards,
+// or from n-1 downwards when desc: A is the destination processor of
+// the element at the current address and B its pack offset, exactly
+// Dest and PackOffset.
+func (p *RemapPlan) PackWalk(proc int, desc bool) Walk {
+	l := 0
+	if desc {
+		l = p.Old.LocalN() - 1
 	}
-	fixed := int32(gather(srcProc, p.nlFromP))
-	if p.luts() {
-		for m := range nl {
-			nl[m] = fixed | p.nlLut[m]
-		}
-		return
-	}
-	for m := range nl {
-		nl[m] = fixed | int32(gather(m, p.nlFromM))
-	}
+	return Walk{A: int32(p.Dest(proc, l)), B: int32(p.PackOffset(l)), delta: &p.packDelta}
 }
 
-// GatherLuts returns the processor-independent inverse routing tables
-// of the plan, for remaps that pull data instead of pushing it (the
-// shared-memory zero-copy path): for the element at NEW local address
-// i on any receiving processor q,
-//
-//	source processor = q's Senders()[group[i]]
-//	source local address = q's GatherLBase() | local[i]
-//
-// The tables invert the pack/unpack masks exactly, so a gather remap
-// produces bit-identical placement to pack → exchange → unpack. Plans
-// over more than lutMaxEntries local keys report ok=false; callers
-// fall back to the message path.
-func (p *RemapPlan) GatherLuts() (group, local []int32, ok bool) {
-	p.gatherOnce.Do(func() {
-		n := p.Old.LocalN()
-		if n > lutMaxEntries {
-			return
-		}
-		p.groupLut = make([]int32, n)
-		p.srcLut = make([]int32, n)
-		for i := 0; i < n; i++ {
-			g, l := int32(0), int32(0)
-			// New local bits sourced from the sender's processor number
-			// select the sender within the communication group; the group
-			// index enumerates nlFromP in move order, matching Senders.
-			for j, mv := range p.nlFromP {
-				g |= int32(i>>uint(mv.to)&1) << uint(j)
-			}
-			// New local bits sourced from the message offset invert
-			// through the pack mask: nlFromM maps offset bit j to new
-			// local bit, offFromL maps old local bit to offset bit j —
-			// the two tables share the offset-bit enumeration order.
-			for j, mv := range p.nlFromM {
-				l |= int32(i>>uint(mv.to)&1) << uint(p.offFromL[j].from)
-			}
-			p.groupLut[i] = g
-			p.srcLut[i] = l
-		}
-		p.hasGather = true
-	})
-	return p.groupLut, p.srcLut, p.hasGather
+// UnpackWalk walks the offsets of the message arriving from srcProc,
+// from 0 upwards: A is the element's new local address, exactly
+// UnpackLocal; B is unused.
+func (p *RemapPlan) UnpackWalk(srcProc int) Walk {
+	return Walk{A: int32(p.UnpackLocal(srcProc, 0)), delta: &p.unpackDelta}
 }
 
-// Senders returns the processors that send data to proc under the
-// plan (including proc itself when it keeps data), indexed by the
-// sender-group value of GatherLuts.
-func (p *RemapPlan) Senders(proc int) []int {
-	base := 0
-	for _, mv := range p.destFromP {
-		base |= (proc >> uint(mv.to) & 1) << uint(mv.from)
-	}
-	out := make([]int, p.GroupSize())
-	for g := range out {
-		s := base
-		for j, mv := range p.nlFromP {
-			s |= (g >> uint(j) & 1) << uint(mv.from)
-		}
-		out[g] = s
-	}
-	return out
-}
-
-// GatherLBase returns the old-local address bits that the receiving
-// processor's own number determines: the bits that routed the element
-// to proc in the first place (the inverse of the destination mask).
-func (p *RemapPlan) GatherLBase(proc int) int {
+// GatherWalk is the inverse routing, for remaps that pull data instead
+// of pushing it (the shared-memory zero-copy path). It walks processor
+// proc's new local addresses i from 0 upwards: the element at i comes
+// from processor AppendSenders(nil, proc)[A], at old local address B.
+// It inverts the pack and unpack masks exactly, so a gather remap
+// places every element where pack → exchange → unpack would.
+func (p *RemapPlan) GatherWalk(proc int) Walk {
+	// The old local bits that routed the element to proc in the first
+	// place (the inverse of the destination mask) are fixed per
+	// receiver; the deltas cover the bits the new local address moves.
 	base := 0
 	for _, mv := range p.destFromL {
 		base |= (proc >> uint(mv.to) & 1) << uint(mv.from)
 	}
-	return base
+	return Walk{B: int32(base), delta: &p.gatherDelta}
+}
+
+// AppendSenders appends the processors that send data to proc under
+// the plan (including proc itself when it keeps data) to dst, indexed
+// by GatherWalk's A output, and returns it.
+func (p *RemapPlan) AppendSenders(dst []int, proc int) []int {
+	base := 0
+	for _, mv := range p.destFromP {
+		base |= (proc >> uint(mv.to) & 1) << uint(mv.from)
+	}
+	for g := 0; g < p.GroupSize(); g++ {
+		s := base
+		for j, mv := range p.nlFromP {
+			s |= (g >> uint(j) & 1) << uint(mv.from)
+		}
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // NewRemapPlan builds the plan for remapping from old to new. The two
@@ -247,6 +185,22 @@ func NewRemapPlan(old, new *Layout) *RemapPlan {
 	if p.MsgLen != old.LocalN()>>uint(p.Changed) {
 		panic("addr: remap plan internal inconsistency")
 	}
+
+	fillDeltas(&p.packDelta, p.destFromL, p.offFromL)
+	fillDeltas(&p.unpackDelta, p.nlFromM, nil)
+	// The gather routing inverts the unpack mask: new local bits sourced
+	// from the sender's processor number select the sender within the
+	// group (in nlFromP order, matching AppendSenders), and those sourced
+	// from the message offset go back through the pack mask — nlFromM
+	// and offFromL share the offset-bit enumeration order.
+	var group, local []bitMove
+	for j, mv := range p.nlFromP {
+		group = append(group, bitMove{mv.to, j})
+	}
+	for j, mv := range p.nlFromM {
+		local = append(local, bitMove{mv.to, p.offFromL[j].from})
+	}
+	fillDeltas(&p.gatherDelta, group, local)
 	return p
 }
 

@@ -272,59 +272,90 @@ func TestQuickPackOffsetsDense(t *testing.T) {
 	}
 }
 
-// Route and UnpackTable (the LUT-backed hot paths) must agree with the
-// per-element Dest/PackOffset/UnpackLocal definitions.
-func TestRouteTablesMatchScalarPath(t *testing.T) {
-	for _, d := range [][2]int{{8, 3}, {10, 4}} {
+// checkWalks steps proc's three walks under plan over their whole
+// domains and compares them, at every input whose bits under mask are
+// all clear or all set (every input for mask 0), with the per-element Dest/PackOffset/UnpackLocal definitions
+// and the layouts' own inverse.
+func checkWalks(t *testing.T, plan *RemapPlan, proc, mask int) {
+	t.Helper()
+	old, new := plan.Old, plan.New
+	n := old.LocalN()
+	keep := func(x int) bool { return x&mask == 0 || x&mask == mask }
+	for _, desc := range []bool{false, true} {
+		w := plan.PackWalk(proc, desc)
+		for e := 0; e < n; e++ {
+			l := e
+			if desc {
+				l = n - 1 - e
+			}
+			if keep(l) && (int(w.A) != plan.Dest(proc, l) || int(w.B) != plan.PackOffset(l)) {
+				t.Fatalf("%s->%s: PackWalk(%d, desc=%v) at %d = (%d,%d), want (%d,%d)", old.Name, new.Name,
+					proc, desc, l, w.A, w.B, plan.Dest(proc, l), plan.PackOffset(l))
+			}
+			w = w.Next()
+		}
+	}
+	w := plan.UnpackWalk(proc)
+	for m := 0; m < plan.MsgLen; m++ {
+		if keep(m) && int(w.A) != plan.UnpackLocal(proc, m) {
+			t.Fatalf("%s->%s: UnpackWalk(%d) at %d = %d, want %d", old.Name, new.Name, proc, m, w.A, plan.UnpackLocal(proc, m))
+		}
+		w = w.Next()
+	}
+	senders := plan.AppendSenders(nil, proc)
+	if len(senders) != plan.GroupSize() {
+		t.Fatalf("%s->%s: AppendSenders(%d) has %d entries, want %d", old.Name, new.Name, proc, len(senders), plan.GroupSize())
+	}
+	w = plan.GatherWalk(proc)
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			wantSrc, wantSL := old.Rel(new.Abs(proc, i))
+			if src, sl := senders[w.A], int(w.B); src != wantSrc || sl != wantSL {
+				t.Fatalf("%s->%s: GatherWalk(%d) at %d = proc %d local %d, want proc %d local %d",
+					old.Name, new.Name, proc, i, src, sl, wantSrc, wantSL)
+			}
+		}
+		w = w.Next()
+	}
+}
+
+// The walks (the hot paths of every remap) must agree with the
+// per-element definitions at every address, ascending and descending.
+func TestWalksMatchScalarPath(t *testing.T) {
+	for _, d := range [][2]int{{8, 2}, {8, 3}, {8, 4}, {10, 3}, {10, 4}, {6, 3}} {
 		for _, pair := range layoutPairs(d[0], d[1]) {
 			plan := NewRemapPlan(pair[0], pair[1])
-			n := pair[0].LocalN()
-			dest := make([]int32, n)
-			off := make([]int32, n)
-			nl := make([]int32, plan.MsgLen)
 			for p := 0; p < pair[0].P(); p++ {
-				plan.Route(p, dest, off)
-				for l := 0; l < n; l++ {
-					if int(dest[l]) != plan.Dest(p, l) || int(off[l]) != plan.PackOffset(l) {
-						t.Fatalf("%s->%s: Route differs at (%d,%d)", pair[0].Name, pair[1].Name, p, l)
-					}
-				}
-				plan.UnpackTable(p, nl)
-				for m := 0; m < plan.MsgLen; m++ {
-					if int(nl[m]) != plan.UnpackLocal(p, m) {
-						t.Fatalf("%s->%s: UnpackTable differs at (%d,%d)", pair[0].Name, pair[1].Name, p, m)
-					}
-				}
+				checkWalks(t, plan, p, 0)
 			}
 		}
 	}
 }
 
-func TestRoutePanicsOnShortBuffers(t *testing.T) {
-	plan := NewRemapPlan(Blocked(6, 2), Cyclic(6, 2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
+// TestWalksMatchScalarPathLarge samples the walks at lg n = 23, past
+// any size a table-driven router would have capped: stepping is the
+// only per-address cost, so whole domains are walked and a sample of
+// addresses checked.
+func TestWalksMatchScalarPathLarge(t *testing.T) {
+	const lgn = 23
+	for lgP := 1; lgP <= 3; lgP++ {
+		pairs := layoutPairs(lgn+lgP, lgP)
+		for _, pair := range [][2]*Layout{pairs[0], pairs[len(pairs)-1]} {
+			checkWalks(t, NewRemapPlan(pair[0], pair[1]), pair[0].P()-1, 1<<10-1)
 		}
-	}()
-	plan.Route(0, make([]int32, 3), make([]int32, 3))
+	}
 }
 
-// TestGatherLutsInvertPlan proves the inverse (pull) routing tables
-// reproduce exactly the placement of the forward (push) path: for every
-// receiving processor q and new local address i, the element gathered
-// from Senders(q)[group[i]] at old local GatherLBase(q)|local[i] is the
-// element the pack → exchange → unpack pipeline would have delivered
-// there — validated against the layouts themselves and against Apply.
-func TestGatherLutsInvertPlan(t *testing.T) {
+// TestGatherWalkInvertsPlan proves the inverse (pull) walk
+// reproduces exactly the placement of the forward (push) path: for
+// every receiving processor q and new local address i, the element
+// gathered from AppendSenders(q)[A] at old local B is the element the
+// pack → exchange → unpack pipeline (Apply) would have delivered there.
+func TestGatherWalkInvertsPlan(t *testing.T) {
 	for _, d := range [][2]int{{8, 2}, {8, 4}, {10, 3}, {6, 3}} {
 		for _, pair := range layoutPairs(d[0], d[1]) {
 			old, new := pair[0], pair[1]
 			plan := NewRemapPlan(old, new)
-			group, local, ok := plan.GatherLuts()
-			if !ok {
-				t.Fatalf("%s->%s: GatherLuts unavailable at n=%d", old.Name, new.Name, old.LocalN())
-			}
 			n := old.LocalN()
 			P := old.P()
 
@@ -339,25 +370,14 @@ func TestGatherLutsInvertPlan(t *testing.T) {
 			want := Apply(old, new, data)
 
 			for q := 0; q < P; q++ {
-				senders := plan.Senders(q)
-				if len(senders) != plan.GroupSize() {
-					t.Fatalf("%s->%s: Senders(%d) has %d entries, want %d",
-						old.Name, new.Name, q, len(senders), plan.GroupSize())
-				}
-				base := plan.GatherLBase(q)
+				senders := plan.AppendSenders(nil, q)
+				w := plan.GatherWalk(q)
 				for i := 0; i < n; i++ {
-					abs := new.Abs(q, i)
-					wantSrc, wantSL := old.Rel(abs)
-					src := senders[group[i]]
-					sl := base | int(local[i])
-					if src != wantSrc || sl != wantSL {
-						t.Fatalf("%s->%s: gather(%d,%d) = proc %d local %d, want proc %d local %d",
-							old.Name, new.Name, q, i, src, sl, wantSrc, wantSL)
-					}
-					if got := data[src][sl]; got != want[q][i] {
+					if got := data[senders[w.A]][w.B]; got != want[q][i] {
 						t.Fatalf("%s->%s: gathered value %d != Apply value %d at (%d,%d)",
 							old.Name, new.Name, got, want[q][i], q, i)
 					}
+					w = w.Next()
 				}
 			}
 		}

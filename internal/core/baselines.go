@@ -29,7 +29,7 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 	blocked := toBlocked.New
 	cyclic := toCyclic.New
 
-	scratch := make([]E, 2*(1<<uint(lgP)))
+	scratch := pr.GetBuf(2 << uint(lgP))
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
 		if !pr.DirectRemap(toCyclic) {
@@ -76,6 +76,7 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 			}
 		}
 	}
+	pr.PutBuf(scratch)
 	pr.PutBuf(sortScratch)
 }
 

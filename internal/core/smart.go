@@ -108,17 +108,16 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	// emission writes straight into the next remap's message buffers
 	// (merge = unpack + sort + pack in a single local computation step,
 	// the thesis's first Chapter 7 refinement). Only the final phase
-	// materializes a local array. Routing tables come from the
-	// processor's own pack scratch (safe here: prepacked exchanges never
-	// run the pack routing) and the run table persists on the processor
-	// across rounds AND runs.
+	// materializes a local array. The routing is stepped, not tabled,
+	// and the run table persists on the processor across rounds AND
+	// runs.
 	n := len(pr.Data)
 	s, _ := pr.Scratch.(*fullScratch[E])
 	if s == nil {
 		s = &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
 		pr.Scratch = s
 	}
-	in := pr.RemapExchangeRuns(sched[0].Plan, true)
+	in := pr.RemapExchangeRuns(sched[0].Plan)
 	for i, r := range sched {
 		// The usual-regime shape Validate guaranteed: an inside remap,
 		// then crossings, then the last remap.
@@ -162,9 +161,7 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 		// to the next plan's destination slot for that index.
 		next := sched[i+1].Plan
 		out := pr.PackBuffers(next)
-		dest, off := pr.RouteTables(n)
-		next.Route(pr.ID, dest, off)
-		localsort.MergeRunsRouted(out, dest, off, runs, dirAfterRemap(sched, lgn, i, pr.ID))
+		localsort.MergeRunsRouted(out, next, pr.ID, runs, dirAfterRemap(sched, lgn, i, pr.ID))
 		pr.ChargeMerge(total)
 		recycleRuns(pr, in)
 		in = pr.RemapExchangePrepacked(next, out)
@@ -197,10 +194,7 @@ func smartPhase[E element.Elem](pr *spmd.ProcOf[E], r schedule.Remap, lgn, lgP i
 		// direction bit (absolute bit lgn+K) is the top local bit, i.e.
 		// the top bit of the block index.
 		blockLen := 1 << uint(r.A)
-		topMask := 1 << uint(r.B-1)
-		localsort.SortBitonicBlocks(pr.Data, blockLen, func(blk int) bool {
-			return blk&topMask == 0
-		}, scratch)
+		localsort.SortBitonicBlocks(pr.Data, blockLen, 1<<uint(r.B-1), scratch)
 		pr.ChargeMerge(n)
 
 		// Theorem 3, phase two: reinterpreting the local address with
@@ -220,7 +214,7 @@ func smartPhase[E element.Elem](pr *spmd.ProcOf[E], r schedule.Remap, lgn, lgP i
 		if r.StepsAfter != r.S {
 			panic(fmt.Sprintf("core: last remap executes %d steps, expected %d", r.StepsAfter, r.S))
 		}
-		localsort.SortBitonicBlocks(pr.Data, 1<<uint(r.S), func(int) bool { return true }, scratch)
+		localsort.SortBitonicBlocks(pr.Data, 1<<uint(r.S), 0, scratch)
 		pr.ChargeMerge(n)
 	}
 	return scratch

@@ -72,14 +72,13 @@ func (s *seqState) phaseOptimized(r schedule.Remap, p int) {
 		copy(data, out)
 	case schedule.Crossing:
 		blockLen := 1 << uint(r.A)
-		topMask := 1 << uint(r.B-1)
-		localsort.SortBitonicBlocks(data, blockLen, func(blk int) bool { return blk&topMask == 0 }, nil)
+		localsort.SortBitonicBlocks(data, blockLen, 1<<uint(r.B-1), nil)
 		asc := ascFor(r.Layout, p, lgn+r.K+1)
 		for d := 0; d < blockLen; d++ {
 			localsort.SortBitonicStrided(data, d, blockLen, 1<<uint(r.B), asc, nil)
 		}
 	case schedule.Last:
-		localsort.SortBitonicBlocks(data, 1<<uint(r.S), func(int) bool { return true }, nil)
+		localsort.SortBitonicBlocks(data, 1<<uint(r.S), 0, nil)
 	}
 }
 

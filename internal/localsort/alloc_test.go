@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parbitonic/element"
+	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/localsort"
 	"parbitonic/internal/workload"
@@ -16,7 +17,9 @@ import (
 
 // The kernels promise zero steady-state allocations when the caller
 // supplies scratch: count tables are pooled or stack-resident, runs
-// tables live on the stack, and the ping-pong layouts end in place.
+// tables live on the stack, the routed merge steps its plan's walk
+// instead of reading a routing table, and the ping-pong layouts end in
+// place.
 // These tests pin that promise with the allocator's own accounting.
 // The sequential paths are what they cover — a size-1 pool is forced
 // so the tests mean the same thing on any host; the parallel tile
@@ -65,22 +68,15 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 		localsort.MergeRuns(dst, four)
 	})
 	out := [][]E{make([]E, allocN/2), make([]E, allocN/2)}
-	dest, off := make([]int32, allocN), make([]int32, allocN)
-	for l := range dest {
-		dest[l], off[l] = int32(l&1), int32(l>>1)
-	}
+	plan := addr.NewRemapPlan(addr.Blocked(17, 1), addr.Cyclic(17, 1))
 	assertZeroAllocs(t, "MergeRunsRouted/2", func() {
-		localsort.MergeRunsRouted(out, dest, off, two, false)
+		localsort.MergeRunsRouted(out, plan, 0, two, false)
 	})
 	assertZeroAllocs(t, "MergeRunsRouted/4", func() {
-		localsort.MergeRunsRouted(out, dest, off, four, true)
+		localsort.MergeRunsRouted(out, plan, 0, four, true)
 	})
-
-	// Hoisted: a func literal inside a measured closure of a generic
-	// function allocates its dictionary capture per run.
-	dir := func(b int) bool { return b%2 == 0 }
 	assertZeroAllocs(t, "SortBitonicBlocks", func() {
-		localsort.SortBitonicBlocks(keys, 1024, dir, scratch)
+		localsort.SortBitonicBlocks(keys, 1024, 1, scratch)
 	})
 	assertZeroAllocs(t, "SortBitonicStridedBatch", func() {
 		localsort.SortBitonicStridedBatch(keys, 256, allocN/256, true, scratch)
@@ -148,13 +144,12 @@ func TestKernelsParallelPoolMatchSequential(t *testing.T) {
 	localsort.RadixSortScratch(got, scratch)
 	check("RadixSortScratch", got, seq)
 
-	dir := func(b int) bool { return b%3 != 0 }
 	seq = append([]uint32(nil), in...)
 	localsort.SetPool(one)
-	localsort.SortBitonicBlocks(seq, 2048, dir, scratch)
+	localsort.SortBitonicBlocks(seq, 2048, 2, scratch)
 	got = append([]uint32(nil), in...)
 	localsort.SetPool(par)
-	localsort.SortBitonicBlocks(got, 2048, dir, scratch)
+	localsort.SortBitonicBlocks(got, 2048, 2, scratch)
 	check("SortBitonicBlocks", got, seq)
 
 	seq = append([]uint32(nil), in...)

@@ -450,13 +450,13 @@ func Reverse[E element.Elem](keys []E) {
 }
 
 // SortBitonicBlocks sorts each contiguous block of blockLen keys, every
-// block being a bitonic sequence, in the direction dir(block) returns.
+// block being a bitonic sequence: block b ascending iff b&descMask == 0.
 // scratch must be at least blockLen long (it is allocated when nil).
 // This is the Theorem 2/3 phase-one primitive. Blocks are independent,
 // so on a multi-lane pool they sort on idle helper lanes, each tile
 // with its own scratch; a single-lane pool takes the sequential path
 // with the caller's scratch and allocates nothing.
-func SortBitonicBlocks[E element.Elem](keys []E, blockLen int, dir func(block int) bool, scratch []E) {
+func SortBitonicBlocks[E element.Elem](keys []E, blockLen, descMask int, scratch []E) {
 	if blockLen <= 0 || len(keys)%blockLen != 0 {
 		panic("localsort: SortBitonicBlocks bad block length")
 	}
@@ -466,18 +466,18 @@ func SortBitonicBlocks[E element.Elem](keys []E, blockLen int, dir func(block in
 		if len(scratch) < blockLen {
 			scratch = make([]E, blockLen)
 		}
-		sortBlockRange(keys, blockLen, dir, scratch, 0, nb)
+		sortBlockRange(keys, blockLen, descMask, scratch, 0, nb)
 		return
 	}
 	wp.ParallelFor(nb, (nb+wp.Size()-1)/wp.Size(), func(lo, hi int) {
-		sortBlockRange(keys, blockLen, dir, make([]E, blockLen), lo, hi)
+		sortBlockRange(keys, blockLen, descMask, make([]E, blockLen), lo, hi)
 	})
 }
 
-func sortBlockRange[E element.Elem](keys []E, blockLen int, dir func(block int) bool, scratch []E, lo, hi int) {
+func sortBlockRange[E element.Elem](keys []E, blockLen, descMask int, scratch []E, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		blk := keys[b*blockLen : (b+1)*blockLen]
-		bitseq.SortBitonic(scratch[:blockLen], blk, dir(b))
+		bitseq.SortBitonic(scratch[:blockLen], blk, b&descMask == 0)
 		copy(blk, scratch[:blockLen])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 )
 
@@ -176,15 +177,16 @@ func TestSortBitonicBlocks(t *testing.T) {
 		for b := 0; b < blocks; b++ {
 			keys = append(keys, makeBitonicBlock(rng, blockLen)...)
 		}
+		descMask := rng.Intn(8)
 		dirs := make([]bool, blocks)
 		for b := range dirs {
-			dirs[b] = rng.Intn(2) == 0
+			dirs[b] = b&descMask == 0
 		}
 		want := make([][]uint32, blocks)
 		for b := 0; b < blocks; b++ {
 			want[b] = sortedCopy(keys[b*blockLen : (b+1)*blockLen])
 		}
-		SortBitonicBlocks(keys, blockLen, func(b int) bool { return dirs[b] }, nil)
+		SortBitonicBlocks(keys, blockLen, descMask, nil)
 		for b := 0; b < blocks; b++ {
 			for i := 0; i < blockLen; i++ {
 				got := keys[b*blockLen+i]
@@ -206,7 +208,7 @@ func TestSortBitonicBlocksPanics(t *testing.T) {
 			t.Fatal("want panic on indivisible block length")
 		}
 	}()
-	SortBitonicBlocks(make([]uint32, 10), 3, func(int) bool { return true }, nil)
+	SortBitonicBlocks(make([]uint32, 10), 3, 0, nil)
 }
 
 func TestSortBitonicStrided(t *testing.T) {
@@ -305,13 +307,12 @@ func BenchmarkMergeRuns(b *testing.B) {
 		}
 	})
 	out := [][]uint32{make([]uint32, half), make([]uint32, half)}
-	dest, off := make([]int32, 2*half), make([]int32, 2*half)
-	for l := range dest {
-		dest[l], off[l] = int32(l&1), int32(l>>1)
-	}
+	// Processor 0 of a blocked-to-cyclic remap at P=2: local bit 0
+	// picks the buffer, the rest is the offset.
+	plan := addr.NewRemapPlan(addr.Blocked(20, 1), addr.Cyclic(20, 1))
 	b.Run("two-routed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MergeRunsRouted(out, dest, off, two, false)
+			MergeRunsRouted(out, plan, 0, two, false)
 		}
 	})
 }

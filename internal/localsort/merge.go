@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"parbitonic/element"
+	"parbitonic/internal/addr"
 )
 
 // The merge kernels: MergeTwo, MergeRuns and MergeRunsRouted. Each
@@ -55,13 +56,12 @@ func (r RunOf[E]) cursor() cursor {
 	return cursor{0, 1, len(r.Keys)}
 }
 
-// route is the routed emission target: the element of ascending rank e
-// sits at local index l = l0 + e·dl (dl = ±1) and is stored at
-// out[dest[l]][off[l]]. A nil *route selects the contiguous target.
+// route is the routed emission target: the next element goes to
+// out[w.A][w.B], after which the walk steps to the next local index. A
+// nil *route selects the contiguous target.
 type route[E element.Elem] struct {
-	out       [][]E
-	dest, off []int32
-	l, dl     int
+	out [][]E
+	w   addr.Walk
 }
 
 // MergeTwo merges the ascending-sorted slices a and b into dst (whose
@@ -91,22 +91,19 @@ func MergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
 	mergeRuns(dst, nil, runs)
 }
 
-// MergeRunsRouted is MergeRuns emitting through a remap's routing
-// tables instead of into a contiguous array: the element of ascending
-// rank e belongs at local index l = e of an ascending region (asc) or
-// l = n-1-e of a descending one, and is stored at out[dest[l]][off[l]].
-// Packing for the next remap is then the merge's own emission pass —
-// the thesis's "single local computation step" (Ch. 7). dest and off
-// must hold one entry per merged element.
-func MergeRunsRouted[E element.Elem](out [][]E, dest, off []int32, runs []RunOf[E], asc bool) {
-	n := runsLen(runs)
-	if len(dest) != n || len(off) != n {
+// MergeRunsRouted is MergeRuns emitting through processor proc's pack
+// routing under plan instead of into a contiguous array: the element of
+// ascending rank e belongs at local index l = e of an ascending region
+// (asc) or l = n-1-e of a descending one, and is stored in
+// out[plan.Dest(proc, l)] at plan.PackOffset(l). Packing for the next
+// remap is then the merge's own emission pass — the thesis's "single
+// local computation step" (Ch. 7). The runs must hold the plan's n
+// local keys in total.
+func MergeRunsRouted[E element.Elem](out [][]E, plan *addr.RemapPlan, proc int, runs []RunOf[E], asc bool) {
+	if runsLen(runs) != plan.Old.LocalN() {
 		panic("localsort: MergeRunsRouted length mismatch")
 	}
-	rt := route[E]{out: out, dest: dest, off: off, l: 0, dl: 1}
-	if !asc {
-		rt.l, rt.dl = n-1, -1
-	}
+	rt := route[E]{out: out, w: plan.PackWalk(proc, !asc)}
 	mergeRuns(nil, &rt, runs)
 }
 
@@ -215,7 +212,7 @@ func mergeBlock[S element.Elem, K element.Ord](d, a, b []S, ca, cb cursor) (curs
 // target instead of into a contiguous block.
 func routeBlock[S element.Elem, K element.Ord](rt *route[S], m int, a, b []S, ca, cb cursor) (cursor, cursor) {
 	ia, sa, ib, sb := ca.i, ca.step, cb.i, cb.step
-	out, dest, off, l, dl := rt.out, rt.dest, rt.off, rt.l, rt.dl
+	out, w := rt.out, rt.w
 	for ; m > 0; m-- {
 		va, vb := a[ia], b[ib]
 		t := 0
@@ -225,12 +222,12 @@ func routeBlock[S element.Elem, K element.Ord](rt *route[S], m int, a, b []S, ca
 		if t != 0 {
 			va = vb
 		}
-		out[dest[l]][off[l]] = va
-		l += dl
+		out[w.A][w.B] = va
+		w = w.Next()
 		ia += sa &^ -t
 		ib += sb & -t
 	}
-	rt.l = l
+	rt.w = w
 	return ca.to(ia), cb.to(ib)
 }
 
@@ -247,12 +244,12 @@ func emitRun[S element.Elem](dst []S, rt *route[S], keys []S, c cursor) {
 		}
 		return
 	}
-	out, dest, off, l, dl := rt.out, rt.dest, rt.off, rt.l, rt.dl
+	out, w := rt.out, rt.w
 	for i, j := c.i, 0; j < c.n; i, j = i+c.step, j+1 {
-		out[dest[l]][off[l]] = keys[i]
-		l += dl
+		out[w.A][w.B] = keys[i]
+		w = w.Next()
 	}
-	rt.l = l
+	rt.w = w
 }
 
 // maxStackRuns bounds the tournament state kept in stack arrays: runs
@@ -363,10 +360,10 @@ func mergeTree[S element.Elem, K element.Ord](dst []S, rt *route[S], runs []RunO
 		}
 		return
 	}
-	out, dest, off, l, dl := rt.out, rt.dest, rt.off, rt.l, rt.dl
-	for range dest {
+	out, w := rt.out, rt.w
+	for range runsLen(runs) {
 		r, i := t.pop()
-		out[dest[l]][off[l]] = runs[r].Keys[i]
-		l += dl
+		out[w.A][w.B] = runs[r].Keys[i]
+		w = w.Next()
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"parbitonic/element"
+	"parbitonic/internal/addr"
+	"parbitonic/internal/intbits"
 	"parbitonic/internal/localsort"
 )
 
@@ -78,13 +80,13 @@ func mergeOracle[E element.Elem](runs []localsort.RunOf[E]) []E {
 	return all
 }
 
-// randomRuns builds p sorted runs over a key domain of the given size
-// (1 makes every key equal, a few makes heavy duplicates); bit r of
-// descMask marks run r Desc. Run lengths include 0.
-func randomRuns[E element.Elem](rng *rand.Rand, p, domain int, descMask uint, id *int) []localsort.RunOf[E] {
-	runs := make([]localsort.RunOf[E], p)
+// randomRuns builds sorted runs of the given lengths over a key domain
+// of the given size (1 makes every key equal, a few makes heavy
+// duplicates); bit r of descMask marks run r Desc.
+func randomRuns[E element.Elem](rng *rand.Rand, lens []int, domain int, descMask uint, id *int) []localsort.RunOf[E] {
+	runs := make([]localsort.RunOf[E], len(lens))
 	for r := range runs {
-		keys := make([]E, rng.Intn(4)*rng.Intn(12))
+		keys := make([]E, lens[r])
 		for i := range keys {
 			keys[i] = mkElem[E](rng.Intn(domain), domain, *id)
 			*id++
@@ -99,23 +101,52 @@ func randomRuns[E element.Elem](rng *rand.Rand, p, domain int, descMask uint, id
 	return runs
 }
 
-// randomRoute scatters n local indices over q message buffers: a random
-// bijection l -> (dest[l], off[l]).
-func randomRoute[E element.Elem](rng *rand.Rand, n int) (out [][]E, dest, off []int32) {
-	q := 1 + rng.Intn(3)
-	out = make([][]E, q+1) // out[q] stays nil: a processor the plan skips
-	dest, off = make([]int32, n), make([]int32, n)
-	for l, pos := range rng.Perm(n) {
-		dest[l] = int32(pos % q)
-		off[l] = int32(pos / q)
+// randomLens returns p random run lengths, 0 included.
+func randomLens(rng *rand.Rand, p int) []int {
+	lens := make([]int, p)
+	for r := range lens {
+		lens[r] = rng.Intn(4) * rng.Intn(12)
 	}
-	for l := range dest {
-		d := dest[l]
-		if need := int(off[l]) + 1; len(out[d]) < need {
-			out[d] = append(out[d], make([]E, need-len(out[d]))...)
-		}
+	return lens
+}
+
+// pow2Lens cuts a power-of-two total of at most 64 into p random run
+// lengths, 0 included: a routed merge always fills one remap's local
+// array.
+func pow2Lens(rng *rand.Rand, p int) []int {
+	n := 1 << uint(rng.Intn(7))
+	cuts := []int{0, n}
+	for r := 1; r < p; r++ {
+		cuts = append(cuts, rng.Intn(n+1))
 	}
-	return out, dest, off
+	slices.Sort(cuts)
+	lens := make([]int, p)
+	for r := range lens {
+		lens[r] = cuts[r+1] - cuts[r]
+	}
+	return lens
+}
+
+// randomLayout places lgN absolute-address bits at random, lgP of them
+// selecting the processor.
+func randomLayout(rng *rand.Rand, lgN, lgP int) *addr.Layout {
+	perm := rng.Perm(lgN)
+	return &addr.Layout{LgN: lgN, LgP: lgP, ProcBits: perm[:lgP], LocalBits: perm[lgP:], Name: "random"}
+}
+
+// randomRoute is a remap between two random bit-permutation layouts
+// over n local keys and up to 4 processors, a processor of it, and that
+// processor's message buffers.
+func randomRoute[E element.Elem](rng *rand.Rand, n int) (*addr.RemapPlan, int, [][]E) {
+	lgP := rng.Intn(3)
+	lgN := intbits.Log2(n) + lgP
+	plan := addr.NewRemapPlan(randomLayout(rng, lgN, lgP), randomLayout(rng, lgN, lgP))
+	proc := rng.Intn(1 << uint(lgP))
+	out := make([][]E, 1<<uint(lgP)) // entries outside the group stay nil
+	for _, q := range plan.Dests(proc) {
+		out[q] = make([]E, plan.MsgLen)
+	}
+	return plan, proc, out
 }
 
 func runMergeProperties[E element.Elem](t *testing.T) {
@@ -125,11 +156,9 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 		for mask := uint(0); mask < 1<<uint(p); mask++ {
 			for _, domain := range []int{1, 3, 1 << 20} {
 				for trial := 0; trial < 4; trial++ {
-					runs := randomRuns[E](rng, p, domain, mask, &id)
+					runs := randomRuns[E](rng, randomLens(rng, p), domain, mask, &id)
 					want := mergeOracle(runs)
-					n := len(want)
-
-					dst := make([]E, n)
+					dst := make([]E, len(want))
 					localsort.MergeRuns(dst, runs)
 					for i := range want {
 						if !sameBits(dst[i], want[i]) {
@@ -137,15 +166,21 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 						}
 					}
 
+					if p == 0 {
+						continue // no local array is empty
+					}
+					runs = randomRuns[E](rng, pow2Lens(rng, p), domain, mask, &id)
+					want = mergeOracle(runs)
+					n := len(want)
 					for _, asc := range []bool{true, false} {
-						out, dest, off := randomRoute[E](rng, n)
-						localsort.MergeRunsRouted(out, dest, off, runs, asc)
+						plan, proc, out := randomRoute[E](rng, n)
+						localsort.MergeRunsRouted(out, plan, proc, runs, asc)
 						for l := 0; l < n; l++ {
 							rank := l
 							if !asc {
 								rank = n - 1 - l
 							}
-							if got := out[dest[l]][off[l]]; !sameBits(got, want[rank]) {
+							if got := out[plan.Dest(proc, l)][plan.PackOffset(l)]; !sameBits(got, want[rank]) {
 								t.Fatalf("p=%d desc=%b domain=%d asc=%v: routed local %d = %v, want %v", p, mask, domain, asc, l, got, want[rank])
 							}
 						}
@@ -192,12 +227,15 @@ func TestMergeKV64TiesKeepRunOrder(t *testing.T) {
 	}
 }
 
-func TestMergeRunsRoutedPanicsOnBadTables(t *testing.T) {
+// TestMergeRunsRoutedPanicsOnLengthMismatch pins the routed merge's
+// one precondition: the runs hold exactly the plan's local keys.
+func TestMergeRunsRoutedPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("want panic on short routing tables")
+			t.Fatal("want panic on runs shorter than the plan's local array")
 		}
 	}()
-	runs := []localsort.Run{{Keys: []uint32{1, 2}}}
-	localsort.MergeRunsRouted([][]uint32{make([]uint32, 2)}, make([]int32, 1), make([]int32, 1), runs, true)
+	plan := addr.NewRemapPlan(addr.Blocked(3, 1), addr.Cyclic(3, 1))
+	runs := []localsort.Run{{Keys: []uint32{1, 2}}, {Keys: []uint32{0}}}
+	localsort.MergeRunsRouted([][]uint32{make([]uint32, 2), make([]uint32, 2)}, plan, 0, runs, true)
 }

@@ -361,17 +361,17 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	}
 	m := mustNew(t, testConfig(P, true))
 	res := mustRun(t, m, copied, func(p *Proc) {
-		// Remap 1: keep the runs, reassemble manually via unpack table.
-		in := p.RemapExchangeRuns(planA, true)
+		// Remap 1: keep the runs, reassemble manually by unpack walk.
+		in := p.RemapExchangeRuns(planA)
 		next := make([]uint32, n)
-		nl := make([]int32, planA.MsgLen)
 		for src, msg := range in {
 			if len(msg) == 0 {
 				continue
 			}
-			planA.UnpackTable(src, nl)
-			for i, v := range msg {
-				next[nl[i]] = v
+			w := planA.UnpackWalk(src)
+			for _, v := range msg {
+				next[w.A] = v
+				w = w.Next()
 			}
 		}
 		p.Data = next
@@ -380,22 +380,21 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 		for _, q := range planB.Dests(p.ID) {
 			out[q] = make([]uint32, planB.MsgLen)
 		}
-		dest := make([]int32, n)
-		off := make([]int32, n)
-		planB.Route(p.ID, dest, off)
-		for l := 0; l < n; l++ {
-			out[dest[l]][off[l]] = p.Data[l]
+		w := planB.PackWalk(p.ID, false)
+		for _, v := range p.Data {
+			out[w.A][w.B] = v
+			w = w.Next()
 		}
 		in2 := p.RemapExchangePrepacked(planB, out)
 		final := make([]uint32, n)
-		nl2 := make([]int32, planB.MsgLen)
 		for src, msg := range in2 {
 			if len(msg) == 0 {
 				continue
 			}
-			planB.UnpackTable(src, nl2)
-			for i, v := range msg {
-				final[nl2[i]] = v
+			w := planB.UnpackWalk(src)
+			for _, v := range msg {
+				final[w.A] = v
+				w = w.Next()
 			}
 		}
 		p.Data = final

@@ -10,15 +10,15 @@ import (
 // DirectRemap routes p.Data from plan.Old to plan.New without packing:
 // every processor publishes its local memory on the exchange board,
 // and after a barrier each one GATHERS its new local array straight
-// out of the senders' memories using the plan's inverse routing tables
-// (addr.GatherLuts). One strided read pass replaces the packed path's
-// pack-copy, message delivery and unpack-copy — a full copy of the
-// volume saved per remap — which is the shared-memory fast path of the
-// native backend: on a machine where "transfer" is just memory access,
-// the optimal bulk transfer is no transfer at all.
+// out of the senders' memories by stepping the plan's inverse routing
+// (addr.RemapPlan.GatherWalk). One strided read pass replaces the
+// packed path's pack-copy, message delivery and unpack-copy — a full
+// copy of the volume saved per remap — which is the shared-memory fast
+// path of the native backend: on a machine where "transfer" is just
+// memory access, the optimal bulk transfer is no transfer at all.
 //
-// The placement is bit-identical to RemapExchange (the gather tables
-// invert the pack/unpack masks exactly; see addr.TestGatherLutsInvertPlan),
+// The placement is bit-identical to RemapExchange (the gather walk
+// inverts the pack/unpack masks exactly; see addr.TestGatherWalkInvertsPlan),
 // and the communication counters are identical too: VolumeSent and
 // MessagesSent record what the packed path WOULD have sent, so results
 // remain comparable across paths. Ownership hand-off is safe by
@@ -27,17 +27,12 @@ import (
 // processor recycle its old array.
 //
 // DirectRemap reports false — having done nothing — when the backend
-// did not declare a shared address space (EngineConfig.Shared) or the
-// plan is too large for gather tables; callers fall back to
-// RemapExchange. The simulator therefore never takes this path and its
-// LogGP charging stays untouched.
+// did not declare a shared address space (EngineConfig.Shared); callers
+// fall back to RemapExchange. The simulator therefore never takes this
+// path and its LogGP charging stays untouched.
 func (p *ProcOf[E]) DirectRemap(plan *addr.RemapPlan) bool {
 	e := p.e
 	if !e.shared {
-		return false
-	}
-	group, local, ok := plan.GatherLuts()
-	if !ok {
 		return false
 	}
 	n := plan.Old.LocalN()
@@ -56,21 +51,16 @@ func (p *ProcOf[E]) DirectRemap(plan *addr.RemapPlan) bool {
 	p.Stats.MessagesSent += msgs
 	e.bar.maxClock(&p.PC) // all memories published
 
-	senders := plan.Senders(p.ID)
-	srcs := p.srcScratch(len(senders))
-	for g, s := range senders {
+	p.grp = plan.AppendSenders(p.grp[:0], p.ID)
+	srcs := p.srcScratch(len(p.grp))
+	for g, s := range p.grp {
 		srcs[g] = e.board[s][s].data
 	}
-	base := plan.GatherLBase(p.ID)
 	next := p.GetBuf(n)
-	if base == 0 {
-		for i, g := range group {
-			next[i] = srcs[g][local[i]]
-		}
-	} else {
-		for i, g := range group {
-			next[i] = srcs[g][base|int(local[i])]
-		}
+	w := plan.GatherWalk(p.ID)
+	for i := range next {
+		next[i] = srcs[w.A][w.B]
+		w = w.Next()
 	}
 	for g := range srcs {
 		srcs[g] = nil

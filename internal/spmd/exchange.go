@@ -80,15 +80,15 @@ func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
 // the plan. The returned slice is the per-processor out table; the
 // caller must run it through Exchange before touching p.Data again and
 // clear it afterwards.
-func (p *ProcOf[E]) pack(plan *addr.RemapPlan, n int) [][]E {
+func (p *ProcOf[E]) pack(plan *addr.RemapPlan) [][]E {
 	out := p.outScratch()
 	for _, q := range p.planDests(plan) {
 		out[q] = p.GetBuf(plan.MsgLen)
 	}
-	dest, off := p.routeScratch(n)
-	plan.Route(p.ID, dest, off)
-	for l := 0; l < n; l++ {
-		out[dest[l]][off[l]] = p.Data[l]
+	w := plan.PackWalk(p.ID, false)
+	for _, v := range p.Data {
+		out[w.A][w.B] = v
+		w = w.Next()
 	}
 	return out
 }
@@ -114,7 +114,7 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(obs.PhasePack)
-	out := p.pack(plan, n)
+	out := p.pack(plan)
 	if e.long && !fused {
 		e.charge.Pack(&p.PC, n)
 	}
@@ -127,14 +127,14 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 	// remapping allocates nothing.
 	p.tag(obs.PhaseUnpack)
 	next := p.GetBuf(n)
-	nl := p.nlScratch(plan.MsgLen)
 	for src, msg := range in {
 		if len(msg) == 0 {
 			continue
 		}
-		plan.UnpackTable(src, nl)
-		for i, v := range msg {
-			next[nl[i]] = v
+		w := plan.UnpackWalk(src)
+		for _, v := range msg {
+			next[w.A] = v
+			w = w.Next()
 		}
 		p.PutBuf(msg)
 	}
@@ -153,21 +153,17 @@ func (p *ProcOf[E]) RemapExchange(plan *addr.RemapPlan, fused bool) {
 // unpacking into its local computation (§4.3's p-way merge). p.Data is
 // set to nil (the spent input array is recycled into the free list —
 // the pack already copied every key out of it); the caller must
-// install the merged result. No unpack time is charged, and pack time
-// only when fusedPack is false. The returned messages are pooled
-// buffers — hand them back with PutBuf once consumed.
-func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, fusedPack bool) [][]E {
-	e := p.e
+// install the merged result. Neither pack nor unpack time is charged:
+// the pack is fused into the local sort that precedes it. The returned
+// messages are pooled buffers — hand them back with PutBuf once
+// consumed.
+func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan) [][]E {
 	n := plan.Old.LocalN()
 	if len(p.Data) != n {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(obs.PhasePack)
-	out := p.pack(plan, n)
-	if e.long && !fusedPack {
-		e.charge.Pack(&p.PC, n)
-	}
-	in := p.Exchange(out)
+	in := p.Exchange(p.pack(plan))
 	p.clearOuts()
 	p.PutBuf(p.Data)
 	p.Data = nil

@@ -33,10 +33,7 @@ type PC struct {
 	// fault injector's key corruption); set once at engine construction.
 	ops procOps
 
-	// Per-processor routing scratch, reused across remap rounds.
-	dest, off []int32
-	nl        []int32
-	grp       []int // destination-group scratch, rewritten per round
+	grp []int // destination- or sender-group scratch, rewritten per round
 
 	// Observability state, touched only by the owning goroutine: spans
 	// buffer between barrier flushes, and the precomputed pprof label
@@ -171,30 +168,6 @@ func (p *PC) ChargeCompareExchange(n int) {
 	c := p.st.costs
 	w := n * p.st.words
 	p.st.charge.Compute(p, c.CompareExchange*float64(w)*c.CacheFactor(w))
-}
-
-// RouteTables returns the processor's reusable dest/off routing tables
-// sized for n local keys — the same scratch the pack phase uses — so
-// fused execution paths can route plans without allocating per round.
-// The contents are overwritten by the next pack or RouteTables call.
-func (p *PC) RouteTables(n int) (dest, off []int32) { return p.routeScratch(n) }
-
-// routeScratch returns the per-processor dest/off routing tables sized
-// for n local keys.
-func (p *PC) routeScratch(n int) (dest, off []int32) {
-	if cap(p.dest) < n {
-		p.dest = make([]int32, n)
-		p.off = make([]int32, n)
-	}
-	return p.dest[:n], p.off[:n]
-}
-
-// nlScratch returns the per-processor unpack table sized for msgLen.
-func (p *PC) nlScratch(msgLen int) []int32 {
-	if cap(p.nl) < msgLen {
-		p.nl = make([]int32, msgLen)
-	}
-	return p.nl[:msgLen]
 }
 
 // ---- observability services ----
