@@ -22,8 +22,8 @@ import (
 // (the compiled body, the plans' routing deltas and the FullSort run
 // table persist). Covered at P=1 (the in-place local path), P=4
 // (staging, FullSort merges and the exchange board), P=8 at 16 keys a
-// processor (the optimized smart phases over DirectRemap) and the
-// cyclic-blocked baseline (DirectRemap with strided local sorts). The
+// processor (the optimized smart phases over the gather Remap) and the
+// cyclic-blocked baseline (Remap with strided local sorts). The
 // kernel pool is pinned to one lane so the assertion means the same
 // thing on any host; the parallel tile paths draw per-tile scratch by
 // design and are covered in the localsort package tests.

@@ -11,16 +11,17 @@ import (
 	"parbitonic/internal/workpool"
 )
 
-// The tests in this file cover the shared-memory fast path: the native
-// backend's zero-copy DirectRemap (internal/spmd/direct.go), the
-// in-place P=1 engine path, and the overhauled localsort kernels, for
-// every element type rather than only uint32 (backend_test.go).
+// The tests in this file cover the shared-memory fast path: the gather
+// remap both backends run (spmd.ProcOf.Remap, internal/spmd/remap.go),
+// the in-place P=1 engine path, and the overhauled localsort kernels,
+// for every element type rather than only uint32 (backend_test.go).
 //
 // Shape note: with P processors the Smart algorithm takes the fused
-// FullSort path when lgP(lgP+1)/2 <= lg(N/P); DirectRemap runs on the
+// FullSort path when lgP(lgP+1)/2 <= lg(N/P); Remap runs on the
 // optimized path (tall P, small N/P) and on every remap of the
-// cyclic-blocked and blocked-merge baselines. The shapes below are
-// chosen so both regimes are exercised.
+// cyclic-blocked baseline, and the blocked-merge baseline swaps halves
+// with PairExchange. The shapes below are chosen so both regimes are
+// exercised.
 
 // checkSortedPerm fails the test unless out is non-decreasing under
 // less and is a multiset permutation of in under the total order total
@@ -70,7 +71,7 @@ func runTypedNative[E element.Elem](t *testing.T, less, total func(a, b E) bool)
 		{1, 256}, // in-place single-proc fast path
 		{2, 128}, // FullSort regime
 		{8, 64},  // baselines remap every round
-		{8, 16},  // optimized Smart regime: DirectRemap on the smart path
+		{8, 16},  // optimized Smart regime: Remap on the smart path
 		{16, 32}, // tall machine, tiny blocks
 	}
 	algs := []parbitonic.Algorithm{
@@ -105,7 +106,7 @@ func runTypedNative[E element.Elem](t *testing.T, less, total func(a, b E) bool)
 // TestNativeTypedMatchesReference proves the native fast path sorts
 // correctly for all five element types, against an independent
 // reference order, across machine shapes that hit the in-place P=1
-// path, the FullSort regime, and the DirectRemap regime.
+// path, the FullSort regime, and the Remap regime.
 func TestNativeTypedMatchesReference(t *testing.T) {
 	lt := func(a, b uint32) bool { return a < b }
 	t.Run("u32", func(t *testing.T) { runTypedNative(t, lt, lt) })
@@ -177,14 +178,15 @@ func runFullSortParallel[E element.Elem](t *testing.T, less, total func(a, b E) 
 	}
 }
 
-// TestNativeSimulatedIdentical is the seam test for the zero-copy
-// remap: the simulator runs the packed RemapExchange, the native
-// backend runs DirectRemap, and since the bitonic network is
-// data-oblivious and both paths realize the same permutation, the two
-// backends must produce element-for-element identical output — payload
-// order of tied KV64 records included. It also checks the §3.4
-// communication counters agree, since DirectRemap charges
-// packed-path-parity volumes and message counts.
+// TestNativeSimulatedIdentical is the seam test between the backends:
+// both run the same gather remap and differ only in what they charge,
+// and since the bitonic network is data-oblivious, the two backends
+// must produce element-for-element identical output — payload order of
+// tied KV64 records included. It also checks the §3.4 communication
+// counters agree: both backends count the long messages of the packed
+// pipeline, whoever charges them. Only the simulator charges pack and
+// unpack; the native gather has neither pass, so native PackTime and
+// UnpackTime must read 0.
 func TestNativeSimulatedIdentical(t *testing.T) {
 	shapes := []struct{ p, n int }{{8, 16}, {8, 64}, {16, 32}, {4, 256}}
 	algs := []parbitonic.Algorithm{
@@ -232,37 +234,44 @@ func TestNativeSimulatedIdentical(t *testing.T) {
 					simRes.Remaps, simRes.VolumeSent, simRes.MessagesSent,
 					natRes.Remaps, natRes.VolumeSent, natRes.MessagesSent)
 			}
+			if natRes.PackTime != 0 || natRes.UnpackTime != 0 {
+				t.Errorf("p=%d n=%d %v: native pack=%v unpack=%v, want 0",
+					sh.p, sh.n, alg, natRes.PackTime, natRes.UnpackTime)
+			}
 		}
 	}
 }
 
-// TestDirectRemapHammer re-runs native sorts through a reused engine so
-// the buffer pool recycles DirectRemap arrays across runs. Under -race
-// this hammers the ownership hand-off: a buffer released to the pool
-// before its consumers' barrier, or a diagonal slot cleared early,
-// shows up as a data race or a verification failure.
-func TestDirectRemapHammer(t *testing.T) {
+// TestRemapHammer re-runs sorts through a reused engine on both
+// backends so the buffer pool recycles gathered arrays across runs.
+// Under -race this hammers the ownership hand-off: a buffer released
+// to the pool before its consumers' barrier, or a diagonal slot
+// cleared early, shows up as a data race or a verification failure.
+func TestRemapHammer(t *testing.T) {
 	cases := []struct {
 		p, n int
 		alg  parbitonic.Algorithm
 	}{
-		{8, 16, parbitonic.SmartBitonic},          // optimized path DirectRemaps
-		{8, 512, parbitonic.CyclicBlockedBitonic}, // both conversion remaps direct
+		{8, 16, parbitonic.SmartBitonic},          // optimized path remaps
+		{8, 512, parbitonic.CyclicBlockedBitonic}, // both conversion remaps
 		{8, 512, parbitonic.BlockedMergeBitonic},  // PairExchange + deferred spare recycling
 	}
 	const reps = 30
-	for _, c := range cases {
-		e, err := parbitonic.NewEngineOf[element.KV64](parbitonic.Config{
-			Processors: c.p, Algorithm: c.alg, Backend: parbitonic.Native, Verify: true,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", c.alg, err)
-		}
-		for r := 0; r < reps; r++ {
-			keys := workload.Elems[element.KV64](workload.FullRange, c.n, uint64(r+1))
-			if _, err := e.Sort(keys); err != nil {
-				t.Fatalf("%v rep %d: %v", c.alg, r, err)
+	for _, backend := range []parbitonic.Backend{parbitonic.Simulated, parbitonic.Native} {
+		for _, c := range cases {
+			e, err := parbitonic.NewEngineOf[element.KV64](parbitonic.Config{
+				Processors: c.p, Algorithm: c.alg, Backend: backend, Verify: true,
+			})
+			if err != nil {
+				t.Fatalf("%v %v: %v", backend, c.alg, err)
 			}
+			for r := 0; r < reps; r++ {
+				keys := workload.Elems[element.KV64](workload.FullRange, c.n, uint64(r+1))
+				if _, err := e.Sort(keys); err != nil {
+					t.Fatalf("%v %v rep %d: %v", backend, c.alg, r, err)
+				}
+			}
+			e.Close()
 		}
 	}
 }

@@ -41,11 +41,11 @@ type RemapPlan struct {
 	nlFromM   []bitMove // new local bits sourced from the message offset
 	nlFromP   []bitMove // new local bits sourced from the sender's proc number
 
-	// XOR deltas of the three walks (see Walk): (dest, offset) over old
-	// local addresses, new local over message offsets, and (sender
-	// group, source local) over new local addresses. They depend on the
-	// bit moves only, so one set serves every processor.
-	packDelta, unpackDelta, gatherDelta [32][2]int32
+	// XOR deltas of the two walks (see Walk): (dest, offset) over old
+	// local addresses and (sender group, source local) over new local
+	// addresses. They depend on the bit moves only, so one set serves
+	// every processor.
+	packDelta, gatherDelta [32][2]int32
 }
 
 // Walk enumerates a bit routing over consecutive inputs without a
@@ -93,15 +93,8 @@ func (p *RemapPlan) PackWalk(proc int, desc bool) Walk {
 	return Walk{A: int32(p.Dest(proc, l)), B: int32(p.PackOffset(l)), delta: &p.packDelta}
 }
 
-// UnpackWalk walks the offsets of the message arriving from srcProc,
-// from 0 upwards: A is the element's new local address, exactly
-// UnpackLocal; B is unused.
-func (p *RemapPlan) UnpackWalk(srcProc int) Walk {
-	return Walk{A: int32(p.UnpackLocal(srcProc, 0)), delta: &p.unpackDelta}
-}
-
 // GatherWalk is the inverse routing, for remaps that pull data instead
-// of pushing it (the shared-memory zero-copy path). It walks processor
+// of pushing it (spmd's Remap on both backends). It walks processor
 // proc's new local addresses i from 0 upwards: the element at i comes
 // from processor AppendSenders(nil, proc)[A], at old local address B.
 // It inverts the pack and unpack masks exactly, so a gather remap
@@ -187,7 +180,6 @@ func NewRemapPlan(old, new *Layout) *RemapPlan {
 	}
 
 	fillDeltas(&p.packDelta, p.destFromL, p.offFromL)
-	fillDeltas(&p.unpackDelta, p.nlFromM, nil)
 	// The gather routing inverts the unpack mask: new local bits sourced
 	// from the sender's processor number select the sender within the
 	// group (in nlFromP order, matching AppendSenders), and those sourced
@@ -270,8 +262,8 @@ func (p *RemapPlan) SendVolume() int {
 // member of its own destination group; a processor outside its group
 // keeps nothing and sends all LocalN elements in GroupSize messages.
 // Some remaps of the smart schedule in the tall-P regime produce such
-// processors, so zero-copy paths that want counter parity with the
-// packed exchange must use this, not SendVolume.
+// processors, so a gather remap that reports the packed pipeline's
+// counters must use this, not SendVolume.
 func (p *RemapPlan) SendCounts(proc int) (vol, msgs int) {
 	vary := 0
 	for _, m := range p.destFromL {

@@ -272,10 +272,10 @@ func TestQuickPackOffsetsDense(t *testing.T) {
 	}
 }
 
-// checkWalks steps proc's three walks under plan over their whole
+// checkWalks steps proc's two walks under plan over their whole
 // domains and compares them, at every input whose bits under mask are
-// all clear or all set (every input for mask 0), with the per-element Dest/PackOffset/UnpackLocal definitions
-// and the layouts' own inverse.
+// all clear or all set (every input for mask 0), with the per-element
+// Dest/PackOffset definitions and the layouts' own inverse.
 func checkWalks(t *testing.T, plan *RemapPlan, proc, mask int) {
 	t.Helper()
 	old, new := plan.Old, plan.New
@@ -295,18 +295,11 @@ func checkWalks(t *testing.T, plan *RemapPlan, proc, mask int) {
 			w = w.Next()
 		}
 	}
-	w := plan.UnpackWalk(proc)
-	for m := 0; m < plan.MsgLen; m++ {
-		if keep(m) && int(w.A) != plan.UnpackLocal(proc, m) {
-			t.Fatalf("%s->%s: UnpackWalk(%d) at %d = %d, want %d", old.Name, new.Name, proc, m, w.A, plan.UnpackLocal(proc, m))
-		}
-		w = w.Next()
-	}
 	senders := plan.AppendSenders(nil, proc)
 	if len(senders) != plan.GroupSize() {
 		t.Fatalf("%s->%s: AppendSenders(%d) has %d entries, want %d", old.Name, new.Name, proc, len(senders), plan.GroupSize())
 	}
-	w = plan.GatherWalk(proc)
+	w := plan.GatherWalk(proc)
 	for i := 0; i < n; i++ {
 		if keep(i) {
 			wantSrc, wantSL := old.Rel(new.Abs(proc, i))

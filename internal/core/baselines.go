@@ -32,9 +32,7 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 	scratch := pr.GetBuf(2 << uint(lgP))
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
-		if !pr.DirectRemap(toCyclic) {
-			pr.RemapExchange(toCyclic, false)
-		}
+		pr.Remap(toCyclic, false)
 		// First k steps of the stage execute locally under cyclic. They
 		// form, for every group of 2^k keys whose absolute addresses
 		// differ only in bits lgn..lgn+k-1, a complete butterfly: the
@@ -61,9 +59,7 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 				simulateStep(pr, cyclic, schedule.Step{Bit: stage - 1 - j, Stage: stage})
 			}
 		}
-		if !pr.DirectRemap(toBlocked) {
-			pr.RemapExchange(toBlocked, false)
-		}
+		pr.Remap(toBlocked, false)
 		// Remaining lg n steps under blocked: each processor holds one
 		// bitonic sequence (Lemma 7 at column lg n); [CDMS94] finishes
 		// with a local radix sort in the stage's direction.

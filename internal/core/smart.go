@@ -42,9 +42,7 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 		return
 	}
 	for _, r := range sched {
-		if !pr.DirectRemap(r.Plan) {
-			pr.RemapExchange(r.Plan, opts.Fused)
-		}
+		pr.Remap(r.Plan, opts.Fused)
 		if opts.Compute == Simulated {
 			for _, st := range schedule.StepsFrom(lgN, lgP, r.K, r.S, r.StepsAfter) {
 				simulateStep(pr, r.Layout, st)
@@ -164,8 +162,7 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 		localsort.MergeRunsRouted(out, next, pr.ID, runs, dirAfterRemap(sched, lgn, i, pr.ID))
 		pr.ChargeMerge(total)
 		recycleRuns(pr, in)
-		in = pr.RemapExchangePrepacked(next, out)
-		pr.ClearPackBuffers()
+		in = pr.ExchangeRuns(next, out)
 	}
 }
 

@@ -10,9 +10,12 @@
 // really execute (so correctness is exercised end to end, with true
 // concurrency across the goroutines), and every run yields the model
 // times, volumes, message counts and phase breakdowns that the paper's
-// tables and figures report. For running the same algorithms at real
-// hardware speed instead, see internal/native, the wall-clock backend
-// of the same runtime.
+// tables and figures report. How the keys move on the host is not
+// what is charged: a remap runs the runtime's one gather path (see
+// spmd.ProcOf.Remap) on both backends, and this backend only charges
+// the pack, transfer and unpack phases that §3.4 prices for it. For
+// running the same algorithms at real hardware speed instead, see
+// internal/native, the wall-clock backend of the same runtime.
 package machine
 
 import (

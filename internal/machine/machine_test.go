@@ -124,9 +124,9 @@ func TestPairExchange(t *testing.T) {
 	})
 }
 
-// RemapExchange must move the data exactly as the sequential reference
+// Remap must move the data exactly as the sequential reference
 // addr.Apply does, for both message modes and both fusion settings.
-func TestRemapExchangeMatchesApply(t *testing.T) {
+func TestRemapMatchesApply(t *testing.T) {
 	lgN, lgP := 10, 3
 	P := 1 << uint(lgP)
 	rng := rand.New(rand.NewSource(7))
@@ -152,7 +152,7 @@ func TestRemapExchangeMatchesApply(t *testing.T) {
 				p.Data = append([]uint32(nil), p.Data...)
 				for i := 1; i < len(layouts); i++ {
 					plan := addr.NewRemapPlan(layouts[i-1], layouts[i])
-					p.RemapExchange(plan, fused)
+					p.Remap(plan, fused)
 				}
 			})
 			for i := 1; i < len(layouts); i++ {
@@ -170,7 +170,9 @@ func TestRemapExchangeMatchesApply(t *testing.T) {
 	}
 }
 
-func TestRemapExchangePhaseCharges(t *testing.T) {
+// Remap charges the §3.4 pipeline: pack and unpack per long-message
+// remap unless fused, nothing for them with short messages.
+func TestRemapPhaseCharges(t *testing.T) {
 	lgN, lgP := 8, 2
 	P := 1 << uint(lgP)
 	n := 1 << uint(lgN-lgP)
@@ -181,7 +183,7 @@ func TestRemapExchangePhaseCharges(t *testing.T) {
 			data[p] = make([]uint32, n)
 		}
 		m := mustNew(t, testConfig(P, long))
-		return mustRun(t, m, data, func(p *Proc) { p.RemapExchange(plan, fused) })
+		return mustRun(t, m, data, func(p *Proc) { p.Remap(plan, fused) })
 	}
 
 	longSep := run(true, false)
@@ -229,7 +231,7 @@ func TestRemapVolumeMatchesLemma4(t *testing.T) {
 		data[p] = make([]uint32, n)
 	}
 	m := mustNew(t, testConfig(P, true))
-	res := mustRun(t, m, data, func(p *Proc) { p.RemapExchange(plan, false) })
+	res := mustRun(t, m, data, func(p *Proc) { p.Remap(plan, false) })
 	want := n - n>>uint(plan.Changed)
 	for i, s := range res.PerProc {
 		if s.VolumeSent != want {
@@ -338,6 +340,22 @@ func TestCacheFactor(t *testing.T) {
 	}
 }
 
+// unpackRuns reassembles received long messages into the new local
+// order through the scalar unpack mask.
+func unpackRuns(plan *addr.RemapPlan, in [][]uint32) []uint32 {
+	next := make([]uint32, plan.New.LocalN())
+	for src, msg := range in {
+		for m, v := range msg {
+			next[plan.UnpackLocal(src, m)] = v
+		}
+	}
+	return next
+}
+
+// The fused entry points: RemapExchangeRuns packs and hands back the
+// runs, ExchangeRuns ships runs the caller packed. Unpacked by hand,
+// both must land the keys where addr.Apply does, charging no pack or
+// unpack time.
 func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	lgN, lgP := 8, 2
 	P := 1 << uint(lgP)
@@ -361,43 +379,22 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	}
 	m := mustNew(t, testConfig(P, true))
 	res := mustRun(t, m, copied, func(p *Proc) {
-		// Remap 1: keep the runs, reassemble manually by unpack walk.
-		in := p.RemapExchangeRuns(planA)
-		next := make([]uint32, n)
-		for src, msg := range in {
-			if len(msg) == 0 {
-				continue
-			}
-			w := planA.UnpackWalk(src)
-			for _, v := range msg {
-				next[w.A] = v
-				w = w.Next()
-			}
-		}
-		p.Data = next
-		// Remap 2: pre-pack by hand, then exchange prepacked.
-		out := make([][]uint32, P)
-		for _, q := range planB.Dests(p.ID) {
-			out[q] = make([]uint32, planB.MsgLen)
-		}
+		// Remap 1: keep the runs, reassemble by the unpack mask.
+		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA))
+		// Remap 2: pre-pack by hand into the pooled buffers.
+		out := p.PackBuffers(planB)
 		w := planB.PackWalk(p.ID, false)
 		for _, v := range p.Data {
 			out[w.A][w.B] = v
 			w = w.Next()
 		}
-		in2 := p.RemapExchangePrepacked(planB, out)
-		final := make([]uint32, n)
-		for src, msg := range in2 {
-			if len(msg) == 0 {
-				continue
-			}
-			w := planB.UnpackWalk(src)
-			for _, v := range msg {
-				final[w.A] = v
-				w = w.Next()
+		in := p.ExchangeRuns(planB, out)
+		for q, msg := range out {
+			if msg != nil {
+				t.Errorf("proc %d: ExchangeRuns left out[%d] set", p.ID, q)
 			}
 		}
-		p.Data = final
+		p.Data = unpackRuns(planB, in)
 	})
 	for p := 0; p < P; p++ {
 		for l := 0; l < n; l++ {
@@ -414,14 +411,14 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	}
 }
 
-func TestRemapExchangePrepackedValidation(t *testing.T) {
+func TestExchangeRunsValidation(t *testing.T) {
 	plan := addr.NewRemapPlan(addr.Blocked(4, 1), addr.Cyclic(4, 1))
 	m := mustNew(t, testConfig(2, true))
 	_, err := m.Run(nil, func(p *Proc) {
 		out := make([][]uint32, 2)
 		out[0] = make([]uint32, 1) // wrong length: plan.MsgLen is larger
 		out[1] = make([]uint32, 1)
-		p.RemapExchangePrepacked(plan, out)
+		p.ExchangeRuns(plan, out)
 	})
 	var pe *spmd.PanicError
 	if !errors.As(err, &pe) {

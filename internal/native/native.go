@@ -2,19 +2,21 @@
 // (internal/spmd): the same goroutine-per-processor algorithm bodies
 // that the simulator runs, executed for real speed rather than model
 // fidelity. Nothing on the hot path does model arithmetic — the
-// charger only timestamps phase boundaries — message buffers are
-// pooled across remap rounds, and the collective exchange hands slices
-// over zero-copy, so a P-processor sort is a genuine parallel sort of
-// the host machine.
+// charger only timestamps phase boundaries — buffers are pooled across
+// remap rounds, the collective exchange hands slices over zero-copy,
+// and a remap gathers each new local array straight out of the peers'
+// memories, so a P-processor sort is a genuine parallel sort of the
+// host machine.
 //
 // Reporting keeps the simulator's shape: Result.Time is the measured
 // wall-clock makespan in microseconds and the Stats phase fields hold
 // measured wall time per phase, so the same tables, traces and
 // comparisons work against either backend. What the native backend
 // does NOT do is charge LogGP communication costs — transfer time here
-// is the (near-zero) cost of publishing slice headers through shared
-// memory, with synchronization visible as barrier-wait trace spans and
-// as the gap between Time and the per-phase busy totals.
+// is the measured gather (or the near-zero cost of publishing slice
+// headers), pack and unpack time stay 0 because no such pass runs, and
+// synchronization is visible as barrier-wait trace spans and as the
+// gap between Time and the per-phase busy totals.
 package native
 
 import (
@@ -69,8 +71,7 @@ func NewOf[E element.Elem](cfg Config) (*EngineOf[E], error) {
 	}
 	eng, err := spmd.NewEngineOf[E](spmd.EngineConfig{
 		P:      cfg.P,
-		Long:   true, // long-message code paths; pack cost is real copying here
-		Shared: true, // one address space: remaps may gather directly
+		Long:   true, // long-message code paths; remaps gather and count long messages
 		Charge: charge,
 		Sink:   cfg.Sink,
 		Labels: cfg.Labels,
@@ -142,19 +143,11 @@ func (c *wallCharger) Compute(p *spmd.PC, _ float64) {
 	p.Stats.ComputeTime += dt
 }
 
-func (c *wallCharger) Pack(p *spmd.PC, _ int) {
-	dt := c.lap(p)
-	p.Span(obs.PhasePack, p.Clock, p.Clock+dt)
-	p.Clock += dt
-	p.Stats.PackTime += dt
-}
-
-func (c *wallCharger) Unpack(p *spmd.PC, _ int) {
-	dt := c.lap(p)
-	p.Span(obs.PhaseUnpack, p.Clock, p.Clock+dt)
-	p.Clock += dt
-	p.Stats.UnpackTime += dt
-}
+// Pack and Unpack are no-ops: a native remap gathers in one pass with
+// no pack or unpack pass of its own, so its time stays in the
+// transfer lap and PackTime and UnpackTime stay 0.
+func (c *wallCharger) Pack(*spmd.PC, int)   {}
+func (c *wallCharger) Unpack(*spmd.PC, int) {}
 
 func (c *wallCharger) Transfer(p *spmd.PC, _, _ int) {
 	dt := c.lap(p)

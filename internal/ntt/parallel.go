@@ -100,7 +100,7 @@ func ParallelForward(m *machine.Machine, data [][]uint32) (machine.Result, error
 		hi := lgN
 		for i, l := range chain {
 			if plans[i] != nil {
-				pr.RemapExchange(plans[i], false)
+				pr.Remap(plans[i], false)
 			}
 			lo := hi - lgn
 			if lo < 0 {
@@ -143,7 +143,7 @@ func ParallelInverse(m *machine.Machine, data [][]uint32) (machine.Result, error
 		lo := 0
 		for i, l := range rev {
 			if plans[i] != nil {
-				pr.RemapExchange(plans[i], false)
+				pr.Remap(plans[i], false)
 			}
 			// Chunk boundaries mirror the forward chain exactly.
 			hi := lo + chunkWidth(lgN, lgn, lo)
@@ -153,7 +153,7 @@ func ParallelInverse(m *machine.Machine, data [][]uint32) (machine.Result, error
 			lo = hi
 		}
 		if plans[len(rev)] != nil {
-			pr.RemapExchange(plans[len(rev)], false)
+			pr.Remap(plans[len(rev)], false)
 		}
 		for i := range pr.Data {
 			pr.Data[i] = modMul(pr.Data[i], nInv)

@@ -19,17 +19,8 @@ import (
 type EngineConfig struct {
 	P      int       // number of processors (power of two)
 	Costs  CostModel // model costs of the charge helpers; zero = DefaultCosts
-	Long   bool      // long messages (pack/unpack phases exist)
+	Long   bool      // long messages (remaps charge pack/unpack phases)
 	Charge Charger   // time-accounting policy (simulated or wall-clock)
-
-	// Shared declares that the backend's processors share one address
-	// space whose memory-access cost IS the machine being measured —
-	// the native backend. It unlocks the zero-copy gather remap
-	// (DirectRemap): processors read each other's memories directly
-	// instead of packing message buffers. The simulator leaves it
-	// false; its processors model distributed memories and must keep
-	// charging the §3.4 pack/transfer/unpack pipeline unchanged.
-	Shared bool
 
 	// Sink, when non-nil, receives the observability stream: run
 	// lifecycle, per-processor phase spans (buffered per processor and
@@ -117,8 +108,8 @@ type ProcOf[E element.Elem] struct {
 	Scratch any
 
 	e    *EngineOf[E]
-	outs [][]E // pack-destination scratch, reused across remap rounds
-	srcs [][]E // gather-source scratch, reused across direct remap rounds
+	outs [][]E // destination-table scratch for PairExchange and packed rounds
+	srcs [][]E // gather-source scratch, reused across remap rounds
 	in   [][]E // received-message table, rewritten by every Exchange
 
 	// free recycles long-message buffers between remap rounds,
@@ -157,7 +148,6 @@ func NewEngineOf[E element.Elem](cfg EngineConfig) (*EngineOf[E], error) {
 	st := &state{
 		p:        cfg.P,
 		long:     cfg.Long,
-		shared:   cfg.Shared,
 		costs:    cfg.Costs,
 		charge:   cfg.Charge,
 		sink:     cfg.Sink,
@@ -228,7 +218,7 @@ func abortEvent(cause error) obs.Event {
 
 // recoverState repairs the engine after an aborted run — the barrier is
 // un-poisoned, the exchange board drained of any half-published
-// deliveries, and every processor's pack-destination scratch cleared
+// deliveries, and every processor's destination-table scratch cleared
 // (an abort between pack and clearOuts leaves stale out-slices that
 // the NEXT run's exchange would deliver as phantom messages) — so the
 // engine is immediately reusable.

@@ -62,7 +62,6 @@ type procOps interface {
 type state struct {
 	p      int
 	long   bool
-	shared bool
 	costs  CostModel
 	charge Charger
 	sink   obs.Sink          // nil = observability disabled

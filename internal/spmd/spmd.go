@@ -17,7 +17,10 @@
 // Both backends implement Backend and report through the same Stats
 // and Result shapes, so callers switch between "predict what the 1996
 // Meiko would do" and "sort as fast as this machine allows" without
-// touching algorithm code.
+// touching algorithm code. They also move data the same way: a remap
+// (ProcOf.Remap) is one gather on either backend, and only the charges
+// differ — the simulator prices the §3.4 pack/transfer/unpack pipeline
+// while the wall-clock charger measures the gather.
 //
 // The data plane is generic over the element layer: EngineOf[E] and
 // ProcOf[E] carry any parbitonic/element type through the exchange
