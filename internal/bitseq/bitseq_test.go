@@ -1,10 +1,13 @@
 package bitseq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"parbitonic/element"
 )
 
 // makeBitonic builds a bitonic sequence of length n with distinct values:
@@ -32,10 +35,138 @@ func makeBitonic(n, up, rot int, rng *rand.Rand) []uint32 {
 	return Rotate(seq, rot)
 }
 
-func argmin(s []uint32) int {
+// The kernel tests run on every element type. A test builds its
+// sequence from uint32 ranks and maps each rank to an element with mk,
+// which is monotone in the rank, so the sequence keeps its shape.
+
+// mk returns the element of rank v at position id. uint64 keys use the
+// high word. Float keys straddle zero, and rank 2 is -0 at odd ids and
+// +0 at even ones: two bit patterns that tie under float order. KV64
+// records take id as payload, so equal keys carry distinct payloads.
+func mk[E element.Elem](v uint32, id int) E {
+	var e E
+	switch any(e).(type) {
+	case uint32:
+		return any(v).(E)
+	case uint64:
+		return any(uint64(v)<<32 | 1).(E)
+	case float32:
+		f := (float32(v) - 2) / 2
+		if v == 2 && id%2 == 1 {
+			f = float32(math.Copysign(0, -1))
+		}
+		return any(f).(E)
+	case float64:
+		f := (float64(v) - 2) / 4
+		if v == 2 && id%2 == 1 {
+			f = math.Copysign(0, -1)
+		}
+		return any(f).(E)
+	default:
+		return any(element.KV64{K: uint64(v), V: uint64(id)}).(E)
+	}
+}
+
+// elems maps ranks to elements, each at its own position.
+func elems[E element.Elem](vals []uint32) []E {
+	out := make([]E, len(vals))
+	for i, v := range vals {
+		out[i] = mk[E](v, i)
+	}
+	return out
+}
+
+// halve maps rank v to v/2, a monotone map that turns a distinct
+// bitonic sequence into a bitonic sequence with ties.
+func halve(vals []uint32) []uint32 {
+	out := make([]uint32, len(vals))
+	for i, v := range vals {
+		out[i] = v / 2
+	}
+	return out
+}
+
+// eachElem runs one generic test body per element type, as subtests
+// named after the type.
+func eachElem(t *testing.T, u32, u64, f32, f64, kv func(*testing.T)) {
+	for i, f := range []func(*testing.T){u32, u64, f32, f64, kv} {
+		t.Run(element.Types()[i].String(), f)
+	}
+}
+
+// keyEq reports whether a and b have equal keys.
+func keyEq[E element.Elem](a, b E) bool {
+	return !element.Less(a, b) && !element.Less(b, a)
+}
+
+// bits is an element's exact identity: -0 and +0 differ, and a KV64
+// payload counts.
+type bits struct{ key, aux uint64 }
+
+func bitsOf[E element.Elem](e E) bits {
+	return bits{element.Bits(e), element.Aux(e)}
+}
+
+// sameElems reports whether a and b hold the same elements bit for
+// bit, in any order.
+func sameElems[E element.Elem](a, b []E) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	m := map[bits]int{}
+	for i := range a {
+		m[bitsOf(a[i])]++
+		m[bitsOf(b[i])]--
+	}
+	for _, c := range m {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedCopy returns s sorted ascending by key.
+func sortedCopy[E element.Elem](s []E) []E {
+	out := append([]E(nil), s...)
+	sort.SliceStable(out, func(i, j int) bool { return element.Less(out[i], out[j]) })
+	return out
+}
+
+// checkSortedAs fails unless got holds want's elements with keys in
+// sorted order (descending when !asc).
+func checkSortedAs[E element.Elem](t *testing.T, label string, got, want []E, asc bool) {
+	t.Helper()
+	ref := sortedCopy(want)
+	n := len(ref)
+	for i := range ref {
+		j := i
+		if !asc {
+			j = n - 1 - i
+		}
+		if !keyEq(got[j], ref[i]) {
+			t.Fatalf("%s: key mismatch at %d: got %v want %v", label, j, got[j], ref[i])
+		}
+	}
+	if !sameElems(got, want) {
+		t.Fatalf("%s: elements changed: %v from %v", label, got, want)
+	}
+}
+
+func argmin[E element.Elem](s []E) int {
 	best := 0
 	for i, v := range s {
-		if v < s[best] {
+		if element.Less(v, s[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+func argmax[E element.Elem](s []E) int {
+	best := 0
+	for i, v := range s {
+		if element.Less(s[best], v) {
 			best = i
 		}
 	}
@@ -118,14 +249,37 @@ func TestIsBitonicRejectsRandomNonBitonic(t *testing.T) {
 	}
 }
 
+// checkPairs fails unless every column (i, i+n/2) of got holds the
+// same two elements as that column of orig, bit for bit: a split moves
+// elements and never rewrites them.
+func checkPairs[E element.Elem](t *testing.T, got, orig []E) {
+	t.Helper()
+	h := len(orig) / 2
+	for i := 0; i < h; i++ {
+		if !sameElems([]E{got[i], got[i+h]}, []E{orig[i], orig[i+h]}) {
+			t.Fatalf("column %d: got %v, %v from %v, %v", i, got[i], got[i+h], orig[i], orig[i+h])
+		}
+	}
+}
+
+// Odd trials halve the ranks, so equal keys meet across the split.
 func TestSplitProperties(t *testing.T) {
+	eachElem(t, testSplitProperties[uint32], testSplitProperties[uint64],
+		testSplitProperties[float32], testSplitProperties[float64], testSplitProperties[element.KV64])
+}
+
+func testSplitProperties[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 << rng.Intn(6) // 2..64
 		up := 1 + rng.Intn(n)
 		rot := rng.Intn(n)
-		s := makeBitonic(n, up, rot, rng)
-		orig := append([]uint32(nil), s...)
+		vals := makeBitonic(n, up, rot, rng)
+		if trial%2 == 1 {
+			vals = halve(vals)
+		}
+		s := elems[E](vals)
+		orig := append([]E(nil), s...)
 		Split(s)
 		lo, hi := s[:n/2], s[n/2:]
 		if !IsBitonic(lo) {
@@ -134,69 +288,69 @@ func TestSplitProperties(t *testing.T) {
 		if !IsBitonic(hi) {
 			t.Fatalf("high half not bitonic: %v from %v", hi, orig)
 		}
-		var maxLo, minHi uint32 = 0, ^uint32(0)
-		for _, v := range lo {
-			if v > maxLo {
-				maxLo = v
-			}
+		if maxLo, minHi := lo[argmax(lo)], hi[argmin(hi)]; element.Less(minHi, maxLo) {
+			t.Fatalf("split ordering violated: max(lo)=%v > min(hi)=%v (input %v)", maxLo, minHi, orig)
 		}
-		for _, v := range hi {
-			if v < minHi {
-				minHi = v
-			}
-		}
-		if maxLo > minHi {
-			t.Fatalf("split ordering violated: max(lo)=%d > min(hi)=%d (input %v)", maxLo, minHi, orig)
-		}
+		checkPairs(t, s, orig)
 	}
 }
 
 func TestSplitDescMirrorsSplit(t *testing.T) {
+	eachElem(t, testSplitDescMirrorsSplit[uint32], testSplitDescMirrorsSplit[uint64],
+		testSplitDescMirrorsSplit[float32], testSplitDescMirrorsSplit[float64], testSplitDescMirrorsSplit[element.KV64])
+}
+
+func testSplitDescMirrorsSplit[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		n := 2 << rng.Intn(5)
-		s := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
-		a := append([]uint32(nil), s...)
-		b := append([]uint32(nil), s...)
+		vals := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
+		if trial%2 == 1 {
+			vals = halve(vals)
+		}
+		s := elems[E](vals)
+		a := append([]E(nil), s...)
+		b := append([]E(nil), s...)
 		Split(a)
 		SplitDesc(b)
 		for i := 0; i < n/2; i++ {
-			if a[i] != b[i+n/2] || a[i+n/2] != b[i] {
+			if !keyEq(a[i], b[i+n/2]) || !keyEq(a[i+n/2], b[i]) {
 				t.Fatalf("SplitDesc is not the mirror of Split: %v vs %v", a, b)
 			}
 		}
+		checkPairs(t, a, s)
+		checkPairs(t, b, s)
 	}
 }
 
 func TestMergeSortsBitonic(t *testing.T) {
+	eachElem(t, testMergeSortsBitonic[uint32], testMergeSortsBitonic[uint64],
+		testMergeSortsBitonic[float32], testMergeSortsBitonic[float64], testMergeSortsBitonic[element.KV64])
+}
+
+func testMergeSortsBitonic[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 << rng.Intn(8)
-		s := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
-		want := append([]uint32(nil), s...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		vals := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
+		if trial%2 == 1 {
+			vals = halve(vals)
+		}
+		s := elems[E](vals)
 
-		asc := append([]uint32(nil), s...)
+		asc := append([]E(nil), s...)
 		Merge(asc, true)
 		if !IsSortedAsc(asc) {
 			t.Fatalf("Merge asc failed: %v", asc)
 		}
-		for i := range want {
-			if asc[i] != want[i] {
-				t.Fatalf("Merge asc is not a permutation-preserving sort at %d", i)
-			}
-		}
+		checkSortedAs(t, "Merge asc", asc, s, true)
 
-		desc := append([]uint32(nil), s...)
+		desc := append([]E(nil), s...)
 		Merge(desc, false)
 		if !IsSortedDesc(desc) {
 			t.Fatalf("Merge desc failed: %v", desc)
 		}
-		for i := range want {
-			if desc[n-1-i] != want[i] {
-				t.Fatalf("Merge desc wrong multiset at %d", i)
-			}
-		}
+		checkSortedAs(t, "Merge desc", desc, s, false)
 	}
 }
 
@@ -229,15 +383,20 @@ func TestRotate(t *testing.T) {
 // every (length, peak position, rotation) combination of distinct-valued
 // bitonic sequences up to length 40.
 func TestMinIndexExhaustive(t *testing.T) {
+	eachElem(t, testMinIndexExhaustive[uint32], testMinIndexExhaustive[uint64],
+		testMinIndexExhaustive[float32], testMinIndexExhaustive[float64], testMinIndexExhaustive[element.KV64])
+}
+
+func testMinIndexExhaustive[E element.Elem](t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		for up := 1; up <= n; up++ {
 			base := makeBitonic(n, up, 0, nil)
 			for rot := 0; rot < n; rot++ {
-				s := Rotate(base, rot)
+				s := elems[E](Rotate(base, rot))
 				got := MinIndex(s)
 				want := argmin(s)
-				if s[got] != s[want] {
-					t.Fatalf("n=%d up=%d rot=%d: MinIndex=%d (val %d), argmin=%d (val %d) in %v",
+				if !keyEq(s[got], s[want]) {
+					t.Fatalf("n=%d up=%d rot=%d: MinIndex=%d (val %v), argmin=%d (val %v) in %v",
 						n, up, rot, got, s[got], want, s[want], s)
 				}
 			}
@@ -246,37 +405,57 @@ func TestMinIndexExhaustive(t *testing.T) {
 }
 
 func TestMinIndexRandomLarge(t *testing.T) {
+	eachElem(t, testMinIndexRandomLarge[uint32], testMinIndexRandomLarge[uint64],
+		testMinIndexRandomLarge[float32], testMinIndexRandomLarge[float64], testMinIndexRandomLarge[element.KV64])
+}
+
+func testMinIndexRandomLarge[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(1<<12)
-		s := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
+		s := elems[E](makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng))
 		got := MinIndex(s)
-		if s[got] != s[argmin(s)] {
+		if !keyEq(s[got], s[argmin(s)]) {
 			t.Fatalf("trial %d: wrong minimum", trial)
 		}
 	}
 }
 
+// randomBitonicDups builds a bitonic sequence of n ranks drawn from
+// [0, card): low cardinality forces equal splitters.
+func randomBitonicDups(rng *rand.Rand, n, card int) []uint32 {
+	s := make([]uint32, n)
+	for i := range s {
+		s[i] = uint32(rng.Intn(card))
+	}
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	up := 1 + rng.Intn(n)
+	seq := append(append([]uint32{}, s[n-up:]...), reversed(s[:n-up])...)
+	return Rotate(seq, rng.Intn(n))
+}
+
 func TestMinIndexWithDuplicates(t *testing.T) {
+	eachElem(t, testMinIndexWithDuplicates[uint32], testMinIndexWithDuplicates[uint64],
+		testMinIndexWithDuplicates[float32], testMinIndexWithDuplicates[float64], testMinIndexWithDuplicates[element.KV64])
+}
+
+func testMinIndexWithDuplicates[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(256)
 		// Low-cardinality values force duplicate splitters and exercise
 		// the linear fallback.
-		s := make([]uint32, n)
-		for i := range s {
-			s[i] = uint32(rng.Intn(4))
-		}
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		up := 1 + rng.Intn(n)
-		seq := append(append([]uint32{}, s[n-up:]...), reversed(s[:n-up])...)
-		seq = Rotate(seq, rng.Intn(n))
+		seq := elems[E](randomBitonicDups(rng, n, 4))
 		if !IsBitonic(seq) {
 			t.Fatalf("test generator produced non-bitonic input")
 		}
 		got := MinIndex(seq)
-		if seq[got] != seq[argmin(seq)] {
-			t.Fatalf("duplicates: MinIndex returned %d (val %d), want val %d", got, seq[got], seq[argmin(seq)])
+		if want := seq[argmin(seq)]; !keyEq(seq[got], want) {
+			t.Fatalf("duplicates: MinIndex returned %d (val %v), want val %v", got, seq[got], want)
+		}
+		got = MaxIndex(seq)
+		if want := seq[argmax(seq)]; !keyEq(seq[got], want) {
+			t.Fatalf("duplicates: MaxIndex returned %d (val %v), want val %v", got, seq[got], want)
 		}
 	}
 }
@@ -290,19 +469,18 @@ func reversed(s []uint32) []uint32 {
 }
 
 func TestMaxIndex(t *testing.T) {
+	eachElem(t, testMaxIndex[uint32], testMaxIndex[uint64],
+		testMaxIndex[float32], testMaxIndex[float64], testMaxIndex[element.KV64])
+}
+
+func testMaxIndex[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(512)
-		s := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
+		s := elems[E](makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng))
 		got := MaxIndex(s)
-		want := 0
-		for i, v := range s {
-			if v > s[want] {
-				want = i
-			}
-		}
-		if s[got] != s[want] {
-			t.Fatalf("MaxIndex wrong: got val %d want %d", s[got], s[want])
+		if want := s[argmax(s)]; !keyEq(s[got], want) {
+			t.Fatalf("MaxIndex wrong: got val %v want %v", s[got], want)
 		}
 	}
 }
@@ -381,70 +559,51 @@ func countMinIndexInspections(s []uint32) int {
 }
 
 func TestSortBitonic(t *testing.T) {
+	eachElem(t, testSortBitonic[uint32], testSortBitonic[uint64],
+		testSortBitonic[float32], testSortBitonic[float64], testSortBitonic[element.KV64])
+}
+
+func testSortBitonic[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(1024)
-		s := makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng)
-		want := append([]uint32(nil), s...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-
-		dst := make([]uint32, n)
+		s := elems[E](makeBitonic(n, 1+rng.Intn(n), rng.Intn(n), rng))
+		orig := append([]E(nil), s...)
+		dst := make([]E, n)
 		SortBitonic(dst, s, true)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("SortBitonic asc mismatch at %d: got %v", i, dst[:min(n, 16)])
-			}
-		}
+		checkSortedAs(t, "SortBitonic asc", dst, s, true)
 		SortBitonic(dst, s, false)
-		for i := range want {
-			if dst[n-1-i] != want[i] {
-				t.Fatalf("SortBitonic desc mismatch at %d", i)
+		checkSortedAs(t, "SortBitonic desc", dst, s, false)
+		for i := range s {
+			if bitsOf(s[i]) != bitsOf(orig[i]) {
+				t.Fatalf("SortBitonic changed its source at %d", i)
 			}
 		}
 	}
 }
 
 func TestSortBitonicDuplicates(t *testing.T) {
+	eachElem(t, testSortBitonicDuplicates[uint32], testSortBitonicDuplicates[uint64],
+		testSortBitonicDuplicates[float32], testSortBitonicDuplicates[float64], testSortBitonicDuplicates[element.KV64])
+}
+
+func testSortBitonicDuplicates[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(256)
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = uint32(rng.Intn(8))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		up := 1 + rng.Intn(n)
-		seq := append(append([]uint32{}, vals[n-up:]...), reversed(vals[:n-up])...)
-		seq = Rotate(seq, rng.Intn(n))
-		dst := make([]uint32, n)
+		seq := elems[E](randomBitonicDups(rng, n, 8))
+		dst := make([]E, n)
 		SortBitonic(dst, seq, true)
 		if !IsSortedAsc(dst) {
 			t.Fatalf("not sorted: %v", dst)
 		}
-		// multiset check
-		if !sameMultiset(dst, vals) {
-			t.Fatalf("multiset changed")
+		checkSortedAs(t, "SortBitonic asc", dst, seq, true)
+		SortBitonic(dst, seq, false)
+		if !IsSortedDesc(dst) {
+			t.Fatalf("not sorted descending: %v", dst)
 		}
+		checkSortedAs(t, "SortBitonic desc", dst, seq, false)
 	}
-}
-
-func sameMultiset(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := map[uint32]int{}
-	for _, v := range a {
-		m[v]++
-	}
-	for _, v := range b {
-		m[v]--
-	}
-	for _, c := range m {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Property: for any bitonic input, SortBitonic agrees with Merge.

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"parbitonic/element"
 
 	"parbitonic/internal/logp"
 	"parbitonic/internal/machine"
@@ -12,51 +17,118 @@ import (
 )
 
 func testMachine(p int, long bool) *machine.Machine {
+	return testMachineOf[uint32](p, long)
+}
+
+func testMachineOf[E element.Elem](p int, long bool) *machine.MachineOf[E] {
 	cfg := machine.DefaultConfig(p)
 	cfg.Long = long
-	m, err := machine.New(cfg)
+	m, err := machine.NewOf[E](cfg)
 	if err != nil {
 		panic(err)
 	}
 	return m
 }
 
-// runSort sorts a fresh workload and returns (result, output, want).
+// eachElem runs one generic test body per element type, as subtests
+// named after the type.
+func eachElem(t *testing.T, u32, u64, f32, f64, kv func(*testing.T)) {
+	for i, f := range []func(*testing.T){u32, u64, f32, f64, kv} {
+		t.Run(element.Types()[i].String(), f)
+	}
+}
+
+// runSort sorts a fresh uint32 workload and returns (result, output,
+// input).
 func runSort(t *testing.T, lgP, lgn int, d workload.Dist, seed uint64, long bool, opts Options) (machine.Result, []uint32, []uint32) {
 	t.Helper()
+	return runSortOf[uint32](t, lgP, lgn, d, seed, long, opts)
+}
+
+// runSortOf is runSort over element type E. KV64 inputs carry globally
+// unique payloads (workload.PerProcOf).
+func runSortOf[E element.Elem](t *testing.T, lgP, lgn int, d workload.Dist, seed uint64, long bool, opts Options) (machine.Result, []E, []E) {
+	t.Helper()
 	p, n := 1<<uint(lgP), 1<<uint(lgn)
-	data := workload.PerProc(d, p, n, seed)
-	want := Flatten(data)
-	want = append([]uint32(nil), want...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	// Algorithms take ownership; pass copies so `want` stays intact.
-	owned := make([][]uint32, p)
+	data := workload.PerProcOf[E](d, p, n, seed)
+	in := slices.Clone(Flatten(data))
+	// Algorithms take ownership; pass copies so `in` stays intact.
+	owned := make([][]E, p)
 	for i := range data {
-		owned[i] = append([]uint32(nil), data[i]...)
+		owned[i] = slices.Clone(data[i])
 	}
-	m := testMachine(p, long)
+	m := testMachineOf[E](p, long)
 	res, err := Sort(m, owned, opts)
 	if err != nil {
 		t.Fatalf("Sort(%+v): %v", opts, err)
 	}
-	return res, Flatten(m.Data()), want
+	return res, Flatten(m.Data()), in
 }
 
-func checkSorted(t *testing.T, label string, got, want []uint32) {
+// bitsOf is an element's exact identity: -0 and +0 differ, and a KV64
+// payload counts.
+func bitsOf[E element.Elem](e E) [2]uint64 {
+	return [2]uint64{element.Bits(e), element.Aux(e)}
+}
+
+// checkSorted fails unless got is in's elements in ascending key
+// order: the key sequence matches a reference sort, and every element,
+// KV64 payload included, comes out exactly once.
+func checkSorted[E element.Elem](t *testing.T, label string, got, in []E) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d keys, want %d", label, len(got), len(want))
+	if len(got) != len(in) {
+		t.Fatalf("%s: got %d keys, want %d", label, len(got), len(in))
 	}
+	want := slices.Clone(in)
+	slices.SortFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: wrong key at %d: got %d want %d", label, i, got[i], want[i])
+		if element.Less(got[i], want[i]) || element.Less(want[i], got[i]) {
+			t.Fatalf("%s: wrong key at %d: got %v want %v", label, i, got[i], want[i])
+		}
+	}
+	count := map[[2]uint64]int{}
+	for i := range in {
+		count[bitsOf(in[i])]++
+		count[bitsOf(got[i])]--
+	}
+	for e, c := range count {
+		if c != 0 {
+			t.Fatalf("%s: element %x appears %+d times too often in the input", label, e, c)
 		}
 	}
 }
 
+// checkSameKeys fails unless a and b hold equal keys at every local
+// position of every processor and the same elements per processor. Two
+// computations may place equal-key KV64 records or -0/+0 differently.
+func checkSameKeys[E element.Elem](t *testing.T, label string, a, b [][]E) {
+	t.Helper()
+	for pi := range a {
+		for l := range a[pi] {
+			if element.Less(a[pi][l], b[pi][l]) || element.Less(b[pi][l], a[pi][l]) {
+				t.Fatalf("%s: proc %d local %d: %v vs %v", label, pi, l, a[pi][l], b[pi][l])
+			}
+		}
+		checkSorted(t, label, sortedByKey(a[pi]), b[pi])
+	}
+}
+
+// sortedByKey returns s sorted ascending by key.
+func sortedByKey[E element.Elem](s []E) []E {
+	out := slices.Clone(s)
+	slices.SortStableFunc(out, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
+	return out
+}
+
 // Every algorithm, in both compute and message modes, must sort every
-// distribution.
+// distribution of every element type.
 func TestAllAlgorithmsSortEverything(t *testing.T) {
+	eachElem(t, testAllAlgorithmsSortEverything[uint32], testAllAlgorithmsSortEverything[uint64],
+		testAllAlgorithmsSortEverything[float32], testAllAlgorithmsSortEverything[float64],
+		testAllAlgorithmsSortEverything[element.KV64])
+}
+
+func testAllAlgorithmsSortEverything[E element.Elem](t *testing.T) {
 	dims := [][2]int{{1, 1}, {1, 4}, {2, 2}, {2, 5}, {3, 3}, {3, 6}, {4, 4}, {4, 7}, {0, 5}, {3, 2}, {4, 2}, {5, 1}, {6, 2}}
 	for _, alg := range []Algorithm{Smart, CyclicBlocked, BlockedMerge} {
 		for _, comp := range []Compute{Optimized, Simulated} {
@@ -71,9 +143,9 @@ func TestAllAlgorithmsSortEverything(t *testing.T) {
 					}
 					for _, dist := range workload.Dists() {
 						opts := Options{Algorithm: alg, Compute: comp}
-						res, got, want := runSort(t, lgP, lgn, dist, 42, long, opts)
+						res, got, in := runSortOf[E](t, lgP, lgn, dist, 42, long, opts)
 						label := alg.String() + "/" + comp.String() + "/" + dist.String()
-						checkSorted(t, label, got, want)
+						checkSorted(t, label, got, in)
 						if res.Time <= 0 {
 							t.Errorf("%s: nonpositive model time %v", label, res.Time)
 						}
@@ -84,39 +156,46 @@ func TestAllAlgorithmsSortEverything(t *testing.T) {
 	}
 }
 
+// runBoth runs alg on a FullRange workload of element type E under
+// both compute modes and returns the optimized and simulated outputs.
+func runBoth[E element.Elem](t *testing.T, alg Algorithm, lgP, lgn int, seed uint64) (opt, sim [][]E) {
+	t.Helper()
+	p, n := 1<<uint(lgP), 1<<uint(lgn)
+	run := func(comp Compute) [][]E {
+		data := workload.PerProcOf[E](workload.FullRange, p, n, seed)
+		owned := make([][]E, p)
+		for i := range data {
+			owned[i] = slices.Clone(data[i])
+		}
+		m := testMachineOf[E](p, true)
+		if _, err := Sort(m, owned, Options{Algorithm: alg, Compute: comp}); err != nil {
+			t.Fatal(err)
+		}
+		return m.Data()
+	}
+	return run(Optimized), run(Simulated)
+}
+
 // Theorems 2 and 3, end to end: the optimized local computation must
 // produce exactly the same distributed data as simulating every network
-// step, not merely a sorted result.
+// step, not merely a sorted result. uint32 keys must match exactly;
+// for the other types the keys must match at every position and each
+// processor must hold the same elements.
 func TestOptimizedMatchesSimulatedExactly(t *testing.T) {
+	eachElem(t, testOptimizedMatchesSimulated[uint32], testOptimizedMatchesSimulated[uint64],
+		testOptimizedMatchesSimulated[float32], testOptimizedMatchesSimulated[float64],
+		testOptimizedMatchesSimulated[element.KV64])
+}
+
+func testOptimizedMatchesSimulated[E element.Elem](t *testing.T) {
 	// Includes n < P shapes: the paper notes the smart remapping "does
 	// not impose any restriction on N and P" (§3.2), and Lemma 3's
 	// special cases must hold there too.
 	for _, d := range [][2]int{{2, 3}, {3, 4}, {4, 5}, {3, 7}, {5, 5}, {2, 8}, {4, 4}, {4, 2}, {5, 2}, {6, 1}} {
 		lgP, lgn := d[0], d[1]
-		p, n := 1<<uint(lgP), 1<<uint(lgn)
 		for seed := uint64(1); seed <= 3; seed++ {
-			run := func(comp Compute) [][]uint32 {
-				data := workload.PerProc(workload.FullRange, p, n, seed)
-				owned := make([][]uint32, p)
-				for i := range data {
-					owned[i] = append([]uint32(nil), data[i]...)
-				}
-				m := testMachine(p, true)
-				if _, err := Sort(m, owned, Options{Algorithm: Smart, Compute: comp}); err != nil {
-					t.Fatal(err)
-				}
-				return m.Data()
-			}
-			opt := run(Optimized)
-			sim := run(Simulated)
-			for pi := range opt {
-				for l := range opt[pi] {
-					if opt[pi][l] != sim[pi][l] {
-						t.Fatalf("lgP=%d lgn=%d seed=%d: proc %d local %d: optimized %d, simulated %d",
-							lgP, lgn, seed, pi, l, opt[pi][l], sim[pi][l])
-					}
-				}
-			}
+			opt, sim := runBoth[E](t, Smart, lgP, lgn, seed)
+			checkSameKeys(t, fmt.Sprintf("lgP=%d lgn=%d seed=%d", lgP, lgn, seed), opt, sim)
 		}
 	}
 }
@@ -124,31 +203,17 @@ func TestOptimizedMatchesSimulatedExactly(t *testing.T) {
 // The cyclic-blocked optimized computation (strided bitonic merges +
 // radix sorts) must also match its own step-by-step simulation exactly.
 func TestCyclicBlockedOptimizedMatchesSimulated(t *testing.T) {
+	eachElem(t, testCyclicBlockedOptimizedMatchesSimulated[uint32], testCyclicBlockedOptimizedMatchesSimulated[uint64],
+		testCyclicBlockedOptimizedMatchesSimulated[float32], testCyclicBlockedOptimizedMatchesSimulated[float64],
+		testCyclicBlockedOptimizedMatchesSimulated[element.KV64])
+}
+
+func testCyclicBlockedOptimizedMatchesSimulated[E element.Elem](t *testing.T) {
 	for _, d := range [][2]int{{2, 3}, {3, 4}, {4, 5}, {3, 6}} {
 		lgP, lgn := d[0], d[1]
-		p, n := 1<<uint(lgP), 1<<uint(lgn)
 		for seed := uint64(1); seed <= 3; seed++ {
-			run := func(comp Compute) [][]uint32 {
-				data := workload.PerProc(workload.FullRange, p, n, seed)
-				owned := make([][]uint32, p)
-				for i := range data {
-					owned[i] = append([]uint32(nil), data[i]...)
-				}
-				m := testMachine(p, true)
-				if _, err := Sort(m, owned, Options{Algorithm: CyclicBlocked, Compute: comp}); err != nil {
-					t.Fatal(err)
-				}
-				return m.Data()
-			}
-			opt := run(Optimized)
-			sim := run(Simulated)
-			for pi := range opt {
-				for l := range opt[pi] {
-					if opt[pi][l] != sim[pi][l] {
-						t.Fatalf("lgP=%d lgn=%d seed=%d: proc %d local %d differ", lgP, lgn, seed, pi, l)
-					}
-				}
-			}
+			opt, sim := runBoth[E](t, CyclicBlocked, lgP, lgn, seed)
+			checkSameKeys(t, fmt.Sprintf("lgP=%d lgn=%d seed=%d", lgP, lgn, seed), opt, sim)
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package psort
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"parbitonic/element"
 	"parbitonic/internal/machine"
 	"parbitonic/internal/obs"
+	"parbitonic/internal/spmd"
 	"parbitonic/internal/workload"
 )
 
@@ -18,8 +23,8 @@ func testMachine(p int) *machine.Machine {
 	return m
 }
 
-func flatten(data [][]uint32) []uint32 {
-	var out []uint32
+func flatten[E element.Elem](data [][]E) []E {
+	var out []E
 	for _, d := range data {
 		out = append(out, d...)
 	}
@@ -40,25 +45,77 @@ func copyData(data [][]uint32) [][]uint32 {
 	return out
 }
 
+// eachElem runs one generic test body per element type, as subtests
+// named after the type.
+func eachElem(t *testing.T, u32, u64, f32, f64, kv func(*testing.T)) {
+	for i, f := range []func(*testing.T){u32, u64, f32, f64, kv} {
+		t.Run(element.Types()[i].String(), f)
+	}
+}
+
+// sortOf runs sorter on a fresh workload of element type E and
+// returns the result, the output per processor and the flat input.
+// KV64 inputs carry globally unique payloads (workload.PerProcOf).
+func sortOf[E element.Elem, R any](t *testing.T, sorter func(spmd.BackendOf[E], [][]E) (R, error), dist workload.Dist, p, n int, seed uint64) (R, [][]E, []E) {
+	t.Helper()
+	data := workload.PerProcOf[E](dist, p, n, seed)
+	var in []E
+	owned := make([][]E, p)
+	for i := range data {
+		in = append(in, data[i]...)
+		owned[i] = slices.Clone(data[i])
+	}
+	m, err := machine.NewOf[E](machine.DefaultConfig(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sorter(m, owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, m.Data(), in
+}
+
+// checkSortedOf fails unless got is in's elements in ascending key
+// order: the key sequence matches a reference sort, and every element,
+// KV64 payload included, comes out exactly once.
+func checkSortedOf[E element.Elem](t *testing.T, label string, got, in []E) {
+	t.Helper()
+	if len(got) != len(in) {
+		t.Fatalf("%s: lost keys (%d vs %d)", label, len(got), len(in))
+	}
+	want := slices.Clone(in)
+	slices.SortFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
+	count := map[[2]uint64]int{}
+	for i := range want {
+		if element.Less(got[i], want[i]) || element.Less(want[i], got[i]) {
+			t.Fatalf("%s: wrong at %d", label, i)
+		}
+		count[[2]uint64{element.Bits(in[i]), element.Aux(in[i])}]++
+		count[[2]uint64{element.Bits(got[i]), element.Aux(got[i])}]--
+	}
+	for e, c := range count {
+		if c != 0 {
+			t.Fatalf("%s: element %x appears %+d times too often in the input", label, e, c)
+		}
+	}
+}
+
 func TestRadixSortSortsEverything(t *testing.T) {
+	eachElem(t, testRadixSortSortsEverything[uint32], testRadixSortSortsEverything[uint64],
+		testRadixSortSortsEverything[float32], testRadixSortSortsEverything[float64],
+		testRadixSortSortsEverything[element.KV64])
+}
+
+func testRadixSortSortsEverything[E element.Elem](t *testing.T) {
 	for _, d := range [][2]int{{0, 6}, {1, 5}, {2, 6}, {3, 4}, {4, 5}, {5, 6}} {
 		lgP, lgn := d[0], d[1]
 		p, n := 1<<uint(lgP), 1<<uint(lgn)
 		for _, dist := range workload.Dists() {
-			data := workload.PerProc(dist, p, n, 77)
-			want := reference(data)
-			m := testMachine(p)
-			if _, err := RadixSort(m, copyData(data)); err != nil {
-				t.Fatal(err)
-			}
-			got := flatten(m.Data())
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("radix lgP=%d lgn=%d %v: wrong at %d", lgP, lgn, dist, i)
-				}
-			}
+			_, out, in := sortOf(t, RadixSort[E], dist, p, n, 77)
+			checkSortedOf(t, fmt.Sprintf("radix lgP=%d lgn=%d %v", lgP, lgn, dist), flatten(out), in)
 			// Radix output must be perfectly balanced.
-			for pi, dd := range m.Data() {
+			for pi, dd := range out {
 				if len(dd) != n {
 					t.Fatalf("radix proc %d holds %d keys, want %d", pi, len(dd), n)
 				}
@@ -68,26 +125,18 @@ func TestRadixSortSortsEverything(t *testing.T) {
 }
 
 func TestSampleSortSortsEverything(t *testing.T) {
+	eachElem(t, testSampleSortSortsEverything[uint32], testSampleSortSortsEverything[uint64],
+		testSampleSortSortsEverything[float32], testSampleSortSortsEverything[float64],
+		testSampleSortSortsEverything[element.KV64])
+}
+
+func testSampleSortSortsEverything[E element.Elem](t *testing.T) {
 	for _, d := range [][2]int{{0, 6}, {1, 5}, {2, 6}, {3, 5}, {4, 6}} {
 		lgP, lgn := d[0], d[1]
 		p, n := 1<<uint(lgP), 1<<uint(lgn)
 		for _, dist := range workload.Dists() {
-			data := workload.PerProc(dist, p, n, 99)
-			want := reference(data)
-			m := testMachine(p)
-			res, err := SampleSort(m, copyData(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := flatten(m.Data())
-			if len(got) != len(want) {
-				t.Fatalf("sample lgP=%d lgn=%d %v: lost keys (%d vs %d)", lgP, lgn, dist, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sample lgP=%d lgn=%d %v: wrong at %d", lgP, lgn, dist, i)
-				}
-			}
+			res, out, in := sortOf(t, SampleSort[E], dist, p, n, 99)
+			checkSortedOf(t, fmt.Sprintf("sample lgP=%d lgn=%d %v", lgP, lgn, dist), flatten(out), in)
 			if res.MaxKeys < n {
 				t.Fatalf("MaxKeys %d below balanced share %d", res.MaxKeys, n)
 			}
