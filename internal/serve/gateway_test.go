@@ -70,7 +70,13 @@ func readU32Frame(t *testing.T, r io.Reader) []uint32 {
 
 func postSort(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url+"/sort", "application/octet-stream", bytes.NewReader(body))
+	return postSortAs(t, url, "application/octet-stream", body)
+}
+
+// postSortAs posts body to /sort under the given Content-Type.
+func postSortAs(t *testing.T, url, contentType string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/sort", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,8 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestGatewayU64Frame round-trips a u64 frame, checking the
-// response mirrors the request header.
+// response mirrors the request header, under every spelling of the
+// binary media type: parameters and letter case do not matter.
 func TestGatewayU64Frame(t *testing.T) {
 	_, ts := newTestGateway(t)
 	keys := []uint64{1 << 40, 3, ^uint64(0), 7, 3}
@@ -166,20 +173,27 @@ func TestGatewayU64Frame(t *testing.T) {
 	for i, k := range keys {
 		binary.LittleEndian.PutUint64(payload[8*i:], k)
 	}
-	resp := postSort(t, ts.URL, frame(element.TU64, payload))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	gotT, out, err := decodeFrame(raw)
-	if err != nil || gotT != element.TU64 {
-		t.Fatalf("response not a u64 frame: type=%v err=%v", gotT, err)
-	}
 	want := append([]uint64(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		if got := binary.LittleEndian.Uint64(out[8*i:]); got != want[i] {
-			t.Fatalf("u64 round-trip wrong at %d: got %d want %d", i, got, want[i])
+	for _, ct := range []string{
+		"application/octet-stream",
+		"application/octet-stream; charset=binary",
+		"Application/Octet-Stream",
+	} {
+		resp := postSortAs(t, ts.URL, ct, frame(element.TU64, payload))
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("Content-Type %q: status %d: %s", ct, resp.StatusCode, msg)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		gotT, out, err := decodeFrame(raw)
+		if err != nil || gotT != element.TU64 {
+			t.Fatalf("Content-Type %q: response not a u64 frame: type=%v err=%v", ct, gotT, err)
+		}
+		for i := range want {
+			if got := binary.LittleEndian.Uint64(out[8*i:]); got != want[i] {
+				t.Fatalf("Content-Type %q: u64 round-trip wrong at %d: got %d want %d", ct, i, got, want[i])
+			}
 		}
 	}
 }

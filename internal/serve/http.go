@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"time"
@@ -236,7 +237,7 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
 		handleBinarySort(f, ctx, w, body)
 		return
 	}
