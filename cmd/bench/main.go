@@ -228,16 +228,17 @@ func runSweep(quick bool, reps int, profilePath string) (*Snapshot, error) {
 // kernelSweep measures the localsort kernel layer directly — the
 // microbench section of the snapshot (backend "kernel"), one size per
 // sweep so the end-to-end trajectory can be split into kernel-level
-// and orchestration-level movement. Kernel times are wall µs and
-// host-dependent; the gates leave them alone, they are recorded for
-// trend tracking.
+// and orchestration-level movement. It times every element type, the
+// float kernels included, even where the end-to-end grid covers fewer.
+// Kernel times are wall µs and host-dependent; the gates leave them
+// alone, they are recorded for trend tracking.
 func kernelSweep(quick bool, reps int) []Entry {
 	size := 1 << 20
 	if quick {
 		size = 1 << 16
 	}
 	var out []Entry
-	for _, et := range sweepElems(quick) {
+	for _, et := range element.Types() {
 		switch et {
 		case element.TU32:
 			out = append(out, kernelGroupOf[uint32](size, reps)...)

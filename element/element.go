@@ -53,11 +53,19 @@ type Elem interface {
 }
 
 // Ord is the scalar subset of Elem: the four types on which native
-// <, <=, and == are defined. Hot kernels that dispatch by kind use
-// one generic body constrained by Ord for all scalar instantiations
-// and a separate concrete body for KV64.
+// <, <=, and == are defined. It is the key type of the one key view
+// every hot kernel uses (see KeyOf): a kernel body runs over a storage
+// type S and compares keys read as K, so a single generic body serves
+// all five element types, KV64 records included.
 type Ord interface {
 	uint32 | uint64 | float32 | float64
+}
+
+// Uint is the unsigned integer subset of Ord: the storage type float
+// kernels run over, and the key type of digit kernels (radix passes
+// over order images, see ToImages).
+type Uint interface {
+	uint32 | uint64
 }
 
 // Less reports whether a orders before b: native < for scalars, key
@@ -205,6 +213,82 @@ func Cast[T any, E any](s []E) []T {
 		return nil
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&s[0])), len(s))
+}
+
+// The key view. A kind-dispatched kernel runs one generic body over a
+// storage type S and a key type K, chosen once per call:
+//
+//	element   S        K
+//	uint32    uint32   uint32
+//	uint64    uint64   uint64
+//	KV64      KV64     uint64
+//	float32   uint32   float32
+//	float64   uint64   float64
+//
+// Floats run over integer storage of the same width (Cast views the
+// slice), so moves and selects are integer operations while compares
+// keep float order. The body reads each element's key with KeyOf and
+// compares keys natively; digit kernels instead read K = S's Uint over
+// order images, for floats after ToImages.
+
+// The key of a KV64 record is its first field; this constant index
+// fails to compile if the field ever moves.
+var _ = [1]struct{}{}[unsafe.Offsetof(KV64{}.K)]
+
+// KeyOf returns the sort key of the element at p: its leading bytes
+// read as K. K must be one of the pairings in the table above (or the
+// Uint of an order image's width).
+func KeyOf[K Ord, S Elem](p *S) K {
+	return *(*K)(unsafe.Pointer(p))
+}
+
+// Recast views *p, a value whose type is built from one element type
+// (a run table, a routing target), as the same value built from the
+// storage type of the table above. T and U must have equal sizes and,
+// apart from the element type, identical layouts; Recast panics on a
+// size mismatch.
+func Recast[T, U any](p *U) *T {
+	if unsafe.Sizeof(*new(T)) != unsafe.Sizeof(*new(U)) {
+		panic(fmt.Sprintf("element: Recast between unequal sizes (%d vs %d bytes)",
+			unsafe.Sizeof(*new(T)), unsafe.Sizeof(*new(U))))
+	}
+	return (*T)(unsafe.Pointer(p))
+}
+
+// ToImages replaces every element of s by its order image in place:
+// afterwards an element's storage, read as the Uint of its width, is
+// Bits(e), so digit kernels run on floats as on integers. Integers and
+// KV64 records are their own images and stay untouched. FromImages
+// inverts it.
+func ToImages[E Elem](s []E) {
+	switch any(*new(E)).(type) {
+	case float32:
+		u := Cast[uint32](s)
+		for i, b := range u {
+			u[i] = flip32(b)
+		}
+	case float64:
+		u := Cast[uint64](s)
+		for i, b := range u {
+			u[i] = flip64(b)
+		}
+	}
+}
+
+// FromImages inverts ToImages.
+func FromImages[E Elem](s []E) {
+	switch any(*new(E)).(type) {
+	case float32:
+		u := Cast[uint32](s)
+		for i, b := range u {
+			u[i] = unflip32(b)
+		}
+	case float64:
+		u := Cast[uint64](s)
+		for i, b := range u {
+			u[i] = unflip64(b)
+		}
+	}
 }
 
 // flip32 maps float32 bit patterns to their order image: flipping all

@@ -98,6 +98,67 @@ func TestCastRoundTrip(t *testing.T) {
 	_ = Cast[uint64](f)
 }
 
+// checkImages verifies that ToImages leaves each element's storage
+// holding Bits(e) and that FromImages restores the elements bit for
+// bit.
+func checkImages[E Elem, U Uint](t *testing.T, vals []E) {
+	t.Helper()
+	s := append([]E(nil), vals...)
+	ToImages(s)
+	for i, v := range vals {
+		if got := KeyOf[U](&s[i]); uint64(got) != Bits(v) {
+			t.Fatalf("ToImages(%v) = %#x, want %#x", v, got, Bits(v))
+		}
+	}
+	FromImages(s)
+	for i, v := range vals {
+		if Bits(s[i]) != Bits(v) || Aux(s[i]) != Aux(v) {
+			t.Fatalf("FromImages(ToImages(%v)) = %v", v, s[i])
+		}
+	}
+}
+
+func TestBulkImagesRoundTrip(t *testing.T) {
+	checkImages[uint32, uint32](t, []uint32{0, 7, ^uint32(0)})
+	checkImages[uint64, uint64](t, []uint64{0, 1 << 40, ^uint64(0)})
+	checkImages[float32, uint32](t, []float32{float32(math.Inf(-1)), -2.5, float32(math.Copysign(0, -1)), 0, 1.5, float32(math.Inf(1))})
+	checkImages[float64, uint64](t, []float64{math.Inf(-1), -1e300, math.Copysign(0, -1), 0, 3.75, math.Inf(1)})
+	checkImages[KV64, uint64](t, []KV64{{K: 3, V: 9}, {K: ^uint64(0), V: 1}})
+}
+
+// TestKeyOf reads every element's key through its storage view.
+func TestKeyOf(t *testing.T) {
+	kv := []KV64{{K: 5, V: 9}}
+	if k := KeyOf[uint64](&kv[0]); k != 5 {
+		t.Fatalf("KV64 key = %d, want 5", k)
+	}
+	f := Cast[uint32]([]float32{-2.5})
+	if k := KeyOf[float32](&f[0]); k != -2.5 {
+		t.Fatalf("float32 key over uint32 storage = %v, want -2.5", k)
+	}
+	d := Cast[uint64]([]float64{1e300})
+	if k := KeyOf[float64](&d[0]); k != 1e300 {
+		t.Fatalf("float64 key over uint64 storage = %v, want 1e300", k)
+	}
+	u := []uint32{7}
+	if k := KeyOf[uint32](&u[0]); k != 7 {
+		t.Fatalf("uint32 key = %d, want 7", k)
+	}
+}
+
+func TestRecastPanicsOnSizeMismatch(t *testing.T) {
+	x := []float32{1}
+	if got := *Recast[[]uint32](&x); got[0] != math.Float32bits(1) {
+		t.Fatalf("Recast view = %#x", got[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Recast between unequal sizes did not panic")
+		}
+	}()
+	_ = Recast[uint64](&x[0])
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	b := make([]byte, 16)
 	Put(b, KV64{K: 0x0102030405060708, V: 0x1112131415161718})

@@ -11,10 +11,11 @@
 //
 // Every routine is generic over the element layer. The hot kernels
 // (Split, SortBitonic and the Algorithm 2 search) dispatch on the
-// element kind once per call and run monomorphic bodies — native <
-// over the scalar types, key comparison for KV64 records — so the
-// uint32 instantiation compiles to exactly the loops the paper's
-// analysis counts.
+// element kind once per call and run one body per kernel over the key
+// view of element.KeyOf: storage S, keys compared natively as K, so
+// KV64 records and floats (over integer storage) share the uint32
+// body, and the uint32 instantiation compiles to exactly the loops the
+// paper's analysis counts.
 package bitseq
 
 import "parbitonic/element"
@@ -90,55 +91,7 @@ func Split[E element.Elem](s []E) {
 	if len(s)%2 != 0 {
 		panic("bitseq: Split on odd-length sequence")
 	}
-	switch any(*new(E)).(type) {
-	case uint32:
-		uintSplit(element.Cast[uint32](s))
-	case uint64:
-		uintSplit(element.Cast[uint64](s))
-	case float32:
-		ordSplit(element.Cast[float32](s))
-	case float64:
-		ordSplit(element.Cast[float64](s))
-	default:
-		kvSplit(element.Cast[element.KV64](s))
-	}
-}
-
-// uintKey are the unsigned key widths with a branchless compare-
-// exchange: integer min/max compile to conditional moves, so the split
-// sweep has no data-dependent branch for the predictor to miss on
-// random keys. Floats stay on the compare-swap form — min/max would
-// rewrite the bit image of -0/+0 and NaN ties, and a compare-exchange
-// must move elements, never rewrite them.
-type uintKey interface {
-	uint32 | uint64
-}
-
-func uintSplit[T uintKey](s []T) {
-	h := len(s) / 2
-	a, b := s[:h], s[h:h+h]
-	for i := range a {
-		x, y := a[i], b[i]
-		a[i], b[i] = min(x, y), max(x, y)
-	}
-}
-
-func ordSplit[T element.Ord](s []T) {
-	h := len(s) / 2
-	for i := 0; i < h; i++ {
-		if s[i] > s[i+h] {
-			s[i], s[i+h] = s[i+h], s[i]
-		}
-	}
-}
-
-func kvSplit(s []element.KV64) {
-	h := len(s) / 2
-	for i := 0; i < h; i++ {
-		if s[i].K > s[i+h].K {
-			s[i], s[i+h] = s[i+h], s[i]
-		}
-	}
+	split(s, false)
 }
 
 // SplitDesc is Split with the comparison reversed: the first half
@@ -147,44 +100,49 @@ func SplitDesc[E element.Elem](s []E) {
 	if len(s)%2 != 0 {
 		panic("bitseq: SplitDesc on odd-length sequence")
 	}
+	split(s, true)
+}
+
+func split[E element.Elem](s []E, desc bool) {
 	switch any(*new(E)).(type) {
 	case uint32:
-		uintSplitDesc(element.Cast[uint32](s))
-	case uint64:
-		uintSplitDesc(element.Cast[uint64](s))
+		splitOf[E, uint32](s, desc)
+	case uint64, element.KV64:
+		splitOf[E, uint64](s, desc)
 	case float32:
-		ordSplitDesc(element.Cast[float32](s))
+		splitOf[uint32, float32](element.Cast[uint32](s), desc)
 	case float64:
-		ordSplitDesc(element.Cast[float64](s))
-	default:
-		kvSplitDesc(element.Cast[element.KV64](s))
+		splitOf[uint64, float64](element.Cast[uint64](s), desc)
 	}
 }
 
-func uintSplitDesc[T uintKey](s []T) {
+// splitOf compare-exchanges every pair (i, i+n/2). A pair swaps only
+// when its keys are strictly out of order, and the swap moves whole
+// elements, never rewriting one: floats run over integer storage, so
+// -0 and +0 keep their bit patterns, and KV64 payloads ride along. On
+// integer storage the swap compiles to conditional moves, so the sweep
+// has no data-dependent branch for the predictor to miss.
+func splitOf[S element.Elem, K element.Ord](s []S, desc bool) {
 	h := len(s) / 2
 	a, b := s[:h], s[h:h+h]
+	if desc {
+		for i := range a {
+			pa, pb := &a[i], &b[i]
+			x, y := *pa, *pb
+			if element.KeyOf[K](pa) < element.KeyOf[K](pb) {
+				x, y = y, x
+			}
+			*pa, *pb = x, y
+		}
+		return
+	}
 	for i := range a {
-		x, y := a[i], b[i]
-		a[i], b[i] = max(x, y), min(x, y)
-	}
-}
-
-func ordSplitDesc[T element.Ord](s []T) {
-	h := len(s) / 2
-	for i := 0; i < h; i++ {
-		if s[i] < s[i+h] {
-			s[i], s[i+h] = s[i+h], s[i]
+		pa, pb := &a[i], &b[i]
+		x, y := *pa, *pb
+		if element.KeyOf[K](pb) < element.KeyOf[K](pa) {
+			x, y = y, x
 		}
-	}
-}
-
-func kvSplitDesc(s []element.KV64) {
-	h := len(s) / 2
-	for i := 0; i < h; i++ {
-		if s[i].K < s[i+h].K {
-			s[i], s[i+h] = s[i+h], s[i]
-		}
+		*pa, *pb = x, y
 	}
 }
 
@@ -285,35 +243,35 @@ func MaxIndex[E element.Elem](s []E) int {
 func minIndex[E element.Elem](s []E, rev bool) int {
 	switch any(*new(E)).(type) {
 	case uint32:
-		return ordMinIndex(element.Cast[uint32](s), rev)
-	case uint64:
-		return ordMinIndex(element.Cast[uint64](s), rev)
+		return minIndexOf[E, uint32](s, rev)
+	case uint64, element.KV64:
+		return minIndexOf[E, uint64](s, rev)
 	case float32:
-		return ordMinIndex(element.Cast[float32](s), rev)
-	case float64:
-		return ordMinIndex(element.Cast[float64](s), rev)
+		return minIndexOf[uint32, float32](element.Cast[uint32](s), rev)
 	default:
-		return kvMinIndex(element.Cast[element.KV64](s), rev)
+		return minIndexOf[uint64, float64](element.Cast[uint64](s), rev)
 	}
 }
 
-func ordMinIndex[T element.Ord](s []T, rev bool) int {
+func minIndexOf[S element.Elem, K element.Ord](s []S, rev bool) int {
 	n := len(s)
+	key := func(i int) K { return element.KeyOf[K](&s[i%n]) }
 	switch n {
 	case 0:
 		panic("bitseq: MinIndex of empty sequence")
 	case 1:
 		return 0
 	case 2:
-		if (s[1] < s[0]) != rev && s[1] != s[0] {
+		k0, k1 := key(0), key(1)
+		if (k1 < k0) != rev && k1 != k0 {
 			return 1
 		}
-		if rev && s[1] > s[0] {
+		if rev && k1 > k0 {
 			return 1
 		}
 		return 0
 	}
-	lt := func(a, b T) bool {
+	lt := func(a, b K) bool {
 		if rev {
 			return b < a
 		}
@@ -322,9 +280,9 @@ func ordMinIndex[T element.Ord](s []T, rev bool) int {
 
 	// Step 1: three splitters breaking the circle into three arcs.
 	a, b, c := 0, n/3, 2*n/3
-	va, vb, vc := s[a], s[b], s[c]
+	va, vb, vc := key(a), key(b), key(c)
 	if va == vb || vb == vc || va == vc {
-		return ordLinearMinArc(s, 0, n, rev)
+		return linearMinArc[S, K](s, 0, n, rev)
 	}
 	// lo..mid..hi is a clockwise arc known to contain the minimum, with
 	// s[mid] < s[lo] and s[mid] < s[hi] maintained as the invariant
@@ -342,11 +300,11 @@ func ordMinIndex[T element.Ord](s []T, rev bool) int {
 	for hi-lo > 3 {
 		x := (lo + mid) / 2
 		y := (mid + hi) / 2
-		vx, vm, vy := s[x%n], s[mid%n], s[y%n]
+		vx, vm, vy := key(x), key(mid), key(y)
 		// Equal splitters void the uniqueness argument of Lemma 8:
 		// switch to the linear search on the remaining arc.
 		if vx == vm || vm == vy || (x != mid && y != mid && vx == vy) {
-			return ordLinearMinArc(s, lo, hi-lo+1, rev)
+			return linearMinArc[S, K](s, lo, hi-lo+1, rev)
 		}
 		switch {
 		case lt(vx, vm) && lt(vx, vy):
@@ -357,20 +315,20 @@ func ordMinIndex[T element.Ord](s []T, rev bool) int {
 			lo, mid = mid, y
 		}
 	}
-	return ordLinearMinArc(s, lo, hi-lo+1, rev)
+	return linearMinArc[S, K](s, lo, hi-lo+1, rev)
 }
 
-// ordLinearMinArc scans the circular arc of length count starting at
+// linearMinArc scans the circular arc of length count starting at
 // start and returns the index (mod len(s)) of its minimum (maximum
 // when rev). The two loops are kept separate so each compiles to the
 // direct compare the paper's linear fallback costs out.
-func ordLinearMinArc[T element.Ord](s []T, start, count int, rev bool) int {
+func linearMinArc[S element.Elem, K element.Ord](s []S, start, count int, rev bool) int {
 	n := len(s)
 	best := start % n
 	if rev {
 		for i := 1; i < count; i++ {
 			idx := (start + i) % n
-			if s[idx] > s[best] {
+			if element.KeyOf[K](&s[idx]) > element.KeyOf[K](&s[best]) {
 				best = idx
 			}
 		}
@@ -378,85 +336,7 @@ func ordLinearMinArc[T element.Ord](s []T, start, count int, rev bool) int {
 	}
 	for i := 1; i < count; i++ {
 		idx := (start + i) % n
-		if s[idx] < s[best] {
-			best = idx
-		}
-	}
-	return best
-}
-
-func kvMinIndex(s []element.KV64, rev bool) int {
-	n := len(s)
-	switch n {
-	case 0:
-		panic("bitseq: MinIndex of empty sequence")
-	case 1:
-		return 0
-	case 2:
-		if (s[1].K < s[0].K) != rev && s[1].K != s[0].K {
-			return 1
-		}
-		if rev && s[1].K > s[0].K {
-			return 1
-		}
-		return 0
-	}
-	lt := func(a, b uint64) bool {
-		if rev {
-			return b < a
-		}
-		return a < b
-	}
-
-	a, b, c := 0, n/3, 2*n/3
-	va, vb, vc := s[a].K, s[b].K, s[c].K
-	if va == vb || vb == vc || va == vc {
-		return kvLinearMinArc(s, 0, n, rev)
-	}
-	var lo, mid, hi int
-	switch {
-	case lt(va, vb) && lt(va, vc):
-		lo, mid, hi = c, a+n, b+n
-	case lt(vb, va) && lt(vb, vc):
-		lo, mid, hi = a, b, c
-	default:
-		lo, mid, hi = b, c, a+n
-	}
-
-	for hi-lo > 3 {
-		x := (lo + mid) / 2
-		y := (mid + hi) / 2
-		vx, vm, vy := s[x%n].K, s[mid%n].K, s[y%n].K
-		if vx == vm || vm == vy || (x != mid && y != mid && vx == vy) {
-			return kvLinearMinArc(s, lo, hi-lo+1, rev)
-		}
-		switch {
-		case lt(vx, vm) && lt(vx, vy):
-			mid, hi = x, mid
-		case lt(vm, vx) && lt(vm, vy):
-			lo, hi = x, y
-		default:
-			lo, mid = mid, y
-		}
-	}
-	return kvLinearMinArc(s, lo, hi-lo+1, rev)
-}
-
-func kvLinearMinArc(s []element.KV64, start, count int, rev bool) int {
-	n := len(s)
-	best := start % n
-	if rev {
-		for i := 1; i < count; i++ {
-			idx := (start + i) % n
-			if s[idx].K > s[best].K {
-				best = idx
-			}
-		}
-		return best
-	}
-	for i := 1; i < count; i++ {
-		idx := (start + i) % n
-		if s[idx].K < s[best].K {
+		if element.KeyOf[K](&s[idx]) < element.KeyOf[K](&s[best]) {
 			best = idx
 		}
 	}
@@ -475,24 +355,24 @@ func SortBitonic[E element.Elem](dst, src []E, asc bool) {
 	}
 	switch any(*new(E)).(type) {
 	case uint32:
-		ordSortBitonic(element.Cast[uint32](dst), element.Cast[uint32](src), asc)
-	case uint64:
-		ordSortBitonic(element.Cast[uint64](dst), element.Cast[uint64](src), asc)
+		sortBitonicOf[E, uint32](dst, src, asc)
+	case uint64, element.KV64:
+		sortBitonicOf[E, uint64](dst, src, asc)
 	case float32:
-		ordSortBitonic(element.Cast[float32](dst), element.Cast[float32](src), asc)
+		sortBitonicOf[uint32, float32](element.Cast[uint32](dst), element.Cast[uint32](src), asc)
 	case float64:
-		ordSortBitonic(element.Cast[float64](dst), element.Cast[float64](src), asc)
-	default:
-		kvSortBitonic(element.Cast[element.KV64](dst), element.Cast[element.KV64](src), asc)
+		sortBitonicOf[uint64, float64](element.Cast[uint64](dst), element.Cast[uint64](src), asc)
 	}
 }
 
-func ordSortBitonic[T element.Ord](dst, src []T, asc bool) {
+// sortBitonicOf merges the two circular runs meeting at the minimum.
+// On equal keys the forward cursor's element goes first.
+func sortBitonicOf[S element.Elem, K element.Ord](dst, src []S, asc bool) {
 	n := len(src)
 	if n == 0 {
 		return
 	}
-	m := ordMinIndex(src, false)
+	m := minIndexOf[S, K](src, false)
 	// Walking clockwise from the minimum the circular sequence rises to
 	// the maximum and then falls back. The unconsumed elements always
 	// form a contiguous circular arc [fi..bj]; that arc is bitonic with
@@ -511,14 +391,15 @@ func ordSortBitonic[T element.Ord](dst, src []T, asc bool) {
 	}
 	if asc {
 		for emitted := 0; emitted < n; emitted++ {
-			if src[fi] <= src[bj] {
-				dst[emitted] = src[fi]
+			pf, pb := &src[fi], &src[bj]
+			if element.KeyOf[K](pf) <= element.KeyOf[K](pb) {
+				dst[emitted] = *pf
 				fi++
 				if fi == n {
 					fi = 0
 				}
 			} else {
-				dst[emitted] = src[bj]
+				dst[emitted] = *pb
 				bj--
 				if bj < 0 {
 					bj = n - 1
@@ -528,60 +409,15 @@ func ordSortBitonic[T element.Ord](dst, src []T, asc bool) {
 		return
 	}
 	for emitted := n - 1; emitted >= 0; emitted-- {
-		if src[fi] <= src[bj] {
-			dst[emitted] = src[fi]
+		pf, pb := &src[fi], &src[bj]
+		if element.KeyOf[K](pf) <= element.KeyOf[K](pb) {
+			dst[emitted] = *pf
 			fi++
 			if fi == n {
 				fi = 0
 			}
 		} else {
-			dst[emitted] = src[bj]
-			bj--
-			if bj < 0 {
-				bj = n - 1
-			}
-		}
-	}
-}
-
-func kvSortBitonic(dst, src []element.KV64, asc bool) {
-	n := len(src)
-	if n == 0 {
-		return
-	}
-	m := kvMinIndex(src, false)
-	fi := m
-	bj := m - 1
-	if bj < 0 {
-		bj = n - 1
-	}
-	if asc {
-		for emitted := 0; emitted < n; emitted++ {
-			if src[fi].K <= src[bj].K {
-				dst[emitted] = src[fi]
-				fi++
-				if fi == n {
-					fi = 0
-				}
-			} else {
-				dst[emitted] = src[bj]
-				bj--
-				if bj < 0 {
-					bj = n - 1
-				}
-			}
-		}
-		return
-	}
-	for emitted := n - 1; emitted >= 0; emitted-- {
-		if src[fi].K <= src[bj].K {
-			dst[emitted] = src[fi]
-			fi++
-			if fi == n {
-				fi = 0
-			}
-		} else {
-			dst[emitted] = src[bj]
+			dst[emitted] = *pb
 			bj--
 			if bj < 0 {
 				bj = n - 1

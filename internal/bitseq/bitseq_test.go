@@ -39,10 +39,12 @@ func makeBitonic(n, up, rot int, rng *rand.Rand) []uint32 {
 // sequence from uint32 ranks and maps each rank to an element with mk,
 // which is monotone in the rank, so the sequence keeps its shape.
 
-// mk returns the element of rank v at position id. uint64 keys use the
-// high word. Float keys straddle zero, and rank 2 is -0 at odd ids and
-// +0 at even ones: two bit patterns that tie under float order. KV64
-// records take id as payload, so equal keys carry distinct payloads.
+// mk returns the element of rank v at position id. uint64 and KV64
+// keys use the high word, so a kernel that compared only the low 32
+// bits would see ties. Float keys straddle zero, and rank 2 is -0 at
+// odd ids and +0 at even ones: two bit patterns that tie under float
+// order. KV64 records take id as payload, so equal keys carry distinct
+// payloads.
 func mk[E element.Elem](v uint32, id int) E {
 	var e E
 	switch any(e).(type) {
@@ -63,7 +65,7 @@ func mk[E element.Elem](v uint32, id int) E {
 		}
 		return any(f).(E)
 	default:
-		return any(element.KV64{K: uint64(v), V: uint64(id)}).(E)
+		return any(element.KV64{K: uint64(v)<<32 | 1, V: uint64(id)}).(E)
 	}
 }
 

@@ -78,59 +78,44 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 
 // compareSplit fills out with the element-wise minima (keepMin) or
 // maxima of mine and theirs — the remote compare-split kept half of a
-// [BLM+91] step. Dispatches to a monomorphic kernel per element kind.
+// [BLM+91] step. It dispatches once on the element kind to one body
+// over the key view (element.KeyOf).
 func compareSplit[E element.Elem](out, mine, theirs []E, keepMin bool) {
 	switch any(*new(E)).(type) {
 	case uint32:
-		ordCompareSplit(element.Cast[uint32](out), element.Cast[uint32](mine), element.Cast[uint32](theirs), keepMin)
-	case uint64:
-		ordCompareSplit(element.Cast[uint64](out), element.Cast[uint64](mine), element.Cast[uint64](theirs), keepMin)
+		compareSplitOf[E, uint32](out, mine, theirs, keepMin)
+	case uint64, element.KV64:
+		compareSplitOf[E, uint64](out, mine, theirs, keepMin)
 	case float32:
-		ordCompareSplit(element.Cast[float32](out), element.Cast[float32](mine), element.Cast[float32](theirs), keepMin)
+		compareSplitOf[uint32, float32](element.Cast[uint32](out), element.Cast[uint32](mine), element.Cast[uint32](theirs), keepMin)
 	case float64:
-		ordCompareSplit(element.Cast[float64](out), element.Cast[float64](mine), element.Cast[float64](theirs), keepMin)
-	default:
-		kvCompareSplit(element.Cast[element.KV64](out), element.Cast[element.KV64](mine), element.Cast[element.KV64](theirs), keepMin)
+		compareSplitOf[uint64, float64](element.Cast[uint64](out), element.Cast[uint64](mine), element.Cast[uint64](theirs), keepMin)
 	}
 }
 
-func ordCompareSplit[T element.Ord](out, mine, theirs []T, keepMin bool) {
+// compareSplitOf keeps theirs[i] only when its key is strictly smaller
+// (keepMin) or larger than mine[i]'s; ties keep mine.
+func compareSplitOf[S element.Elem, K element.Ord](out, mine, theirs []S, keepMin bool) {
+	theirs = theirs[:len(mine)]
+	out = out[:len(mine)]
 	if keepMin {
-		for i, m := range mine {
-			if other := theirs[i]; other < m {
-				out[i] = other
-			} else {
-				out[i] = m
+		for i := range mine {
+			pm, pt := &mine[i], &theirs[i]
+			v := *pm
+			if element.KeyOf[K](pt) < element.KeyOf[K](pm) {
+				v = *pt
 			}
+			out[i] = v
 		}
-	} else {
-		for i, m := range mine {
-			if other := theirs[i]; other > m {
-				out[i] = other
-			} else {
-				out[i] = m
-			}
-		}
+		return
 	}
-}
-
-func kvCompareSplit(out, mine, theirs []element.KV64, keepMin bool) {
-	if keepMin {
-		for i, m := range mine {
-			if other := theirs[i]; other.K < m.K {
-				out[i] = other
-			} else {
-				out[i] = m
-			}
+	for i := range mine {
+		pm, pt := &mine[i], &theirs[i]
+		v := *pm
+		if element.KeyOf[K](pt) > element.KeyOf[K](pm) {
+			v = *pt
 		}
-	} else {
-		for i, m := range mine {
-			if other := theirs[i]; other.K > m.K {
-				out[i] = other
-			} else {
-				out[i] = m
-			}
-		}
+		out[i] = v
 	}
 }
 

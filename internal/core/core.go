@@ -239,20 +239,21 @@ func simulateStep[E element.Elem](pr *spmd.ProcOf[E], l *addr.Layout, st schedul
 	mask := 1 << uint(localBit)
 	switch any(*new(E)).(type) {
 	case uint32:
-		ordSimulateStep(element.Cast[uint32](pr.Data), pr.ID, l, st, mask)
-	case uint64:
-		ordSimulateStep(element.Cast[uint64](pr.Data), pr.ID, l, st, mask)
+		simulateStepOf[E, uint32](pr.Data, pr.ID, l, st, mask)
+	case uint64, element.KV64:
+		simulateStepOf[E, uint64](pr.Data, pr.ID, l, st, mask)
 	case float32:
-		ordSimulateStep(element.Cast[float32](pr.Data), pr.ID, l, st, mask)
+		simulateStepOf[uint32, float32](element.Cast[uint32](pr.Data), pr.ID, l, st, mask)
 	case float64:
-		ordSimulateStep(element.Cast[float64](pr.Data), pr.ID, l, st, mask)
-	default:
-		kvSimulateStep(element.Cast[element.KV64](pr.Data), pr.ID, l, st, mask)
+		simulateStepOf[uint64, float64](element.Cast[uint64](pr.Data), pr.ID, l, st, mask)
 	}
 	pr.ChargeCompareExchange(len(pr.Data))
 }
 
-func ordSimulateStep[T element.Ord](data []T, id int, l *addr.Layout, st schedule.Step, mask int) {
+// simulateStepOf compare-exchanges each pair (lo, lo|mask): an
+// ascending pair swaps when its keys are strictly out of order, a
+// descending pair unless they are.
+func simulateStepOf[S element.Elem, K element.Ord](data []S, id int, l *addr.Layout, st schedule.Step, mask int) {
 	for lo := range data {
 		if lo&mask != 0 {
 			continue
@@ -260,21 +261,7 @@ func ordSimulateStep[T element.Ord](data []T, id int, l *addr.Layout, st schedul
 		hi := lo | mask
 		abs := l.Abs(id, lo)
 		asc := st.Ascending(abs)
-		if (data[lo] > data[hi]) == asc {
-			data[lo], data[hi] = data[hi], data[lo]
-		}
-	}
-}
-
-func kvSimulateStep(data []element.KV64, id int, l *addr.Layout, st schedule.Step, mask int) {
-	for lo := range data {
-		if lo&mask != 0 {
-			continue
-		}
-		hi := lo | mask
-		abs := l.Abs(id, lo)
-		asc := st.Ascending(abs)
-		if (data[lo].K > data[hi].K) == asc {
+		if (element.KeyOf[K](&data[lo]) > element.KeyOf[K](&data[hi])) == asc {
 			data[lo], data[hi] = data[hi], data[lo]
 		}
 	}

@@ -7,11 +7,14 @@
 // why the paper replaces the compare-exchange simulation with them.
 //
 // Every routine is generic over the element layer and dispatches once
-// per call to a monomorphic kernel: integer keys radix-sort directly,
-// float keys radix-sort their order images (a bijective bit transform,
-// so the passes stay pure integer loops), and KV64 records move whole
-// 16-byte elements keyed by K. The uint32 instantiation compiles to
-// exactly the pre-generic loops.
+// per call to one kernel body over the key view of element.KeyOf:
+// storage S, key K. Radix passes read K as an unsigned digit source:
+// integer keys directly, float keys through their order images (a
+// bijective bit transform applied in place by element.ToImages, so the
+// passes stay pure integer loops), KV64 records through K while whole
+// 16-byte elements move. The merges compare K natively, floats over
+// integer storage. The uint32 instantiation compiles to exactly the
+// pre-generic loops.
 package localsort
 
 import (
@@ -128,53 +131,38 @@ func RadixSortScratch[E element.Elem](keys, scratch []E) {
 	} else {
 		scratch = scratch[:len(keys)]
 	}
+	element.ToImages(keys)
 	switch any(*new(E)).(type) {
-	case uint32:
-		radixUint(element.Cast[uint32](keys), element.Cast[uint32](scratch), 32)
-	case uint64:
-		radixUint(element.Cast[uint64](keys), element.Cast[uint64](scratch), 64)
-	case float32:
-		s := element.Cast[float32](keys)
-		u := element.Cast[uint32](keys)
-		for i, f := range s {
-			u[i] = uint32(element.Bits(f))
-		}
-		radixUint(u, element.Cast[uint32](scratch), 32)
-		for i, x := range u {
-			s[i] = element.FromBits[float32](uint64(x), 0)
-		}
-	case float64:
-		s := element.Cast[float64](keys)
-		u := element.Cast[uint64](keys)
-		for i, f := range s {
-			u[i] = element.Bits(f)
-		}
-		radixUint(u, element.Cast[uint64](scratch), 64)
-		for i, x := range u {
-			s[i] = element.FromBits[float64](x, 0)
-		}
+	case uint32, float32:
+		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch))
+	case uint64, float64:
+		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch))
+	case element.KV64:
+		radixUint[E, uint64](keys, scratch)
+	}
+	element.FromImages(keys)
+}
+
+// radixUint sorts keys by their K digits using scratch as the
+// ping-pong buffer: K is the key-only storage itself, or a KV64
+// record's key. Small inputs run a flat LSD with 8-bit digits and
+// stack tables. Large key-only inputs take the cache-blocked MSD+LSD
+// hybrid; large record inputs a flat LSD with 16-bit digits over
+// pooled tables. Every layout is stable, so the choice is invisible
+// in the output.
+func radixUint[S element.Elem, K element.Uint](keys, scratch []S) {
+	keyBits := element.KeyBits[S]()
+	switch {
+	case len(keys) < radixLargeMin:
+		var count [(64 / radixSmallBits) * radixSmallSize]uint32
+		radixUintPasses[S, K](keys, scratch, keyBits/radixSmallBits, radixSmallBits, count[:])
+	case element.TypeOf[S]() == element.TKV64:
+		cp := countPool.Get().(*[]uint32)
+		radixUintPasses[S, K](keys, scratch, keyBits/radixLargeBits, radixLargeBits, *cp)
+		countPool.Put(cp)
 	default:
-		radixKV(element.Cast[element.KV64](keys), element.Cast[element.KV64](scratch))
+		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits)
 	}
-}
-
-// uintKey are the unsigned widths radix passes run over; every element
-// kind reduces to one of them (floats via the order-image transform).
-type uintKey interface {
-	uint32 | uint64
-}
-
-// radixUint sorts keys using scratch as the ping-pong buffer. Small
-// inputs run a flat LSD with 8-bit digits and stack tables; large
-// inputs take the cache-blocked MSD+LSD hybrid. Both are stable, so
-// the choice is invisible in the output.
-func radixUint[T uintKey](keys, scratch []T, keyBits int) {
-	if len(keys) >= radixLargeMin {
-		radixUintHybrid(keys, scratch, keyBits)
-		return
-	}
-	var count [(64 / radixSmallBits) * radixSmallSize]uint32
-	radixUintPasses(keys, scratch, keyBits/radixSmallBits, radixSmallBits, count[:])
 }
 
 // radixUintHybrid sorts large key arrays with one MSD partition pass
@@ -193,7 +181,7 @@ func radixUint[T uintKey](keys, scratch []T, keyBits int) {
 // partitions into scratch and lets the finishing passes carry the keys
 // home. Region scatter is stable and the per-region LSD is stable, so
 // the whole is a stable sort like the flat layout it replaces.
-func radixUintHybrid[T uintKey](keys, scratch []T, keyBits int) {
+func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int) {
 	topShift := uint(keyBits - hybridTopBits)
 	lowBits := keyBits - hybridTopBits
 	passes := (lowBits + hybridTopBits - 1) / hybridTopBits
@@ -251,7 +239,7 @@ func radixUintHybrid[T uintKey](keys, scratch []T, keyBits int) {
 // hybridFinishRange finishes the hybrid regions [dlo, dhi): each
 // region of into is LSD-sorted over its low bits, bouncing through
 // other, and lands back in keys.
-func hybridFinishRange[T uintKey](keys, into, other []T, starts, count []uint32, lowBits int, low []uint32, dlo, dhi int) {
+func hybridFinishRange[T element.Uint](keys, into, other []T, starts, count []uint32, lowBits int, low []uint32, dlo, dhi int) {
 	for d := dlo; d < dhi; d++ {
 		lo, hi := int(starts[d]), int(count[d])
 		if hi-lo < 2 {
@@ -273,7 +261,7 @@ func hybridFinishRange[T uintKey](keys, into, other []T, starts, count []uint32,
 // result. Identity passes (single occupied bucket) are skipped. The
 // two-pass shape every uint32 region takes is unrolled — its fused
 // histogram read is the hottest loop of the large-n sort.
-func lsdLow[T uintKey](seg, buf []T, lowBits int, count []uint32) []T {
+func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 	n := uint32(len(seg))
 	if lowBits == 21 { // uint32 keys: one 11-bit and one 10-bit pass
 		c0 := count[:1<<11]
@@ -328,7 +316,7 @@ func lsdLow[T uintKey](seg, buf []T, lowBits int, count []uint32) []T {
 // scatterPass turns the digit histogram cnt into running offsets and
 // permutes src into dst by the digit at shift/mask — one stable
 // counting-sort pass.
-func scatterPass[T uintKey](src, dst []T, shift uint, mask T, cnt []uint32) {
+func scatterPass[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32) {
 	sum := uint32(0)
 	for d := range cnt {
 		c := cnt[d]
@@ -342,13 +330,19 @@ func scatterPass[T uintKey](src, dst []T, shift uint, mask T, cnt []uint32) {
 	}
 }
 
-func radixUintPasses[T uintKey](keys, scratch []T, passes, bits int, count []uint32) {
+// radixUintPasses is the flat LSD layout: passes stable counting
+// passes of bits-wide digits of each element's K key, whole elements
+// moved per pass, bouncing between keys and scratch. The histograms of
+// every pass fill in one read; a pass whose digit is shared by all
+// elements is the identity and is skipped.
+func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, passes, bits int, count []uint32) {
 	n := len(keys)
 	size := 1 << bits
-	mask := T(size - 1)
+	mask := K(size - 1)
 	count = count[:passes*size]
 	clear(count)
-	for _, k := range keys {
+	for i := range keys {
+		k := element.KeyOf[K](&keys[i])
 		for p, off := 0, 0; p < passes; p, off = p+1, off+size {
 			count[off+int(k>>(uint(p*bits))&mask)]++
 		}
@@ -357,7 +351,7 @@ func radixUintPasses[T uintKey](keys, scratch []T, passes, bits int, count []uin
 	for p := 0; p < passes; p++ {
 		shift := uint(p * bits)
 		cnt := count[p*size : (p+1)*size]
-		if cnt[int(src[0]>>shift&mask)] == uint32(n) {
+		if cnt[int(element.KeyOf[K](&src[0])>>shift&mask)] == uint32(n) {
 			continue // all keys share this digit: the pass is the identity
 		}
 		sum := uint32(0)
@@ -366,9 +360,10 @@ func radixUintPasses[T uintKey](keys, scratch []T, passes, bits int, count []uin
 			cnt[d] = sum
 			sum += c
 		}
-		for _, k := range src {
-			d := int(k >> shift & mask)
-			dst[cnt[d]] = k
+		for i := range src {
+			e := &src[i]
+			d := int(element.KeyOf[K](e) >> shift & mask)
+			dst[cnt[d]] = *e
 			cnt[d]++
 		}
 		src, dst = dst, src
@@ -376,51 +371,6 @@ func radixUintPasses[T uintKey](keys, scratch []T, passes, bits int, count []uin
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
-}
-
-// radixKV is the record form of radixUint: 64-bit key digits, whole
-// 16-byte elements moved per pass. Stability of every pass keeps
-// equal-key records in input order.
-func radixKV(recs, scratch []element.KV64) {
-	n := len(recs)
-	bits, passes := radixSmallBits, 64/radixSmallBits
-	if n >= radixLargeMin {
-		bits, passes = radixLargeBits, 64/radixLargeBits
-	}
-	size := 1 << bits
-	mask := uint64(size - 1)
-	cp := countPool.Get().(*[]uint32)
-	count := (*cp)[:passes*size]
-	clear(count)
-	for _, r := range recs {
-		for p, off := 0, 0; p < passes; p, off = p+1, off+size {
-			count[off+int(r.K>>(uint(p*bits))&mask)]++
-		}
-	}
-	src, dst := recs, scratch
-	for p := 0; p < passes; p++ {
-		shift := uint(p * bits)
-		cnt := count[p*size : (p+1)*size]
-		if cnt[int(src[0].K>>shift&mask)] == uint32(n) {
-			continue
-		}
-		sum := uint32(0)
-		for d := range cnt {
-			c := cnt[d]
-			cnt[d] = sum
-			sum += c
-		}
-		for _, r := range src {
-			d := int(r.K >> shift & mask)
-			dst[cnt[d]] = r
-			cnt[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
-	countPool.Put(cp)
 }
 
 // Sort sorts keys in place in the direction given by asc, using radix

@@ -1,11 +1,15 @@
 package localsort
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"parbitonic/element"
 	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 )
@@ -24,15 +28,65 @@ func sortedCopy(keys []uint32) []uint32 {
 	return out
 }
 
+// randomElems draws n elements of type E: full-width integer keys,
+// finite floats of either sign with -0 and +0 mixed in, and KV64
+// records whose full 64-bit keys repeat (drawn from n/4+1 values) with
+// the index as payload, so a stable sort has one correct output.
+func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
+	pool := make([]uint64, n/4+1)
+	for i := range pool {
+		pool[i] = rng.Uint64()
+	}
+	out := make([]E, n)
+	for i := range out {
+		b := rng.Uint64()
+		switch any(out[i]).(type) {
+		case uint32:
+			out[i] = any(uint32(b)).(E)
+		case uint64:
+			out[i] = any(b).(E)
+		case float32:
+			f := math.Float32frombits(uint32(b))
+			if f != f || b>>60 == 0 {
+				f = float32(math.Copysign(0, float64(int32(b))))
+			}
+			out[i] = any(f).(E)
+		case float64:
+			f := math.Float64frombits(b)
+			if f != f || b>>60 == 0 {
+				f = math.Copysign(0, float64(int64(b)))
+			}
+			out[i] = any(f).(E)
+		default:
+			out[i] = any(element.KV64{K: pool[rng.Intn(len(pool))], V: uint64(i)}).(E)
+		}
+	}
+	return out
+}
+
+// TestRadixSortMatchesStdlib checks every element type against a
+// stable sort by order image, at sizes on both sides of the large
+// layouts' threshold (the hybrid for keys, 16-bit digits for KV64).
 func TestRadixSortMatchesStdlib(t *testing.T) {
+	for i, f := range []func(*testing.T){
+		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
+		testRadixSortMatchesStdlib[float32], testRadixSortMatchesStdlib[float64],
+		testRadixSortMatchesStdlib[element.KV64],
+	} {
+		t.Run(element.Types()[i].String(), f)
+	}
+}
+
+func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14} {
-		keys := randomKeys(rng, n)
-		want := sortedCopy(keys)
+	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin} {
+		keys := randomElems[E](rng, n)
+		want := slices.Clone(keys)
+		slices.SortStableFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
 		RadixSort(keys)
 		for i := range want {
-			if keys[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
+			if element.Bits(keys[i]) != element.Bits(want[i]) || element.Aux(keys[i]) != element.Aux(want[i]) {
+				t.Fatalf("n=%d: mismatch at %d: got %v want %v", n, i, keys[i], want[i])
 			}
 		}
 	}

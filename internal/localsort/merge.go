@@ -1,31 +1,17 @@
 package localsort
 
 import (
-	"unsafe"
-
 	"parbitonic/element"
 	"parbitonic/internal/addr"
 )
 
 // The merge kernels: MergeTwo, MergeRuns and MergeRunsRouted. Each
-// runs over a storage type S — uint32, uint64 or KV64, the integer
-// layout of the element — and reads a run's sort key as K through the
-// element's leading bytes: the element itself for integer keys, its
-// float value for float keys, the K word of a KV64 record. One generic
-// body per kernel then serves all five element types with native
-// compares, and integer storage lets the two-run kernel select the
-// emitted element with a conditional move instead of a jump. Records
-// keep their payloads, and no comparison or emission goes through a
-// func value or an interface.
-
-// The K view of a KV64 record is its first field; this constant index
-// fails to compile if the field ever moves.
-var _ = [1]struct{}{}[unsafe.Offsetof(element.KV64{}.K)]
-
-// keyOf returns the sort key of the element at p, viewed as K.
-func keyOf[K element.Ord, S element.Elem](p *S) K {
-	return *(*K)(unsafe.Pointer(p))
-}
+// runs one generic body over the key view of element.KeyOf — storage
+// S, keys compared natively as K — for all five element types, and
+// integer storage lets the two-run kernel select the emitted element
+// with a conditional move instead of a jump. Records keep their
+// payloads, and no comparison or emission goes through a func value or
+// an interface.
 
 // RunOf is one sorted input run for MergeRuns. Desc marks runs stored
 // in descending order (they are consumed from the tail), which is how
@@ -117,8 +103,8 @@ func runsLen[E element.Elem](runs []RunOf[E]) int {
 
 // mergeRuns dispatches once per call on the element kind. Float
 // elements merge over their same-width integer storage: the run table,
-// dst and the routing target are reinterpreted (identical layouts) and
-// only the key view stays float, so comparisons keep float order.
+// dst and the routing target are recast (identical layouts) and only
+// the key view stays float, so comparisons keep float order.
 func mergeRuns[E element.Elem](dst []E, rt *route[E], runs []RunOf[E]) {
 	switch any(*new(E)).(type) {
 	case uint32:
@@ -126,16 +112,10 @@ func mergeRuns[E element.Elem](dst []E, rt *route[E], runs []RunOf[E]) {
 	case uint64, element.KV64:
 		mergeRunsOf[E, uint64](dst, rt, runs)
 	case float32:
-		mergeRunsOf[uint32, float32](recast[uint32](dst, rt, runs))
+		mergeRunsOf[uint32, float32](element.Cast[uint32](dst), element.Recast[route[uint32]](rt), *element.Recast[[]RunOf[uint32]](&runs))
 	case float64:
-		mergeRunsOf[uint64, float64](recast[uint64](dst, rt, runs))
+		mergeRunsOf[uint64, float64](element.Cast[uint64](dst), element.Recast[route[uint64]](rt), *element.Recast[[]RunOf[uint64]](&runs))
 	}
-}
-
-// recast views a float merge's arguments over the integer storage type
-// S of the same width.
-func recast[S, E element.Elem](dst []E, rt *route[E], runs []RunOf[E]) ([]S, *route[S], []RunOf[S]) {
-	return element.Cast[S](dst), (*route[S])(unsafe.Pointer(rt)), *(*[]RunOf[S])(unsafe.Pointer(&runs))
 }
 
 // mergeRunsOf picks the kernel by the number of non-empty runs; empty
@@ -195,7 +175,7 @@ func mergeBlock[S element.Elem, K element.Ord](d, a, b []S, ca, cb cursor) (curs
 	for j := range d {
 		va, vb := a[ia], b[ib]
 		t := 0
-		if keyOf[K](&b[ib]) < keyOf[K](&a[ia]) {
+		if element.KeyOf[K](&b[ib]) < element.KeyOf[K](&a[ia]) {
 			t = 1
 		}
 		if t != 0 {
@@ -216,7 +196,7 @@ func routeBlock[S element.Elem, K element.Ord](rt *route[S], m int, a, b []S, ca
 	for ; m > 0; m-- {
 		va, vb := a[ia], b[ib]
 		t := 0
-		if keyOf[K](&b[ib]) < keyOf[K](&a[ia]) {
+		if element.KeyOf[K](&b[ib]) < element.KeyOf[K](&a[ia]) {
 			t = 1
 		}
 		if t != 0 {
@@ -292,7 +272,7 @@ func (t *loserTree[S, K]) init() {
 			t.cur[r] = t.runs[r].cursor()
 		}
 		if t.cur[r].n > 0 {
-			t.head[r] = keyOf[K](&t.runs[r].Keys[t.cur[r].i])
+			t.head[r] = element.KeyOf[K](&t.runs[r].Keys[t.cur[r].i])
 		}
 		t.node[size+r] = r
 	}
@@ -323,7 +303,7 @@ func (t *loserTree[S, K]) pop() (int, int) {
 	c.i += c.step
 	c.n--
 	if c.n > 0 {
-		t.head[w] = keyOf[K](&t.runs[w].Keys[c.i])
+		t.head[w] = element.KeyOf[K](&t.runs[w].Keys[c.i])
 	}
 	x := w
 	for nd := (w + len(t.cur)) >> 1; nd > 0; nd >>= 1 {

@@ -6,9 +6,10 @@
 //
 // Both algorithms are generic over the element layer: radix sort runs
 // over the elements' order images (so floats sort by value and KV64
-// records by key), sample sort compares through element.Less. Charges
-// scale with the element width via PC.Words, so uint32 runs charge
-// exactly the paper's model.
+// records by key), with one counting-pass body that reads each image
+// through element.KeyOf; sample sort compares through element.Less.
+// Charges scale with the element width via PC.Words, so uint32 runs
+// charge exactly the paper's model.
 package psort
 
 import (
@@ -65,7 +66,7 @@ func radixBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
 	// bijective, order-preserving bit transform): every counting pass is
 	// then a native integer loop and the images travel the exchanges
 	// unchanged. Integer and record elements are their own images.
-	imageIn(pr.Data)
+	element.ToImages(pr.Data)
 	scratch := make([]E, n)
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * radixBits)
@@ -149,7 +150,7 @@ func radixBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
 				if hi <= base || lo >= base+n {
 					continue
 				}
-				from, to := maxInt(lo, base), minInt(hi, base+n)
+				from, to := max(lo, base), min(hi, base+n)
 				for r := from; r < to; r++ {
 					next[r-base] = msg[idx]
 					idx++
@@ -165,68 +166,28 @@ func radixBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
 			pr.ChargeCompute(pr.Costs().Unpack * float64(n) * w)
 		}
 	}
-	imageOut(pr.Data)
-}
-
-// imageIn replaces float elements by their integer order images in
-// place; other element kinds are untouched (they are their own image).
-func imageIn[E element.Elem](data []E) {
-	switch any(*new(E)).(type) {
-	case float32:
-		s := element.Cast[float32](data)
-		u := element.Cast[uint32](data)
-		for i, f := range s {
-			u[i] = uint32(element.Bits(f))
-		}
-	case float64:
-		s := element.Cast[float64](data)
-		u := element.Cast[uint64](data)
-		for i, f := range s {
-			u[i] = element.Bits(f)
-		}
-	}
-}
-
-// imageOut inverts imageIn.
-func imageOut[E element.Elem](data []E) {
-	switch any(*new(E)).(type) {
-	case float32:
-		s := element.Cast[float32](data)
-		u := element.Cast[uint32](data)
-		for i, x := range u {
-			s[i] = element.FromBits[float32](uint64(x), 0)
-		}
-	case float64:
-		s := element.Cast[float64](data)
-		u := element.Cast[uint64](data)
-		for i, x := range u {
-			s[i] = element.FromBits[float64](x, 0)
-		}
-	}
+	element.FromImages(pr.Data)
 }
 
 // countScatter performs one stable counting pass: it fills hist with
 // the digit histogram of src at the given shift and scatters src into
-// dst in digit order. Element kinds dispatch to monomorphic kernels
-// over their (image) key representation.
+// dst in digit order. It dispatches once on the element kind to one
+// body over the elements' order images: float elements, already in
+// image form, move as integers of their width.
 func countScatter[E element.Elem](src, dst []E, shift uint, hist *[radixSize]uint32) {
 	switch any(*new(E)).(type) {
 	case uint32, float32:
-		countScatterUint(element.Cast[uint32](src), element.Cast[uint32](dst), shift, hist)
+		countScatterOf[uint32, uint32](element.Cast[uint32](src), element.Cast[uint32](dst), shift, hist)
 	case uint64, float64:
-		countScatterUint(element.Cast[uint64](src), element.Cast[uint64](dst), shift, hist)
-	default:
-		countScatterKV(element.Cast[element.KV64](src), element.Cast[element.KV64](dst), shift, hist)
+		countScatterOf[uint64, uint64](element.Cast[uint64](src), element.Cast[uint64](dst), shift, hist)
+	case element.KV64:
+		countScatterOf[E, uint64](src, dst, shift, hist)
 	}
 }
 
-type uintKey interface {
-	uint32 | uint64
-}
-
-func countScatterUint[T uintKey](src, dst []T, shift uint, hist *[radixSize]uint32) {
-	for _, k := range src {
-		hist[(k>>shift)&radixMask]++
+func countScatterOf[S element.Elem, K element.Uint](src, dst []S, shift uint, hist *[radixSize]uint32) {
+	for i := range src {
+		hist[(element.KeyOf[K](&src[i])>>shift)&radixMask]++
 	}
 	var offs [radixSize]int
 	sum := 0
@@ -234,40 +195,10 @@ func countScatterUint[T uintKey](src, dst []T, shift uint, hist *[radixSize]uint
 		offs[d] = sum
 		sum += int(hist[d])
 	}
-	for _, k := range src {
-		d := (k >> shift) & radixMask
-		dst[offs[d]] = k
+	for i := range src {
+		p := &src[i]
+		d := (element.KeyOf[K](p) >> shift) & radixMask
+		dst[offs[d]] = *p
 		offs[d]++
 	}
-}
-
-func countScatterKV(src, dst []element.KV64, shift uint, hist *[radixSize]uint32) {
-	for _, r := range src {
-		hist[(r.K>>shift)&radixMask]++
-	}
-	var offs [radixSize]int
-	sum := 0
-	for d := 0; d < radixSize; d++ {
-		offs[d] = sum
-		sum += int(hist[d])
-	}
-	for _, r := range src {
-		d := (r.K >> shift) & radixMask
-		dst[offs[d]] = r
-		offs[d]++
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

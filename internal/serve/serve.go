@@ -107,7 +107,10 @@ type Config struct {
 
 	// MaxDelay is the batching window: how long the dispatcher holds
 	// the first request of a batch open for companions. 0 means 200µs.
-	// Latency cost is at most MaxDelay; throughput gain is the
+	// The window is a Go timer, so its real length is the runtime's
+	// timer resolution when that is coarser: on a 2-vCPU Linux host
+	// every window under 1 ms (50, 200 and 500µs alike) held about
+	// 1.1 ms, and that is the latency cost. The throughput gain is the
 	// amortized remap/setup cost (see the package comment).
 	MaxDelay time.Duration
 
