@@ -12,8 +12,8 @@
 // Every routine is generic over the element layer. The hot kernels
 // (Split, SortBitonic and the Algorithm 2 search) dispatch on the
 // element kind once per call and run one body per kernel over the key
-// view of element.KeyOf: storage S, keys compared natively as K, so
-// KV64 records and floats (over integer storage) share the uint32
+// view of element.KeyOf: storage S, keys compared natively as K. Scalar
+// keys, KV64 records and floats (over integer storage) all run that
 // body, and the uint32 instantiation compiles to exactly the loops the
 // paper's analysis counts.
 package bitseq

@@ -79,8 +79,7 @@ func checkSorted[E element.Elem](t *testing.T, label string, got, in []E) {
 	if len(got) != len(in) {
 		t.Fatalf("%s: got %d keys, want %d", label, len(got), len(in))
 	}
-	want := slices.Clone(in)
-	slices.SortFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
+	want := sortedByKey(in)
 	for i := range want {
 		if element.Less(got[i], want[i]) || element.Less(want[i], got[i]) {
 			t.Fatalf("%s: wrong key at %d: got %v want %v", label, i, got[i], want[i])
