@@ -40,6 +40,7 @@ type Plan struct {
 	// ProfileSource is "calibrated" when a machine profile was found
 	// and "fallback" when the shipped defaults scored the plan — run
 	// bitonic-sort -calibrate to replace fallbacks with measurements.
+	// Simulated plans read no profile and always report "fallback".
 	ProfileSource string
 }
 
@@ -74,9 +75,9 @@ func (p Plan) Apply(cfg Config) Config {
 // P (0 means GOMAXPROCS; Native plans are additionally clamped to
 // GOMAXPROCS, since oversubscribed goroutines cannot deliver the
 // parallel speedup the per-processor model predicts), and ProfilePath
-// overrides the machine profile location (empty means the default
-// cache path, falling back to shipped defaults when no profile
-// exists). Ties break
+// overrides the machine profile location of a Native plan (empty
+// means the default cache path, falling back to shipped defaults when
+// no profile exists; Simulated plans never read it). Ties break
 // deterministically: smaller P, then algorithm declaration order.
 func PlanFor[E element.Elem](totalKeys int, cfg Config) (Plan, error) {
 	return planFor(totalKeys, element.TypeOf[E](), cfg, 0)
@@ -86,9 +87,15 @@ func PlanFor[E element.Elem](totalKeys int, cfg Config) (Plan, error) {
 // additional cap on P (0 = none) for callers whose key count must
 // divide exactly.
 func planFor(totalKeys int, t element.Type, cfg Config, maxPCap int) (Plan, error) {
-	prof, _, err := tune.LoadOrFallback(cfg.ProfilePath)
-	if err != nil {
-		return Plan{}, fmt.Errorf("parbitonic: machine profile: %w", err)
+	// Simulated scores come from the simulator's own cost model and
+	// never read the machine profile, so only native plans load it: a
+	// stale or corrupt file cannot change or fail a simulated plan.
+	var prof *tune.Profile
+	if cfg.Backend == Native {
+		var err error
+		if prof, _, err = tune.LoadOrFallback(cfg.ProfilePath); err != nil {
+			return Plan{}, fmt.Errorf("parbitonic: machine profile: %w", err)
+		}
 	}
 	maxP := cfg.Processors
 	if maxP <= 0 {

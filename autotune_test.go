@@ -1,6 +1,8 @@
 package parbitonic
 
 import (
+	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -98,12 +100,69 @@ func TestPlanForConstraints(t *testing.T) {
 	}
 
 	// A missing profile falls back, and says so.
-	fb, err := PlanFor[uint32](1<<12, Config{Auto: true, ProfilePath: filepath.Join(t.TempDir(), "none.json")})
+	fb, err := PlanFor[uint32](1<<12, Config{Auto: true, Backend: Native, ProfilePath: filepath.Join(t.TempDir(), "none.json")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fb.ProfileSource != "fallback" {
 		t.Errorf("profile source = %q, want fallback", fb.ProfileSource)
+	}
+}
+
+// TestSimulatedPlanIgnoresProfile: simulated scores come from the
+// simulator's own cost model, so a corrupt profile file can neither
+// fail nor change a simulated plan. A native plan still refuses it.
+func TestSimulatedPlanIgnoresProfile(t *testing.T) {
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{not a profile"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1 << 10, 1 << 16} {
+		got, err := PlanFor[element.KV64](n, Config{Processors: 4, ProfilePath: corrupt})
+		if err != nil {
+			t.Fatalf("n=%d: simulated plan read the corrupt profile: %v", n, err)
+		}
+		want, err := PlanFor[element.KV64](n, Config{Processors: 4, ProfilePath: filepath.Join(dir, "none.json")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("n=%d: plan with a corrupt profile %+v != plan with none %+v", n, got, want)
+		}
+	}
+	if _, err := PlanFor[uint32](1<<10, Config{Backend: Native, ProfilePath: corrupt}); err == nil {
+		t.Error("native plan accepted a corrupt profile")
+	}
+}
+
+// TestSimulatedP1PlanExact: a simulated P=1 plan is one local radix
+// sort and no communication, so its score must be exactly the model
+// time the simulated Sort reports, on every element type.
+func TestSimulatedP1PlanExact(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		checkP1PlanExact[uint32](t, n)
+		checkP1PlanExact[uint64](t, n)
+		checkP1PlanExact[float32](t, n)
+		checkP1PlanExact[float64](t, n)
+		checkP1PlanExact[element.KV64](t, n)
+	}
+}
+
+func checkP1PlanExact[E element.Elem](t *testing.T, n int) {
+	t.Helper()
+	cfg := Config{Auto: true, Processors: 1}
+	plan, err := PlanFor[E](n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sort(workload.Elems[E](workload.Uniform31, n, 1), plan.Apply(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Time-plan.PredictedUS) > 1e-9*res.Time {
+		t.Errorf("%v n=%d: P=1 plan predicts %.3fµs, simulated model time %.3fµs",
+			element.TypeOf[E](), n, plan.PredictedUS, res.Time)
 	}
 }
 

@@ -9,20 +9,20 @@ import (
 )
 
 // autotuneAlgs are the fixed algorithms the autotuner is raced
-// against; sample and radix are covered by the planner's candidate
-// set but excluded here to keep the sweep to the paper's bitonic
-// family.
+// against: every algorithm the planner can choose.
 var autotuneAlgs = []parbitonic.Algorithm{
 	parbitonic.SmartBitonic, parbitonic.CyclicBlockedBitonic, parbitonic.BlockedMergeBitonic,
+	parbitonic.SampleSort, parbitonic.RadixSort,
 }
 
 // AutotunedVsFixed is not a paper reproduction: it races the
 // cost-model autotuner (Config.Auto, internal/tune) against every
 // fixed (algorithm, P) shape on the native backend, at three total
-// sizes for the narrowest and widest element types. A healthy planner
-// lands at or near the best fixed shape and never at the worst; the
-// drift column (measured/predicted) says how much to trust the
-// machine profile — re-calibrate when it wanders from 1 (TUNING.md).
+// sizes for the narrowest and widest element types — the repository's
+// one native auto-vs-fixed race. A healthy planner lands at or near
+// the best fixed shape and never at the worst; the drift column
+// (measured/predicted) says how much to trust the machine profile —
+// re-calibrate when it wanders from 1 (TUNING.md).
 func AutotunedVsFixed(c Config) *Table {
 	t := &Table{
 		ID:    "Autotuned vs fixed",
@@ -30,7 +30,7 @@ func AutotunedVsFixed(c Config) *Table {
 		Columns: []string{"keys", "elem", "auto plan", "auto ms", "best fixed", "best ms",
 			"worst fixed", "worst ms", "drift"},
 		Notes: []string{
-			"fixed sweep: smart, cyclic-blocked and blocked-merge bitonic at every power-of-two P up to 4 (P=1 collapses them to one sequential sort).",
+			"fixed sweep: every algorithm the planner can choose (smart, cyclic-blocked and blocked-merge bitonic, sample and radix sort) at every power-of-two P up to 4 (P=1 collapses them to one sequential sort).",
 			"drift = measured wall time / the plan's predicted time; far from 1 means the machine profile no longer describes this host — run bitonic-sort -calibrate (see TUNING.md).",
 		},
 	}

@@ -242,8 +242,8 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req sortRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := decodeSortRequest(body)
+	if err != nil {
 		if bodyTooLarge(w, err) {
 			return
 		}
@@ -260,6 +260,25 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	json.NewEncoder(w).Encode(sortResponse{Keys: sorted, Degraded: degraded, RequestID: id})
+}
+
+// decodeSortRequest parses a JSON /sort body, which must be exactly
+// one sortRequest object: an unknown field or anything but whitespace
+// after the object is an error, so every body has one parse.
+func decodeSortRequest(body io.Reader) (sortRequest, error) {
+	var req sortRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
+		return req, err
+	}
+	return req, nil
 }
 
 // handleBinarySort serves an octet-stream body: a binary frame is

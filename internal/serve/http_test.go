@@ -89,12 +89,23 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// 400: malformed JSON.
-	resp, _ = http.Post(ts.URL+"/sort", "application/json", strings.NewReader("{"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON status %d, want 400", resp.StatusCode)
+	// 400: malformed JSON. A body has exactly one valid parse, so an
+	// unknown field or anything after the request object is malformed
+	// too.
+	for _, body := range []string{
+		"{",
+		`{"keys":[3,1,2]} trailing garbage`,
+		`{"keys":[3,1,2]}{"keys":[9]}`,
+		`{"kyes":[3,1,2]}`,
+	} {
+		resp, _ = http.Post(ts.URL+"/sort", "application/json", strings.NewReader(body))
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, "malformed request") {
+			t.Errorf("body %q: status %d error %q, want 400 malformed request", body, resp.StatusCode, e.Error)
+		}
 	}
-	resp.Body.Close()
 
 	// 400: binary body shorter than a frame header.
 	resp, _ = http.Post(ts.URL+"/sort", "application/octet-stream", strings.NewReader("abc"))

@@ -215,7 +215,7 @@ func (pl *Planner) costSetFor(prof *Profile, backend Backend, t element.Type) co
 	params := logp.MeikoCS2(1) // L/o/g/G are P-independent
 	fw := float64(w)
 	return costSet{
-		radixPass:   costs.RadixPass,
+		radixPass:   costs.RadixPass * fw,
 		merge:       costs.Merge * fw,
 		compare:     costs.CompareExchange * fw,
 		pack:        costs.Pack * fw,

@@ -128,7 +128,9 @@ type Config struct {
 
 	// ProfilePath overrides where Auto reads the machine profile;
 	// empty means the default user-cache location (tune.DefaultPath),
-	// falling back to shipped defaults when no profile exists.
+	// falling back to shipped defaults when no profile exists. Only
+	// Native plans read it: Simulated plans are scored by the
+	// simulator's own cost model.
 	ProfilePath string
 
 	// Backend selects where the sort runs: the virtual-time simulator
