@@ -2,11 +2,16 @@ package serve
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"parbitonic"
+	"parbitonic/element"
 	"parbitonic/internal/obs"
 )
 
@@ -111,33 +116,199 @@ func TestPackSplitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchNoRetention is the regression test for the pooled-buffer
-// aliasing bug class: after splitBatch delivers results, scribbling
-// over the shared sort buffer must not disturb what callers received —
-// results must be copies, never views into pooled memory.
-func TestBatchNoRetention(t *testing.T) {
-	batch := []*request[uint32]{
-		mkReq([]uint32{3, 1, 2}),
-		mkReq([]uint32{6, 4, 5}),
+// sortConcurrently sends each input as its own concurrent request to
+// s and returns the results in input order, failing on any error.
+func sortConcurrently[E element.Elem](t *testing.T, s *ServerOf[E], ins [][]E) [][]E {
+	t.Helper()
+	outs := make([][]E, len(ins))
+	errs := make([]error, len(ins))
+	var wg sync.WaitGroup
+	for c := range ins {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			outs[c], errs[c] = s.Sort(context.Background(), ins[c])
+		}(c)
 	}
-	shift := tagShift[uint32](len(batch))
-	buf := make([]uint32, 8)
-	packBatch(buf, batch, shift, 6)
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	m := newMetrics("u32", func() int { return 0 }, NewPool(1), obs.SLOConfig{})
-	splitBatch(buf, batch, shift, m)
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", c, err)
+		}
+	}
+	return outs
+}
 
-	outs := [][]uint32{(<-batch[0].res).sorted, (<-batch[1].res).sorted}
-	for i := range buf {
-		buf[i] = 0xDEADBEEF // pooled buffer reused by the next batch
+// checkSortedMultiset fails unless out is in key order and holds
+// exactly the elements of in, compared by bit pattern: payloads, -0
+// against +0 and the infinities all count.
+func checkSortedMultiset[E element.Elem](t *testing.T, in, out []E) {
+	t.Helper()
+	if len(out) != len(in) {
+		t.Fatalf("got %d elements, want %d", len(out), len(in))
+	}
+	for i := 1; i < len(out); i++ {
+		if element.Less(out[i], out[i-1]) {
+			t.Fatalf("out of key order at %d: %v before %v", i, out[i-1], out[i])
+		}
+	}
+	type image struct{ bits, aux uint64 }
+	count := make(map[image]int, len(in))
+	for _, e := range in {
+		count[image{element.Bits(e), element.Aux(e)}]++
+	}
+	for i, e := range out {
+		k := image{element.Bits(e), element.Aux(e)}
+		if count[k]--; count[k] < 0 {
+			t.Fatalf("output element %d (%v) is not in the input multiset", i, e)
+		}
+	}
+}
+
+// batchTyped sorts ins as concurrent requests on a fresh server of
+// element type E whose batching window stays open until every request
+// has arrived, checks every result, and returns how many requests
+// shared a run.
+func batchTyped[E element.Elem](t *testing.T, ins [][]E) float64 {
+	t.Helper()
+	s, err := NewOf[E](Config{
+		Engine:   parbitonic.Config{Processors: 2, Backend: parbitonic.Native},
+		MaxBatch: len(ins),
+		MaxDelay: time.Second,
+		Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	outs := sortConcurrently(t, s, ins)
+	for c := range ins {
+		checkSortedMultiset(t, ins[c], outs[c])
+	}
+	_, batched := s.Metrics().BatchCount()
+	return batched
+}
+
+// typedInputs builds clients requests of non-power-of-two sizes from
+// gen, which gets the request and element index.
+func typedInputs[E element.Elem](clients int, gen func(c, i int) E) [][]E {
+	ins := make([][]E, clients)
+	for c := range ins {
+		ins[c] = make([]E, 100+37*c)
+		for i := range ins[c] {
+			ins[c][i] = gen(c, i)
+		}
+	}
+	return ins
+}
+
+// TestBatchEveryElementType runs concurrent small requests of every
+// element type through a server. Integer keys and records with tag
+// headroom must share runs; floats and records keyed 2^64-1 must run
+// alone. Either way every caller gets exactly its own elements back in
+// key order.
+func TestBatchEveryElementType(t *testing.T) {
+	const clients = 6
+	rng := rand.New(rand.NewSource(11))
+	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -1.5}
+	float := func(c, i int) float64 {
+		if i%5 == 0 {
+			return floats[(c+i)%len(floats)]
+		}
+		return rng.NormFloat64() * 1e3
+	}
+	cases := []struct {
+		name  string
+		run   func(t *testing.T) float64
+		batch bool
+	}{
+		{"u32", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, func(c, i int) uint32 { return rng.Uint32() % (1 << 20) }))
+		}, true},
+		{"u64", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, func(c, i int) uint64 { return rng.Uint64() % (1 << 40) }))
+		}, true},
+		{"kv64", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, func(c, i int) element.KV64 {
+				return element.KV64{K: rng.Uint64() % 64, V: uint64(c)<<32 | uint64(i)}
+			}))
+		}, true},
+		{"f32", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, func(c, i int) float32 { return float32(float(c, i)) }))
+		}, false},
+		{"f64", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, float))
+		}, false},
+		{"kv64-max-key", func(t *testing.T) float64 {
+			return batchTyped(t, typedInputs(clients, func(c, i int) element.KV64 {
+				if i%7 == 0 {
+					// Distinct payloads under the padding key, one of
+					// them equal to the padding record itself.
+					return element.KV64{K: ^uint64(0), V: ^uint64(0) - uint64(i)}
+				}
+				return element.KV64{K: rng.Uint64() % 64, V: uint64(c)<<32 | uint64(i)}
+			}))
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			batched := tc.run(t)
+			if tc.batch && batched < 2 {
+				t.Errorf("batched requests = %v, want a multi-member batch", batched)
+			}
+			if !tc.batch && batched != 0 {
+				t.Errorf("batched requests = %v, want every request solo", batched)
+			}
+		})
+	}
+}
+
+// TestBatchNoRetention pins what a caller may do with a batched
+// result: its capacity ends at its length, so appending to it never
+// writes into another member's result, and a later run never writes
+// into an earlier run's results.
+func TestBatchNoRetention(t *testing.T) {
+	s, err := New(Config{
+		Engine:   parbitonic.Config{Processors: 2, Backend: parbitonic.Native},
+		MaxBatch: 2,
+		MaxDelay: time.Second,
+		Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	first := sortConcurrently(t, s, [][]uint32{{3, 1, 2}, {6, 4, 5}})
+	if _, batched := s.Metrics().BatchCount(); batched != 2 {
+		t.Fatalf("batched requests = %v, want the two requests in one run", batched)
 	}
 	want := [][]uint32{{1, 2, 3}, {4, 5, 6}}
-	for j := range want {
-		for i := range want[j] {
-			if outs[j][i] != want[j][i] {
-				t.Fatalf("member %d result corrupted by buffer reuse at %d: %v", j, i, outs[j])
+	check := func(when string) {
+		t.Helper()
+		for j := range want {
+			if !slices.Equal(first[j], want[j]) {
+				t.Fatalf("%s: member %d result is %v, want %v", when, j, first[j], want[j])
 			}
 		}
+	}
+	for j, out := range first {
+		if cap(out) != len(out) {
+			t.Fatalf("member %d result has cap %d, len %d", j, cap(out), len(out))
+		}
+	}
+	grown := append(first[0], 0xDEADBEEF, 0xDEADBEEF, 0xDEADBEEF)
+	check("after appending to member 0")
+	grown[0] = 0xDEADBEEF
+	check("after writing the appended slice")
+
+	second := sortConcurrently(t, s, [][]uint32{{9, 7, 8}, {12, 10, 11}})
+	if _, batched := s.Metrics().BatchCount(); batched != 4 {
+		t.Fatalf("batched requests = %v, want the second pair in one run too", batched)
+	}
+	check("after a second batch")
+	if !slices.Equal(second[0], []uint32{7, 8, 9}) || !slices.Equal(second[1], []uint32{10, 11, 12}) {
+		t.Fatalf("second batch results %v", second)
 	}
 }
 
