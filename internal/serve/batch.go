@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"parbitonic"
 	"parbitonic/element"
@@ -14,70 +15,42 @@ import (
 )
 
 // runBatch executes one batch on a pooled engine and delivers every
-// member's result. slab is the worker's recycled staging buffer.
-//
-// Solo requests (len(batch) == 1) run untagged under the request's own
+// member's result. A lone request is a one-member batch: its tag is
+// zero, so packing it is a plain copy, and it runs under its own
 // context, riding the runtime's fail-safe cancellation directly.
-// Multi-request batches are tag-encoded (see packBatch), run under a
-// joint context that aborts only when every member has given up, and
-// sliced back out with splitBatch — which copies results out of the
-// slab, so nothing a caller holds aliases pooled memory.
-func (s *ServerOf[E]) runBatch(batch []*request[E], slab *[]E) {
+// Larger batches run under a joint context that aborts only when every
+// member has given up.
+//
+// The batch packs into a buffer allocated for this run alone and sorts
+// it with SortPaddedContext, whose strip-by-value keeps records keyed
+// like the padding intact. Each member then gets a view of its part of
+// that buffer, capped at its length: the buffer is never reused, so no
+// result aliases memory a later run writes, and appending to one
+// result cannot write into another.
+func (s *ServerOf[E]) runBatch(batch []*request[E]) {
 	s.m.observeBatch(len(batch))
-	if len(batch) == 1 {
-		s.runSolo(batch[0])
-		return
-	}
-
-	ctx, stop := s.jointContext(batch)
-	defer stop()
-
 	total := 0
 	ids := make([]string, len(batch))
 	for i, r := range batch {
 		total += len(r.keys)
 		ids[i] = r.id
 	}
-	// The joint context derives from the SERVER's context, not the
-	// members' — so the member request IDs must be re-attached for the
-	// engine run's telemetry to carry its owners.
-	ctx = obs.WithRequestIDs(ctx, ids)
-	reqs := strings.Join(ids, ",")
+	ctx := batch[0].ctx
+	if len(batch) > 1 {
+		var stop func()
+		ctx, stop = s.jointContext(batch)
+		defer stop()
+		// The joint context derives from the SERVER's context, not the
+		// members' — so the member request IDs must be re-attached for
+		// the engine run's telemetry to carry its owners.
+		ctx = obs.WithRequestIDs(ctx, ids)
+	}
 	bid := s.m.batchStart(ids, total)
 	defer s.m.batchEnd(bid)
 
 	shift := tagShift[E](len(batch))
-	ecfg, padded, plan, perr := s.planFor(total)
-	if perr != nil {
-		for _, r := range batch {
-			r.finish(s.m, nil, perr)
-		}
-		return
-	}
-	if cap(*slab) < padded {
-		*slab = make([]E, padded)
-	}
-	buf := (*slab)[:padded]
-	packBatch(buf, batch, shift, total)
-	for _, r := range batch {
-		r.tr.advance(obs.StageBatch)
-	}
-
-	err := s.runPooled(ctx, ecfg, padded, plan, func(eng *parbitonic.EngineOf[E]) error {
-		_, err := eng.SortContext(ctx, buf)
-		return err
-	}, func() { packBatch(buf, batch, shift, total) },
-		func(st obs.Stage, d time.Duration) {
-			for _, r := range batch {
-				r.tr.add(st, d)
-			}
-		}, reqs)
-	// Engine and retry time were folded in via the note callback; move
-	// every member's hop mark past the run so the next advance charges
-	// only the copy-out.
-	for _, r := range batch {
-		r.tr.reset()
-	}
+	buf := make([]E, total)
+	err := s.runPooled(ctx, batch, buf, shift, strings.Join(ids, ","))
 	if err != nil {
 		for _, r := range batch {
 			r.finish(s.m, nil, err)
@@ -87,64 +60,46 @@ func (s *ServerOf[E]) runBatch(batch []*request[E], slab *[]E) {
 	splitBatch(buf, batch, shift, s.m)
 }
 
-// runSolo sorts one request on a pooled engine under its own context.
-func (s *ServerOf[E]) runSolo(r *request[E]) {
-	bid := s.m.batchStart([]string{r.id}, len(r.keys))
-	defer s.m.batchEnd(bid)
-	out := append([]E(nil), r.keys...)
-	ecfg, padded, plan, perr := s.planFor(len(out))
-	if perr != nil {
-		r.finish(s.m, nil, perr)
-		return
-	}
-	r.tr.advance(obs.StageBatch)
-	err := s.runPooled(r.ctx, ecfg, padded, plan, func(eng *parbitonic.EngineOf[E]) error {
-		_, err := eng.SortPaddedContext(r.ctx, out)
-		return err
-	}, func() { copy(out, r.keys) },
-		func(st obs.Stage, d time.Duration) { r.tr.add(st, d) }, r.id)
-	r.tr.reset()
-	if err != nil {
-		r.finish(s.m, nil, err)
-		return
-	}
-	r.tr.advance(obs.StageCopyOut)
-	r.finish(s.m, out, nil)
-}
-
-// runPooled is the retrying engine-run loop every batch and solo run
-// goes through. Each attempt checks an engine out of the pool,
-// executes run, and hands the engine back with its health verdict —
-// a panicked or verify-failing engine is quarantined (destroyed),
-// never recycled — then feeds the outcome to the circuit breaker. A
-// transient failure is re-attempted under the server's retry policy:
-// a jittered exponential backoff that never sleeps past ctx's
-// deadline budget, with repack restoring the input buffer first (a
-// failed run leaves its contents unspecified).
-// note reports measured intervals back to the batch's stage trackers —
-// engine attempt wall time, retry backoff sleeps, and repack time
-// (charged to the batch stage) — and reqs carries the owning request
-// ID(s) for the retry/quarantine events.
+// runPooled is the retrying engine-run loop. Each attempt packs the
+// batch into buf, checks an engine out of the pool, sorts buf, and
+// hands the engine back with its health verdict — a panicked or
+// verify-failing engine is quarantined (destroyed), never recycled —
+// then feeds the outcome to the circuit breaker. A transient failure
+// is re-attempted under the server's retry policy: a jittered
+// exponential backoff that never sleeps past ctx's deadline budget,
+// then a fresh pack (a failed run leaves buf unspecified). Packing is
+// charged to every member's batch stage, engine attempts to the engine
+// stage and backoff sleeps to the retry stage; reqs carries the owning
+// request ID(s) for the retry and quarantine events.
 //
-// ecfg is the engine configuration this run pools under — the fixed
-// Config.Engine, or the plan-resolved shape under Engine.Auto, in
-// which case plan carries the autotuner decision: a successful native
-// run feeds measured/predicted into the plan-drift histogram, so
-// mispredictions are visible per server. Quarantine, eviction and the
-// circuit breaker act on the outcome exactly as for a fixed shape —
-// an unhealthy plan-chosen engine is destroyed, its shape's idle set
+// The engine configuration is the fixed Config.Engine, or the
+// plan-resolved shape under Engine.Auto, in which case a successful
+// native run feeds measured/predicted into the plan-drift histogram,
+// so mispredictions are visible per server. Quarantine, eviction and
+// the circuit breaker act on the outcome exactly as for a fixed shape
+// — an unhealthy plan-chosen engine is destroyed, its shape's idle set
 // evicted on a streak, and persistent failures open the breaker
 // regardless of which plan picked the shape.
-func (s *ServerOf[E]) runPooled(ctx context.Context, ecfg parbitonic.Config, padded int, plan *parbitonic.Plan, run func(*parbitonic.EngineOf[E]) error, repack func(), note func(obs.Stage, time.Duration), reqs string) error {
+func (s *ServerOf[E]) runPooled(ctx context.Context, batch []*request[E], buf []E, shift uint, reqs string) error {
+	ecfg, padded, plan, err := s.planFor(len(buf))
+	if err != nil {
+		return err
+	}
 	for attempt := 0; ; attempt++ {
+		packBatch(buf, batch, shift)
+		for _, r := range batch {
+			r.tr.advance(obs.StageBatch)
+		}
 		eng, err := s.pool.Get(ecfg, padded)
 		if err != nil {
 			return err
 		}
 		t0 := time.Now()
-		err = run(eng)
+		_, err = eng.SortPaddedContext(ctx, buf)
 		elapsed := time.Since(t0)
-		note(obs.StageEngine, elapsed)
+		for _, r := range batch {
+			r.tr.add(obs.StageEngine, elapsed)
+		}
 		healthy := resilience.EngineHealthy(err)
 		s.pool.Put(eng, padded, healthy)
 		if !healthy {
@@ -157,7 +112,7 @@ func (s *ServerOf[E]) runPooled(ctx context.Context, ecfg parbitonic.Config, pad
 				// only native runs have a comparable measurement.
 				s.m.planObserve(float64(elapsed) / float64(time.Microsecond) / plan.PredictedUS)
 			}
-			return nil
+			break
 		}
 		d, ok := s.policy.ShouldRetry(ctx, attempt, err)
 		if !ok {
@@ -167,14 +122,21 @@ func (s *ServerOf[E]) runPooled(ctx context.Context, ecfg parbitonic.Config, pad
 		s.emit(obs.EventRetry, err.Error(), reqs)
 		t1 := time.Now()
 		serr := resilience.Sleep(ctx, d)
-		note(obs.StageRetry, time.Since(t1))
+		slept := time.Since(t1)
+		for _, r := range batch {
+			r.tr.add(obs.StageRetry, slept)
+			r.tr.reset() // the next advance charges only the repack
+		}
 		if serr != nil {
 			return err
 		}
-		t2 := time.Now()
-		repack()
-		note(obs.StageBatch, time.Since(t2))
 	}
+	// Engine time was added directly; move every member's hop mark past
+	// the run so the next advance charges only the copy-out.
+	for _, r := range batch {
+		r.tr.reset()
+	}
+	return nil
 }
 
 // recordBreaker feeds one engine-run outcome to the circuit breaker.
@@ -244,107 +206,53 @@ func tagShift[E element.Elem](k int) uint {
 }
 
 // packBatch writes the tag-encoded concatenation of the batch into
-// buf[:total] — request j's key x becomes j<<shift | x (for records,
-// the tag lands in the key word; the payload travels untouched) — and
-// fills buf[total:] with maximal padding. Because tags occupy the high
-// bits, sorting buf groups it by request in submission order, each
-// group internally sorted; padding (all-ones key) sorts to the very
-// end (the dispatcher guarantees it is ≥ every tagged value — strictly
-// greater for records — and scalar ties with the last group are
-// value-identical and therefore interchangeable). Only integer-image
-// types reach here; the dispatcher never batches floats.
-func packBatch[E element.Elem](buf []E, batch []*request[E], shift uint, total int) {
-	switch element.TypeOf[E]() {
-	case element.TU32:
-		out := element.Cast[uint32](buf)
-		pos := 0
-		for j, r := range batch {
-			tag := uint32(j) << shift
-			for _, k := range element.Cast[uint32](r.keys) {
-				out[pos] = tag | k
-				pos++
-			}
+// buf: request j's elements are copied in and j<<shift is ORed into
+// their key word (for records the payload travels untouched). Because
+// tags occupy the high bits, sorting buf groups it by request in
+// submission order, each group internally sorted. A lone request's tag
+// is zero, so it is a plain copy — the only way floats, whose bits a
+// tag would reorder, ever reach here.
+func packBatch[E element.Elem](buf []E, batch []*request[E], shift uint) {
+	pos := 0
+	for j, r := range batch {
+		part := buf[pos : pos+copy(buf[pos:], r.keys)]
+		if j > 0 {
+			rekey(part, ^uint64(0), uint64(j)<<shift)
 		}
-	case element.TU64:
-		out := element.Cast[uint64](buf)
-		pos := 0
-		for j, r := range batch {
-			tag := uint64(j) << shift
-			for _, k := range element.Cast[uint64](r.keys) {
-				out[pos] = tag | k
-				pos++
-			}
-		}
-	case element.TKV64:
-		out := element.Cast[element.KV64](buf)
-		pos := 0
-		for j, r := range batch {
-			tag := uint64(j) << shift
-			for _, k := range element.Cast[element.KV64](r.keys) {
-				out[pos] = element.KV64{K: tag | k.K, V: k.V}
-				pos++
-			}
-		}
-	default:
-		panic("serve: packBatch on an untaggable element type")
-	}
-	pad := element.Max[E]()
-	for i := total; i < len(buf); i++ {
-		buf[i] = pad
+		pos += len(part)
 	}
 }
 
-// splitBatch slices the sorted tagged buffer back into per-request
-// results: request j's sorted keys are the len(r.keys) entries
-// starting at the prefix sum of earlier members, with the tag masked
-// off the key image (record payloads pass through untouched). Results
-// are COPIED out — buf is pooled worker memory and must not escape
-// (see TestBatchNoRetention).
+// splitBatch masks the tags off the sorted buffer's key words and
+// hands request j the len(r.keys) elements starting at the prefix sum
+// of earlier members, as a view whose capacity ends at its length.
 func splitBatch[E element.Elem](buf []E, batch []*request[E], shift uint, m *Metrics) {
-	switch element.TypeOf[E]() {
-	case element.TU32:
-		in := element.Cast[uint32](buf)
-		mask := uint32(1)<<shift - 1
-		pos := 0
-		for _, r := range batch {
-			out := make([]E, len(r.keys))
-			o := element.Cast[uint32](out)
-			for i := range o {
-				o[i] = in[pos+i] & mask
-			}
-			pos += len(r.keys)
-			r.tr.advance(obs.StageCopyOut)
-			r.finish(m, out, nil)
-		}
-	case element.TU64:
-		in := element.Cast[uint64](buf)
-		mask := uint64(1)<<shift - 1
-		pos := 0
-		for _, r := range batch {
-			out := make([]E, len(r.keys))
-			o := element.Cast[uint64](out)
-			for i := range o {
-				o[i] = in[pos+i] & mask
-			}
-			pos += len(r.keys)
-			r.tr.advance(obs.StageCopyOut)
-			r.finish(m, out, nil)
-		}
-	case element.TKV64:
-		in := element.Cast[element.KV64](buf)
-		mask := uint64(1)<<shift - 1
-		pos := 0
-		for _, r := range batch {
-			out := make([]E, len(r.keys))
-			o := element.Cast[element.KV64](out)
-			for i := range o {
-				o[i] = element.KV64{K: in[pos+i].K & mask, V: in[pos+i].V}
-			}
-			pos += len(r.keys)
-			r.tr.advance(obs.StageCopyOut)
-			r.finish(m, out, nil)
-		}
-	default:
-		panic("serve: splitBatch on an untaggable element type")
+	if len(batch) > 1 {
+		rekey(buf, 1<<shift-1, 0)
+	}
+	pos := 0
+	for _, r := range batch {
+		end := pos + len(r.keys)
+		r.tr.advance(obs.StageCopyOut)
+		r.finish(m, buf[pos:end:end], nil)
+		pos = end
+	}
+}
+
+// rekey sets the key word k of every element of s to k&mask | tag, on
+// the key word's own width (the leading 4 bytes of a 32-bit key, the
+// leading 8 otherwise; see element.KeyOf).
+func rekey[E element.Elem](s []E, mask, tag uint64) {
+	if element.KeyBits[E]() == 32 {
+		rekeyOf[E](s, uint32(mask), uint32(tag))
+	} else {
+		rekeyOf[E](s, mask, tag)
+	}
+}
+
+func rekeyOf[E element.Elem, K element.Uint](s []E, mask, tag K) {
+	for i := range s {
+		k := (*K)(unsafe.Pointer(&s[i]))
+		*k = *k&mask | tag
 	}
 }

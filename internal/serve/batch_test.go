@@ -96,8 +96,8 @@ func TestPackSplitRoundTrip(t *testing.T) {
 		total += len(r.keys)
 	}
 	shift := tagShift[uint32](len(batch))
-	buf := make([]uint32, 128) // > total, exercises padding
-	packBatch(buf, batch, shift, total)
+	buf := make([]uint32, total)
+	packBatch(buf, batch, shift)
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
 
 	m := newMetrics("u32", func() int { return 0 }, NewPool(1), obs.SLOConfig{})
@@ -260,6 +260,28 @@ func TestBatchEveryElementType(t *testing.T) {
 				t.Errorf("batched requests = %v, want every request solo", batched)
 			}
 		})
+	}
+}
+
+// TestBatchKV64TagMeetsPadding: two KV64 requests whose keys use all
+// 63 low bits share a run, so the second member's tag turns its
+// largest keys into the padding key 2^64-1 (one record becomes equal
+// to the padding record itself). The padded sort must keep every one
+// of them, payloads intact.
+func TestBatchKV64TagMeetsPadding(t *testing.T) {
+	ins := typedInputs(2, func(c, i int) element.KV64 {
+		k := uint64(i % 9)
+		if i%5 == 0 {
+			k = 1<<63 - 1
+		}
+		v := uint64(i)
+		if c == 1 {
+			v = ^uint64(0) - uint64(i)
+		}
+		return element.KV64{K: k, V: v}
+	})
+	if batched := batchTyped(t, ins); batched != 2 {
+		t.Errorf("batched requests = %v, want both requests in one run", batched)
 	}
 }
 

@@ -82,7 +82,6 @@ type elemServer interface {
 	sortPayload(ctx context.Context, payload []byte) (out []byte, degraded bool, err error)
 	retryAfterSeconds(err error) int
 	Metrics() *Metrics
-	poolStats() PoolStats
 	Close() error
 }
 
@@ -113,9 +112,6 @@ func (s *ServerOf[E]) sortPayload(ctx context.Context, payload []byte) ([]byte, 
 	}
 	return out, degraded, nil
 }
-
-// poolStats exposes the pool counters through the type-erased face.
-func (s *ServerOf[E]) poolStats() PoolStats { return s.pool.Stats() }
 
 // Gateway fronts one typed server per element type behind a single
 // HTTP handler (NewGatewayHandler): binary frames route to the server

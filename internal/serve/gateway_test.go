@@ -16,6 +16,7 @@ import (
 
 	"parbitonic"
 	"parbitonic/element"
+	"parbitonic/internal/fault"
 )
 
 func newTestGateway(t *testing.T) (*Gateway, *httptest.Server) {
@@ -334,13 +335,60 @@ func TestGatewayStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestSingleServerRejectsForeignFrames: the plain (non-gateway) u32
-// handler must answer non-u32 frames with 501, not sort them
-// wrong.
-func TestSingleServerRejectsForeignFrames(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp := postSort(t, ts.URL, frame(element.TU64, make([]byte, 8)))
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("status %d, want 501", resp.StatusCode)
+// TestStatsCountsVerifyFailures: /stats carries the same request
+// counters as /metrics, so a request that fails result verification
+// shows up under "verify-failure" there too.
+func TestStatsCountsVerifyFailures(t *testing.T) {
+	inj := fault.NewInjector(fault.Plan{Kind: fault.Corrupt, Proc: 1, Round: 0})
+	g, err := NewGateway(Config{
+		Engine: parbitonic.Config{
+			Processors:  4,
+			Backend:     parbitonic.Native,
+			Verify:      true,
+			WrapCharger: inj.Wrap,
+		},
+		MaxDelay:       time.Millisecond,
+		Retries:        -1,
+		DisableBreaker: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewGatewayHandler(g, nil))
+	defer func() { ts.Close(); g.Close() }()
+
+	keys := make([]uint32, 512)
+	for i := range keys {
+		keys[i] = uint32(len(keys) - i)
+	}
+	if resp := postSort(t, ts.URL, u32Frame(keys)); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 for a corrupted run", resp.StatusCode)
+	}
+	if !inj.Fired() {
+		t.Fatal("injector did not fire")
+	}
+	m := g.U32().Metrics()
+	if got := m.RequestCount("verify-failure"); got != 1 {
+		t.Fatalf("verify-failure count = %v, want 1", got)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Elems map[string]struct {
+			Requests map[string]float64 `json:"requests"`
+		} `json:"elems"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	got := st.Elems["u32"].Requests
+	for outcome, want := range requestCounts(m) {
+		if v, ok := got[outcome]; !ok || v != want {
+			t.Errorf("/stats requests[%q] = %v (present %v), want %v", outcome, v, ok, want)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"parbitonic/element"
 	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
 	"parbitonic/internal/verify"
@@ -68,33 +67,23 @@ func requestID(r *http.Request) string {
 	return obs.NewRequestID()
 }
 
-// front is what the /sort handler routes through: a u32 server for
-// JSON bodies, plus the per-element-type servers reachable by binary
-// frames. NewHandler fronts a single u32 server; NewGatewayHandler
-// fronts a full Gateway.
-type front struct {
-	u32     *Server
-	servers map[element.Type]elemServer
-	order   []element.Type
-	stats   func() map[string]any
-}
-
-// NewHandler builds the service's HTTP front end for a single uint32
-// server:
+// NewGatewayHandler builds the service's HTTP front end for a Gateway:
 //
-//	POST /sort        sort keys; application/json {"keys":[...]} or
-//	                  application/octet-stream — a binary frame
-//	                  (see the frame format in gateway.go; only
-//	                  element type u32 is enabled here, others get
-//	                  501); optional ?timeout_ms=N per-request
-//	                  deadline
+//	POST /sort        sort keys; application/json {"keys":[...]} goes
+//	                  to the u32 server, application/octet-stream — a
+//	                  binary frame (see the frame format in gateway.go)
+//	                  — to the server of the frame's element type, and
+//	                  is answered with a frame of that type; optional
+//	                  ?timeout_ms=N per-request deadline
 //	GET  /healthz     readiness: 200 "ok", or 503 with JSON reasons
 //	                  under sustained SLO error-budget burn
-//	GET  /stats       JSON snapshot of server + pool counters
+//	GET  /stats       JSON {"elems":{...}}: per element type, the
+//	                  server and pool counters
 //	GET  /metrics     Prometheus text: serve metrics (including stage
-//	                  histograms, tail quantiles, SLO burn) plus
-//	                  runtime health and, when runMetrics is non-nil,
-//	                  the engine-run metrics
+//	                  histograms, tail quantiles, SLO burn; series are
+//	                  told apart by the elem label) plus runtime health
+//	                  and, when runMetrics is non-nil, the engine-run
+//	                  metrics
 //	GET  /debug/sortz live ops page: recent slow requests with stage
 //	                  breakdowns, breaker/pool state, active batches;
 //	                  HTML by default, ?format=json for machines
@@ -106,56 +95,19 @@ type front struct {
 //
 // Status mapping for /sort: 200 ok, 400 malformed input (typed code
 // for bad frames), 413 oversize body, 429 ErrOverloaded (with
-// Retry-After), 499 client-canceled, 501 element type not enabled,
-// 503 ErrClosed, 504 deadline exceeded, 500 anything else.
-func NewHandler(s *Server, runMetrics *obs.Metrics) http.Handler {
-	f := &front{
-		u32:     s,
-		servers: map[element.Type]elemServer{element.TU32: s},
-		order:   []element.Type{element.TU32},
-		stats: func() map[string]any {
-			st := statsFor(s.Metrics(), s.poolStats())
-			st["queue_depth"] = s.Metrics().queueDepth()
-			return st
-		},
-	}
-	return newMux(f, runMetrics)
-}
-
-// NewGatewayHandler is NewHandler for a Gateway: binary frames of
-// every element type are served by their typed server, and /stats and
-// /metrics aggregate across all of them (series are told apart by the
-// elem label / stats key).
+// Retry-After), 499 client-canceled, 503 ErrClosed, 504 deadline
+// exceeded, 500 anything else.
 func NewGatewayHandler(g *Gateway, runMetrics *obs.Metrics) http.Handler {
-	f := &front{
-		u32:     g.u32,
-		servers: g.servers,
-		order:   g.order,
-		stats: func() map[string]any {
-			elems := make(map[string]any, len(g.order))
-			for _, t := range g.order {
-				s := g.servers[t]
-				st := statsFor(s.Metrics(), s.poolStats())
-				st["queue_depth"] = s.Metrics().queueDepth()
-				elems[t.String()] = st
-			}
-			return map[string]any{"elems": elems}
-		},
-	}
-	return newMux(f, runMetrics)
-}
-
-func newMux(f *front, runMetrics *obs.Metrics) http.Handler {
 	rh := obs.NewRuntimeHealth()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/sort", func(w http.ResponseWriter, r *http.Request) { handleSort(f, w, r) })
+	mux.HandleFunc("/sort", func(w http.ResponseWriter, r *http.Request) { handleSort(g, w, r) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Readiness degrades under sustained SLO error-budget burn: a
 		// server that will miss its objective should stop advertising
 		// itself before clients notice the tail.
 		var unready []string
-		for _, t := range f.order {
-			m := f.servers[t].Metrics()
+		for _, t := range g.order {
+			m := g.servers[t].Metrics()
 			if ok, burn := m.Stages().SLOReady(); !ok {
 				unready = append(unready, fmt.Sprintf("%s: slo burn rate %.2f", m.Elem(), burn))
 			}
@@ -171,19 +123,23 @@ func newMux(f *front, runMetrics *obs.Metrics) http.Handler {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		json.NewEncoder(w).Encode(f.stats())
+		elems := make(map[string]any, len(g.order))
+		for _, t := range g.order {
+			elems[t.String()] = statsFor(g.servers[t].Metrics())
+		}
+		json.NewEncoder(w).Encode(map[string]any{"elems": elems})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		for i, t := range f.order {
-			_ = f.servers[t].Metrics().writeProm(w, i == 0)
+		for i, t := range g.order {
+			_ = g.servers[t].Metrics().writeProm(w, i == 0)
 		}
 		if runMetrics != nil {
 			_ = runMetrics.WriteProm(w)
 		}
 		_ = rh.WriteProm(w)
 	})
-	mux.HandleFunc("/debug/sortz", func(w http.ResponseWriter, r *http.Request) { handleSortz(f, rh, w, r) })
+	mux.HandleFunc("/debug/sortz", func(w http.ResponseWriter, r *http.Request) { handleSortz(g, rh, w, r) })
 	if runMetrics != nil {
 		vars := runMetrics.ExpvarFunc()
 		mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
@@ -194,27 +150,23 @@ func newMux(f *front, runMetrics *obs.Metrics) http.Handler {
 	return mux
 }
 
-// statsFor renders one server's /stats section.
-func statsFor(m *Metrics, ps PoolStats) map[string]any {
+// statsFor renders one server's /stats section: the request counts of
+// every outcome /metrics exports, batch, retry and fallback counters,
+// the pool's counters and the queue depth.
+func statsFor(m *Metrics) map[string]any {
 	batches, batched := m.BatchCount()
 	return map[string]any{
-		"requests": map[string]float64{
-			"ok":           m.RequestCount("ok"),
-			"overloaded":   m.RequestCount("overloaded"),
-			"canceled":     m.RequestCount("canceled"),
-			"deadline":     m.RequestCount("deadline"),
-			"breaker-open": m.RequestCount("breaker-open"),
-			"error":        m.RequestCount("error"),
-		},
+		"requests":         requestCounts(m),
 		"batches":          batches,
 		"batched_requests": batched,
 		"retries":          m.RetryCount(),
 		"degraded":         m.DegradedCount(),
-		"pool":             ps,
+		"pool":             m.pool.Stats(),
+		"queue_depth":      m.queueDepth(),
 	}
 }
 
-func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
+func handleSort(g *Gateway, w http.ResponseWriter, r *http.Request) {
 	// Establish the request's identity first, so every response path —
 	// including refusals — echoes the ID.
 	id := requestID(r)
@@ -238,7 +190,7 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 	}
 
 	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
-		handleBinarySort(f, ctx, w, body)
+		handleBinarySort(g, ctx, w, body)
 		return
 	}
 
@@ -250,9 +202,9 @@ func handleSort(f *front, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
-	sorted, degraded, err := f.u32.SortDegradable(ctx, req.Keys)
+	sorted, degraded, err := g.u32.SortDegradable(ctx, req.Keys)
 	if err != nil {
-		sortError(w, err, f.u32.retryAfterSeconds(err))
+		sortError(w, err, g.u32.retryAfterSeconds(err))
 		return
 	}
 	if degraded {
@@ -284,7 +236,7 @@ func decodeSortRequest(body io.Reader) (sortRequest, error) {
 // handleBinarySort serves an octet-stream body: a binary frame is
 // routed to the server of its element type and answered with a frame
 // of the same type.
-func handleBinarySort(f *front, ctx context.Context, w http.ResponseWriter, body io.Reader) {
+func handleBinarySort(g *Gateway, ctx context.Context, w http.ResponseWriter, body io.Reader) {
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		if bodyTooLarge(w, err) {
@@ -298,11 +250,7 @@ func handleBinarySort(f *front, ctx context.Context, w http.ResponseWriter, body
 		sortError(w, err, 0)
 		return
 	}
-	s, ok := f.servers[t]
-	if !ok {
-		httpError(w, http.StatusNotImplemented, fmt.Sprintf("element type %s is not enabled on this server", t))
-		return
-	}
+	s := g.servers[t]
 	out, degraded, err := s.sortPayload(ctx, payload)
 	if err != nil {
 		sortError(w, err, s.retryAfterSeconds(err))

@@ -12,9 +12,21 @@ import (
 	"time"
 
 	"parbitonic"
+	"parbitonic/element"
 	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
 )
+
+// gatewayOf fronts s alone: a one-server Gateway for tests that need a
+// specially configured u32 server behind the HTTP handler. Closing
+// stays with the caller, through s.
+func gatewayOf(s *Server) *Gateway {
+	return &Gateway{
+		u32:     s,
+		servers: map[element.Type]elemServer{element.TU32: s},
+		order:   []element.Type{element.TU32},
+	}
+}
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -25,7 +37,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(s, nil))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), nil))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
@@ -161,7 +173,7 @@ func TestHTTPOverloadIs429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(s, nil))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), nil))
 	defer func() {
 		close(gate)
 		ts.Close()
@@ -204,7 +216,7 @@ func TestHTTPObsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(s, rm))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), rm))
 	defer func() { ts.Close(); s.Close() }()
 
 	resp, _ := http.Post(ts.URL+"/sort", "application/json", strings.NewReader(`{"keys":[9,1,5]}`))
@@ -232,13 +244,15 @@ func TestHTTPObsEndpoints(t *testing.T) {
 	}
 
 	resp, _ = http.Get(ts.URL + "/stats")
-	var stats map[string]any
+	var stats struct {
+		Elems map[string]map[string]any `json:"elems"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatalf("/stats: %v", err)
 	}
 	resp.Body.Close()
-	if _, ok := stats["pool"]; !ok {
-		t.Error("/stats missing pool section")
+	if _, ok := stats.Elems["u32"]["pool"]; !ok {
+		t.Errorf("/stats missing the u32 pool section: %v", stats.Elems)
 	}
 
 	resp, _ = http.Get(ts.URL + "/debug/vars")

@@ -303,7 +303,7 @@ func TestHTTPRequestIDEcho(t *testing.T) {
 	hostile.Header.Set("Content-Type", "application/json")
 	hostile.Header["X-Request-Id"] = []string{"evil\x01id"}
 	rw := httptest.NewRecorder()
-	handleSort(&front{u32: s}, rw, hostile)
+	handleSort(gatewayOf(s), rw, hostile)
 	if got := rw.Header().Get("X-Request-ID"); len(got) != 16 || strings.ContainsAny(got, "\x01") {
 		t.Errorf("hostile ID handling: header = %q, want a minted 16-hex ID", got)
 	}
@@ -464,7 +464,7 @@ func TestHealthzSLOUnready(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s, nil))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), nil))
 	defer ts.Close()
 	client := ts.Client()
 
@@ -557,7 +557,7 @@ func TestE2EStageSumAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s, nil))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), nil))
 	defer ts.Close()
 	client := ts.Client()
 

@@ -237,7 +237,7 @@ func TestChaosSoakZeroClientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s, nil))
+	ts := httptest.NewServer(NewGatewayHandler(gatewayOf(s), nil))
 	defer ts.Close()
 
 	soakFor := 1200 * time.Millisecond

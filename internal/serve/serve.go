@@ -14,18 +14,20 @@
 //
 //   - Batching (ServerOf): requests arriving within a window
 //     (Config.MaxDelay, up to Config.MaxBatch) are coalesced into ONE
-//     padded sort. Each request's keys are tagged with a request index
-//     in the high bits of the key, the concatenation is sorted once,
-//     and results are sliced back out per request (the sorted stream is
-//     grouped by tag) and copied out of the shared buffer. The LogGP
-//     rationale (§3.4): remap time is T = (L+2o−g)R + G·V + (g−G)M, so
-//     B requests sorted separately pay the per-remap latency term R
-//     B times over; one batched run pays it once while V grows only
-//     linearly — exactly the bulk-transfer regime LogGP rewards. See
-//     DESIGN.md §10 for the tag-bit scheme and its correctness
-//     argument. Tagging requires integer key images — uint32, uint64
-//     and KV64 traffic batches; float requests always run solo (OR-ing
-//     a tag into a float's bits would reorder values).
+//     padded sort. Every engine run is a batch; a lone request is a
+//     batch of one. Each request's keys are tagged with a request index
+//     in the high bits of the key, the concatenation is sorted once in
+//     a buffer allocated for that run, and each request gets back a
+//     view of its part of the buffer (the sorted stream is grouped by
+//     tag). The LogGP rationale (§3.4): remap time is
+//     T = (L+2o−g)R + G·V + (g−G)M, so B requests sorted separately
+//     pay the per-remap latency term R B times over; one batched run
+//     pays it once while V grows only linearly — exactly the
+//     bulk-transfer regime LogGP rewards. See DESIGN.md §10 for the
+//     tag-bit scheme and its correctness argument. Tagging requires
+//     integer key images — uint32, uint64 and KV64 traffic batches;
+//     float requests always run alone (OR-ing a tag into a float's
+//     bits would reorder values).
 //
 //   - Backpressure (ServerOf): admission is a bounded queue. A full
 //     queue rejects immediately with ErrOverloaded (typed; HTTP 429)
@@ -35,8 +37,8 @@
 //
 // Every server sorts ONE element type, fixed by its type parameter;
 // Server is the uint32 instantiation existing callers use, and Gateway
-// fronts one server per element type behind the binary frame
-// protocol. Observability threads through internal/obs: engine runs
+// fronts one server per element type behind the binary frame protocol
+// — NewGatewayHandler is the one HTTP front end. Observability threads through internal/obs: engine runs
 // stream spans/events into the configured sink, and the serve layer
 // adds queue-depth, batch-size, request-latency and rejection metrics
 // (Metrics, Prometheus text, labeled by element type). Chaos testing
@@ -124,11 +126,8 @@ type Config struct {
 	// Engine.Processors goroutines, and beyond the core count extra
 	// executors only thrash the scheduler (the engines' local-phase
 	// compute shares one GOMAXPROCS-capped work-stealing pool already).
+	// The engine pool keeps up to Parallel idle engines per shape.
 	Parallel int
-
-	// PoolPerKey caps idle engines kept per (P, backend, algorithm,
-	// share) shape. 0 means Parallel.
-	PoolPerKey int
 
 	// Retries is the per-request retry budget for transient engine
 	// failures — contained panics and verification failures. 0 means the
@@ -198,9 +197,6 @@ func (c Config) withDefaults() Config {
 			c.Parallel = maxPar
 		}
 	}
-	if c.PoolPerKey == 0 {
-		c.PoolPerKey = c.Parallel
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	} else if c.Retries < 0 {
@@ -220,8 +216,10 @@ type request[E element.Elem] struct {
 	res    chan response[E] // buffered 1: delivery never blocks a worker
 }
 
-// response carries a request's outcome; sorted is always freshly
-// allocated (never a view into a pooled buffer).
+// response carries a request's outcome. sorted is a view of the run's
+// own buffer with its capacity capped at its length: no pooled or
+// reused memory, and appending to it cannot reach another request's
+// result.
 type response[E element.Elem] struct {
 	sorted []E
 	err    error
@@ -295,7 +293,7 @@ func NewOf[E element.Elem](cfg Config) (*ServerOf[E], error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &ServerOf[E]{
 		cfg:    cfg,
-		pool:   NewPoolOf[E](cfg.PoolPerKey),
+		pool:   NewPoolOf[E](cfg.Parallel),
 		policy: resilience.Policy{MaxRetries: cfg.Retries, BaseDelay: cfg.RetryBackoff},
 		queue:  make(chan *request[E], cfg.QueueDepth),
 		exec:   make(chan []*request[E]),
@@ -336,20 +334,23 @@ func (s *ServerOf[E]) Metrics() *Metrics { return s.m }
 // Pool returns the server's engine pool (for stats inspection).
 func (s *ServerOf[E]) Pool() *PoolOf[E] { return s.pool }
 
-// Sort sorts keys through the service and returns a freshly allocated
-// sorted slice; keys itself is only read, never mutated. The call
-// blocks until the result is ready, ctx is done, or admission is
-// refused: a full queue returns ErrOverloaded immediately, a closed
-// server returns ErrClosed, and an open circuit breaker returns
-// ErrBreakerOpen (unless Config.Degraded routes the request to the
-// sequential fallback — Sort hides which path served it; use
-// SortDegradable to see). Transient engine failures are retried
-// transparently under Config.Retries. ctx cancellation and deadlines
-// follow the request into the runtime — an in-flight solo run is
-// aborted through the fail-safe paths, and a batched run is aborted
-// once every member has given up. Float NaN keys are rejected by the
-// engine (they are unordered); record elements sort by key with
-// payloads carried along.
+// Sort sorts keys through the service and returns the sorted result:
+// a view of its run's own buffer, capped at its length, so appending
+// to it never reaches another caller's result, and holding it keeps
+// only its own batch alive (a shared run holds at most
+// Config.MaxBatchKeys elements). keys itself is only read, never
+// mutated. The call blocks until the result is ready, ctx is done, or
+// admission is refused: a full queue returns ErrOverloaded
+// immediately, a closed server returns ErrClosed, and an open circuit
+// breaker returns ErrBreakerOpen (unless Config.Degraded routes the
+// request to the sequential fallback — Sort hides which path served
+// it; use SortDegradable to see). Transient engine failures are
+// retried transparently under Config.Retries. ctx cancellation and
+// deadlines follow the request into the runtime — a run of one
+// request is aborted through the fail-safe paths, and a run shared
+// with other requests is aborted once every member has given up.
+// Float NaN keys are rejected by the engine (they are unordered);
+// record elements sort by key with payloads carried along.
 func (s *ServerOf[E]) Sort(ctx context.Context, keys []E) ([]E, error) {
 	sorted, _, err := s.SortDegradable(ctx, keys)
 	return sorted, err
@@ -628,54 +629,34 @@ func (s *ServerOf[E]) dispatch() {
 // element type must admit tagging (an integer key image — floats never
 // batch, because OR-ing a tag into float bits reorders values), its
 // tag needs at least one high bit of headroom, and its size must fit
-// under the batch cap. KV64 needs strict headroom: its padding
-// sentinel is compared by key only, so no tagged key may ever equal
-// the all-ones padding key (see fits).
+// under the batch cap.
 func batchable[E element.Elem](r *request[E], cfg Config) bool {
-	if len(r.keys) > cfg.MaxBatchKeys {
-		return false
-	}
-	kb := uint(element.KeyBits[E]())
 	switch element.TypeOf[E]() {
 	case element.TF32, element.TF64:
 		return false
-	case element.TKV64:
-		return r.maxKey < 1<<(kb-1)-1
-	default:
-		return r.maxKey < 1<<(kb-1)
 	}
+	return len(r.keys) <= cfg.MaxBatchKeys && r.maxKey < 1<<(element.KeyBits[E]()-1)
 }
 
 // fits reports whether adding r to batch keeps the tag-bit scheme
 // sound: with k members, tags need b = bits.Len(k-1) high bits, so
 // every member's keys must fit in the remaining KeyBits-b bits, and
-// the summed size must stay under MaxBatchKeys. For KV64 the bound is
-// strict (maxKey < mask, not ≤): padding sorts by key alone, so a
-// tagged record whose key equaled the all-ones padding key could swap
-// places with padding under the unstable sort and leak a padding
-// record into the last request's result.
+// the summed size must stay under MaxBatchKeys. A tagged key may equal
+// the all-ones padding key: the padded sort strips padding by value,
+// so a tagged record keyed like the padding stays in the result, and a
+// scalar equal to the padding is interchangeable with it.
 func fits[E element.Elem](batch []*request[E], total int, mx uint64, r *request[E], cfg Config) bool {
 	if !batchable(r, cfg) || total+len(r.keys) > cfg.MaxBatchKeys {
 		return false
 	}
-	k := len(batch) + 1
-	b := uint(bits.Len(uint(k - 1)))
-	kb := uint(element.KeyBits[E]())
-	if r.maxKey > mx {
-		mx = r.maxKey
-	}
-	limit := uint64(1) << (kb - b)
-	if element.TypeOf[E]() == element.TKV64 {
-		limit-- // strict: stay below the padding key, not just the tag
-	}
-	return mx < limit
+	b := bits.Len(uint(len(batch)))
+	return max(mx, r.maxKey) < 1<<(element.KeyBits[E]()-b)
 }
 
 // worker executes batches until the dispatcher closes the feed.
 func (s *ServerOf[E]) worker() {
 	defer s.wg.Done()
-	var slab []E // per-worker batch staging, grow-only
 	for batch := range s.exec {
-		s.runBatch(batch, &slab)
+		s.runBatch(batch)
 	}
 }

@@ -76,11 +76,11 @@ type SortzSnapshot struct {
 	Elems []SortzElem `json:"elems"`
 }
 
-// sortzSnapshot assembles the live snapshot across the front's servers.
-func sortzSnapshot(f *front, rh *obs.RuntimeHealth) SortzSnapshot {
+// sortzSnapshot assembles the live snapshot across the gateway's servers.
+func sortzSnapshot(g *Gateway, rh *obs.RuntimeHealth) SortzSnapshot {
 	snap := SortzSnapshot{Now: time.Now(), Runtime: rh.Snapshot()}
-	for _, t := range f.order {
-		m := f.servers[t].Metrics()
+	for _, t := range g.order {
+		m := g.servers[t].Metrics()
 		p50, p95, p99 := m.Stages().Quantiles()
 		e := SortzElem{
 			Elem:       m.Elem(),
@@ -132,8 +132,8 @@ func requestCounts(m *Metrics) map[string]float64 {
 // handleSortz serves the ops page: JSON for ?format=json, HTML
 // otherwise. Request IDs are client-supplied strings; the HTML path
 // renders through html/template so they cannot inject markup.
-func handleSortz(f *front, rh *obs.RuntimeHealth, w http.ResponseWriter, r *http.Request) {
-	snap := sortzSnapshot(f, rh)
+func handleSortz(g *Gateway, rh *obs.RuntimeHealth, w http.ResponseWriter, r *http.Request) {
+	snap := sortzSnapshot(g, rh)
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
