@@ -38,12 +38,13 @@
 // Every server sorts ONE element type, fixed by its type parameter;
 // Server is the uint32 instantiation existing callers use, and Gateway
 // fronts one server per element type behind the binary frame protocol
-// — NewGatewayHandler is the one HTTP front end. Observability threads through internal/obs: engine runs
-// stream spans/events into the configured sink, and the serve layer
-// adds queue-depth, batch-size, request-latency and rejection metrics
-// (Metrics, Prometheus text, labeled by element type). Chaos testing
-// threads through internal/fault via the Config.Engine.WrapCharger
-// seam; per-batch result verification via Config.Engine.Verify.
+// and NewGatewayHandler, the one HTTP front end. Observability threads
+// through internal/obs: engine runs stream spans/events into the
+// configured sink, and the serve layer adds queue-depth, batch-size,
+// request-latency and rejection metrics (Metrics, Prometheus text,
+// labeled by element type). Chaos testing threads through
+// internal/fault via the Config.Engine.WrapCharger seam; per-batch
+// result verification via Config.Engine.Verify.
 package serve
 
 import (
