@@ -33,12 +33,17 @@ type Plan struct {
 	// time in microseconds.
 	PredictedUS float64
 	ComputeUS   float64
-	CommUS      float64
+	// CommUS is the predicted communication time. For a Native plan it
+	// is barrier time, the measured barrier round trip times the
+	// barriers its R remaps cross (a native remap's data movement is
+	// in ComputeUS); for a Simulated plan it is the §3.4 closed form.
+	CommUS float64
 	// R, V and M are the §3.4 communication metrics the score used:
 	// remaps, volume (elements) and messages per processor.
 	R, V, M int
 	// ProfileSource is "calibrated" when a machine profile was found
-	// and "fallback" when the shipped defaults scored the plan — run
+	// and "fallback" when the shipped defaults scored the plan (no
+	// profile, or one from another format version) — run
 	// bitonic-sort -calibrate to replace fallbacks with measurements.
 	// Simulated plans read no profile and always report "fallback".
 	ProfileSource string
@@ -77,7 +82,8 @@ func (p Plan) Apply(cfg Config) Config {
 // parallel speedup the per-processor model predicts), and ProfilePath
 // overrides the machine profile location of a Native plan (empty
 // means the default cache path, falling back to shipped defaults when
-// no profile exists; Simulated plans never read it). Ties break
+// no profile exists or it is from another format version; Simulated
+// plans never read it). Ties break
 // deterministically: smaller P, then algorithm declaration order.
 func PlanFor[E element.Elem](totalKeys int, cfg Config) (Plan, error) {
 	return planFor(totalKeys, element.TypeOf[E](), cfg, 0)

@@ -52,7 +52,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
+	"runtime"
 	"time"
 
 	"parbitonic"
@@ -335,8 +335,8 @@ func runSort[E element.Elem](ctx context.Context, dist workload.Dist, p, n int, 
 }
 
 // runCalibrate microbenchmarks the host's per-element kernel costs and
-// exchange-path LogGP analogues and writes the machine profile the
-// planner reads (see internal/tune and TUNING.md).
+// native barrier round trip and writes the machine profile the planner
+// reads (see internal/tune and TUNING.md).
 func runCalibrate(path string, quick bool, timeout time.Duration) error {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -367,11 +367,11 @@ func runCalibrate(path string, quick bool, timeout time.Duration) error {
 		fmt.Printf("%-8s         radix=%.2f  merge=%.2f  compare=%.2f  copy=%.2f (ns/elem)\n",
 			t, k.RadixPassNS, k.MergeNS, k.CompareNS, k.CopyNS)
 	}
-	fmt.Printf("comm             remap=%.0f ns  word=%.2f ns  msg=%.0f ns\n",
-		prof.Comm.RemapNS, prof.Comm.WordNS, prof.Comm.MsgNS)
-	if len(prof.CommFallback) > 0 {
-		fmt.Printf("comm fallback    %s (not identified by the observed runs)\n", strings.Join(prof.CommFallback, ", "))
+	how := "one empty round trip"
+	if runtime.GOMAXPROCS(0) < 2 {
+		how = "fallback: fewer than 2 schedulable CPUs"
 	}
+	fmt.Printf("barrier          %.0f ns (%s)\n", prof.BarrierNS, how)
 	fmt.Printf("profile          %s\n", path)
 	return nil
 }

@@ -7,6 +7,16 @@ import (
 	"parbitonic/internal/obs"
 )
 
+// RemapBarriers is the number of barriers one remap crosses on every
+// data path: Remap's publish and release barriers below, and
+// Exchange's publish and read barriers, which RemapExchangeRuns and
+// ExchangeRuns go through once each. A native remap's data movement
+// is local computation (the gather, or the routed merge feeding
+// ExchangeRuns), so the native planner prices a remap as this many
+// measured barrier round trips (internal/tune). TestRemapBarriers
+// pins the count.
+const RemapBarriers = 2
+
 // Remap routes p.Data from plan.Old to plan.New. Every processor
 // publishes its local memory on the exchange board, and after a
 // barrier each one GATHERS its new local array straight out of the

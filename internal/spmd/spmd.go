@@ -124,13 +124,6 @@ type Stats struct {
 	UnpackTime   float64 // unpacking received messages into place
 }
 
-// CommTime returns the communication portion of the time: packing,
-// transfer and unpacking.
-func (s Stats) CommTime() float64 { return s.PackTime + s.TransferTime + s.UnpackTime }
-
-// Total returns all charged time.
-func (s Stats) Total() float64 { return s.ComputeTime + s.CommTime() }
-
 func (s *Stats) add(o Stats) {
 	s.Remaps += o.Remaps
 	s.MessagesSent += o.MessagesSent

@@ -3,6 +3,8 @@ package spmd
 import (
 	"strings"
 	"testing"
+
+	"parbitonic/internal/addr"
 )
 
 // countCharger counts hook invocations — a minimal third backend that
@@ -38,6 +40,51 @@ func TestChargerHooksFire(t *testing.T) {
 	}
 	if ch.start != 1 || ch.compute != 1 || ch.synced != 1 {
 		t.Fatalf("hook counts start=%d compute=%d synced=%d, want 1 each", ch.start, ch.compute, ch.synced)
+	}
+}
+
+// barrierCounter counts each processor's barrier releases; every
+// goroutine touches only its own slot.
+type barrierCounter struct{ synced []int }
+
+func (c *barrierCounter) Start(*PC)              {}
+func (c *barrierCounter) Compute(*PC, float64)   {}
+func (c *barrierCounter) Pack(*PC, int)          {}
+func (c *barrierCounter) Unpack(*PC, int)        {}
+func (c *barrierCounter) Transfer(*PC, int, int) {}
+func (c *barrierCounter) Synced(p *PC)           { c.synced[p.ID]++ }
+
+// TestRemapBarriers pins RemapBarriers, the count the native planner
+// prices a remap at: the gather, a bare exchange and both prepacked
+// remap forms each cross exactly that many barriers on every
+// processor.
+func TestRemapBarriers(t *testing.T) {
+	const p, lgN = 2, 4
+	ch := &barrierCounter{synced: make([]int, p)}
+	e := mustEngine(t, EngineConfig{P: p, Long: true, Charge: ch})
+	plan := addr.NewRemapPlan(addr.Blocked(lgN, 1), addr.Cyclic(lgN, 1))
+	for _, tc := range []struct {
+		name string
+		body func(pr *Proc)
+	}{
+		{"Remap", func(pr *Proc) { pr.Remap(plan, false) }},
+		{"Exchange", func(pr *Proc) { pr.Exchange(make([][]uint32, p)) }},
+		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan) }},
+		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.PackBuffers(plan)) }},
+	} {
+		clear(ch.synced)
+		data := make([][]uint32, p)
+		for i := range data {
+			data[i] = make([]uint32, 1<<lgN/p)
+		}
+		if _, err := e.Run(data, tc.body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for id, n := range ch.synced {
+			if n != RemapBarriers {
+				t.Errorf("%s: processor %d crossed %d barriers, want RemapBarriers = %d", tc.name, id, n, RemapBarriers)
+			}
+		}
 	}
 }
 

@@ -3,16 +3,12 @@ package tune
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"time"
 
 	"parbitonic/element"
 	"parbitonic/internal/bitseq"
-	"parbitonic/internal/core"
-	"parbitonic/internal/intbits"
 	"parbitonic/internal/localsort"
 	"parbitonic/internal/native"
 	"parbitonic/internal/spmd"
@@ -27,18 +23,16 @@ type Options struct {
 	Quick bool
 	// Seed seeds the deterministic workload generator; 0 means 1.
 	Seed uint64
-	// MaxP caps the processor counts the communication fit runs at;
-	// 0 means min(GOMAXPROCS, 8).
-	MaxP int
 }
 
 // Calibrate microbenchmarks the host and returns a machine profile:
 // per-element kernel costs for every element type (radix pass, linear
 // merge, compare-exchange sweep, bulk copy — measured with warmup and
-// trimmed means) and the fitted communication costs of the native
-// backend's exchange path (a least-squares fit of makespan minus
-// measured busy time against the run's R/V/M counters, the §3.4
-// metrics). The context aborts the communication runs; kernel
+// trimmed means) and the native backend's one communication constant,
+// the wall time of an empty PC.Barrier round trip on an idle engine
+// at the largest power-of-two P <= min(GOMAXPROCS, 8). A host with
+// GOMAXPROCS < 2 cannot run a parallel barrier and keeps
+// Fallback().BarrierNS. The context aborts the barrier runs; kernel
 // microbenchmarks check it between measurements.
 func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 	if opts.Seed == 0 {
@@ -83,11 +77,14 @@ func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 		p.Kernels[t.String()] = k
 	}
 
-	comm, fallback, err := calibrateComm(ctx, opts)
-	if err != nil {
-		return nil, err
+	p.BarrierNS = Fallback().BarrierNS
+	if procs := barrierProcs(); procs >= 2 {
+		ns, err := barrierNS(ctx, procs, reps)
+		if err != nil {
+			return nil, err
+		}
+		p.BarrierNS = ns
 	}
-	p.Comm, p.CommFallback = comm, fallback
 
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("tune: calibration produced an invalid profile: %w", err)
@@ -120,64 +117,40 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	}
 
 	passes := localsort.RadixPassesOf[E]()
-	radix, err := measure(ctx, reps, func() {
-		copy(buf, base)
-	}, func() {
-		localsort.RadixSort(buf)
-	})
-	if err != nil {
-		return KernelCosts{}, err
-	}
-	merge, err := measure(ctx, reps, nil, func() {
-		localsort.MergeTwo(dst, a, b, true)
-	})
-	if err != nil {
-		return KernelCosts{}, err
-	}
-	compare, err := measure(ctx, reps, func() {
-		copy(buf, bitonic)
-	}, func() {
-		bitseq.Split(buf)
-	})
-	if err != nil {
-		return KernelCosts{}, err
-	}
-	cp, err := measure(ctx, reps, nil, func() {
-		copy(dst, base)
-	})
-	if err != nil {
-		return KernelCosts{}, err
+	// Radix sort, merge, compare-exchange sweep and copy, in that
+	// order; ns holds each kernel's trimmed-mean time.
+	var ns [4]float64
+	for i, kernel := range []struct{ setup, fn func() }{
+		{func() { copy(buf, base) }, func() { localsort.RadixSort(buf) }},
+		{nil, func() { localsort.MergeTwo(dst, a, b, true) }},
+		{func() { copy(buf, bitonic) }, func() { bitseq.Split(buf) }},
+		{nil, func() { copy(dst, base) }},
+	} {
+		var err error
+		if ns[i], err = measure(ctx, reps, kernel.setup, kernel.fn); err != nil {
+			return KernelCosts{}, err
+		}
 	}
 
 	k := KernelCosts{
-		RadixPassNS: radix / float64(n) / float64(passes),
-		MergeNS:     merge / float64(n),
-		CompareNS:   compare / float64(n),
-		CopyNS:      cp / float64(n),
+		RadixPassNS: ns[0] / float64(n) / float64(passes),
+		MergeNS:     ns[1] / float64(n),
+		CompareNS:   ns[2] / float64(n),
+		CopyNS:      ns[3] / float64(n),
 	}
 	// Clock-resolution floor: a pass can measure as ~0 on very fast
 	// hosts with quick sizes; a zero cost would make the planner treat
 	// the kernel as free.
 	const floorNS = 0.01
-	if k.RadixPassNS < floorNS {
-		k.RadixPassNS = floorNS
-	}
-	if k.MergeNS < floorNS {
-		k.MergeNS = floorNS
-	}
-	if k.CompareNS < floorNS {
-		k.CompareNS = floorNS
-	}
-	if k.CopyNS < floorNS {
-		k.CopyNS = floorNS
+	for _, c := range []*float64{&k.RadixPassNS, &k.MergeNS, &k.CompareNS, &k.CopyNS} {
+		*c = max(*c, floorNS)
 	}
 	return k, nil
 }
 
 // measure times fn reps times (plus one warmup), running setup
-// untimed before each, and returns the trimmed-mean duration in
-// nanoseconds: with five or more reps the fastest and slowest are
-// dropped, otherwise the median is used.
+// untimed before each, and returns the trimmed mean (see trimmedMean)
+// in nanoseconds.
 func measure(ctx context.Context, reps int, setup, fn func()) (float64, error) {
 	if setup != nil {
 		setup()
@@ -195,6 +168,13 @@ func measure(ctx context.Context, reps int, setup, fn func()) (float64, error) {
 		fn()
 		samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 	}
+	return trimmedMean(samples), nil
+}
+
+// trimmedMean sorts samples in place and averages them: with five or
+// more the fastest and slowest are dropped, otherwise the median is
+// used.
+func trimmedMean(samples []float64) float64 {
 	sort.Float64s(samples)
 	if len(samples) >= 5 {
 		samples = samples[1 : len(samples)-1]
@@ -205,276 +185,49 @@ func measure(ctx context.Context, reps int, setup, fn func()) (float64, error) {
 	for _, s := range samples {
 		sum += s
 	}
-	return sum / float64(len(samples)), nil
+	return sum / float64(len(samples))
 }
 
-// commRun is one observation for the communication fit: the §3.4
-// counters of a measured native run and its unexplained time (makespan
-// minus mean per-processor busy time), in nanoseconds.
-type commRun struct {
-	r, v, m    float64
-	residualNS float64
+// barrierProcs is the engine size the barrier is timed at: the largest
+// power of two <= min(GOMAXPROCS, 8).
+func barrierProcs() int {
+	p := min(runtime.GOMAXPROCS(0), 8)
+	for p&(p-1) != 0 {
+		p &= p - 1
+	}
+	return p
 }
 
-// commKeys are the CommCosts JSON keys of the R, V and M coefficients.
-var commKeys = [3]string{"remap_ns", "word_ns", "msg_ns"}
-
-// col returns the observation's R (c=0), V (1) or M (2) counter.
-func (o commRun) col(c int) float64 {
-	return [3]float64{o.r, o.v, o.m}[c]
-}
-
-// calibrateComm fits CommCosts from measured native runs. For several
-// (P, n, algorithm) shapes it runs the real parallel sort, reads the
-// measured R/V/M counters and per-phase busy times, and fits
-//
-//	makespan − busy ≈ RemapNS·R + WordNS·V + MsgNS·M
-//
-// by non-negative least squares. On a shared-memory host the residual
-// is barrier synchronization plus exchange hand-off — the effective
-// (L+2o−g), G and (g−G) of this machine's "network". A single-core
-// host cannot run the fit and gets the fallback communication costs;
-// the returned names list the coefficients taken from the fallback.
-func calibrateComm(ctx context.Context, opts Options) (CommCosts, []string, error) {
-	maxP := opts.MaxP
-	if maxP <= 0 {
-		maxP = runtime.GOMAXPROCS(0)
-		if maxP > 8 {
-			maxP = 8
-		}
+// barrierNS times an empty PC.Barrier round trip on an idle native
+// engine of p processors: each of reps runs (after one warmup run)
+// crosses a start barrier and then barrierRounds timed ones, and
+// processor 0's elapsed time per round is one sample. It returns the
+// trimmed mean in nanoseconds.
+func barrierNS(ctx context.Context, p, reps int) (float64, error) {
+	const barrierRounds = 1000
+	eng, err := native.NewOf[uint32](native.Config{P: p})
+	if err != nil {
+		return 0, err
 	}
-	maxP = intbits.CeilPow2(maxP)
-	for maxP > runtime.GOMAXPROCS(0) {
-		maxP /= 2
-	}
-	if maxP < 2 {
-		return Fallback().Comm, slices.Clone(commKeys[:]), nil
-	}
-
-	sizes := []int{1 << 11, 1 << 13}
-	runReps := 3
-	if opts.Quick {
-		sizes = []int{1 << 10, 1 << 12}
-		runReps = 2
-	}
-
-	var runs []commRun
-	for p := 2; p <= maxP; p *= 2 {
-		eng, err := native.NewOf[uint32](native.Config{P: p})
-		if err != nil {
-			return CommCosts{}, nil, err
-		}
-		for _, n := range sizes {
-			for _, alg := range []core.Algorithm{core.Smart, core.CyclicBlocked} {
-				res, err := bestOf(ctx, eng, p, n, alg, runReps, opts.Seed)
-				if err != nil {
-					return CommCosts{}, nil, err
-				}
-				busy := res.Mean.Total()
-				residual := res.Time - busy
-				if residual < 0 {
-					residual = 0
-				}
-				runs = append(runs, commRun{
-					r:          float64(res.Mean.Remaps),
-					v:          float64(res.Mean.VolumeSent),
-					m:          float64(res.Mean.MessagesSent),
-					residualNS: residual * 1e3, // µs → ns
-				})
+	defer eng.Close()
+	samples := make([]float64, 0, reps)
+	for i := 0; i <= reps; i++ {
+		var elapsed time.Duration
+		if _, err := eng.RunContext(ctx, nil, func(pr *spmd.ProcOf[uint32]) {
+			pr.Barrier() // every processor is running
+			t0 := time.Now()
+			for range barrierRounds {
+				pr.Barrier()
 			}
-		}
-	}
-	return fitComm(runs)
-}
-
-// bestOf runs the (p, n, alg) native sort reps times and returns the
-// fastest run — the observation closest to the machine's cost floor.
-func bestOf(ctx context.Context, eng *native.EngineOf[uint32], p, n int, alg core.Algorithm, reps int, seed uint64) (spmd.Result, error) {
-	copts := core.Options{Algorithm: alg}
-	if alg == core.Smart {
-		copts = core.FusedSmart(p, n)
-	}
-	var best spmd.Result
-	for i := 0; i < reps; i++ {
-		data := workload.PerProcOf[uint32](workload.FullRange, p, n, seed+uint64(i))
-		res, err := core.SortContext(ctx, eng, data, copts)
-		if err != nil {
-			return spmd.Result{}, err
-		}
-		if i == 0 || res.Time < best.Time {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-// fitComm solves the three-parameter non-negative least-squares
-// problem residual ≈ a·R + b·V + c·M over the observed runs. Columns
-// the runs cannot tell apart are not fitted: identifiable keeps a
-// column only when it is linearly independent of the ones kept before
-// it (in R, V, M order). At P=2, for instance, smart and
-// cyclic-blocked both make two remaps of one message each, so M
-// repeats R and only R and V are identified. The identified columns
-// are fitted by the normal equations. A coefficient that comes out
-// negative, which a non-negative fit would clamp to zero, is not
-// measured either: at P=2 the R column is constant, so timing noise
-// can push its intercept below zero. Unidentified and clamped
-// coefficients alike take Fallback().Comm's value, their share is
-// subtracted from the residual, the rest is refit, and the returned
-// names (CommCosts JSON keys, in R, V, M order) say which coefficients
-// are fallbacks.
-func fitComm(runs []commRun) (CommCosts, []string, error) {
-	if len(runs) < 3 {
-		return CommCosts{}, nil, fmt.Errorf("tune: %d communication observations, need >= 3", len(runs))
-	}
-	fb := Fallback().Comm
-	fbCoef := [3]float64{fb.RemapNS, fb.WordNS, fb.MsgNS}
-	fit := slices.Clone(runs)
-	active := identifiable(runs)
-	useFallback := func(c int) {
-		active[c] = false
-		for i := range fit {
-			fit[i].residualNS -= fbCoef[c] * fit[i].col(c)
-		}
-	}
-	for c, ok := range active {
-		if !ok {
-			useFallback(c)
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		coef, ok := solveLSQ(fit, active[:])
-		if !ok {
-			return CommCosts{}, nil, fmt.Errorf("tune: singular communication fit")
-		}
-		clamped := false
-		for c, v := range coef {
-			if active[c] && v < 0 {
-				useFallback(c)
-				clamped = true
+			if pr.ID == 0 {
+				elapsed = time.Since(t0)
 			}
+		}); err != nil {
+			return 0, err
 		}
-		if !clamped {
-			var fallback []string
-			for c, ok := range active {
-				if !ok {
-					coef[c] = fbCoef[c]
-					fallback = append(fallback, commKeys[c])
-				}
-			}
-			return CommCosts{RemapNS: coef[0], WordNS: coef[1], MsgNS: coef[2]}, fallback, nil
+		if i > 0 { // run 0 is the warmup
+			samples = append(samples, float64(elapsed.Nanoseconds())/barrierRounds)
 		}
 	}
-	return CommCosts{}, nil, fmt.Errorf("tune: communication fit did not converge")
-}
-
-// identifiable reports, for the R, V and M columns in that order,
-// whether each is linearly independent of the columns kept before it:
-// Gram-Schmidt over the observation vectors, keeping a column whose
-// component orthogonal to the kept ones retains more than a 1e-9 share
-// of its norm. An all-zero column is never kept.
-func identifiable(runs []commRun) [3]bool {
-	var keep [3]bool
-	var basis [][]float64
-	for c := 0; c < 3; c++ {
-		col := make([]float64, len(runs))
-		for i, r := range runs {
-			col[i] = r.col(c)
-		}
-		norm := math.Sqrt(dot(col, col))
-		for _, q := range basis {
-			d := dot(col, q)
-			for i := range col {
-				col[i] -= d * q[i]
-			}
-		}
-		rest := math.Sqrt(dot(col, col))
-		if norm == 0 || rest <= 1e-9*norm {
-			continue
-		}
-		for i := range col {
-			col[i] /= rest
-		}
-		basis = append(basis, col)
-		keep[c] = true
-	}
-	return keep
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// solveLSQ solves the normal equations of the least-squares fit over
-// the active columns; inactive columns get coefficient 0.
-func solveLSQ(runs []commRun, active []bool) ([3]float64, bool) {
-	var cols []int
-	for i, a := range active {
-		if a {
-			cols = append(cols, i)
-		}
-	}
-	k := len(cols)
-	var out [3]float64
-	if k == 0 {
-		return out, true
-	}
-	// Build AtA (k×k) and Atb (k).
-	ata := make([][]float64, k)
-	atb := make([]float64, k)
-	for i := range ata {
-		ata[i] = make([]float64, k)
-	}
-	for _, r := range runs {
-		for i, ci := range cols {
-			for j, cj := range cols {
-				ata[i][j] += r.col(ci) * r.col(cj)
-			}
-			atb[i] += r.col(ci) * r.residualNS
-		}
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < k; col++ {
-		pivot := col
-		for row := col + 1; row < k; row++ {
-			if abs(ata[row][col]) > abs(ata[pivot][col]) {
-				pivot = row
-			}
-		}
-		if abs(ata[pivot][col]) < 1e-12 {
-			return out, false
-		}
-		ata[col], ata[pivot] = ata[pivot], ata[col]
-		atb[col], atb[pivot] = atb[pivot], atb[col]
-		for row := col + 1; row < k; row++ {
-			f := ata[row][col] / ata[col][col]
-			for c := col; c < k; c++ {
-				ata[row][c] -= f * ata[col][c]
-			}
-			atb[row] -= f * atb[col]
-		}
-	}
-	sol := make([]float64, k)
-	for row := k - 1; row >= 0; row-- {
-		s := atb[row]
-		for c := row + 1; c < k; c++ {
-			s -= ata[row][c] * sol[c]
-		}
-		sol[row] = s / ata[row][row]
-	}
-	for i, ci := range cols {
-		out[ci] = sol[i]
-	}
-	return out, true
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return trimmedMean(samples), nil
 }

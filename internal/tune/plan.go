@@ -58,8 +58,11 @@ type Plan struct {
 	PredictedUS float64 `json:"predicted_us"`
 	// ComputeUS is the predicted local-computation time.
 	ComputeUS float64 `json:"compute_us"`
-	// CommUS is the predicted communication time: the §3.4 closed form
-	// (L+2o−g)R + G·V + (g−G)M under the profile's fitted parameters.
+	// CommUS is the predicted communication time. For BackendNative it
+	// is barrier time, R·spmd.RemapBarriers·Profile.BarrierNS: a native
+	// remap's data movement is in ComputeUS. For BackendSimulated it is
+	// the §3.4 closed form (L+2o−g)R + G·V + (g−G)M under the Meiko
+	// CS-2 parameters.
 	CommUS float64 `json:"comm_us"`
 	// R is the §3.4 remap count the score used.
 	R int `json:"r"`
@@ -178,9 +181,13 @@ func (pl *Planner) Rank(totalKeys int, t element.Type) ([]Plan, error) {
 
 // costSet holds the per-element cost parameters of one scoring basis,
 // in microseconds. For the native backend they come from the machine
-// profile; for the simulated backend from the simulator's own model
-// (spmd.DefaultCosts + logp.MeikoCS2), so a simulated plan's score is
-// the model time the simulator itself would report.
+// profile, and communication is barrier time alone: commFixed is the
+// spmd.RemapBarriers measured barrier round trips a remap crosses and
+// the volume and message terms are zero, since a native remap moves
+// its data in the gather or routed merge that the compute terms
+// price. For the simulated backend they come from the simulator's own
+// model (spmd.DefaultCosts + logp.MeikoCS2), so a simulated plan's
+// score is the model time the simulator itself would report.
 type costSet struct {
 	radixPass, merge, compare, pack, unpack float64 // per element
 	commFixed, commWord, commMsg            float64 // per remap / 32-bit word / message
@@ -203,9 +210,7 @@ func (pl *Planner) costSetFor(prof *Profile, backend Backend, t element.Type) co
 			compare:     k.CompareNS / 1e3,
 			pack:        k.CopyNS / 1e3,
 			unpack:      k.CopyNS / 1e3,
-			commFixed:   prof.Comm.RemapNS / 1e3,
-			commWord:    prof.Comm.WordNS / 1e3,
-			commMsg:     prof.Comm.MsgNS / 1e3,
+			commFixed:   spmd.RemapBarriers * prof.BarrierNS / 1e3,
 			words:       w,
 			passes:      passes,
 			cacheFactor: func(int) float64 { return 1 },
@@ -230,7 +235,8 @@ func (pl *Planner) costSetFor(prof *Profile, backend Backend, t element.Type) co
 }
 
 // comm evaluates the §3.4 closed form for the given metrics under this
-// cost set, scaling volume to 32-bit words.
+// cost set, scaling volume to 32-bit words (for a native cost set only
+// the per-remap barrier term is non-zero).
 func (c costSet) comm(r, v, m int) float64 {
 	if r <= 0 {
 		return 0

@@ -1,6 +1,6 @@
 // Package tune closes the loop the paper opens in §3.4: it measures
 // the cost parameters of the machine it is running on and uses the
-// paper's closed forms to pick the execution plan — algorithm,
+// paper's cost model to pick the execution plan — algorithm,
 // processor count, backend, remap strategy — that the model predicts
 // fastest for a given data size and element type.
 //
@@ -8,16 +8,19 @@
 //
 //   - A calibrator (Calibrate) that microbenchmarks the host's local
 //     kernels — radix pass, linear merge, compare-exchange sweep, bulk
-//     copy, per element type — and fits the effective LogGP-style
-//     communication parameters of the native backend's exchange path
-//     from measured runs, producing a Profile.
+//     copy, per element type — and times one empty barrier round trip
+//     on the native backend, producing a Profile.
 //   - A versioned machine-profile JSON (Profile, Save/Load,
 //     DefaultPath) so calibration is paid once per host, not per
 //     process.
-//   - A planner (Planner) that enumerates candidate plans and scores
-//     each with the §3.4 cost model T = (L+2o-g)R + GV + (g-G)M plus
-//     the local-computation terms, returning the predicted-fastest
-//     Plan.
+//   - A planner (Planner) that enumerates candidate plans, scores each
+//     as local computation plus communication and returns the
+//     predicted-fastest Plan. A native plan's communication is the
+//     barriers its remaps cross (spmd.RemapBarriers per remap) at the
+//     measured barrier cost: on shared memory a remap's data movement
+//     is already local computation. A simulated plan's communication
+//     is the §3.4 closed form T = (L+2o-g)R + GV + (g-G)M, the model
+//     the simulator charges.
 //
 // The shipped defaults in spmd.DefaultCosts and logp.MeikoCS2 model
 // the paper's 1996 Meiko CS-2; Fallback is this package's equivalent
@@ -27,6 +30,7 @@ package tune
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,10 +44,11 @@ import (
 const ProfileSchema = "parbitonic-profile"
 
 // ProfileVersion is the current profile format version. Load rejects
-// profiles written by a different (older or newer) version: cost
-// semantics may have changed, so a stale profile must be re-calibrated
-// rather than silently misread. Unknown JSON fields are ignored, so
-// adding fields does not require a version bump.
+// profiles written by a different (older or newer) version with
+// ErrProfileVersion: cost semantics may have changed, so a stale
+// profile must be re-calibrated rather than silently misread
+// (LoadOrFallback plans from Fallback meanwhile). Unknown JSON fields
+// are ignored, so adding fields does not require a version bump.
 //
 // Version 2: the localsort kernel overhaul (cache-blocked hybrid
 // radix, branchless splits, mod-free bitonic merges) changed every
@@ -53,7 +58,15 @@ const ProfileSchema = "parbitonic-profile"
 // Version 3: MergeTwo became the closure-free two-run kernel FullSort
 // runs (branchless, conditional-move select), which moved the
 // calibrated merge_ns; version-2 profiles priced the old loop.
-const ProfileVersion = 3
+//
+// Version 4: the native communication fit (comm, comm_fallback) gave
+// way to one measured barrier round trip (barrier_ns); version-3
+// profiles carry no barrier cost.
+const ProfileVersion = 4
+
+// ErrProfileVersion is wrapped by the error Load and Validate return
+// for a profile written by another format version.
+var ErrProfileVersion = errors.New("tune: profile version")
 
 // KernelCosts are the measured local-computation costs for one element
 // type, in nanoseconds per element.
@@ -70,24 +83,6 @@ type KernelCosts struct {
 	// CopyNS is one bulk copy pass, per element — the pack/unpack
 	// analogue of the native exchange path.
 	CopyNS float64 `json:"copy_ns"`
-}
-
-// CommCosts are the fitted communication costs of the native backend's
-// exchange path, in nanoseconds, expressed in the §3.4 shape
-// T_comm = RemapNS·R + WordNS·(V·words) + MsgNS·M. RemapNS plays the
-// role of (L+2o-g) — the fixed per-collective cost, dominated on a
-// shared-memory host by barrier synchronization — WordNS the role of G
-// (per 4-byte word of volume), and MsgNS the role of (g-G) (per
-// message).
-type CommCosts struct {
-	// RemapNS is the fixed cost per collective exchange (the (L+2o-g)
-	// analogue).
-	RemapNS float64 `json:"remap_ns"`
-	// WordNS is the cost per 4-byte word of transferred volume (the G
-	// analogue).
-	WordNS float64 `json:"word_ns"`
-	// MsgNS is the cost per message (the (g-G) analogue).
-	MsgNS float64 `json:"msg_ns"`
 }
 
 // Profile is a calibrated machine profile: everything the planner
@@ -121,26 +116,25 @@ type Profile struct {
 	// from it (see KernelsFor).
 	Kernels map[string]KernelCosts `json:"kernels"`
 
-	// Comm holds the fitted native-backend communication costs.
-	Comm CommCosts `json:"comm"`
-	// CommFallback names the Comm coefficients (CommCosts JSON keys)
-	// the calibration could not identify and took from Fallback: all
-	// three on a single-core host, and those whose R/V/M columns were
-	// collinear in the observed runs (msg_ns at P=2, where M repeats R).
-	CommFallback []string `json:"comm_fallback,omitempty"`
+	// BarrierNS is the wall time of one empty PC.Barrier round trip on
+	// an idle native engine, in nanoseconds: the native backend's only
+	// communication cost, since a native remap's data movement is local
+	// computation. Calibrate times it at the largest power-of-two P <=
+	// min(GOMAXPROCS, 8); a single-core host keeps the fallback value.
+	BarrierNS float64 `json:"barrier_ns"`
 }
 
 // Validate checks that the profile is internally usable: correct
 // schema/version, a "u32" kernel entry, and finite positive costs.
+// A version mismatch wraps ErrProfileVersion.
 func (p *Profile) Validate() error {
 	if p.Schema != ProfileSchema {
 		return fmt.Errorf("tune: profile schema %q, want %q", p.Schema, ProfileSchema)
 	}
 	if p.Version != ProfileVersion {
-		return fmt.Errorf("tune: profile version %d, want %d — re-run calibration (-calibrate)", p.Version, ProfileVersion)
+		return fmt.Errorf("%w %d, want %d — re-run calibration (-calibrate)", ErrProfileVersion, p.Version, ProfileVersion)
 	}
-	base, ok := p.Kernels["u32"]
-	if !ok {
+	if _, ok := p.Kernels["u32"]; !ok {
 		return fmt.Errorf("tune: profile has no u32 kernel costs")
 	}
 	for name, k := range p.Kernels {
@@ -151,24 +145,20 @@ func (p *Profile) Validate() error {
 			{"radix_pass_ns", k.RadixPassNS}, {"merge_ns", k.MergeNS},
 			{"compare_ns", k.CompareNS}, {"copy_ns", k.CopyNS},
 		} {
-			if !(c.v > 0) || c.v > 1e9 {
+			if !positiveCost(c.v) {
 				return fmt.Errorf("tune: kernel %s.%s = %v is not a positive cost", name, c.field, c.v)
 			}
 		}
 	}
-	_ = base
-	for _, c := range []struct {
-		field string
-		v     float64
-	}{
-		{"remap_ns", p.Comm.RemapNS}, {"word_ns", p.Comm.WordNS}, {"msg_ns", p.Comm.MsgNS},
-	} {
-		if c.v < 0 || c.v != c.v {
-			return fmt.Errorf("tune: comm %s = %v must be finite and non-negative", c.field, c.v)
-		}
+	if !positiveCost(p.BarrierNS) {
+		return fmt.Errorf("tune: barrier_ns = %v is not a positive cost", p.BarrierNS)
 	}
 	return nil
 }
+
+// positiveCost reports whether v is a usable cost in nanoseconds:
+// positive, finite and at most a second.
+func positiveCost(v float64) bool { return v > 0 && v <= 1e9 }
 
 // KernelsFor returns the kernel costs for element type t. Types the
 // profile was not calibrated for are width-scaled from the u32 entry:
@@ -191,9 +181,12 @@ func (p *Profile) KernelsFor(t element.Type) KernelCosts {
 
 // Fallback returns the shipped default profile: representative costs
 // for a contemporary x86-64 server core, used when no calibrated
-// profile exists. Like spmd.DefaultCosts for the simulator, these are
-// fallbacks, not measurements of your machine — run the calibrator
-// (bitonic-sort -calibrate) for host-accurate planning.
+// profile exists (or the cached one is from another format version).
+// BarrierNS is an empty P=2 barrier round trip on a 2-vCPU x86-64
+// host (469–580 ns over five calibrations, go1.24), rounded. Like
+// spmd.DefaultCosts for the simulator, these are fallbacks, not
+// measurements of your machine — run the calibrator (bitonic-sort
+// -calibrate) for host-accurate planning.
 func Fallback() *Profile {
 	mk := func(w float64) KernelCosts {
 		return KernelCosts{
@@ -214,7 +207,7 @@ func Fallback() *Profile {
 			"f64":  mk(2.4),
 			"kv64": mk(4),
 		},
-		Comm: CommCosts{RemapNS: 30000, WordNS: 0.35, MsgNS: 300},
+		BarrierNS: 500,
 	}
 }
 
@@ -229,9 +222,10 @@ func DefaultPath() (string, error) {
 }
 
 // Load reads and validates a profile from path. A profile written by a
-// different format version is rejected (re-calibrate instead); unknown
-// JSON fields are ignored, so profiles from newer builds that only
-// added fields still load.
+// different format version is rejected with an error wrapping
+// ErrProfileVersion (re-calibrate instead); unknown JSON fields are
+// ignored, so profiles from newer builds that only added fields still
+// load.
 func Load(path string) (*Profile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -279,11 +273,13 @@ func (p *Profile) Save(path string) error {
 }
 
 // LoadOrFallback loads the profile at path (or DefaultPath when path
-// is empty) and falls back to the shipped defaults when none exists.
-// The boolean reports whether a calibrated profile was found. Errors
-// other than absence — corrupt JSON, version mismatch — are returned,
-// not masked: a profile the operator wrote deliberately should never
-// be silently ignored.
+// is empty) and falls back to the shipped defaults when none exists or
+// when it was written by another format version (ErrProfileVersion):
+// a stale profile plans as "(fallback profile)" until the host is
+// re-calibrated. The boolean reports whether a calibrated profile was
+// used. Other errors — corrupt JSON, a foreign schema, invalid costs —
+// are returned, not masked: a profile the operator wrote deliberately
+// should never be silently ignored.
 func LoadOrFallback(path string) (*Profile, bool, error) {
 	if path == "" {
 		p, err := DefaultPath()
@@ -294,7 +290,7 @@ func LoadOrFallback(path string) (*Profile, bool, error) {
 	}
 	prof, err := Load(path)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if os.IsNotExist(err) || errors.Is(err, ErrProfileVersion) {
 			return Fallback(), false, nil
 		}
 		return nil, false, err

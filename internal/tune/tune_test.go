@@ -3,16 +3,17 @@ package tune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"parbitonic/element"
 	"parbitonic/internal/logp"
+	"parbitonic/internal/spmd"
 )
 
 // exampleProfile loads the committed test profile that TUNING.md's
@@ -65,8 +66,8 @@ func TestProfileForwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("profile with unknown fields must load: %v", err)
 	}
-	if p.Comm.RemapNS != 10000 {
-		t.Errorf("RemapNS = %v after unknown-field load, want 10000", p.Comm.RemapNS)
+	if p.BarrierNS != 1000 {
+		t.Errorf("BarrierNS = %v after unknown-field load, want 1000", p.BarrierNS)
 	}
 
 	// A different format version must be rejected, not misread.
@@ -75,8 +76,8 @@ func TestProfileForwardCompat(t *testing.T) {
 	if err := os.WriteFile(path, versioned, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Error("profile with version mismatch must be rejected")
+	if _, err := Load(path); !errors.Is(err, ErrProfileVersion) {
+		t.Errorf("profile with version mismatch: Load error %v, want ErrProfileVersion", err)
 	}
 
 	// So must a foreign schema.
@@ -133,28 +134,49 @@ func TestLoadOrFallback(t *testing.T) {
 	if _, _, err := LoadOrFallback(path); err == nil {
 		t.Error("corrupt profile must surface an error")
 	}
+	// A profile from another format version (a cached file older than
+	// this build) plans from the fallback instead of failing.
+	stale := Fallback()
+	stale.Source = "calibrated"
+	stale.Version = ProfileVersion - 1
+	raw, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), "stale.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, calibrated, err = LoadOrFallback(path)
+	if err != nil || calibrated || p.Source != "fallback" {
+		t.Errorf("stale profile: got (%v, %v, %v), want fallback", p.Source, calibrated, err)
+	}
 }
 
 // TestPlannerGoldenSmall hand-computes the worked example of TUNING.md
 // from the committed profile: sorting 4096 uint32 keys on up to 4
-// processors. Every plan cost below is derived by hand from the §3.4
-// closed forms and the profile's round-number costs; the planner must
-// reproduce them exactly.
+// processors. Every plan cost below is derived by hand from the kernel
+// costs, the §3.4 metrics and the profile's round-number costs (1 µs
+// per barrier, spmd.RemapBarriers = 2 barriers per remap); the planner
+// must reproduce them exactly.
 func TestPlannerGoldenSmall(t *testing.T) {
 	pl := &Planner{Profile: exampleProfile(t), MaxP: 4, Backend: BackendNative}
 	ranked, err := pl.Rank(4096, element.TU32)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spmd.RemapBarriers != 2 {
+		t.Fatalf("spmd.RemapBarriers = %d; the hand computation below assumes 2", spmd.RemapBarriers)
+	}
 
 	// P=1: compute only, 3 radix passes x 1 ns over 4096 keys = 12.288 µs.
-	best := ranked[0]
-	if best.Algorithm != AlgSmart || best.Processors != 1 {
-		t.Fatalf("best plan = %v, want sequential smart (P=1)", best)
+	seq := findPlan(ranked, AlgSmart, 1, "head")
+	if seq == nil {
+		t.Fatal("no P=1 plan in ranking")
 	}
 	wantSeq := 3 * 0.001 * 4096 // µs
-	if !close(best.PredictedUS, wantSeq) {
-		t.Errorf("P=1 predicted = %v µs, want %v", best.PredictedUS, wantSeq)
+	if !close(seq.PredictedUS, wantSeq) || seq.CommUS != 0 {
+		t.Errorf("P=1 predicted = %v µs (comm %v), want %v (comm 0)", seq.PredictedUS, seq.CommUS, wantSeq)
 	}
 
 	// P=2 smart: n=2048, lgN=12, lgP=1. The schedule has R=2 remaps,
@@ -169,9 +191,9 @@ func TestPlannerGoldenSmall(t *testing.T) {
 		t.Fatal("no P=2 smart plan in ranking")
 	}
 	// compute = 3 passes·1ns·2048 + 2 merges·2ns·2048   = 6.144+8.192 µs
-	// comm    = 10µs·2 + 0.001µs·2048 + 0.1µs·2         = 22.248 µs
+	// comm    = 2 remaps·2 barriers·1µs                 = 4 µs
 	wantCompute := 3*0.001*2048 + 2*0.002*2048
-	wantComm := 10.0*2 + 0.001*2048 + 0.1*2
+	wantComm := 2.0 * 2 * 1
 	if !close(p2.ComputeUS, wantCompute) || !close(p2.CommUS, wantComm) {
 		t.Errorf("P=2 smart = compute %v comm %v, want %v / %v",
 			p2.ComputeUS, p2.CommUS, wantCompute, wantComm)
@@ -181,14 +203,30 @@ func TestPlannerGoldenSmall(t *testing.T) {
 	}
 
 	// P=2 blocked-merge: R=1 step, V=2048, M=1; the compare-split works
-	// over 2n keys. compute = 6.144 + 1·2ns·2·2048 + 1ns·2048 = 16.384,
-	// comm = 10 + 2.048 + 0.1 = 12.148.
+	// over 2n keys. compute = 6.144 + 1·2ns·2·2048 + (0.5+0.5)ns·2048 =
+	// 16.384, comm = 1·2·1 = 2.
 	bm := findPlan(ranked, AlgBlockedMerge, 2, "head")
 	if bm == nil {
 		t.Fatal("no P=2 blocked-merge plan in ranking")
 	}
-	if !close(bm.PredictedUS, 16.384+12.148) {
-		t.Errorf("P=2 blocked-merge predicted = %v, want 28.532", bm.PredictedUS)
+	if !close(bm.PredictedUS, 16.384+2) {
+		t.Errorf("P=2 blocked-merge predicted = %v, want 18.384", bm.PredictedUS)
+	}
+
+	// P=4 sample sort wins: n=1024, R=1, V=1024, M=3. compute = 3·1ns·
+	// 1024 + lgP=2 merges·2ns·1024 + (0.5+0.5)ns·1024 = 3.072 + 4.096 +
+	// 1.024 = 8.192, comm = 1·2·1 = 2. P=4 radix sort follows: compute
+	// = 3.072 + 3 scatters·(0.5+0.5)ns·1024 = 6.144, comm = 3·2·1 = 6,
+	// 12.144 in all, just under sequential's 12.288.
+	best := ranked[0]
+	if best.Algorithm != AlgSampleSort || best.Processors != 4 || !close(best.PredictedUS, 8.192+2) {
+		t.Fatalf("best plan = %v, want sample-sort P=4 at 10.192 µs", best)
+	}
+	if second := ranked[1]; second.Algorithm != AlgRadixSort || second.Processors != 4 || !close(second.PredictedUS, 6.144+6) {
+		t.Errorf("second plan = %v, want radix-sort P=4 at 12.144 µs", second)
+	}
+	if ranked[2] != *seq {
+		t.Errorf("third plan = %v, want sequential %v", ranked[2], *seq)
 	}
 
 	// Determinism: ranking twice gives the same order.
@@ -196,6 +234,47 @@ func TestPlannerGoldenSmall(t *testing.T) {
 	for i := range ranked {
 		if ranked[i] != again[i] {
 			t.Fatalf("rank not deterministic at %d: %v vs %v", i, ranked[i], again[i])
+		}
+	}
+}
+
+// TestPlannerNativeCommIsBarrierTime: a native plan's communication is
+// the barriers its remaps cross, R·spmd.RemapBarriers·BarrierNS, and
+// nothing else. Its volume and messages move in the compute terms, so
+// plans with equal R price the same communication however V and M
+// differ: sample sort at P=2 and P=4 (R=1; M is 1 or 3), radix sort at
+// P=2 and P=4 (R=3), and blocked merge against radix sort at P=4
+// (R=3; M is 3 or 9). The barrier term holds for every element width.
+func TestPlannerNativeCommIsBarrierTime(t *testing.T) {
+	prof := exampleProfile(t)
+	pl := &Planner{Profile: prof, MaxP: 4, Backend: BackendNative}
+	const total = 1 << 16
+	for _, typ := range []element.Type{element.TU32, element.TKV64} {
+		for _, plan := range mustRank(t, pl, total, typ) {
+			want := float64(plan.R*spmd.RemapBarriers) * prof.BarrierNS / 1e3
+			if !close(plan.CommUS, want) {
+				t.Errorf("%s %v: CommUS = %v, want R·%d·BarrierNS = %v", typ, plan, plan.CommUS, spmd.RemapBarriers, want)
+			}
+		}
+	}
+	u32 := mustRank(t, pl, total, element.TU32)
+	for _, pair := range []struct {
+		name string
+		a, b *Plan
+	}{
+		{"sample P=2 vs P=4", findPlan(u32, AlgSampleSort, 2, "head"), findPlan(u32, AlgSampleSort, 4, "head")},
+		{"radix P=2 vs P=4", findPlan(u32, AlgRadixSort, 2, "head"), findPlan(u32, AlgRadixSort, 4, "head")},
+		{"blocked-merge vs radix at P=4", findPlan(u32, AlgBlockedMerge, 4, "head"), findPlan(u32, AlgRadixSort, 4, "head")},
+	} {
+		a, b := pair.a, pair.b
+		if a == nil || b == nil {
+			t.Fatalf("%s: missing plan", pair.name)
+		}
+		if a.R != b.R || (a.V == b.V && a.M == b.M) {
+			t.Fatalf("%s: want equal R and different V or M, got %+v and %+v", pair.name, *a, *b)
+		}
+		if a.CommUS != b.CommUS || !(a.CommUS > 0) {
+			t.Errorf("%s: CommUS %v vs %v, want equal and positive at R=%d", pair.name, a.CommUS, b.CommUS, a.R)
 		}
 	}
 }
@@ -304,11 +383,11 @@ func TestCalibrateDeterminismBounds(t *testing.T) {
 		t.Skip("calibration microbenchmarks in -short mode")
 	}
 	ctx := context.Background()
-	a, err := Calibrate(ctx, Options{Quick: true, MaxP: 2})
+	a, err := Calibrate(ctx, Options{Quick: true})
 	if err != nil {
 		t.Fatalf("first calibration: %v", err)
 	}
-	b, err := Calibrate(ctx, Options{Quick: true, MaxP: 2})
+	b, err := Calibrate(ctx, Options{Quick: true})
 	if err != nil {
 		t.Fatalf("second calibration: %v", err)
 	}
@@ -336,121 +415,11 @@ func TestCalibrateDeterminismBounds(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Errorf("calibrated profile invalid: %v", err)
 	}
-	if runtime.GOMAXPROCS(0) >= 2 && a.Comm.RemapNS <= 0 {
-		t.Errorf("multi-core calibration fitted RemapNS = %v, want > 0 (barriers are not free)", a.Comm.RemapNS)
+	if runtime.GOMAXPROCS(0) >= 2 && !(a.BarrierNS > 0) {
+		t.Errorf("multi-core calibration measured BarrierNS = %v, want > 0 (barriers are not free)", a.BarrierNS)
 	}
-}
-
-func TestFitCommRecoversKnownModel(t *testing.T) {
-	// Synthesize observations from a known model; the fit must recover
-	// it (no noise, exactly determined).
-	want := CommCosts{RemapNS: 20000, WordNS: 2, MsgNS: 500}
-	var runs []commRun
-	for _, rv := range [][3]float64{
-		{2, 2048, 2}, {3, 8192, 6}, {4, 1024, 12}, {6, 65536, 30}, {2, 512, 2},
-	} {
-		runs = append(runs, commRun{
-			r: rv[0], v: rv[1], m: rv[2],
-			residualNS: want.RemapNS*rv[0] + want.WordNS*rv[1] + want.MsgNS*rv[2],
-		})
-	}
-	got, fallback, err := fitComm(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !close(got.RemapNS, want.RemapNS) || !close(got.WordNS, want.WordNS) || !close(got.MsgNS, want.MsgNS) {
-		t.Errorf("fit = %+v, want %+v", got, want)
-	}
-	if len(fallback) != 0 {
-		t.Errorf("independent columns: fallback %v, want none", fallback)
-	}
-
-	// A column pulling negative must clamp to zero, not go negative.
-	for i := range runs {
-		runs[i].residualNS = 100*runs[i].r - 50*runs[i].m
-		if runs[i].residualNS < 0 {
-			runs[i].residualNS = 0
-		}
-	}
-	got, _, err = fitComm(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RemapNS < 0 || got.WordNS < 0 || got.MsgNS < 0 {
-		t.Errorf("fit produced negative costs: %+v", got)
-	}
-}
-
-// TestFitCommCollinearColumns is the P=2 calibration shape: every run
-// makes two remaps of one message each, so the M column repeats R and
-// the normal equations are singular. The fit must identify R and V,
-// take MsgNS from the fallback, and report it as such.
-func TestFitCommCollinearColumns(t *testing.T) {
-	fb := Fallback().Comm
-	want := CommCosts{RemapNS: 25000, WordNS: 1.5, MsgNS: fb.MsgNS}
-	var runs []commRun
-	for _, v := range []float64{1024, 4096, 2048, 8192} {
-		runs = append(runs, commRun{
-			r: 2, v: v, m: 2,
-			residualNS: want.RemapNS*2 + want.WordNS*v + want.MsgNS*2,
-		})
-	}
-	got, fallback, err := fitComm(runs)
-	if err != nil {
-		t.Fatalf("collinear R/M: %v", err)
-	}
-	if !close(got.RemapNS, want.RemapNS) || !close(got.WordNS, want.WordNS) || got.MsgNS != fb.MsgNS {
-		t.Errorf("fit = %+v, want %+v", got, want)
-	}
-	if !slices.Equal(fallback, []string{"msg_ns"}) {
-		t.Errorf("fallback = %v, want [msg_ns]", fallback)
-	}
-
-	// A constant V as well leaves only R identified.
-	for i := range runs {
-		runs[i].v = 4096
-		runs[i].residualNS = want.RemapNS*2 + fb.WordNS*4096 + fb.MsgNS*2
-	}
-	got, fallback, err = fitComm(runs)
-	if err != nil {
-		t.Fatalf("rank-one observations: %v", err)
-	}
-	if !close(got.RemapNS, want.RemapNS) || got.WordNS != fb.WordNS || got.MsgNS != fb.MsgNS {
-		t.Errorf("rank-one fit = %+v, want RemapNS %v and fallback word/msg costs", got, want.RemapNS)
-	}
-	if !slices.Equal(fallback, []string{"word_ns", "msg_ns"}) {
-		t.Errorf("rank-one fallback = %v, want [word_ns msg_ns]", fallback)
-	}
-}
-
-// TestFitCommClampedCoefficientFallsBack is the noisy P=2 shape: R is
-// constant, M repeats it, and the unconstrained fit puts the remap
-// intercept below zero. The non-negative fit must not report
-// RemapNS = 0 but take it from the fallback like an unidentified
-// coefficient, subtract its share and refit WordNS alone.
-func TestFitCommClampedCoefficientFallsBack(t *testing.T) {
-	fb := Fallback().Comm
-	var runs []commRun
-	var vr, vv float64
-	for _, v := range []float64{4096, 8192, 16384, 32768} {
-		res := 3*v - 4000 // RemapNS = -2000 per remap, WordNS = 3
-		runs = append(runs, commRun{r: 2, v: v, m: 2, residualNS: res})
-		vr += v * (res - 2*fb.RemapNS - 2*fb.MsgNS)
-		vv += v * v
-	}
-	if coef, ok := solveLSQ(runs, []bool{true, true, false}); !ok || coef[0] >= 0 {
-		t.Fatalf("unconstrained fit = %v (ok=%v), want a negative RemapNS", coef, ok)
-	}
-	got, fallback, err := fitComm(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CommCosts{RemapNS: fb.RemapNS, WordNS: vr / vv, MsgNS: fb.MsgNS}
-	if got.RemapNS != want.RemapNS || !close(got.WordNS, want.WordNS) || got.MsgNS != want.MsgNS || !(got.WordNS > 0) {
-		t.Errorf("fit = %+v, want %+v", got, want)
-	}
-	if !slices.Equal(fallback, []string{"remap_ns", "msg_ns"}) {
-		t.Errorf("fallback = %v, want [remap_ns msg_ns]", fallback)
+	if runtime.GOMAXPROCS(0) < 2 && a.BarrierNS != Fallback().BarrierNS {
+		t.Errorf("single-core calibration BarrierNS = %v, want the fallback %v", a.BarrierNS, Fallback().BarrierNS)
 	}
 }
 

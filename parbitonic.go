@@ -128,7 +128,8 @@ type Config struct {
 
 	// ProfilePath overrides where Auto reads the machine profile;
 	// empty means the default user-cache location (tune.DefaultPath),
-	// falling back to shipped defaults when no profile exists. Only
+	// falling back to shipped defaults when no profile exists or it is
+	// from another format version. Only
 	// Native plans read it: Simulated plans are scored by the
 	// simulator's own cost model.
 	ProfilePath string
