@@ -34,9 +34,11 @@ type Plan struct {
 	PredictedUS float64
 	ComputeUS   float64
 	// CommUS is the predicted communication time. For a Native plan it
-	// is barrier time, the measured barrier round trip times the
-	// barriers its R remaps cross (a native remap's data movement is
-	// in ComputeUS); for a Simulated plan it is the §3.4 closed form.
+	// is synchronization: at P >= 2 one measured parallel run's fixed
+	// cost plus the measured barrier round trip times the barriers its
+	// R remaps cross, and zero at P=1 (a native remap's data movement
+	// is in ComputeUS); for a Simulated plan it is the §3.4 closed
+	// form.
 	CommUS float64
 	// R, V and M are the §3.4 communication metrics the score used:
 	// remaps, volume (elements) and messages per processor.

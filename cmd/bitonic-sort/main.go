@@ -52,7 +52,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"parbitonic"
@@ -364,14 +363,14 @@ func runCalibrate(path string, quick bool, timeout time.Duration) error {
 		if !ok {
 			continue
 		}
-		fmt.Printf("%-8s         radix=%.2f  merge=%.2f  compare=%.2f  copy=%.2f (ns/elem)\n",
-			t, k.RadixPassNS, k.MergeNS, k.CompareNS, k.CopyNS)
+		fmt.Printf("%-8s         radix=%.2f  merge=%.2f  compare=%.2f  copy=%.2f  radix-round=%.2f (ns/elem)\n",
+			t, k.RadixPassNS, k.MergeNS, k.CompareNS, k.CopyNS, k.RadixRoundNS)
 	}
-	how := "one empty round trip"
-	if runtime.GOMAXPROCS(0) < 2 {
-		how = "fallback: fewer than 2 schedulable CPUs"
+	how := "fallback, not measured"
+	if prof.SyncProcs > 0 {
+		how = fmt.Sprintf("measured at P=%d", prof.SyncProcs)
 	}
-	fmt.Printf("barrier          %.0f ns (%s)\n", prof.BarrierNS, how)
+	fmt.Printf("sync             barrier=%.0f  run=%.0f (ns, %s)\n", prof.BarrierNS, prof.RunNS, how)
 	fmt.Printf("profile          %s\n", path)
 	return nil
 }

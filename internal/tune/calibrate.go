@@ -11,6 +11,7 @@ import (
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/localsort"
 	"parbitonic/internal/native"
+	"parbitonic/internal/psort"
 	"parbitonic/internal/spmd"
 	"parbitonic/internal/workload"
 )
@@ -27,18 +28,24 @@ type Options struct {
 
 // Calibrate microbenchmarks the host and returns a machine profile:
 // per-element kernel costs for every element type (radix pass, linear
-// merge, compare-exchange sweep, bulk copy — measured with warmup and
-// trimmed means) and the native backend's one communication constant,
-// the wall time of an empty PC.Barrier round trip on an idle engine
-// at the largest power-of-two P <= min(GOMAXPROCS, 8). A host with
-// GOMAXPROCS < 2 cannot run a parallel barrier and keeps
-// Fallback().BarrierNS. The context aborts the barrier runs; kernel
-// microbenchmarks check it between measurements.
+// merge, compare-exchange sweep, bulk copy and one parallel radix
+// digit round — measured with warmup and trimmed means) and the
+// native backend's two synchronization costs, the wall time of the
+// smallest parallel run and of one empty PC.Barrier round trip on an
+// idle engine at the largest power-of-two P <= min(GOMAXPROCS, 8)
+// (see syncCosts). A host with
+// GOMAXPROCS < 2 cannot run a parallel barrier and keeps the
+// Fallback values, with SyncProcs 0. The context aborts the engine
+// runs; kernel microbenchmarks check it between measurements.
 func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	n, reps := 1<<16, 7
+	// The full size stays clear of localsort's layout switch at 2^16
+	// (radixLargeMin): there a uint32 radix sort runs the hybrid
+	// layout over regions too small to pay for its tables and measures
+	// 2.5–4x its per-pass cost at 2^12–2^15 and 2^18–2^20.
+	n, reps := 1<<18, 7
 	if opts.Quick {
 		n, reps = 1<<14, 3
 	}
@@ -77,13 +84,14 @@ func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 		p.Kernels[t.String()] = k
 	}
 
-	p.BarrierNS = Fallback().BarrierNS
-	if procs := barrierProcs(); procs >= 2 {
-		ns, err := barrierNS(ctx, procs, reps)
+	fb := Fallback()
+	p.BarrierNS, p.RunNS = fb.BarrierNS, fb.RunNS
+	if procs := syncProcs(); procs >= 2 {
+		barrier, run, err := syncCosts(ctx, procs, reps)
 		if err != nil {
 			return nil, err
 		}
-		p.BarrierNS = ns
+		p.BarrierNS, p.RunNS, p.SyncProcs = barrier, run, procs
 	}
 
 	if err := p.Validate(); err != nil {
@@ -117,35 +125,92 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	}
 
 	passes := localsort.RadixPassesOf[E]()
-	// Radix sort, merge, compare-exchange sweep and copy, in that
-	// order; ns holds each kernel's trimmed-mean time.
-	var ns [4]float64
-	for i, kernel := range []struct{ setup, fn func() }{
-		{func() { copy(buf, base) }, func() { localsort.RadixSort(buf) }},
-		{nil, func() { localsort.MergeTwo(dst, a, b, true) }},
-		{func() { copy(buf, bitonic) }, func() { bitseq.Split(buf) }},
-		{nil, func() { copy(dst, base) }},
-	} {
-		var err error
-		if ns[i], err = measure(ctx, reps, kernel.setup, kernel.fn); err != nil {
-			return KernelCosts{}, err
-		}
+	radix, err := measure(ctx, reps, func() {
+		copy(buf, base)
+	}, func() {
+		localsort.RadixSort(buf)
+	})
+	if err != nil {
+		return KernelCosts{}, err
+	}
+	merge, err := measure(ctx, reps, nil, func() {
+		localsort.MergeTwo(dst, a, b, true)
+	})
+	if err != nil {
+		return KernelCosts{}, err
+	}
+	compare, err := measure(ctx, reps, func() {
+		copy(buf, bitonic)
+	}, func() {
+		bitseq.Split(buf)
+	})
+	if err != nil {
+		return KernelCosts{}, err
+	}
+	cp, err := measure(ctx, reps, nil, func() {
+		copy(dst, base)
+	})
+	if err != nil {
+		return KernelCosts{}, err
+	}
+	round, err := radixRound(ctx, reps, base)
+	if err != nil {
+		return KernelCosts{}, err
 	}
 
 	k := KernelCosts{
-		RadixPassNS: ns[0] / float64(n) / float64(passes),
-		MergeNS:     ns[1] / float64(n),
-		CompareNS:   ns[2] / float64(n),
-		CopyNS:      ns[3] / float64(n),
+		RadixPassNS:  radix / float64(n) / float64(passes),
+		MergeNS:      merge / float64(n),
+		CompareNS:    compare / float64(n),
+		CopyNS:       cp / float64(n),
+		RadixRoundNS: round / float64(n) / float64(passes),
 	}
 	// Clock-resolution floor: a pass can measure as ~0 on very fast
 	// hosts with quick sizes; a zero cost would make the planner treat
 	// the kernel as free.
 	const floorNS = 0.01
-	for _, c := range []*float64{&k.RadixPassNS, &k.MergeNS, &k.CompareNS, &k.CopyNS} {
-		*c = max(*c, floorNS)
+	if k.RadixPassNS < floorNS {
+		k.RadixPassNS = floorNS
+	}
+	if k.MergeNS < floorNS {
+		k.MergeNS = floorNS
+	}
+	if k.CompareNS < floorNS {
+		k.CompareNS = floorNS
+	}
+	if k.CopyNS < floorNS {
+		k.CopyNS = floorNS
+	}
+	if k.RadixRoundNS < floorNS {
+		k.RadixRoundNS = floorNS
 	}
 	return k, nil
+}
+
+// radixRound times the parallel radix sort's own body, all of its
+// digit rounds, on a one-processor native engine: each round's
+// counting pass, route by global rank and unpack run as psort runs
+// them, with no peer to exchange with. It returns the trimmed mean in
+// nanoseconds per sort of base.
+func radixRound[E element.Elem](ctx context.Context, reps int, base []E) (float64, error) {
+	eng, err := native.NewOf[E](native.Config{P: 1})
+	if err != nil {
+		return 0, err
+	}
+	defer eng.Close()
+	var data [][]E
+	var runErr error
+	ns, err := measure(ctx, reps, func() {
+		data = [][]E{append([]E(nil), base...)}
+	}, func() {
+		if _, err := psort.RadixSortContext(ctx, eng, data); err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if err == nil {
+		err = runErr
+	}
+	return ns, err
 }
 
 // measure times fn reps times (plus one warmup), running setup
@@ -188,9 +253,9 @@ func trimmedMean(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
-// barrierProcs is the engine size the barrier is timed at: the largest
-// power of two <= min(GOMAXPROCS, 8).
-func barrierProcs() int {
+// syncProcs is the engine size synchronization is timed at: the
+// largest power of two <= min(GOMAXPROCS, 8).
+func syncProcs() int {
 	p := min(runtime.GOMAXPROCS(0), 8)
 	for p&(p-1) != 0 {
 		p &= p - 1
@@ -198,36 +263,55 @@ func barrierProcs() int {
 	return p
 }
 
-// barrierNS times an empty PC.Barrier round trip on an idle native
-// engine of p processors: each of reps runs (after one warmup run)
-// crosses a start barrier and then barrierRounds timed ones, and
-// processor 0's elapsed time per round is one sample. It returns the
-// trimmed mean in nanoseconds.
-func barrierNS(ctx context.Context, p, reps int) (float64, error) {
-	const barrierRounds = 1000
+// syncCosts times synchronization on an idle native engine of p
+// processors and returns the trimmed means of one barrier and one run
+// in nanoseconds. Each of reps barrier samples (after one warmup)
+// times syncRounds empty PC.Barrier round trips inside one run,
+// measured by processor 0 after a start barrier. A run is the
+// smallest parallel sort, a sample sort of two keys per processor:
+// dispatch, join and one all-to-all round's fixed work (sample gather,
+// exchange, barriers that park and wake), which an empty run body
+// leaves out.
+func syncCosts(ctx context.Context, p, reps int) (barrier, run float64, err error) {
+	const syncRounds = 1000
 	eng, err := native.NewOf[uint32](native.Config{P: p})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer eng.Close()
-	samples := make([]float64, 0, reps)
+	barriers := make([]float64, 0, reps)
 	for i := 0; i <= reps; i++ {
 		var elapsed time.Duration
 		if _, err := eng.RunContext(ctx, nil, func(pr *spmd.ProcOf[uint32]) {
 			pr.Barrier() // every processor is running
 			t0 := time.Now()
-			for range barrierRounds {
+			for range syncRounds {
 				pr.Barrier()
 			}
 			if pr.ID == 0 {
 				elapsed = time.Since(t0)
 			}
 		}); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if i > 0 { // run 0 is the warmup
-			samples = append(samples, float64(elapsed.Nanoseconds())/barrierRounds)
+			barriers = append(barriers, float64(elapsed.Nanoseconds())/syncRounds)
 		}
 	}
-	return trimmedMean(samples), nil
+
+	keys := make([][]uint32, p)
+	var runErr error
+	run, err = measure(ctx, reps, func() {
+		for q := range keys {
+			keys[q] = []uint32{2, 1}
+		}
+	}, func() {
+		if _, err := psort.SampleSortContext(ctx, eng, keys); err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if err == nil {
+		err = runErr
+	}
+	return trimmedMean(barriers), run, err
 }

@@ -59,10 +59,11 @@ type Plan struct {
 	// ComputeUS is the predicted local-computation time.
 	ComputeUS float64 `json:"compute_us"`
 	// CommUS is the predicted communication time. For BackendNative it
-	// is barrier time, R·spmd.RemapBarriers·Profile.BarrierNS: a native
-	// remap's data movement is in ComputeUS. For BackendSimulated it is
-	// the §3.4 closed form (L+2o−g)R + G·V + (g−G)M under the Meiko
-	// CS-2 parameters.
+	// is synchronization, Profile.RunNS + R·spmd.RemapBarriers·
+	// Profile.BarrierNS at P >= 2 and zero at P=1: a native remap's
+	// data movement is in ComputeUS. For BackendSimulated it is the
+	// §3.4 closed form (L+2o−g)R + G·V + (g−G)M under the Meiko CS-2
+	// parameters.
 	CommUS float64 `json:"comm_us"`
 	// R is the §3.4 remap count the score used.
 	R int `json:"r"`
@@ -181,15 +182,18 @@ func (pl *Planner) Rank(totalKeys int, t element.Type) ([]Plan, error) {
 
 // costSet holds the per-element cost parameters of one scoring basis,
 // in microseconds. For the native backend they come from the machine
-// profile, and communication is barrier time alone: commFixed is the
-// spmd.RemapBarriers measured barrier round trips a remap crosses and
-// the volume and message terms are zero, since a native remap moves
-// its data in the gather or routed merge that the compute terms
-// price. For the simulated backend they come from the simulator's own
-// model (spmd.DefaultCosts + logp.MeikoCS2), so a simulated plan's
-// score is the model time the simulator itself would report.
+// profile, and communication is synchronization alone: commRun is one
+// parallel run's fixed cost, commFixed the spmd.RemapBarriers barrier
+// round trips a remap crosses, and the volume and message terms are
+// zero, since a native remap moves its data in the gather, routed
+// merge or radix digit round that the compute terms price. For the
+// simulated backend they come from the simulator's own model
+// (spmd.DefaultCosts + logp.MeikoCS2), so a simulated plan's score is
+// the model time the simulator itself would report.
 type costSet struct {
 	radixPass, merge, compare, pack, unpack float64 // per element
+	radixRound                              float64 // per element per digit round; native only
+	commRun                                 float64 // per parallel run; native only
 	commFixed, commWord, commMsg            float64 // per remap / 32-bit word / message
 	words                                   int
 	passes                                  int
@@ -210,6 +214,8 @@ func (pl *Planner) costSetFor(prof *Profile, backend Backend, t element.Type) co
 			compare:     k.CompareNS / 1e3,
 			pack:        k.CopyNS / 1e3,
 			unpack:      k.CopyNS / 1e3,
+			radixRound:  k.RadixRoundNS / 1e3,
+			commRun:     prof.RunNS / 1e3,
 			commFixed:   spmd.RemapBarriers * prof.BarrierNS / 1e3,
 			words:       w,
 			passes:      passes,
@@ -235,13 +241,14 @@ func (pl *Planner) costSetFor(prof *Profile, backend Backend, t element.Type) co
 }
 
 // comm evaluates the §3.4 closed form for the given metrics under this
-// cost set, scaling volume to 32-bit words (for a native cost set only
-// the per-remap barrier term is non-zero).
+// cost set, scaling volume to 32-bit words, plus the fixed cost of a
+// parallel run. A native cost set has only the run and per-remap
+// barrier terms; a simulated one has no run term.
 func (c costSet) comm(r, v, m int) float64 {
 	if r <= 0 {
 		return 0
 	}
-	return c.commFixed*float64(r) + c.commWord*float64(v*c.words) + c.commMsg*float64(m)
+	return c.commRun + c.commFixed*float64(r) + c.commWord*float64(v*c.words) + c.commMsg*float64(m)
 }
 
 // candidates scores every algorithm (and, when asked, strategy) at one
@@ -327,9 +334,14 @@ func (pl *Planner) candidates(prof *Profile, cs costSet, backend Backend, totalK
 	plans = append(plans, mk(AlgSampleSort, sm, computeSample))
 
 	// Parallel radix sort ([AISS95]): one counting pass plus one
-	// all-to-all scatter per digit.
+	// all-to-all scatter per digit. A native digit round is measured
+	// whole — counting pass, route by global rank, unpack — since its
+	// routing costs far more than a copy.
 	rm := logp.Metrics{R: cs.passes, V: cs.passes * n, M: cs.passes * (p - 1)}
 	computeRadix := radixAll + (cs.pack+cs.unpack)*float64(rm.V)*cf
+	if backend == BackendNative {
+		computeRadix = cs.radixRound * float64(rm.V)
+	}
 	plans = append(plans, mk(AlgRadixSort, rm, computeRadix))
 
 	return plans

@@ -8,19 +8,21 @@
 //
 //   - A calibrator (Calibrate) that microbenchmarks the host's local
 //     kernels — radix pass, linear merge, compare-exchange sweep, bulk
-//     copy, per element type — and times one empty barrier round trip
+//     copy and one digit round of the parallel radix sort, per element
+//     type — and times one empty run and one empty barrier round trip
 //     on the native backend, producing a Profile.
 //   - A versioned machine-profile JSON (Profile, Save/Load,
 //     DefaultPath) so calibration is paid once per host, not per
 //     process.
 //   - A planner (Planner) that enumerates candidate plans, scores each
 //     as local computation plus communication and returns the
-//     predicted-fastest Plan. A native plan's communication is the
-//     barriers its remaps cross (spmd.RemapBarriers per remap) at the
-//     measured barrier cost: on shared memory a remap's data movement
-//     is already local computation. A simulated plan's communication
-//     is the §3.4 closed form T = (L+2o-g)R + GV + (g-G)M, the model
-//     the simulator charges.
+//     predicted-fastest Plan. A native plan's communication is
+//     synchronization: one run's dispatch and join plus the barriers
+//     its remaps cross (spmd.RemapBarriers per remap), at measured
+//     costs; on shared memory a remap's data movement is already local
+//     computation. A simulated plan's communication is the §3.4 closed
+//     form T = (L+2o-g)R + GV + (g-G)M, the model the simulator
+//     charges.
 //
 // The shipped defaults in spmd.DefaultCosts and logp.MeikoCS2 model
 // the paper's 1996 Meiko CS-2; Fallback is this package's equivalent
@@ -60,8 +62,9 @@ const ProfileSchema = "parbitonic-profile"
 // calibrated merge_ns; version-2 profiles priced the old loop.
 //
 // Version 4: the native communication fit (comm, comm_fallback) gave
-// way to one measured barrier round trip (barrier_ns); version-3
-// profiles carry no barrier cost.
+// way to measured synchronization costs (barrier_ns, run_ns) and a
+// measured parallel radix digit round (radix_round_ns); version-3
+// profiles carry none of them.
 const ProfileVersion = 4
 
 // ErrProfileVersion is wrapped by the error Load and Validate return
@@ -83,6 +86,11 @@ type KernelCosts struct {
 	// CopyNS is one bulk copy pass, per element — the pack/unpack
 	// analogue of the native exchange path.
 	CopyNS float64 `json:"copy_ns"`
+	// RadixRoundNS is one digit round of the parallel radix sort on
+	// one processor — counting pass, route by global rank, unpack —
+	// per element (psort.RadixSort on a one-processor native engine,
+	// per pass).
+	RadixRoundNS float64 `json:"radix_round_ns"`
 }
 
 // Profile is a calibrated machine profile: everything the planner
@@ -117,11 +125,21 @@ type Profile struct {
 	Kernels map[string]KernelCosts `json:"kernels"`
 
 	// BarrierNS is the wall time of one empty PC.Barrier round trip on
-	// an idle native engine, in nanoseconds: the native backend's only
-	// communication cost, since a native remap's data movement is local
-	// computation. Calibrate times it at the largest power-of-two P <=
-	// min(GOMAXPROCS, 8); a single-core host keeps the fallback value.
+	// an idle native engine, in nanoseconds. With RunNS it is the
+	// native backend's communication cost, since a native remap's data
+	// movement is local computation.
 	BarrierNS float64 `json:"barrier_ns"`
+	// RunNS is the wall time of the smallest parallel run on the same
+	// idle engine — a sample sort of two keys per processor — in
+	// nanoseconds: dispatch, join and one all-to-all round's fixed
+	// work, the cost every parallel native plan pays once however few
+	// keys it sorts.
+	RunNS float64 `json:"run_ns"`
+	// SyncProcs is the engine size BarrierNS and RunNS were timed at,
+	// the largest power-of-two P <= min(GOMAXPROCS, 8). Zero means they
+	// were not measured (a single-core host) and hold the fallback
+	// values.
+	SyncProcs int `json:"sync_procs,omitempty"`
 }
 
 // Validate checks that the profile is internally usable: correct
@@ -144,6 +162,7 @@ func (p *Profile) Validate() error {
 		}{
 			{"radix_pass_ns", k.RadixPassNS}, {"merge_ns", k.MergeNS},
 			{"compare_ns", k.CompareNS}, {"copy_ns", k.CopyNS},
+			{"radix_round_ns", k.RadixRoundNS},
 		} {
 			if !positiveCost(c.v) {
 				return fmt.Errorf("tune: kernel %s.%s = %v is not a positive cost", name, c.field, c.v)
@@ -152,6 +171,9 @@ func (p *Profile) Validate() error {
 	}
 	if !positiveCost(p.BarrierNS) {
 		return fmt.Errorf("tune: barrier_ns = %v is not a positive cost", p.BarrierNS)
+	}
+	if !positiveCost(p.RunNS) {
+		return fmt.Errorf("tune: run_ns = %v is not a positive cost", p.RunNS)
 	}
 	return nil
 }
@@ -172,28 +194,33 @@ func (p *Profile) KernelsFor(t element.Type) KernelCosts {
 	base := p.Kernels["u32"]
 	w := float64(t.Width() / 4)
 	return KernelCosts{
-		RadixPassNS: base.RadixPassNS * w,
-		MergeNS:     base.MergeNS * w,
-		CompareNS:   base.CompareNS * w,
-		CopyNS:      base.CopyNS * w,
+		RadixPassNS:  base.RadixPassNS * w,
+		MergeNS:      base.MergeNS * w,
+		CompareNS:    base.CompareNS * w,
+		CopyNS:       base.CopyNS * w,
+		RadixRoundNS: base.RadixRoundNS * w,
 	}
 }
 
 // Fallback returns the shipped default profile: representative costs
 // for a contemporary x86-64 server core, used when no calibrated
 // profile exists (or the cached one is from another format version).
-// BarrierNS is an empty P=2 barrier round trip on a 2-vCPU x86-64
-// host (469–580 ns over five calibrations, go1.24), rounded. Like
+// BarrierNS is an empty P=2 barrier round trip and RunNS a P=2
+// sample sort of four keys on a 2-vCPU x86-64 host (469–749 ns over
+// ten calibrations, 8.3–16.8 µs over five, go1.24), rounded;
+// RadixRoundNS keeps the 2.3x ratio to RadixPassNS measured there.
+// Like
 // spmd.DefaultCosts for the simulator, these are fallbacks, not
 // measurements of your machine — run the calibrator (bitonic-sort
 // -calibrate) for host-accurate planning.
 func Fallback() *Profile {
 	mk := func(w float64) KernelCosts {
 		return KernelCosts{
-			RadixPassNS: 1.4 * w,
-			MergeNS:     2.4 * w,
-			CompareNS:   1.6 * w,
-			CopyNS:      0.35 * w,
+			RadixPassNS:  1.4 * w,
+			MergeNS:      2.4 * w,
+			CompareNS:    1.6 * w,
+			CopyNS:       0.35 * w,
+			RadixRoundNS: 3.2 * w,
 		}
 	}
 	return &Profile{
@@ -208,6 +235,7 @@ func Fallback() *Profile {
 			"kv64": mk(4),
 		},
 		BarrierNS: 500,
+		RunNS:     12000,
 	}
 }
 

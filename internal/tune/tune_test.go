@@ -115,7 +115,7 @@ func TestKernelsForScalesMissingTypes(t *testing.T) {
 	}
 	// kv64 is absent: width-scaled (16 bytes = 4 words) from u32.
 	got := p.KernelsFor(element.TKV64)
-	if got.MergeNS != 8.0 || got.CopyNS != 2.0 {
+	if got.MergeNS != 8.0 || got.CopyNS != 2.0 || got.RadixRoundNS != 12.0 {
 		t.Errorf("kv64 scaled kernels = %+v, want 4x the u32 costs", got)
 	}
 }
@@ -156,9 +156,9 @@ func TestLoadOrFallback(t *testing.T) {
 // TestPlannerGoldenSmall hand-computes the worked example of TUNING.md
 // from the committed profile: sorting 4096 uint32 keys on up to 4
 // processors. Every plan cost below is derived by hand from the kernel
-// costs, the §3.4 metrics and the profile's round-number costs (1 µs
-// per barrier, spmd.RemapBarriers = 2 barriers per remap); the planner
-// must reproduce them exactly.
+// costs, the §3.4 metrics and the profile's round-number costs (5 µs
+// per parallel run, 1 µs per barrier, spmd.RemapBarriers = 2 barriers
+// per remap); the planner must reproduce them exactly.
 func TestPlannerGoldenSmall(t *testing.T) {
 	pl := &Planner{Profile: exampleProfile(t), MaxP: 4, Backend: BackendNative}
 	ranked, err := pl.Rank(4096, element.TU32)
@@ -169,7 +169,8 @@ func TestPlannerGoldenSmall(t *testing.T) {
 		t.Fatalf("spmd.RemapBarriers = %d; the hand computation below assumes 2", spmd.RemapBarriers)
 	}
 
-	// P=1: compute only, 3 radix passes x 1 ns over 4096 keys = 12.288 µs.
+	// P=1: compute only, 3 radix passes x 1 ns over 4096 keys = 12.288
+	// µs, and no run or barrier cost.
 	seq := findPlan(ranked, AlgSmart, 1, "head")
 	if seq == nil {
 		t.Fatal("no P=1 plan in ranking")
@@ -191,9 +192,9 @@ func TestPlannerGoldenSmall(t *testing.T) {
 		t.Fatal("no P=2 smart plan in ranking")
 	}
 	// compute = 3 passes·1ns·2048 + 2 merges·2ns·2048   = 6.144+8.192 µs
-	// comm    = 2 remaps·2 barriers·1µs                 = 4 µs
+	// comm    = 5µs run + 2 remaps·2 barriers·1µs       = 9 µs
 	wantCompute := 3*0.001*2048 + 2*0.002*2048
-	wantComm := 2.0 * 2 * 1
+	wantComm := 5 + 2.0*2*1
 	if !close(p2.ComputeUS, wantCompute) || !close(p2.CommUS, wantComm) {
 		t.Errorf("P=2 smart = compute %v comm %v, want %v / %v",
 			p2.ComputeUS, p2.CommUS, wantCompute, wantComm)
@@ -204,29 +205,34 @@ func TestPlannerGoldenSmall(t *testing.T) {
 
 	// P=2 blocked-merge: R=1 step, V=2048, M=1; the compare-split works
 	// over 2n keys. compute = 6.144 + 1·2ns·2·2048 + (0.5+0.5)ns·2048 =
-	// 16.384, comm = 1·2·1 = 2.
+	// 16.384, comm = 5 + 1·2·1 = 7.
 	bm := findPlan(ranked, AlgBlockedMerge, 2, "head")
 	if bm == nil {
 		t.Fatal("no P=2 blocked-merge plan in ranking")
 	}
-	if !close(bm.PredictedUS, 16.384+2) {
-		t.Errorf("P=2 blocked-merge predicted = %v, want 18.384", bm.PredictedUS)
+	if !close(bm.PredictedUS, 16.384+7) {
+		t.Errorf("P=2 blocked-merge predicted = %v, want 23.384", bm.PredictedUS)
 	}
 
-	// P=4 sample sort wins: n=1024, R=1, V=1024, M=3. compute = 3·1ns·
-	// 1024 + lgP=2 merges·2ns·1024 + (0.5+0.5)ns·1024 = 3.072 + 4.096 +
-	// 1.024 = 8.192, comm = 1·2·1 = 2. P=4 radix sort follows: compute
-	// = 3.072 + 3 scatters·(0.5+0.5)ns·1024 = 6.144, comm = 3·2·1 = 6,
-	// 12.144 in all, just under sequential's 12.288.
-	best := ranked[0]
-	if best.Algorithm != AlgSampleSort || best.Processors != 4 || !close(best.PredictedUS, 8.192+2) {
-		t.Fatalf("best plan = %v, want sample-sort P=4 at 10.192 µs", best)
+	// P=4 radix sort: n=1024, 3 digit rounds over V = 3·1024 keys at the
+	// measured 3 ns round: compute = 9.216, comm = 5 + 3·2·1 = 11.
+	rx := findPlan(ranked, AlgRadixSort, 4, "head")
+	if rx == nil {
+		t.Fatal("no P=4 radix plan in ranking")
 	}
-	if second := ranked[1]; second.Algorithm != AlgRadixSort || second.Processors != 4 || !close(second.PredictedUS, 6.144+6) {
-		t.Errorf("second plan = %v, want radix-sort P=4 at 12.144 µs", second)
+	if !close(rx.ComputeUS, 9.216) || !close(rx.CommUS, 11) {
+		t.Errorf("P=4 radix = compute %v comm %v, want 9.216 / 11", rx.ComputeUS, rx.CommUS)
 	}
-	if ranked[2] != *seq {
-		t.Errorf("third plan = %v, want sequential %v", ranked[2], *seq)
+
+	// The run cost keeps 4096 keys sequential. The runner-up is P=4
+	// sample sort: n=1024, R=1, V=1024, M=3. compute = 3·1ns·1024 +
+	// lgP=2 merges·2ns·1024 + (0.5+0.5)ns·1024 = 3.072 + 4.096 + 1.024
+	// = 8.192, comm = 5 + 1·2·1 = 7, 15.192 in all.
+	if ranked[0] != *seq {
+		t.Fatalf("best plan = %v, want sequential %v", ranked[0], *seq)
+	}
+	if second := ranked[1]; second.Algorithm != AlgSampleSort || second.Processors != 4 || !close(second.PredictedUS, 8.192+7) {
+		t.Errorf("second plan = %v, want sample-sort P=4 at 15.192 µs", second)
 	}
 
 	// Determinism: ranking twice gives the same order.
@@ -238,22 +244,27 @@ func TestPlannerGoldenSmall(t *testing.T) {
 	}
 }
 
-// TestPlannerNativeCommIsBarrierTime: a native plan's communication is
-// the barriers its remaps cross, R·spmd.RemapBarriers·BarrierNS, and
-// nothing else. Its volume and messages move in the compute terms, so
-// plans with equal R price the same communication however V and M
-// differ: sample sort at P=2 and P=4 (R=1; M is 1 or 3), radix sort at
-// P=2 and P=4 (R=3), and blocked merge against radix sort at P=4
-// (R=3; M is 3 or 9). The barrier term holds for every element width.
-func TestPlannerNativeCommIsBarrierTime(t *testing.T) {
+// TestPlannerNativeCommIsSyncTime: a native plan's communication is
+// synchronization and nothing else — one run's dispatch and join plus
+// the barriers its remaps cross, RunNS + R·spmd.RemapBarriers·
+// BarrierNS, and zero for the sequential plan. Its volume and messages
+// move in the compute terms, so plans with equal R price the same
+// communication however V and M differ: sample sort at P=2 and P=4
+// (R=1; M is 1 or 3), radix sort at P=2 and P=4 (R=3), and blocked
+// merge against radix sort at P=4 (R=3; M is 3 or 9). The terms hold
+// for every element width.
+func TestPlannerNativeCommIsSyncTime(t *testing.T) {
 	prof := exampleProfile(t)
 	pl := &Planner{Profile: prof, MaxP: 4, Backend: BackendNative}
 	const total = 1 << 16
 	for _, typ := range []element.Type{element.TU32, element.TKV64} {
 		for _, plan := range mustRank(t, pl, total, typ) {
-			want := float64(plan.R*spmd.RemapBarriers) * prof.BarrierNS / 1e3
+			want := 0.0
+			if plan.Processors > 1 {
+				want = (prof.RunNS + float64(plan.R*spmd.RemapBarriers)*prof.BarrierNS) / 1e3
+			}
 			if !close(plan.CommUS, want) {
-				t.Errorf("%s %v: CommUS = %v, want R·%d·BarrierNS = %v", typ, plan, plan.CommUS, spmd.RemapBarriers, want)
+				t.Errorf("%s %v: CommUS = %v, want RunNS + R·%d·BarrierNS = %v", typ, plan, plan.CommUS, spmd.RemapBarriers, want)
 			}
 		}
 	}
@@ -275,6 +286,32 @@ func TestPlannerNativeCommIsBarrierTime(t *testing.T) {
 		}
 		if a.CommUS != b.CommUS || !(a.CommUS > 0) {
 			t.Errorf("%s: CommUS %v vs %v, want equal and positive at R=%d", pair.name, a.CommUS, b.CommUS, a.R)
+		}
+	}
+}
+
+// TestPlannerSmallInputsStaySequential: a parallel native plan pays a
+// run's dispatch and join, so on the example and fallback profiles
+// small uint32 inputs must plan on one processor even when eight are
+// allowed.
+func TestPlannerSmallInputsStaySequential(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		prof  *Profile
+		sizes []int
+	}{
+		{"example", exampleProfile(t), []int{256, 1024, 2048}},
+		{"fallback", Fallback(), []int{256, 1024, 4096}},
+	} {
+		pl := &Planner{Profile: c.prof, MaxP: 8, Backend: BackendNative}
+		for _, total := range c.sizes {
+			plan, err := pl.Plan(total, element.TU32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Processors != 1 {
+				t.Errorf("%s profile, %d keys: plan %v, want P=1", c.name, total, plan)
+			}
 		}
 	}
 }
@@ -399,6 +436,7 @@ func TestCalibrateDeterminismBounds(t *testing.T) {
 			{ka.MergeNS, kb.MergeNS},
 			{ka.CompareNS, kb.CompareNS},
 			{ka.CopyNS, kb.CopyNS},
+			{ka.RadixRoundNS, kb.RadixRoundNS},
 		} {
 			lo, hi := pair[0], pair[1]
 			if lo > hi {
@@ -415,11 +453,14 @@ func TestCalibrateDeterminismBounds(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Errorf("calibrated profile invalid: %v", err)
 	}
-	if runtime.GOMAXPROCS(0) >= 2 && !(a.BarrierNS > 0) {
-		t.Errorf("multi-core calibration measured BarrierNS = %v, want > 0 (barriers are not free)", a.BarrierNS)
+	if runtime.GOMAXPROCS(0) >= 2 && (!(a.BarrierNS > 0) || !(a.RunNS > 0) || a.SyncProcs != syncProcs()) {
+		t.Errorf("multi-core calibration measured BarrierNS = %v, RunNS = %v at P=%d; want both > 0 at P=%d",
+			a.BarrierNS, a.RunNS, a.SyncProcs, syncProcs())
 	}
-	if runtime.GOMAXPROCS(0) < 2 && a.BarrierNS != Fallback().BarrierNS {
-		t.Errorf("single-core calibration BarrierNS = %v, want the fallback %v", a.BarrierNS, Fallback().BarrierNS)
+	fb := Fallback()
+	if runtime.GOMAXPROCS(0) < 2 && (a.BarrierNS != fb.BarrierNS || a.RunNS != fb.RunNS || a.SyncProcs != 0) {
+		t.Errorf("single-core calibration BarrierNS = %v, RunNS = %v, SyncProcs = %d; want the fallback %v, %v, 0",
+			a.BarrierNS, a.RunNS, a.SyncProcs, fb.BarrierNS, fb.RunNS)
 	}
 }
 
