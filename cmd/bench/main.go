@@ -38,7 +38,9 @@ import (
 	"parbitonic"
 	"parbitonic/element"
 	"parbitonic/internal/bitseq"
+	"parbitonic/internal/intbits"
 	"parbitonic/internal/localsort"
+	"parbitonic/internal/schedule"
 	"parbitonic/internal/workload"
 )
 
@@ -250,9 +252,10 @@ func kernelSweep(quick bool) []Entry {
 
 // kernelGroupOf measures one element type's kernels: the hybrid radix
 // sort, the full local sort (radix + direction fix-up), the bitonic
-// merge of a bitonic sequence, the two-way merge, and MergeRuns on
-// FullSort's P=2 shape (two runs, the second stored descending) — the
-// per-phase primitives every parallel run is built from.
+// merge of a bitonic sequence, the two-way merge, and MergeRuns and
+// MergeRunsRouted on FullSort's P=2 shape (two runs, the second stored
+// descending; routed through the last remap's plan, as round 1 packs)
+// — the per-phase primitives every parallel run is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
 	work := make([]E, size)
@@ -269,6 +272,12 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	bDesc := append([]E(nil), b...)
 	localsort.Reverse(bDesc)
 	runs := []localsort.RunOf[E]{{Keys: a}, {Keys: bDesc, Desc: true}}
+	sched := schedule.New(intbits.Log2(size)+1, 1, schedule.Head)
+	last := sched[len(sched)-1].Plan
+	msgs := make([][]E, 2)
+	for _, q := range last.Dests(0) {
+		msgs[q] = make([]E, last.MsgLen)
+	}
 
 	var out []Entry
 	for _, k := range []struct {
@@ -280,6 +289,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		{"bitonic-merge", func() { bitseq.SortBitonic(work, bitonic, true) }},
 		{"merge-two", func() { localsort.MergeTwo(work, a, b, true) }},
 		{"merge-runs", func() { localsort.MergeRuns(work, runs) }},
+		{"merge-routed", func() { localsort.MergeRunsRouted(msgs, last, 0, runs, true) }},
 	} {
 		mean, min := measureKernel(reps, k.f)
 		out = append(out, Entry{

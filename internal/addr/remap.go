@@ -41,11 +41,14 @@ type RemapPlan struct {
 	nlFromM   []bitMove // new local bits sourced from the message offset
 	nlFromP   []bitMove // new local bits sourced from the sender's proc number
 
-	// XOR deltas of the two walks (see Walk): (dest, offset) over old
-	// local addresses and (sender group, source local) over new local
-	// addresses. They depend on the bit moves only, so one set serves
-	// every processor.
-	packDelta, gatherDelta [32][2]int32
+	// XOR deltas of the walks (see Walk): (dest, offset) over old local
+	// addresses and over pack segments, and (sender group, source local)
+	// over new local addresses. They depend on the bit moves only, so
+	// one set serves every processor.
+	packDelta, segDelta, gatherDelta [32][2]int32
+
+	// segLg is lg of PackSegment.
+	segLg int
 }
 
 // Walk enumerates a bit routing over consecutive inputs without a
@@ -91,6 +94,25 @@ func (p *RemapPlan) PackWalk(proc int, desc bool) Walk {
 		l = p.Old.LocalN() - 1
 	}
 	return Walk{A: int32(p.Dest(proc, l)), B: int32(p.PackOffset(l)), delta: &p.packDelta}
+}
+
+// PackSegment returns the length 2^j of the plan's pack segments: each
+// aligned block of 2^j consecutive old local addresses shares one
+// destination and takes consecutive pack offsets, so it leaves as one
+// contiguous slice of its message. j counts the pack walk's first
+// steps that keep the destination and add one to the offset.
+func (p *RemapPlan) PackSegment() int { return 1 << uint(p.segLg) }
+
+// PackSegWalk is PackWalk over pack segments instead of addresses: it
+// walks processor proc's segments from the lowest upwards, or from the
+// highest downwards when desc, and A is the segment's destination and
+// B the pack offset of its lowest local address.
+func (p *RemapPlan) PackSegWalk(proc int, desc bool) Walk {
+	l := 0
+	if desc {
+		l = p.Old.LocalN() - p.PackSegment()
+	}
+	return Walk{A: int32(p.Dest(proc, l)), B: int32(p.PackOffset(l)), delta: &p.segDelta}
 }
 
 // GatherWalk is the inverse routing, for remaps that pull data instead
@@ -180,6 +202,21 @@ func NewRemapPlan(old, new *Layout) *RemapPlan {
 	}
 
 	fillDeltas(&p.packDelta, p.destFromL, p.offFromL)
+	j := 0
+	for j < old.LgLocal() && p.packDelta[j] == [2]int32{0, 1<<uint(j+1) - 1} {
+		j++
+	}
+	p.segLg = j
+	// Segment s starts at address s<<j, and s ^ (s+1) is the mask of
+	// the t+1 low bits, so the step's address change is the mask of
+	// bits j..j+t: the pack walk's delta[j+t] without delta[j-1].
+	for t := 0; t+j < len(p.packDelta); t++ {
+		p.segDelta[t] = p.packDelta[t+j]
+		if j > 0 {
+			p.segDelta[t][0] ^= p.packDelta[j-1][0]
+			p.segDelta[t][1] ^= p.packDelta[j-1][1]
+		}
+	}
 	// The gather routing inverts the unpack mask: new local bits sourced
 	// from the sender's processor number select the sender within the
 	// group (in nlFromP order, matching AppendSenders), and those sourced

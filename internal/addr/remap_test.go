@@ -339,6 +339,74 @@ func TestWalksMatchScalarPathLarge(t *testing.T) {
 	}
 }
 
+// TestPackSegmentsMatchScalarPath checks PackSegment and PackSegWalk
+// against the per-address definitions: inside a segment every address
+// goes to its predecessor's destination at the next pack offset, the
+// segment is the longest power of two with that property, and the
+// segment walk reports each segment's lowest address, ascending and
+// descending.
+func TestPackSegmentsMatchScalarPath(t *testing.T) {
+	var plans []*RemapPlan
+	for _, d := range [][2]int{{8, 2}, {8, 3}, {10, 1}, {10, 3}, {6, 3}} {
+		for _, pair := range layoutPairs(d[0], d[1]) {
+			plans = append(plans, NewRemapPlan(pair[0], pair[1]))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 40 {
+		lgP := rng.Intn(3)
+		lgN := lgP + rng.Intn(7)
+		random := func() *Layout {
+			perm := rng.Perm(lgN)
+			return &Layout{LgN: lgN, LgP: lgP, ProcBits: perm[:lgP], LocalBits: perm[lgP:], Name: "random"}
+		}
+		plans = append(plans, NewRemapPlan(random(), random()))
+	}
+	lens := map[int]bool{}
+	for _, plan := range plans {
+		n, L := plan.Old.LocalN(), plan.PackSegment()
+		lens[L] = true
+		if L < 1 || L > n || n%L != 0 || L&(L-1) != 0 {
+			t.Fatalf("%s->%s: PackSegment %d for %d local keys", plan.Old.Name, plan.New.Name, L, n)
+		}
+		for p := 0; p < plan.Old.P(); p++ {
+			// joined reports whether address l continues l-1's segment.
+			joined := func(l int) bool {
+				return plan.Dest(p, l) == plan.Dest(p, l-1) && plan.PackOffset(l) == plan.PackOffset(l-1)+1
+			}
+			longer := 2*L <= n
+			for l := 1; l < n; l++ {
+				if l%L != 0 && !joined(l) {
+					t.Fatalf("%s->%s proc %d: address %d splits a segment of %d", plan.Old.Name, plan.New.Name, p, l, L)
+				}
+				if l%(2*L) == L && !joined(l) {
+					longer = false
+				}
+			}
+			if longer {
+				t.Fatalf("%s->%s proc %d: segments of %d also hold, PackSegment says %d", plan.Old.Name, plan.New.Name, p, 2*L, L)
+			}
+			for _, desc := range []bool{false, true} {
+				w := plan.PackSegWalk(p, desc)
+				for s := 0; s < n/L; s++ {
+					l := s * L
+					if desc {
+						l = n - L - s*L
+					}
+					if int(w.A) != plan.Dest(p, l) || int(w.B) != plan.PackOffset(l) {
+						t.Fatalf("%s->%s: PackSegWalk(%d, desc=%v) at segment %d = (%d,%d), want (%d,%d)", plan.Old.Name, plan.New.Name,
+							p, desc, l/L, w.A, w.B, plan.Dest(p, l), plan.PackOffset(l))
+					}
+					w = w.Next()
+				}
+			}
+		}
+	}
+	if len(lens) < 4 {
+		t.Fatalf("only segment lengths %v covered", lens)
+	}
+}
+
 // TestGatherWalkInvertsPlan proves the inverse (pull) walk
 // reproduces exactly the placement of the forward (push) path: for
 // every receiving processor q and new local address i, the element

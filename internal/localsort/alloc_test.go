@@ -11,6 +11,7 @@ import (
 	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/localsort"
+	"parbitonic/internal/schedule"
 	"parbitonic/internal/workload"
 	"parbitonic/internal/workpool"
 )
@@ -74,6 +75,11 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 	})
 	assertZeroAllocs(t, "MergeRunsRouted/4", func() {
 		localsort.MergeRunsRouted(out, plan, 0, four, true)
+	})
+	// The P=2 last remap: each half of the array is one pack segment.
+	last := schedule.New(17, 1, schedule.Head)[1].Plan
+	assertZeroAllocs(t, "MergeRunsRouted/2-segments", func() {
+		localsort.MergeRunsRouted(out, last, 0, two, false)
 	})
 	assertZeroAllocs(t, "SortBitonicBlocks", func() {
 		localsort.SortBitonicBlocks(keys, 1024, 1, scratch)

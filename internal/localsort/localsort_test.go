@@ -12,6 +12,7 @@ import (
 	"parbitonic/element"
 	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
+	"parbitonic/internal/schedule"
 )
 
 func randomKeys(rng *rand.Rand, n int) []uint32 {
@@ -367,6 +368,25 @@ func BenchmarkMergeRuns(b *testing.B) {
 	b.Run("two-routed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MergeRunsRouted(out, plan, 0, two, false)
+		}
+	})
+	// FullSort's routed merges: the P=2 last remap sends each half of
+	// the local array whole (one pack segment per buffer), and the P=4
+	// crossing routes key by key.
+	last := schedule.New(20, 1, schedule.Head)[1].Plan
+	b.Run("two-last", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRunsRouted(out, last, 0, two, true)
+		}
+	})
+	cross := schedule.New(21, 2, schedule.Head)[1].Plan
+	outs := make([][]uint32, 4)
+	for _, q := range cross.Dests(0) {
+		outs[q] = make([]uint32, cross.MsgLen)
+	}
+	b.Run("two-crossing", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRunsRouted(outs, cross, 0, two, true)
 		}
 	})
 }

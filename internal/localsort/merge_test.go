@@ -1,6 +1,7 @@
 package localsort_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"parbitonic/internal/addr"
 	"parbitonic/internal/intbits"
 	"parbitonic/internal/localsort"
+	"parbitonic/internal/schedule"
 )
 
 // The merge kernels' contract, checked for every element type: the
@@ -135,18 +137,72 @@ func randomLayout(rng *rand.Rand, lgN, lgP int) *addr.Layout {
 }
 
 // randomRoute is a remap between two random bit-permutation layouts
-// over n local keys and up to 4 processors, a processor of it, and that
-// processor's message buffers.
-func randomRoute[E element.Elem](rng *rand.Rand, n int) (*addr.RemapPlan, int, [][]E) {
+// over n local keys and up to 4 processors, and a processor of it.
+func randomRoute(rng *rand.Rand, n int) (*addr.RemapPlan, int) {
 	lgP := rng.Intn(3)
 	lgN := intbits.Log2(n) + lgP
 	plan := addr.NewRemapPlan(randomLayout(rng, lgN, lgP), randomLayout(rng, lgN, lgP))
-	proc := rng.Intn(1 << uint(lgP))
-	out := make([][]E, 1<<uint(lgP)) // entries outside the group stay nil
+	return plan, rng.Intn(1 << uint(lgP))
+}
+
+func runsTotal[E element.Elem](runs []localsort.RunOf[E]) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Keys)
+	}
+	return n
+}
+
+// segmentRoutes returns remaps over n local keys whose pack segments
+// span more than one key: every remap of the smart schedule at P = 2,
+// 4 and 8 (FullSort's routes) and blocked to its last layout.
+func segmentRoutes(n int) []*addr.RemapPlan {
+	var plans []*addr.RemapPlan
+	for lgP := 1; lgP <= 3; lgP++ {
+		lgN := intbits.Log2(n) + lgP
+		sched := schedule.New(lgN, lgP, schedule.Head)
+		for _, r := range sched {
+			plans = append(plans, r.Plan)
+		}
+		plans = append(plans, addr.NewRemapPlan(addr.Blocked(lgN, lgP), sched[len(sched)-1].Layout))
+	}
+	return plans
+}
+
+// checkMerge runs MergeRuns on runs and compares it with want.
+func checkMerge[E element.Elem](t *testing.T, label string, runs []localsort.RunOf[E], want []E) {
+	t.Helper()
+	dst := make([]E, len(want))
+	localsort.MergeRuns(dst, runs)
+	for i := range want {
+		if !sameBits(dst[i], want[i]) {
+			t.Fatalf("%s: MergeRuns[%d] = %v, want %v", label, i, dst[i], want[i])
+		}
+	}
+}
+
+// checkRouted runs MergeRunsRouted on runs through processor proc of
+// plan, in both region directions, and compares every local address
+// with want.
+func checkRouted[E element.Elem](t *testing.T, label string, plan *addr.RemapPlan, proc int, runs []localsort.RunOf[E], want []E) {
+	t.Helper()
+	n := len(want)
+	out := make([][]E, plan.Old.P()) // entries outside the group stay nil
 	for _, q := range plan.Dests(proc) {
 		out[q] = make([]E, plan.MsgLen)
 	}
-	return plan, proc, out
+	for _, asc := range []bool{true, false} {
+		localsort.MergeRunsRouted(out, plan, proc, runs, asc)
+		for l := 0; l < n; l++ {
+			rank := l
+			if !asc {
+				rank = n - 1 - l
+			}
+			if got := out[plan.Dest(proc, l)][plan.PackOffset(l)]; !sameBits(got, want[rank]) {
+				t.Fatalf("%s segment=%d asc=%v: routed local %d = %v, want %v", label, plan.PackSegment(), asc, l, got, want[rank])
+			}
+		}
+	}
 }
 
 func runMergeProperties[E element.Elem](t *testing.T) {
@@ -156,34 +212,51 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 		for mask := uint(0); mask < 1<<uint(p); mask++ {
 			for _, domain := range []int{1, 3, 1 << 20} {
 				for trial := 0; trial < 4; trial++ {
+					label := fmt.Sprintf("p=%d desc=%b domain=%d", p, mask, domain)
 					runs := randomRuns[E](rng, randomLens(rng, p), domain, mask, &id)
-					want := mergeOracle(runs)
-					dst := make([]E, len(want))
-					localsort.MergeRuns(dst, runs)
-					for i := range want {
-						if !sameBits(dst[i], want[i]) {
-							t.Fatalf("p=%d desc=%b domain=%d: MergeRuns[%d] = %v, want %v", p, mask, domain, i, dst[i], want[i])
-						}
-					}
-
+					checkMerge(t, label, runs, mergeOracle(runs))
 					if p == 0 {
 						continue // no local array is empty
 					}
 					runs = randomRuns[E](rng, pow2Lens(rng, p), domain, mask, &id)
-					want = mergeOracle(runs)
-					n := len(want)
+					plan, proc := randomRoute(rng, runsTotal(runs))
+					checkRouted(t, label, plan, proc, runs, mergeOracle(runs))
+				}
+			}
+		}
+	}
+
+	// FullSort's shape: two runs of equal length. A power-of-two total
+	// is routed through segments of every length FullSort meets, and two
+	// ascending runs also go through MergeTwo both ways.
+	for _, m := range []int{1, 2, 3, 64, 1000, 1024} {
+		for mask := uint(0); mask < 4; mask++ {
+			for _, domain := range []int{1, 3, 1 << 20} {
+				label := fmt.Sprintf("m=%d desc=%b domain=%d", m, mask, domain)
+				runs := randomRuns[E](rng, []int{m, m}, domain, mask, &id)
+				want := mergeOracle(runs)
+				checkMerge(t, label, runs, want)
+				if mask == 0 {
+					dst := make([]E, 2*m)
 					for _, asc := range []bool{true, false} {
-						plan, proc, out := randomRoute[E](rng, n)
-						localsort.MergeRunsRouted(out, plan, proc, runs, asc)
-						for l := 0; l < n; l++ {
-							rank := l
+						localsort.MergeTwo(dst, runs[0].Keys, runs[1].Keys, asc)
+						for i := range want {
+							j := i
 							if !asc {
-								rank = n - 1 - l
+								j = 2*m - 1 - i
 							}
-							if got := out[plan.Dest(proc, l)][plan.PackOffset(l)]; !sameBits(got, want[rank]) {
-								t.Fatalf("p=%d desc=%b domain=%d asc=%v: routed local %d = %v, want %v", p, mask, domain, asc, l, got, want[rank])
+							if !sameBits(dst[j], want[i]) {
+								t.Fatalf("%s asc=%v: MergeTwo[%d] = %v, want %v", label, asc, j, dst[j], want[i])
 							}
 						}
+					}
+				}
+				if m&(m-1) != 0 {
+					continue
+				}
+				for _, plan := range segmentRoutes(2 * m) {
+					for proc := 0; proc < plan.Old.P(); proc++ {
+						checkRouted(t, label, plan, proc, runs, want)
 					}
 				}
 			}
@@ -193,7 +266,8 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 
 // TestMergeKernelsMatchStableOracle runs the property over all five
 // element types, 0-5 runs, every Desc mix, empty runs, all-equal keys
-// and heavy duplicates.
+// and heavy duplicates, and over FullSort's two equal runs routed
+// through pack segments of every length.
 func TestMergeKernelsMatchStableOracle(t *testing.T) {
 	t.Run("u32", runMergeProperties[uint32])
 	t.Run("u64", runMergeProperties[uint64])

@@ -65,7 +65,12 @@ const ProfileSchema = "parbitonic-profile"
 // way to measured synchronization costs (barrier_ns, run_ns) and a
 // measured parallel radix digit round (radix_round_ns); version-3
 // profiles carry none of them.
-const ProfileVersion = 4
+//
+// Version 5: MergeTwo runs the two-ended merge kernel, which roughly
+// halved the calibrated merge_ns (u32 4.9–5.1 → 2.1–2.4 ns on a 2-vCPU
+// x86-64 host); version-4 profiles would price merges about 2× too
+// high.
+const ProfileVersion = 5
 
 // ErrProfileVersion is wrapped by the error Load and Validate return
 // for a profile written by another format version.
@@ -208,7 +213,9 @@ func (p *Profile) KernelsFor(t element.Type) KernelCosts {
 // BarrierNS is an empty P=2 barrier round trip and RunNS a P=2
 // sample sort of four keys on a 2-vCPU x86-64 host (469–749 ns over
 // ten calibrations, 8.3–16.8 µs over five, go1.24), rounded;
-// RadixRoundNS keeps the 2.3x ratio to RadixPassNS measured there.
+// RadixRoundNS keeps the 2.3x ratio to RadixPassNS measured there, and
+// MergeNS is u32 MergeTwo on that host (2.07–2.37 ns over five
+// calibrations), rounded.
 // Like
 // spmd.DefaultCosts for the simulator, these are fallbacks, not
 // measurements of your machine — run the calibrator (bitonic-sort
@@ -217,7 +224,7 @@ func Fallback() *Profile {
 	mk := func(w float64) KernelCosts {
 		return KernelCosts{
 			RadixPassNS:  1.4 * w,
-			MergeNS:      2.4 * w,
+			MergeNS:      2.2 * w,
 			CompareNS:    1.6 * w,
 			CopyNS:       0.35 * w,
 			RadixRoundNS: 3.2 * w,
