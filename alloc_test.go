@@ -25,8 +25,10 @@ import (
 // processor (the optimized smart phases over the gather Remap) and the
 // cyclic-blocked baseline (Remap with strided local sorts). The
 // kernel pool is pinned to one lane so the assertion means the same
-// thing on any host; the parallel tile paths draw per-tile scratch by
-// design and are covered in the localsort package tests.
+// thing on any host. One more case, smart P=2 over 2^20 keys on a
+// 2-lane pool, covers the default shape at the paper's size: its
+// shares reach the hybrid radix, whose region tiles go to the pool's
+// helper, and FullSort sorts in the caller's slice.
 func TestNativeSortZeroAllocs(t *testing.T) {
 	seq := workpool.New(1)
 	defer seq.Close()
@@ -65,6 +67,27 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 		keys := workload.Elems[uint32](workload.FullRange, c.n, 5)
 		run(t, c.name, func() error { _, err := e.Sort(keys); return err })
 	}
+
+	t.Run("smart P=2 2^20 keys, 2 lanes", func(t *testing.T) {
+		lanes := workpool.New(2)
+		defer lanes.Close()
+		localsort.SetPool(lanes)
+		defer localsort.SetPool(seq)
+		e, err := parbitonic.NewEngineOf[uint32](parbitonic.Config{
+			Processors: 2, Backend: parbitonic.Native,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		input := workload.Elems[uint32](workload.FullRange, 1<<20, 7)
+		keys := make([]uint32, len(input))
+		run(t, "smart P=2 2^20", func() error {
+			copy(keys, input)
+			_, err := e.Sort(keys)
+			return err
+		})
+	})
 
 	// The record path moves twice the bytes through the same machinery.
 	ekv, err := parbitonic.NewEngineOf[element.KV64](parbitonic.Config{

@@ -21,9 +21,11 @@ import (
 // expensive construction a Sort call pays — worker setup, the P×P
 // exchange board, barrier, message-buffer pool — happens once in
 // NewEngineOf, and every subsequent Sort call on the engine reuses it,
-// along with the engine's recycled input-staging and padding buffers.
-// Repeated sorts of similar sizes on one engine therefore allocate
-// almost nothing beyond what the algorithms themselves churn.
+// along with the engine's recycled padding buffer and, for the shapes
+// that cannot sort in the caller's slice, its input staging. Repeated
+// sorts of similar sizes on one engine therefore allocate almost
+// nothing beyond what the algorithms themselves churn. The engine
+// holds no reference to a caller's keys once Sort returns.
 //
 // The package-level Sort functions construct a throwaway engine per
 // call; a server that sorts many requests should hold engines instead
@@ -37,11 +39,18 @@ type EngineOf[E element.Elem] struct {
 	cfg Config
 	m   spmd.BackendOf[E]
 
-	// staging holds the previous run's final per-processor slices,
-	// recycled as the next run's input staging. They are dropped after a
-	// failed run (ownership is unspecified mid-abort) and whenever their
-	// lengths no longer fit.
+	// staging holds the previous staged run's final per-processor
+	// slices, recycled as the next staged run's input. Only runs that
+	// cannot sort in place (see views) are staged. The slices are
+	// dropped after an aborted run (ownership is unspecified mid-abort)
+	// and whenever their lengths no longer fit.
 	staging [][]E
+
+	// views is the recycled data header table of an in-place run: one
+	// capacity-capped view of the caller's slice per processor (P=1, and
+	// FullSort, the default smart shape at P >= 2). Its entries are
+	// cleared before Sort returns, so the engine never retains keys.
+	views [][]E
 
 	// padBuf is the recycled SortPadded staging buffer. Results are
 	// always copied out of it before returning, so no caller ever holds
@@ -54,10 +63,6 @@ type EngineOf[E element.Elem] struct {
 	// size, and a steady-state Sort allocates nothing for them.
 	compiled  func(*spmd.ProcOf[E])
 	compiledN int
-
-	// single is the recycled one-slice data header of the in-place
-	// single-processor path.
-	single [][]E
 }
 
 // Engine is the uint32 engine, the element type of the paper's
@@ -155,9 +160,12 @@ func rejectNaN[E element.Elem](keys []E) error {
 }
 
 // SortContext sorts keys in place under ctx, reusing the engine's
-// backend and staging buffers. len(keys) must divide into
-// power-of-two per-processor shares exactly as for the package-level
-// Sort; failure semantics are those of the package-level SortContext.
+// backend and buffers. len(keys) must divide into power-of-two
+// per-processor shares exactly as for the package-level Sort; failure
+// semantics are those of the package-level SortContext: shapes that
+// sort in the caller's slice (P=1, and the default smart FullSort at
+// P >= 2) write into keys while the run is in flight, so a failed run
+// leaves keys unspecified.
 func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error) {
 	cfg := e.cfg
 	p := cfg.Processors
@@ -177,21 +185,21 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		sum = verify.Sum(keys)
 	}
 
-	// Single-processor bitonic runs sort the caller's slice in place:
-	// with lg P = 0 all three bitonic algorithms reduce to one local
-	// radix sort that never swaps or pools its Data array, so the
-	// staging copy-in and copy-out are pure overhead. The caller's
-	// slice must then never be retained as staging (see below) — the
-	// engine would otherwise scribble over it on the next run.
-	inPlace := p == 1 && (cfg.Algorithm == SmartBitonic ||
-		cfg.Algorithm == CyclicBlockedBitonic || cfg.Algorithm == BlockedMergeBitonic)
+	// Bitonic bodies that sort in place (core.Options.SortsInPlace: one
+	// processor, or FullSort) run over views of the caller's slice, so
+	// no staging copy-in or copy-out happens. Every other body recycles
+	// its input arrays through the backend's buffer pools, which must
+	// never see caller memory, so it runs over engine-owned staging.
+	bitonic := cfg.Algorithm == SmartBitonic || cfg.Algorithm == CyclicBlockedBitonic ||
+		cfg.Algorithm == BlockedMergeBitonic
+	var opts core.Options
+	if bitonic {
+		opts = coreOptions(cfg, p, n)
+	}
+	inPlace := bitonic && opts.SortsInPlace(p)
 	var data [][]E
 	if inPlace {
-		if e.single == nil {
-			e.single = make([][]E, 1)
-		}
-		e.single[0] = keys
-		data = e.single
+		data = e.lend(keys, p, n)
 	} else {
 		data = e.stage(keys, p, n)
 	}
@@ -204,7 +212,7 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		// and the per-processor share n, so repeated sorts of one size
 		// reuse it — schedule and remap plans included.
 		if e.compiled == nil || e.compiledN != n {
-			e.compiled, err = core.Compile[E](p, n, coreOptions(cfg, p, n))
+			e.compiled, err = core.Compile[E](p, n, opts)
 			if err != nil {
 				e.compiledN = 0
 				break
@@ -221,50 +229,24 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 	default:
 		err = fmt.Errorf("parbitonic: unknown algorithm %v", cfg.Algorithm)
 	}
+	completed := err == nil
+	if completed {
+		err = e.collect(keys, sum, res.Time)
+	}
+	// The engine keeps no reference to keys past this call. A staged
+	// run's completed output slices become the next run's staging; after
+	// an abort they are unspecified — they may alias buffers the backend
+	// has already reclaimed — so they are dropped.
+	if inPlace {
+		clear(e.views)
+	} else if completed {
+		copy(e.staging, e.m.Data())
+	} else {
+		clear(e.staging)
+	}
+	e.m.ReleaseData()
 	if err != nil {
-		// After an abort the processors' slices are unspecified — they
-		// may alias buffers the backend has already reclaimed — so they
-		// must not seed the next run's staging. (An in-place run never
-		// consumed the staging, which stays valid for the next run.)
-		if !inPlace {
-			e.staging = nil
-		}
 		return Result{}, err
-	}
-
-	final := e.m.Data()
-	if cfg.Verify {
-		if verr := verify.Distributed(final, sum); verr != nil {
-			if cfg.Obs != nil {
-				cfg.Obs.Emit(obs.Event{
-					Kind:   obs.EventVerifyFailure,
-					Clock:  res.Time,
-					Detail: verr.Error(),
-					Wall:   time.Now().UnixNano(),
-				})
-			}
-			if !inPlace {
-				e.staging = final // the run completed; the slices are owned
-			}
-			return Result{}, verr
-		}
-	}
-
-	pos := 0
-	for _, d := range final {
-		if len(d) > 0 && pos < len(keys) && &d[0] == &keys[pos] {
-			pos += len(d) // in-place run: the result is already here
-			continue
-		}
-		pos += copy(keys[pos:], d)
-	}
-	// The completed run's output slices become the next run's staging —
-	// except after an in-place run, whose only slice is the caller's.
-	if !inPlace {
-		e.staging = final
-	}
-	if pos != len(keys) {
-		return Result{}, fmt.Errorf("parbitonic: internal error, %d of %d keys returned", pos, len(keys))
 	}
 
 	result := Result{
@@ -310,28 +292,70 @@ func coreOptions(cfg Config, p, n int) core.Options {
 	return opts
 }
 
+// collect verifies the finished run's output against the input
+// checksum when cfg.Verify is set, then copies it into keys, skipping
+// every processor slice that already is its own share of keys.
+func (e *EngineOf[E]) collect(keys []E, sum verify.Checksum, clock float64) error {
+	final := e.m.Data()
+	if e.cfg.Verify {
+		if verr := verify.Distributed(final, sum); verr != nil {
+			if e.cfg.Obs != nil {
+				e.cfg.Obs.Emit(obs.Event{
+					Kind:   obs.EventVerifyFailure,
+					Clock:  clock,
+					Detail: verr.Error(),
+					Wall:   time.Now().UnixNano(),
+				})
+			}
+			return verr
+		}
+	}
+	pos := 0
+	for _, d := range final {
+		if len(d) > 0 && pos < len(keys) && &d[0] == &keys[pos] {
+			pos += len(d) // in-place run: the result is already here
+			continue
+		}
+		pos += copy(keys[pos:], d)
+	}
+	if pos != len(keys) {
+		return fmt.Errorf("parbitonic: internal error, %d of %d keys returned", pos, len(keys))
+	}
+	return nil
+}
+
+// lend returns the views of keys an in-place run sorts in: processor
+// i's share, its capacity capped at its own end so nothing that
+// reslices a view can reach a neighbour's share.
+func (e *EngineOf[E]) lend(keys []E, p, n int) [][]E {
+	if len(e.views) != p {
+		e.views = make([][]E, p)
+	}
+	for i := range e.views {
+		e.views[i] = keys[i*n : (i+1)*n : (i+1)*n]
+	}
+	return e.views
+}
+
 // stage copies keys into p per-processor slices of n keys each,
 // recycling the previous run's output slices when they are long
 // enough. Recycled slices are resliced by length, never by capacity:
 // a slice's backing array is owned outright only up to its length
 // once it has passed through the backend's buffer churn.
 func (e *EngineOf[E]) stage(keys []E, p, n int) [][]E {
-	data := e.staging
-	if len(data) != p {
-		data = make([][]E, p)
+	if len(e.staging) != p {
+		e.staging = make([][]E, p)
 	}
-	for i := range data {
-		if len(data[i]) >= n {
-			data[i] = data[i][:n]
+	for i, d := range e.staging {
+		if len(d) >= n {
+			d = d[:n]
 		} else {
-			data[i] = make([]E, n)
+			d = make([]E, n)
 		}
-		copy(data[i], keys[i*n:(i+1)*n])
+		copy(d, keys[i*n:(i+1)*n])
+		e.staging[i] = d
 	}
-	// The engine run consumes the slices; forget them until the run
-	// hands back its output set.
-	e.staging = nil
-	return data
+	return e.staging
 }
 
 // SortPadded sorts keys of arbitrary length by padding with maximal

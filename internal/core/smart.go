@@ -29,16 +29,20 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 	// scratch serves the radix sort and every later local phase, so the
 	// whole run allocates nothing in steady state.
 	scratch := pr.GetBuf(n)
+	if opts.Compute == FullSort && lgP > 0 {
+		// FullSort reads the sorted run only through its round-0 pack,
+		// which walks a descending processor's addresses from the top:
+		// an ascending sort serves both directions with no reversal.
+		localsort.RadixSortScratch(pr.Data, scratch)
+		pr.ChargeRadixSort(n)
+		pr.PutBuf(scratch)
+		fullSortRun(pr, sched, lgn, lgP)
+		return
+	}
 	localsort.SortScratch(pr.Data, pr.ID%2 == 0, scratch)
 	pr.ChargeRadixSort(n)
 	if lgP == 0 {
 		pr.PutBuf(scratch)
-		return
-	}
-
-	if opts.Compute == FullSort {
-		pr.PutBuf(scratch)
-		fullSortRun(pr, sched, lgn, lgP)
 		return
 	}
 	for _, r := range sched {
@@ -87,11 +91,12 @@ func recycleRuns[E element.Elem](pr *spmd.ProcOf[E], in [][]E) {
 	}
 }
 
-// fullSortRun is the FullSort (fully fused) execution: in the usual
-// regime the schedule is [inside, crossing..., last] and after every
-// remap each processor's keys are a permutation of the canonical
-// network state at the granularity the next remap routes at, so the
-// entire local phase is one merge of the incoming runs:
+// fullSortRun is the FullSort (fully fused) execution over the
+// processor's ascending radix-sorted keys: in the usual regime the
+// schedule is [inside, crossing..., last] and after every remap each
+// processor's keys are a permutation of the canonical network state at
+// the granularity the next remap routes at, so the entire local phase
+// is one merge of the incoming runs:
 //
 //   - every incoming long message is a sorted run (the sender was fully
 //     sorted and the pack mask preserves local order within a message);
@@ -106,16 +111,20 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	// emission writes straight into the next remap's message buffers
 	// (merge = unpack + sort + pack in a single local computation step,
 	// the thesis's first Chapter 7 refinement). Only the final phase
-	// materializes a local array. The routing is stepped, not tabled,
-	// and the run table persists on the processor across rounds AND
-	// runs.
+	// materializes a local array, and it does so in the processor's home
+	// array, the one the run started on: once the first pack has copied
+	// every key out, nothing else reads or recycles it, so a run over
+	// views of the caller's slice sorts in place. The routing is
+	// stepped, not tabled, and the run table persists on the processor
+	// across rounds AND runs.
 	n := len(pr.Data)
+	home := pr.Data
 	s, _ := pr.Scratch.(*fullScratch[E])
 	if s == nil {
 		s = &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
 		pr.Scratch = s
 	}
-	in := pr.RemapExchangeRuns(sched[0].Plan)
+	in := pr.RemapExchangeRuns(sched[0].Plan, pr.ID%2 != 0)
 	for i, r := range sched {
 		// The usual-regime shape Validate guaranteed: an inside remap,
 		// then crossings, then the last remap.
@@ -145,10 +154,9 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 
 		if i == len(sched)-1 {
 			// Final phase: the last remap's steps sort ascending; the
-			// merge materializes the finished local array.
-			merged := pr.GetBuf(total)
-			localsort.MergeRuns(merged, runs)
-			pr.Data = merged
+			// merge materializes the finished local array at home.
+			localsort.MergeRuns(home, runs)
+			pr.Data = home
 			pr.ChargeMerge(total)
 			recycleRuns(pr, in)
 			return

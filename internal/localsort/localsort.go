@@ -20,6 +20,7 @@ package localsort
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"parbitonic/element"
 	"parbitonic/internal/bitseq"
@@ -217,23 +218,45 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int) {
 	// Regions are disjoint in keys, scratch and the shared (now
 	// read-only) offset tables, so they finish in parallel on whatever
 	// helper lanes are idle; each tile draws its own digit tables from
-	// the pool. A single-lane pool runs one inline tile — the plain
-	// sequential loop.
+	// the pool.
 	wp := kernelPool()
 	if wp.Size() == 1 {
-		// Sequential: borrow cp's tail for the digit tables and skip
-		// the closure, so the whole sort allocates nothing.
+		// Sequential: borrow cp's tail for the digit tables.
 		low := (*cp)[2*hybridTopSize : (2+hybridMaxLowPasses)*hybridTopSize]
 		hybridFinishRange(keys, into, other, starts, count, lowBits, low, 0, hybridTopSize)
 	} else {
-		wp.ParallelFor(hybridTopSize, (hybridTopSize+wp.Size()-1)/wp.Size(), func(dlo, dhi int) {
-			tp := countPool.Get().(*[]uint32)
-			low := (*tp)[:hybridMaxLowPasses*hybridTopSize]
-			hybridFinishRange(keys, into, other, starts, count, lowBits, low, dlo, dhi)
-			countPool.Put(tp)
-		})
+		tp := &hybridTilePools[unsafe.Sizeof(T(0))/8]
+		h := tp.Get().(*hybridTiles[T])
+		*h = hybridTiles[T]{keys: keys, into: into, other: other, starts: starts, count: count, lowBits: lowBits}
+		wp.ParallelTiles(hybridTopSize, (hybridTopSize+wp.Size()-1)/wp.Size(), h)
+		*h = hybridTiles[T]{}
+		tp.Put(h)
 	}
 	countPool.Put(cp)
+}
+
+// hybridTiles is the state a hybrid sort's region tiles share. It is
+// pooled, with no closure around it, so dispatching the tiles to the
+// worker pool allocates nothing.
+type hybridTiles[T element.Uint] struct {
+	keys, into, other []T
+	starts, count     []uint32
+	lowBits           int
+}
+
+// hybridTilePools pools the tile states of the two key widths, indexed
+// by the key's size in 8-byte words: uint32 at 0, uint64 at 1.
+var hybridTilePools = [2]sync.Pool{
+	{New: func() any { return new(hybridTiles[uint32]) }},
+	{New: func() any { return new(hybridTiles[uint64]) }},
+}
+
+// Tile finishes regions [dlo, dhi) with digit tables of its own.
+func (h *hybridTiles[T]) Tile(dlo, dhi int) {
+	tp := countPool.Get().(*[]uint32)
+	low := (*tp)[:hybridMaxLowPasses*hybridTopSize]
+	hybridFinishRange(h.keys, h.into, h.other, h.starts, h.count, h.lowBits, low, dlo, dhi)
+	countPool.Put(tp)
 }
 
 // hybridFinishRange finishes the hybrid regions [dlo, dhi): each

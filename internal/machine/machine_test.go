@@ -380,7 +380,7 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	m := mustNew(t, testConfig(P, true))
 	res := mustRun(t, m, copied, func(p *Proc) {
 		// Remap 1: keep the runs, reassemble by the unpack mask.
-		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA))
+		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA, false))
 		// Remap 2: pre-pack by hand into the pooled buffers.
 		out := p.PackBuffers(planB)
 		w := planB.PackWalk(p.ID, false)

@@ -472,6 +472,18 @@ func (e *EngineOf[E]) Data() [][]E {
 	return out
 }
 
+// ReleaseData drops the engine's references to the last run's local
+// data: every processor's Data and the recycled Data() header array.
+// A caller that lent the run memory it owns (a sort in the caller's
+// slice) releases it before handing that memory back, so nothing in
+// the engine reaches it between runs.
+func (e *EngineOf[E]) ReleaseData() {
+	for _, p := range e.procs {
+		p.Data = nil
+	}
+	clear(e.dataOut)
+}
+
 // ---- per-processor generic services ----
 
 // DataLen returns the processor's local element count (the procOps

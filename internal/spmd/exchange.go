@@ -74,27 +74,29 @@ func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
 // phase: it packs p.Data per the plan, exchanges, and returns the
 // received long messages indexed by source processor so the caller can
 // fuse the unpacking into its local computation (§4.3's p-way merge).
-// p.Data is set to nil (the spent input array is recycled into the
-// free list — the pack already copied every key out of it); the caller
-// must install the merged result. Neither pack nor unpack time is
-// charged: the pack is fused into the local sort that precedes it. The
-// returned messages are pooled buffers — hand them back with PutBuf
-// once consumed.
-func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan) [][]E {
+// With desc, p.Data holds the local array reversed: p.Data[i] sits at
+// old local address n-1-i, so an ascending local sort packs as the
+// descending one without a reversal pass. p.Data is set to nil, but
+// its array is not recycled: the pack copied every key out of it, and
+// it stays the caller's (FullSort merges its final phase back into
+// it, which may be the caller's own slice). Neither pack nor unpack
+// time is charged: the pack is fused into the local sort that
+// precedes it. The returned messages are pooled buffers — hand them
+// back with PutBuf once consumed.
+func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, desc bool) [][]E {
 	n := plan.Old.LocalN()
 	if len(p.Data) != n {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(obs.PhasePack)
 	out := p.PackBuffers(plan)
-	w := plan.PackWalk(p.ID, false)
+	w := plan.PackWalk(p.ID, desc)
 	for _, v := range p.Data {
 		out[w.A][w.B] = v
 		w = w.Next()
 	}
 	in := p.Exchange(out)
 	p.clearOuts()
-	p.PutBuf(p.Data)
 	p.Data = nil
 	p.Stats.Remaps++
 	return in

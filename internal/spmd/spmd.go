@@ -201,6 +201,9 @@ type BackendOf[E element.Elem] interface {
 	RunContext(ctx context.Context, data [][]E, body func(p *ProcOf[E])) (Result, error)
 	// Data returns the final local data of every processor after a Run.
 	Data() [][]E
+	// ReleaseData drops the backend's references to the last run's
+	// data; Data() then returns nil slices until the next Run.
+	ReleaseData()
 }
 
 // Backend is the uint32 backend interface, the element type of the

@@ -69,7 +69,7 @@ func TestRemapBarriers(t *testing.T) {
 	}{
 		{"Remap", func(pr *Proc) { pr.Remap(plan, false) }},
 		{"Exchange", func(pr *Proc) { pr.Exchange(make([][]uint32, p)) }},
-		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan) }},
+		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan, false) }},
 		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.PackBuffers(plan)) }},
 	} {
 		clear(ch.synced)

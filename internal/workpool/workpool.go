@@ -32,19 +32,34 @@ type Pool struct {
 	closed    chan struct{}
 }
 
-// job is one ParallelFor invocation: a [0,n) index space claimed in
+// Tiler is the work of one ParallelTiles call: Tile runs the tile
+// [lo, hi) of the index space.
+type Tiler interface {
+	Tile(lo, hi int)
+}
+
+// tileFunc adapts ParallelFor's function to Tiler.
+type tileFunc func(lo, hi int)
+
+func (f tileFunc) Tile(lo, hi int) { f(lo, hi) }
+
+// job is one ParallelTiles invocation: a [0,n) index space claimed in
 // grain-sized tiles via an atomic cursor. Whoever holds a tile —
-// caller or helper — runs f on it; the claim is the steal.
+// caller or helper — runs t on it; the claim is the steal. Jobs are
+// pooled: once the submitter's Wait returns no helper touches the job
+// again, so it is recycled for the next call.
 type job struct {
 	next  atomic.Int64
 	n     int64
 	grain int64
-	f     func(lo, hi int)
+	t     Tiler
 	wg    sync.WaitGroup
 	fail  atomic.Pointer[panicValue]
 }
 
 type panicValue struct{ v any }
+
+var jobPool = sync.Pool{New: func() any { return new(job) }}
 
 // New creates a pool with size execution lanes: the caller of
 // ParallelFor is always one lane, so size-1 persistent helper
@@ -121,22 +136,31 @@ func (j *job) run() {
 		if end > j.n {
 			end = j.n
 		}
-		j.f(int(start), int(end))
+		j.t.Tile(int(start), int(end))
 	}
 }
 
-// ParallelFor runs f over [0,n) in grain-sized tiles, on the caller
+// ParallelFor runs f over [0,n) in grain-sized tiles; it is
+// ParallelTiles over a function. The closure f escapes to the job, so
+// a call that must not allocate passes a pooled Tiler to ParallelTiles
+// instead.
+func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
+	p.ParallelTiles(n, grain, tileFunc(f))
+}
+
+// ParallelTiles runs t over [0,n) in grain-sized tiles, on the caller
 // plus however many pool helpers are free — at most enough to give
 // every tile its own lane. It returns when every tile has completed.
-// Tiles execute in claim order but concurrently; f must be safe for
+// Tiles execute in claim order but concurrently; t must be safe for
 // concurrent invocation on disjoint ranges. If any invocation panics,
-// ParallelFor re-panics with the first captured value after all lanes
-// have stopped.
+// ParallelTiles re-panics with the first captured value after all
+// lanes have stopped. The job is pooled, so the call itself allocates
+// nothing in steady state.
 //
-// The fast path — nil pool, single-lane pool, or n <= grain — calls f
-// inline with zero synchronization, so callers can use ParallelFor
+// The fast path — nil pool, single-lane pool, or n <= grain — calls t
+// inline with zero synchronization, so callers can use ParallelTiles
 // unconditionally and pay nothing when parallelism is unavailable.
-func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
+func (p *Pool) ParallelTiles(n, grain int, t Tiler) {
 	if n <= 0 {
 		return
 	}
@@ -144,10 +168,12 @@ func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
 		grain = 1
 	}
 	if p == nil || p.spares == 0 || n <= grain {
-		f(0, n)
+		t.Tile(0, n)
 		return
 	}
-	j := &job{n: int64(n), grain: int64(grain), f: f}
+	j := jobPool.Get().(*job)
+	j.next.Store(0)
+	j.n, j.grain, j.t = int64(n), int64(grain), t
 	// One lane per tile beyond the caller's; posting is best-effort —
 	// a full queue means every helper is saturated, and the caller
 	// completes the job alone.
@@ -166,7 +192,10 @@ func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
 	}
 	j.run()
 	j.wg.Wait()
-	if pv := j.fail.Load(); pv != nil {
+	pv := j.fail.Swap(nil)
+	j.t = nil
+	jobPool.Put(j)
+	if pv != nil {
 		panic(pv.v)
 	}
 }

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -115,4 +116,44 @@ func TestSharedSingleton(t *testing.T) {
 	if a.Size() < 1 {
 		t.Fatalf("shared pool size = %d", a.Size())
 	}
+}
+
+// hits counts executions per index, as a Tiler.
+type hits []int32
+
+func (h hits) Tile(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&h[i], 1)
+	}
+}
+
+// TestParallelTilesRecyclesJobs drives pooled jobs from several
+// submitters at once, each job following a panicking one: a recycled
+// job must start with a fresh cursor and no stale panic, so every call
+// runs each index exactly once and returns normally.
+func TestParallelTilesRecyclesJobs(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 200; it++ {
+				func() {
+					defer func() { recover() }()
+					p.ParallelFor(16, 2, func(lo, hi int) { panic("boom") })
+				}()
+				h := make(hits, 100)
+				p.ParallelTiles(len(h), 7, h)
+				for i, n := range h {
+					if n != 1 {
+						t.Errorf("index %d executed %d times", i, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
