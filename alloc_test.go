@@ -5,6 +5,8 @@
 package parbitonic_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"parbitonic"
@@ -17,24 +19,25 @@ import (
 // TestNativeSortZeroAllocs pins the end-to-end zero-allocation promise
 // of the shared-memory fast path: a reused native engine sorts in
 // steady state without a single heap allocation — no goroutine spawns
-// (the engine keeps persistent workers), no message-buffer churn (the
-// per-processor free lists circulate every array), no table rebuilds
-// (the compiled body, the plans' routing deltas and the FullSort run
-// table persist). Covered at P=1 (the in-place local path), P=4
-// (staging, FullSort merges and the exchange board), P=8 at 16 keys a
-// processor (the optimized smart phases over the gather Remap) and the
-// cyclic-blocked baseline (Remap with strided local sorts). The
-// kernel pool is pinned to one lane so the assertion means the same
-// thing on any host. One more case, smart P=2 over 2^20 keys on a
+// (the engine keeps persistent workers), no array churn (FullSort runs
+// in the caller's slice and one persistent spare per processor, and
+// the other bodies circulate theirs through the per-processor free
+// lists), no table rebuilds (the compiled body, the plans' routing
+// deltas and the FullSort run table persist) and no kernel dispatch
+// state (the parallel kernels' tile states are stashed). The table
+// covers P=1 (the in-place local path), P=4 (FullSort merges and the
+// exchange board), P=8 at 16 keys a processor (the optimized smart
+// phases over the gather Remap and both bitonic block kernels), the
+// cyclic-blocked baseline (Remap with strided local sorts), the
+// blocked-merge baseline (pair exchanges with compare-splits) and KV64
+// records. It runs on a 1-lane kernel pool and on a 2-lane one, the
+// shared pool of any host with 2 or more cores, whose helper lane
+// takes kernel tiles. One more case, smart P=2 over 2^20 keys on a
 // 2-lane pool, covers the default shape at the paper's size: its
-// shares reach the hybrid radix, whose region tiles go to the pool's
-// helper, and FullSort sorts in the caller's slice.
+// shares reach the hybrid radix, and FullSort sorts in the caller's
+// slice.
 func TestNativeSortZeroAllocs(t *testing.T) {
-	seq := workpool.New(1)
-	defer seq.Close()
-	localsort.SetPool(seq)
 	defer localsort.SetPool(nil)
-
 	run := func(t *testing.T, name string, f func() error) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // warm the free lists and spawn workers
@@ -46,40 +49,55 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %.1f allocs/op in steady state, want 0", name, avg)
 		}
 	}
-
-	for _, c := range []struct {
-		name string
-		p, n int
-		alg  parbitonic.Algorithm
-	}{
-		{"smart P=1", 1, 1 << 14, parbitonic.SmartBitonic},
-		{"smart P=4", 4, 1 << 14, parbitonic.SmartBitonic},
-		{"smart P=8", 8, 128, parbitonic.SmartBitonic},
-		{"cyclic-blocked P=4", 4, 1 << 14, parbitonic.CyclicBlockedBitonic},
-	} {
-		e, err := parbitonic.NewEngineOf[uint32](parbitonic.Config{
-			Processors: c.p, Algorithm: c.alg, Backend: parbitonic.Native,
-		})
+	engine := func(t *testing.T, p int, alg parbitonic.Algorithm) *parbitonic.EngineOf[uint32] {
+		e, err := parbitonic.NewEngineOf[uint32](parbitonic.Config{Processors: p, Algorithm: alg, Backend: parbitonic.Native})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		keys := workload.Elems[uint32](workload.FullRange, c.n, 5)
-		run(t, c.name, func() error { _, err := e.Sort(keys); return err })
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+
+	for _, lanes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d lanes", lanes), func(t *testing.T) {
+			wp := workpool.New(lanes)
+			defer wp.Close()
+			localsort.SetPool(wp)
+			for _, c := range []struct {
+				name string
+				p, n int
+				alg  parbitonic.Algorithm
+			}{
+				{"smart P=1", 1, 1 << 14, parbitonic.SmartBitonic},
+				{"smart P=4", 4, 1 << 14, parbitonic.SmartBitonic},
+				{"smart P=8", 8, 128, parbitonic.SmartBitonic},
+				{"cyclic-blocked P=4", 4, 1 << 14, parbitonic.CyclicBlockedBitonic},
+				{"blocked-merge P=4", 4, 1 << 14, parbitonic.BlockedMergeBitonic},
+			} {
+				e := engine(t, c.p, c.alg)
+				keys := workload.Elems[uint32](workload.FullRange, c.n, 5)
+				run(t, c.name, func() error { _, err := e.Sort(keys); return err })
+			}
+
+			// The record path moves four times the bytes through the same
+			// machinery.
+			ekv, err := parbitonic.NewEngineOf[element.KV64](parbitonic.Config{
+				Processors: 4, Backend: parbitonic.Native,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ekv.Close()
+			recs := workload.Elems[element.KV64](workload.FullRange, 1<<14, 9)
+			run(t, "kv64 smart P=4", func() error { _, err := ekv.Sort(recs); return err })
+		})
 	}
 
 	t.Run("smart P=2 2^20 keys, 2 lanes", func(t *testing.T) {
 		lanes := workpool.New(2)
 		defer lanes.Close()
 		localsort.SetPool(lanes)
-		defer localsort.SetPool(seq)
-		e, err := parbitonic.NewEngineOf[uint32](parbitonic.Config{
-			Processors: 2, Backend: parbitonic.Native,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
+		e := engine(t, 2, parbitonic.SmartBitonic)
 		input := workload.Elems[uint32](workload.FullRange, 1<<20, 7)
 		keys := make([]uint32, len(input))
 		run(t, "smart P=2 2^20", func() error {
@@ -88,15 +106,51 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 			return err
 		})
 	})
+}
 
-	// The record path moves twice the bytes through the same machinery.
-	ekv, err := parbitonic.NewEngineOf[element.KV64](parbitonic.Config{
-		Processors: 4, Backend: parbitonic.Native,
-	})
+// TestFullSortWorkingSet pins FullSort's memory: a processor runs in
+// two arrays, its view of the caller's keys and one spare, so a warm
+// native engine holds at most N × element width of its own beyond the
+// keys, plus 1 MiB for tables, tile states and headers. It measures the
+// live heap of a fresh engine after two sorts, with the engine still
+// alive and the sync.Pool caches emptied by two collections.
+func TestFullSortWorkingSet(t *testing.T) {
+	for _, p := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("u32/P=%d", p), func(t *testing.T) { testWorkingSet[uint32](t, p, 1<<20) })
+		t.Run(fmt.Sprintf("kv64/P=%d", p), func(t *testing.T) { testWorkingSet[element.KV64](t, p, 1<<18) })
+	}
+}
+
+func testWorkingSet[E element.Elem](t *testing.T, p, n int) {
+	input := workload.Elems[E](workload.FullRange, n, 3)
+	keys := make([]E, n)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	e, err := parbitonic.NewEngineOf[E](parbitonic.Config{Processors: p, Backend: parbitonic.Native})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ekv.Close()
-	recs := workload.Elems[element.KV64](workload.FullRange, 1<<14, 9)
-	run(t, "kv64 smart P=4", func() error { _, err := ekv.Sort(recs); return err })
+	defer e.Close()
+	for i := 0; i < 2; i++ {
+		copy(keys, input)
+		if _, err := e.Sort(keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growth := heap() - before
+	// The keys and the input stay live through the measurement, so only
+	// the engine's own memory counts.
+	runtime.KeepAlive(keys)
+	runtime.KeepAlive(input)
+	limit := int64(n)*int64(element.TypeOf[E]().Width()) + 1<<20
+	if growth > limit {
+		t.Errorf("engine holds %.2f MiB after two sorts of %d keys, want at most %.2f MiB",
+			float64(growth)/(1<<20), n, float64(limit)/(1<<20))
+	}
 }

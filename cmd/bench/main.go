@@ -284,7 +284,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		name string
 		f    func()
 	}{
-		{"radix", func() { copy(work, keys); localsort.RadixSortScratch(work, scratch) }},
+		{"radix", func() { copy(work, keys); localsort.RadixSortTo(work, scratch, false) }},
 		{"localsort", func() { copy(work, keys); localsort.SortScratch(work, true, scratch) }},
 		{"bitonic-merge", func() { bitseq.SortBitonic(work, bitonic, true) }},
 		{"merge-two", func() { localsort.MergeTwo(work, a, b, true) }},

@@ -126,7 +126,6 @@ func compareSplitOf[S element.Elem, K element.Ord](out, mine, theirs []S, keepMi
 func blockedMergeSort[E element.Elem](pr *spmd.ProcOf[E]) {
 	n := len(pr.Data)
 	lgn, lgP := intbits.Log2(n), intbits.Log2(pr.P())
-	lgN := lgn + lgP
 
 	sortScratch := pr.GetBuf(n)
 	localsort.SortScratch(pr.Data, pr.ID%2 == 0, sortScratch)
@@ -135,18 +134,20 @@ func blockedMergeSort[E element.Elem](pr *spmd.ProcOf[E]) {
 		pr.PutBuf(sortScratch)
 		return
 	}
-	blocked := addr.Blocked(lgN, lgP)
 
 	// spare holds the local array a compare-split just replaced. The
 	// partner is still reading it (its compare-split of the same step
 	// runs concurrently with ours), so it can only go back to the pool
 	// once a barrier separates us — the next PairExchange provides one.
-	// The very last spare is simply dropped: no barrier follows it
-	// inside this function.
+	// The last spare goes back at the end: this processor takes no more
+	// buffers in this run, and the next run starts only once the partner
+	// has finished.
 	var spare []E
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
-		asc := ascFor(blocked, pr.ID, stage)
+		// Under the blocked layout absolute bit lgn+k is processor bit k,
+		// clear everywhere for the final stage (k = lg P): ascending.
+		asc := pr.ID>>uint(k)&1 == 0
 		for j := 0; j < k; j++ {
 			bit := stage - 1 - j // always >= lg n: a remote step
 			procBit := bit - lgn
@@ -172,5 +173,6 @@ func blockedMergeSort[E element.Elem](pr *spmd.ProcOf[E]) {
 		localsort.SortScratch(pr.Data, asc, sortScratch)
 		pr.ChargeRadixSort(n)
 	}
+	pr.PutBuf(spare)
 	pr.PutBuf(sortScratch)
 }

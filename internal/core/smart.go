@@ -27,18 +27,13 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 	// effect is one sorted run per processor, alternating direction
 	// (Lemma 6 at the input of stage lg n + 1). One pooled n-element
 	// scratch serves the radix sort and every later local phase, so the
-	// whole run allocates nothing in steady state.
-	scratch := pr.GetBuf(n)
+	// whole run allocates nothing in steady state. FullSort sorts in its
+	// own two arrays instead.
 	if opts.Compute == FullSort && lgP > 0 {
-		// FullSort reads the sorted run only through its round-0 pack,
-		// which walks a descending processor's addresses from the top:
-		// an ascending sort serves both directions with no reversal.
-		localsort.RadixSortScratch(pr.Data, scratch)
-		pr.ChargeRadixSort(n)
-		pr.PutBuf(scratch)
 		fullSortRun(pr, sched, lgn, lgP)
 		return
 	}
+	scratch := pr.GetBuf(n)
 	localsort.SortScratch(pr.Data, pr.ID%2 == 0, scratch)
 	pr.ChargeRadixSort(n)
 	if lgP == 0 {
@@ -59,10 +54,12 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 }
 
 // fullScratch is a processor's persistent FullSort working state,
-// parked on pr.Scratch between runs: the run table, reused every round
-// so steady-state runs allocate nothing.
+// parked on pr.Scratch between runs: the run table, reused every round,
+// and the spare array, reused while it holds n keys, so steady-state
+// runs allocate nothing and an aborted run keeps its spare.
 type fullScratch[E element.Elem] struct {
-	runs []localsort.RunOf[E]
+	runs  []localsort.RunOf[E]
+	spare []E
 }
 
 // dirAfterRemap gives the direction processor q's keys are sorted in
@@ -77,17 +74,6 @@ func dirAfterRemap(sched []schedule.Remap, lgn, i, q int) bool {
 		return ascFor(r.Layout, q, lgn+r.K+1)
 	default: // last: the final stage is ascending everywhere
 		return true
-	}
-}
-
-// recycleRuns hands a round's consumed message buffers back to the
-// processor's free list; the next round's pack reuses them, so
-// steady-state FullSort allocates nothing per remap.
-func recycleRuns[E element.Elem](pr *spmd.ProcOf[E], in [][]E) {
-	for _, msg := range in {
-		if len(msg) > 0 {
-			pr.PutBuf(msg)
-		}
 	}
 }
 
@@ -106,17 +92,17 @@ func recycleRuns[E element.Elem](pr *spmd.ProcOf[E], in [][]E) {
 //   - packing for the next remap is the merge's emission pass, so no
 //     separate pack or unpack pass exists (§4.3, Figure 4.8).
 func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn, lgP int) {
-	// The first exchange packs the initial radix-sorted keys; afterwards
-	// every phase is ONE pass: a p-way merge of the received runs whose
-	// emission writes straight into the next remap's message buffers
-	// (merge = unpack + sort + pack in a single local computation step,
-	// the thesis's first Chapter 7 refinement). Only the final phase
-	// materializes a local array, and it does so in the processor's home
-	// array, the one the run started on: once the first pack has copied
-	// every key out, nothing else reads or recycles it, so a run over
-	// views of the caller's slice sorts in place. The routing is
-	// stepped, not tabled, and the run table persists on the processor
-	// across rounds AND runs.
+	// After the ascending local sort (the round-0 pack walks descending
+	// processors from the top), every phase is ONE pass: a p-way merge
+	// of the received runs that writes straight into the next remap's
+	// messages (merge = unpack + sort + pack, the thesis's first Ch. 7
+	// refinement); the final one writes home, the array the run started
+	// on. The run lives in home and one spare: each write after the sort
+	// goes into the array the previous one did not, and the sort lands
+	// where the parity of their count makes the final merge write home.
+	// A round's messages are read only by the merge after their exchange,
+	// which every processor finishes before the next exchange's publish
+	// barrier, so an array is free two rounds after it was written.
 	n := len(pr.Data)
 	home := pr.Data
 	s, _ := pr.Scratch.(*fullScratch[E])
@@ -124,8 +110,20 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 		s = &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
 		pr.Scratch = s
 	}
-	in := pr.RemapExchangeRuns(sched[0].Plan, pr.ID%2 != 0)
+	if cap(s.spare) < n {
+		s.spare = make([]E, n)
+	}
+	toSpare := len(sched)%2 == 0 // an odd number of writes follows the sort
+	cur, next := home, s.spare[:n]
+	if toSpare {
+		cur, next = next, cur
+	}
+	localsort.RadixSortTo(home, s.spare, toSpare)
+	pr.ChargeRadixSort(n)
+	pr.Data = cur
+	in := pr.RemapExchangeRuns(sched[0].Plan, pr.ID%2 != 0, next)
 	for i, r := range sched {
+		cur, next = next, cur
 		// The usual-regime shape Validate guaranteed: an inside remap,
 		// then crossings, then the last remap.
 		switch {
@@ -158,19 +156,17 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 			localsort.MergeRuns(home, runs)
 			pr.Data = home
 			pr.ChargeMerge(total)
-			recycleRuns(pr, in)
 			return
 		}
 
 		// Merge-with-pack: the element of ascending rank e sits at local
 		// index e (ascending region) or n-1-e (descending region) and goes
 		// to the next plan's destination slot for that index.
-		next := sched[i+1].Plan
-		out := pr.PackBuffers(next)
-		localsort.MergeRunsRouted(out, next, pr.ID, runs, dirAfterRemap(sched, lgn, i, pr.ID))
+		plan := sched[i+1].Plan
+		out := pr.Messages(plan, next)
+		localsort.MergeRunsRouted(out, plan, pr.ID, runs, dirAfterRemap(sched, lgn, i, pr.ID))
 		pr.ChargeMerge(total)
-		recycleRuns(pr, in)
-		in = pr.ExchangeRuns(next, out)
+		in = pr.ExchangeRuns(plan, out)
 	}
 }
 

@@ -5,6 +5,7 @@
 package localsort_test
 
 import (
+	"fmt"
 	"testing"
 
 	"parbitonic/element"
@@ -19,13 +20,13 @@ import (
 // The kernels promise zero steady-state allocations when the caller
 // supplies scratch: count tables are pooled or stack-resident, runs
 // tables live on the stack, the routed merge steps its plan's walk
-// instead of reading a routing table, and the ping-pong layouts end in
-// place.
-// These tests pin that promise with the allocator's own accounting.
-// The sequential paths are what they cover — a size-1 pool is forced
-// so the tests mean the same thing on any host; the parallel tile
-// paths draw per-tile scratch by design and are exercised for
-// correctness in TestKernelsParallelPoolMatchSequential.
+// instead of reading a routing table, the ping-pong layouts end in
+// place, and the tiled kernels carve their per-tile scratch out of the
+// caller's and draw their tile states from a stash.
+// These tests pin that promise with the allocator's own accounting, on
+// a 1-lane pool (the sequential paths) and on a 2-lane one (the tile
+// dispatch), so they mean the same thing on any host; the tiled paths'
+// output is checked in TestKernelsParallelPoolMatchSequential.
 
 const allocN = 1 << 16 // past radixLargeMin, so the hybrid path runs
 
@@ -41,9 +42,11 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 	keys := workload.Elems[E](workload.FullRange, allocN, 42)
 	scratch := make([]E, allocN)
 
-	assertZeroAllocs(t, "RadixSortScratch", func() {
-		localsort.RadixSortScratch(keys, scratch)
-	})
+	for _, toScratch := range []bool{false, true} {
+		assertZeroAllocs(t, fmt.Sprintf("RadixSortTo(toScratch=%v)", toScratch), func() {
+			localsort.RadixSortTo(keys, scratch, toScratch)
+		})
+	}
 	assertZeroAllocs(t, "SortScratch", func() {
 		localsort.SortScratch(keys, false, scratch)
 	})
@@ -103,18 +106,25 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 }
 
 // TestKernelAllocs asserts every localsort kernel runs allocation-free
-// in steady state for all five element types.
+// in steady state for all five element types, on pools of 1 and 2
+// lanes.
 func TestKernelAllocs(t *testing.T) {
-	seq := workpool.New(1)
-	defer seq.Close()
-	localsort.SetPool(seq)
 	defer localsort.SetPool(nil)
-
-	t.Run("u32", runKernelAllocs[uint32])
-	t.Run("u64", runKernelAllocs[uint64])
-	t.Run("f32", runKernelAllocs[float32])
-	t.Run("f64", runKernelAllocs[float64])
-	t.Run("kv64", runKernelAllocs[element.KV64])
+	lanes := func(f func(*testing.T)) func(*testing.T) {
+		return func(t *testing.T) {
+			for _, size := range []int{1, 2} {
+				wp := workpool.New(size)
+				localsort.SetPool(wp)
+				f(t)
+				wp.Close()
+			}
+		}
+	}
+	t.Run("u32", lanes(runKernelAllocs[uint32]))
+	t.Run("u64", lanes(runKernelAllocs[uint64]))
+	t.Run("f32", lanes(runKernelAllocs[float32]))
+	t.Run("f64", lanes(runKernelAllocs[float64]))
+	t.Run("kv64", lanes(runKernelAllocs[element.KV64]))
 }
 
 // TestKernelsParallelPoolMatchSequential runs the tiled kernel paths
@@ -144,11 +154,11 @@ func TestKernelsParallelPoolMatchSequential(t *testing.T) {
 
 	seq := append([]uint32(nil), in...)
 	localsort.SetPool(one)
-	localsort.RadixSortScratch(seq, scratch)
+	localsort.RadixSortTo(seq, scratch, false)
 	got := append([]uint32(nil), in...)
 	localsort.SetPool(par)
-	localsort.RadixSortScratch(got, scratch)
-	check("RadixSortScratch", got, seq)
+	localsort.RadixSortTo(got, scratch, true) // lands in scratch
+	check("RadixSortTo", scratch, seq)
 
 	seq = append([]uint32(nil), in...)
 	localsort.SetPool(one)

@@ -20,7 +20,6 @@ package localsort
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"parbitonic/element"
 	"parbitonic/internal/bitseq"
@@ -107,62 +106,80 @@ var countPool = sync.Pool{
 	},
 }
 
+// The parallel kernels' tile states (their arguments, no closure),
+// stashed per element type so dispatching tiles allocates nothing.
+var hybridStash, blockStash, stridedStash [5]workpool.Stash
+
+// getTiles draws a *T from the stash slot of element type E.
+func getTiles[T any, E element.Elem](s *[5]workpool.Stash) *T {
+	if t, ok := s[element.TypeOf[E]()].Get().(*T); ok {
+		return t
+	}
+	return new(T)
+}
+
 // RadixSort sorts keys in place, ascending, with least-significant-
 // digit radix sort. Floats sort via their order image, so NaNs order
 // after +Inf and -0 before +0; KV64 records sort by K, stably (every
 // pass layout is a stable LSD permutation, so records with equal keys
 // keep their input order). Allocates a transient n-element scratch;
-// hot paths pass their own via RadixSortScratch.
+// hot paths pass their own via RadixSortTo.
 func RadixSort[E element.Elem](keys []E) {
-	RadixSortScratch(keys, nil)
+	RadixSortTo(keys, nil, false)
 }
 
-// RadixSortScratch is RadixSort with a caller-owned ping-pong buffer:
-// scratch must hold at least len(keys) elements (nil allocates one).
-// With scratch supplied the sort performs zero allocations in steady
-// state — count tables are pooled or stack-resident, and every pass
-// layout uses an even pass count so the result ends in keys without a
-// copy-back.
-func RadixSortScratch[E element.Elem](keys, scratch []E) {
-	if len(keys) < 2 {
-		return
-	}
+// RadixSortTo is RadixSort with a caller-owned ping-pong buffer, which
+// a short scratch replaces unless toScratch, landing the result in
+// scratch[:len(keys)] when toScratch, else in keys (the other array is
+// left undefined). The key hybrid lands on either side at no cost; the
+// flat LSD layouts copy once to land in scratch.
+func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
 	if len(scratch) < len(keys) {
+		if toScratch {
+			panic("localsort: RadixSortTo scratch shorter than keys")
+		}
 		scratch = make([]E, len(keys))
-	} else {
-		scratch = scratch[:len(keys)]
+	}
+	scratch = scratch[:len(keys)]
+	dst := keys
+	if toScratch {
+		dst = scratch
+	}
+	if len(keys) < 2 {
+		copy(dst, keys)
+		return
 	}
 	element.ToImages(keys)
 	switch any(*new(E)).(type) {
 	case uint32, float32:
-		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch))
+		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch), toScratch)
 	case uint64, float64:
-		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch))
+		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch), toScratch)
 	case element.KV64:
-		radixUint[E, uint64](keys, scratch)
+		radixUint[E, uint64](keys, scratch, toScratch)
 	}
-	element.FromImages(keys)
+	element.FromImages(dst)
 }
 
 // radixUint sorts keys by their K digits using scratch as the
-// ping-pong buffer: K is the key-only storage itself, or a KV64
-// record's key. Small inputs run a flat LSD with 8-bit digits and
-// stack tables. Large key-only inputs take the cache-blocked MSD+LSD
-// hybrid; large record inputs a flat LSD with 16-bit digits over
-// pooled tables. Every layout is stable, so the choice is invisible
-// in the output.
-func radixUint[S element.Elem, K element.Uint](keys, scratch []S) {
+// ping-pong buffer, landing in scratch when toScratch: K is the
+// key-only storage itself, or a KV64 record's key. Small inputs run a
+// flat LSD with 8-bit digits and stack tables. Large key-only inputs
+// take the cache-blocked MSD+LSD hybrid; large record inputs a flat
+// LSD with 16-bit digits over pooled tables. Every layout is stable,
+// so the choice is invisible in the output.
+func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
 	keyBits := element.KeyBits[S]()
 	switch {
 	case len(keys) < radixLargeMin:
 		var count [(64 / radixSmallBits) * radixSmallSize]uint32
-		radixUintPasses[S, K](keys, scratch, keyBits/radixSmallBits, radixSmallBits, count[:])
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:])
 	case element.TypeOf[S]() == element.TKV64:
 		cp := countPool.Get().(*[]uint32)
-		radixUintPasses[S, K](keys, scratch, keyBits/radixLargeBits, radixLargeBits, *cp)
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp)
 		countPool.Put(cp)
 	default:
-		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits)
+		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch)
 	}
 }
 
@@ -175,14 +192,13 @@ func radixUint[S element.Elem, K element.Uint](keys, scratch []S) {
 // DRAM sees three sequential sweeps (histogram, partition read,
 // partition write) plus one read+write of cache-warm regions, versus
 // the 2·passes+3 full-array sweeps of the flat layout whose every
-// permute round-trips memory. The parity of the low-pass count picks
-// the partition direction up front so the result lands in keys with no
-// final copy: an even count first mirrors keys into scratch (fused
-// into the histogram read) and partitions back into keys; an odd count
-// partitions into scratch and lets the finishing passes carry the keys
-// home. Region scatter is stable and the per-region LSD is stable, so
+// permute round-trips memory. The finishing passes end where the
+// partition wrote iff their count is even, so that parity and the
+// landing side pick the partition target with no final copy; a target
+// of keys is first mirrored into scratch in the histogram read. Region
+// scatter is stable and the per-region LSD is stable, so
 // the whole is a stable sort like the flat layout it replaces.
-func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int) {
+func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool) {
 	topShift := uint(keyBits - hybridTopBits)
 	lowBits := keyBits - hybridTopBits
 	passes := (lowBits + hybridTopBits - 1) / hybridTopBits
@@ -190,18 +206,25 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int) {
 	count := (*cp)[:hybridTopSize]
 	starts := (*cp)[hybridTopSize : 2*hybridTopSize]
 	clear(count)
-	var from, into, other []T
-	if passes&1 == 0 {
+	dst, other := keys, scratch
+	if toScratch {
+		dst, other = scratch, keys
+	}
+	into := dst
+	if passes&1 != 0 {
+		into, other = other, dst
+	}
+	from := keys
+	if &into[0] == &keys[0] {
 		for i, k := range keys {
 			count[int(k>>topShift)]++
 			scratch[i] = k
 		}
-		from, into, other = scratch, keys, scratch
+		from = scratch
 	} else {
 		for _, k := range keys {
 			count[int(k>>topShift)]++
 		}
-		from, into, other = keys, scratch, keys
 	}
 	sum := uint32(0)
 	for d := range count {
@@ -223,57 +246,47 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int) {
 	if wp.Size() == 1 {
 		// Sequential: borrow cp's tail for the digit tables.
 		low := (*cp)[2*hybridTopSize : (2+hybridMaxLowPasses)*hybridTopSize]
-		hybridFinishRange(keys, into, other, starts, count, lowBits, low, 0, hybridTopSize)
+		hybridFinishRange(dst, into, other, starts, count, lowBits, low, 0, hybridTopSize)
 	} else {
-		tp := &hybridTilePools[unsafe.Sizeof(T(0))/8]
-		h := tp.Get().(*hybridTiles[T])
-		*h = hybridTiles[T]{keys: keys, into: into, other: other, starts: starts, count: count, lowBits: lowBits}
+		h := getTiles[hybridTiles[T], T](&hybridStash)
+		*h = hybridTiles[T]{dst: dst, into: into, other: other, starts: starts, count: count, lowBits: lowBits}
 		wp.ParallelTiles(hybridTopSize, (hybridTopSize+wp.Size()-1)/wp.Size(), h)
 		*h = hybridTiles[T]{}
-		tp.Put(h)
+		hybridStash[element.TypeOf[T]()].Put(h)
 	}
 	countPool.Put(cp)
 }
 
-// hybridTiles is the state a hybrid sort's region tiles share. It is
-// pooled, with no closure around it, so dispatching the tiles to the
-// worker pool allocates nothing.
+// hybridTiles is the state a hybrid sort's region tiles share.
 type hybridTiles[T element.Uint] struct {
-	keys, into, other []T
-	starts, count     []uint32
-	lowBits           int
-}
-
-// hybridTilePools pools the tile states of the two key widths, indexed
-// by the key's size in 8-byte words: uint32 at 0, uint64 at 1.
-var hybridTilePools = [2]sync.Pool{
-	{New: func() any { return new(hybridTiles[uint32]) }},
-	{New: func() any { return new(hybridTiles[uint64]) }},
+	dst, into, other []T
+	starts, count    []uint32
+	lowBits          int
 }
 
 // Tile finishes regions [dlo, dhi) with digit tables of its own.
 func (h *hybridTiles[T]) Tile(dlo, dhi int) {
 	tp := countPool.Get().(*[]uint32)
 	low := (*tp)[:hybridMaxLowPasses*hybridTopSize]
-	hybridFinishRange(h.keys, h.into, h.other, h.starts, h.count, h.lowBits, low, dlo, dhi)
+	hybridFinishRange(h.dst, h.into, h.other, h.starts, h.count, h.lowBits, low, dlo, dhi)
 	countPool.Put(tp)
 }
 
 // hybridFinishRange finishes the hybrid regions [dlo, dhi): each
 // region of into is LSD-sorted over its low bits, bouncing through
-// other, and lands back in keys.
-func hybridFinishRange[T element.Uint](keys, into, other []T, starts, count []uint32, lowBits int, low []uint32, dlo, dhi int) {
+// other, and lands in dst.
+func hybridFinishRange[T element.Uint](dst, into, other []T, starts, count []uint32, lowBits int, low []uint32, dlo, dhi int) {
 	for d := dlo; d < dhi; d++ {
 		lo, hi := int(starts[d]), int(count[d])
 		if hi-lo < 2 {
 			if hi == lo+1 {
-				keys[lo] = into[lo]
+				dst[lo] = into[lo]
 			}
 			continue
 		}
 		res := lsdLow(into[lo:hi], other[lo:hi], lowBits, low)
-		if &res[0] != &keys[lo] {
-			copy(keys[lo:hi], res)
+		if &res[0] != &dst[lo] {
+			copy(dst[lo:hi], res)
 		}
 	}
 }
@@ -355,10 +368,10 @@ func scatterPass[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32)
 
 // radixUintPasses is the flat LSD layout: passes stable counting
 // passes of bits-wide digits of each element's K key, whole elements
-// moved per pass, bouncing between keys and scratch. The histograms of
-// every pass fill in one read; a pass whose digit is shared by all
-// elements is the identity and is skipped.
-func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, passes, bits int, count []uint32) {
+// moved per pass, bouncing between keys and scratch (one copy lands
+// the result on the side toScratch asks). The histograms of every pass fill in one read; a pass whose digit is
+// shared by all elements is the identity and is skipped.
+func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, passes, bits int, count []uint32) {
 	n := len(keys)
 	size := 1 << bits
 	mask := K(size - 1)
@@ -391,6 +404,9 @@ func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, passes, 
 		}
 		src, dst = dst, src
 	}
+	if toScratch {
+		keys = scratch
+	}
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
@@ -407,9 +423,9 @@ func Sort[E element.Elem](keys []E, asc bool) {
 }
 
 // SortScratch is Sort with a caller-owned radix ping-pong buffer; see
-// RadixSortScratch.
+// RadixSortTo.
 func SortScratch[E element.Elem](keys []E, asc bool, scratch []E) {
-	RadixSortScratch(keys, scratch)
+	RadixSortTo(keys, scratch, false)
 	if !asc {
 		Reverse(keys)
 	}
@@ -424,27 +440,36 @@ func Reverse[E element.Elem](keys []E) {
 
 // SortBitonicBlocks sorts each contiguous block of blockLen keys, every
 // block being a bitonic sequence: block b ascending iff b&descMask == 0.
-// scratch must be at least blockLen long (it is allocated when nil).
 // This is the Theorem 2/3 phase-one primitive. Blocks are independent,
-// so on a multi-lane pool they sort on idle helper lanes, each tile
-// with its own scratch; a single-lane pool takes the sequential path
-// with the caller's scratch and allocates nothing.
+// so they sort on idle helper lanes, tile k in the k-th blockLen slice
+// of scratch (len(keys) always suffices; a short one is allocated).
 func SortBitonicBlocks[E element.Elem](keys []E, blockLen, descMask int, scratch []E) {
 	if blockLen <= 0 || len(keys)%blockLen != 0 {
 		panic("localsort: SortBitonicBlocks bad block length")
 	}
 	nb := len(keys) / blockLen
 	wp := kernelPool()
-	if wp.Size() == 1 || nb == 1 {
-		if len(scratch) < blockLen {
-			scratch = make([]E, blockLen)
-		}
-		sortBlockRange(keys, blockLen, descMask, scratch, 0, nb)
-		return
+	grain := (nb + wp.Size() - 1) / wp.Size()
+	if need := (nb + grain - 1) / grain * blockLen; len(scratch) < need {
+		scratch = make([]E, need)
 	}
-	wp.ParallelFor(nb, (nb+wp.Size()-1)/wp.Size(), func(lo, hi int) {
-		sortBlockRange(keys, blockLen, descMask, make([]E, blockLen), lo, hi)
-	})
+	b := getTiles[blockTiles[E], E](&blockStash)
+	*b = blockTiles[E]{keys: keys, scratch: scratch, blockLen: blockLen, descMask: descMask, grain: grain}
+	wp.ParallelTiles(nb, grain, b)
+	*b = blockTiles[E]{}
+	blockStash[element.TypeOf[E]()].Put(b)
+}
+
+// blockTiles is a SortBitonicBlocks call's tile state.
+type blockTiles[E element.Elem] struct {
+	keys, scratch             []E
+	blockLen, descMask, grain int
+}
+
+// Tile sorts blocks [lo, hi) in the scratch slice of tile lo/grain.
+func (b *blockTiles[E]) Tile(lo, hi int) {
+	k := lo / b.grain
+	sortBlockRange(b.keys, b.blockLen, b.descMask, b.scratch[k*b.blockLen:(k+1)*b.blockLen], lo, hi)
 }
 
 func sortBlockRange[E element.Elem](keys []E, blockLen, descMask int, scratch []E, lo, hi int) {
@@ -490,39 +515,44 @@ const stridedGroupBytes = 32 << 10
 // sequential pass scatters back — so every cache line of keys is
 // loaded O(stride/group) times instead of stride times.
 //
-// scratch wants (group+1)*count elements where group =
+// Each lane wants (group+1)*count elements of scratch, where group =
 // stridedGroupBytes / (count * elem width); pass what you have (nil
-// allocates) — an undersized scratch only shrinks the group on the
-// sequential path. Column groups touch disjoint key columns, so on a
-// multi-lane pool they run on idle helper lanes, each tile with its
-// own gather scratch.
+// allocates) — an undersized scratch only shrinks the group. Column
+// groups touch disjoint key columns, so on a multi-lane pool they run
+// on idle helper lanes, tile k in the k-th lane share of scratch.
 func SortBitonicStridedBatch[E element.Elem](keys []E, stride, count int, asc bool, scratch []E) {
 	if stride <= 0 || count <= 0 || stride*count != len(keys) {
 		panic("localsort: SortBitonicStridedBatch dimension mismatch")
 	}
 	w := int(element.TypeOf[E]().Width())
-	g := stridedGroupBytes / (count * w)
-	if g < 1 {
-		g = 1
-	}
-	if g > stride {
-		g = stride
-	}
+	g := min(max(stridedGroupBytes/(count*w), 1), stride)
 	wp := kernelPool()
-	if wp.Size() == 1 || stride <= g {
-		if len(scratch) >= 2*count && len(scratch) < (g+1)*count {
-			g = len(scratch)/count - 1 // work within the caller's scratch
-		}
-		if len(scratch) < (g+1)*count {
-			scratch = make([]E, (g+1)*count)
-		}
-		stridedGroupRange(keys, stride, count, asc, g, scratch, 0, (stride+g-1)/g)
-		return
+	lanes := min(wp.Size(), (stride+g-1)/g)
+	if per := len(scratch) / lanes; per >= 2*count && per < (g+1)*count {
+		g = per/count - 1 // work within the caller's scratch
+	}
+	if len(scratch) < lanes*(g+1)*count {
+		scratch = make([]E, lanes*(g+1)*count)
 	}
 	ng := (stride + g - 1) / g
-	wp.ParallelFor(ng, (ng+wp.Size()-1)/wp.Size(), func(lo, hi int) {
-		stridedGroupRange(keys, stride, count, asc, g, make([]E, (g+1)*count), lo, hi)
-	})
+	st := getTiles[stridedTiles[E], E](&stridedStash)
+	*st = stridedTiles[E]{keys: keys, scratch: scratch, stride: stride, count: count, asc: asc, g: g, grain: (ng + lanes - 1) / lanes}
+	wp.ParallelTiles(ng, st.grain, st)
+	*st = stridedTiles[E]{}
+	stridedStash[element.TypeOf[E]()].Put(st)
+}
+
+// stridedTiles is a SortBitonicStridedBatch call's tile state.
+type stridedTiles[E element.Elem] struct {
+	keys, scratch           []E
+	stride, count, g, grain int
+	asc                     bool
+}
+
+// Tile sorts column groups [lo, hi) in tile lo/grain's scratch share.
+func (s *stridedTiles[E]) Tile(lo, hi int) {
+	k, share := lo/s.grain, (s.g+1)*s.count
+	stridedGroupRange(s.keys, s.stride, s.count, s.asc, s.g, s.scratch[k*share:(k+1)*share], lo, hi)
 }
 
 // stridedGroupRange processes column groups [lo,hi): gather the group's

@@ -2,6 +2,7 @@ package localsort
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -67,7 +68,11 @@ func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
 
 // TestRadixSortMatchesStdlib checks every element type against a
 // stable sort by order image, at sizes on both sides of the large
-// layouts' threshold (the hybrid for keys, 16-bit digits for KV64).
+// layouts' threshold (the hybrid for keys, 16-bit digits for KV64),
+// through RadixSort and through RadixSortTo landing on either side.
+// The hybrid partitions by the parity of its low-pass count and the
+// landing side, so the u32 (two low passes) and u64 (five) cases
+// between them run all four of its directions.
 func TestRadixSortMatchesStdlib(t *testing.T) {
 	for i, f := range []func(*testing.T){
 		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
@@ -80,15 +85,30 @@ func TestRadixSortMatchesStdlib(t *testing.T) {
 
 func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin} {
-		keys := randomElems[E](rng, n)
-		want := slices.Clone(keys)
+	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin - 1, radixLargeMin} {
+		input := randomElems[E](rng, n)
+		want := slices.Clone(input)
 		slices.SortStableFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
-		RadixSort(keys)
-		for i := range want {
-			if element.Bits(keys[i]) != element.Bits(want[i]) || element.Aux(keys[i]) != element.Aux(want[i]) {
-				t.Fatalf("n=%d: mismatch at %d: got %v want %v", n, i, keys[i], want[i])
+		check := func(how string, got []E) {
+			t.Helper()
+			for i := range want {
+				if element.Bits(got[i]) != element.Bits(want[i]) || element.Aux(got[i]) != element.Aux(want[i]) {
+					t.Fatalf("%s n=%d: mismatch at %d: got %v want %v", how, n, i, got[i], want[i])
+				}
 			}
+		}
+		keys := slices.Clone(input)
+		RadixSort(keys)
+		check("RadixSort", keys)
+		for _, toScratch := range []bool{false, true} {
+			keys := slices.Clone(input)
+			scratch := make([]E, n+1) // a longer scratch lands in its prefix
+			RadixSortTo(keys, scratch, toScratch)
+			got := keys
+			if toScratch {
+				got = scratch[:n]
+			}
+			check(fmt.Sprintf("RadixSortTo(toScratch=%v)", toScratch), got)
 		}
 	}
 }

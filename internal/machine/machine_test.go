@@ -380,9 +380,9 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	m := mustNew(t, testConfig(P, true))
 	res := mustRun(t, m, copied, func(p *Proc) {
 		// Remap 1: keep the runs, reassemble by the unpack mask.
-		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA, false))
-		// Remap 2: pre-pack by hand into the pooled buffers.
-		out := p.PackBuffers(planB)
+		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA, false, make([]uint32, planA.Old.LocalN())))
+		// Remap 2: pre-pack by hand into a fresh array's messages.
+		out := p.Messages(planB, make([]uint32, planB.Old.LocalN()))
 		w := planB.PackWalk(p.ID, false)
 		for _, v := range p.Data {
 			out[w.A][w.B] = v

@@ -220,8 +220,9 @@ func abortEvent(cause error) obs.Event {
 // un-poisoned, the exchange board drained of any half-published
 // deliveries, and every processor's destination-table scratch cleared
 // (an abort between pack and clearOuts leaves stale out-slices that
-// the NEXT run's exchange would deliver as phantom messages) — so the
-// engine is immediately reusable.
+// the NEXT run's exchange would deliver as phantom messages), along
+// with its received-message table, which may still reach a peer's view
+// of the caller's keys — so the engine is immediately reusable.
 func (e *EngineOf[E]) recoverState() {
 	e.bar.reset()
 	for i := range e.board {
@@ -231,6 +232,7 @@ func (e *EngineOf[E]) recoverState() {
 	}
 	for _, p := range e.procs {
 		p.clearOuts()
+		clear(p.in)
 	}
 	e.aborting.Store(false)
 	e.abortErr = nil

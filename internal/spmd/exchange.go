@@ -71,44 +71,35 @@ func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
 }
 
 // RemapExchangeRuns is the packed form of a remap without its unpack
-// phase: it packs p.Data per the plan, exchanges, and returns the
-// received long messages indexed by source processor so the caller can
-// fuse the unpacking into its local computation (§4.3's p-way merge).
-// With desc, p.Data holds the local array reversed: p.Data[i] sits at
-// old local address n-1-i, so an ascending local sort packs as the
-// descending one without a reversal pass. p.Data is set to nil, but
-// its array is not recycled: the pack copied every key out of it, and
-// it stays the caller's (FullSort merges its final phase back into
-// it, which may be the caller's own slice). Neither pack nor unpack
-// time is charged: the pack is fused into the local sort that
-// precedes it. The returned messages are pooled buffers — hand them
-// back with PutBuf once consumed.
-func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, desc bool) [][]E {
+// phase: it packs p.Data into dst (see Messages; not p.Data's array),
+// exchanges, and returns the received long messages by source so the
+// caller can fuse the unpacking into its local computation (§4.3's
+// p-way merge). With desc, p.Data[i] sits at old local address n-1-i,
+// so an ascending local sort packs as the descending one. p.Data is
+// set to nil. No pack or unpack time is charged: the pack is fused
+// into the local sort before it.
+func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, desc bool, dst []E) [][]E {
 	n := plan.Old.LocalN()
 	if len(p.Data) != n {
 		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
 	}
 	p.tag(obs.PhasePack)
-	out := p.PackBuffers(plan)
+	out := p.Messages(plan, dst)
 	w := plan.PackWalk(p.ID, desc)
 	for _, v := range p.Data {
 		out[w.A][w.B] = v
 		w = w.Next()
 	}
-	in := p.Exchange(out)
-	p.clearOuts()
-	p.Data = nil
-	p.Stats.Remaps++
-	return in
+	return p.ExchangeRuns(plan, out)
 }
 
 // ExchangeRuns performs a remap whose messages the caller has already
 // packed (out[q] must be a plan.MsgLen slice for every group
-// destination, nil elsewhere; PackBuffers provides them). Used when
-// the local computation emits directly into the message buffers — the
-// thesis's "single local computation step" future work — so neither
-// pack nor unpack time is charged. Returns the received messages by
-// source; out is cleared and p.Data set nil.
+// destination, nil elsewhere; Messages provides them). Used when the
+// local computation emits directly into the messages — the thesis's
+// "single local computation step" future work — so neither pack nor
+// unpack time is charged. Returns the received messages by source; out
+// is cleared and p.Data set nil.
 func (p *ProcOf[E]) ExchangeRuns(plan *addr.RemapPlan, out [][]E) [][]E {
 	e := p.e
 	if len(out) != e.p {
@@ -126,13 +117,14 @@ func (p *ProcOf[E]) ExchangeRuns(plan *addr.RemapPlan, out [][]E) [][]E {
 	return in
 }
 
-// PackBuffers returns pooled plan.MsgLen buffers for every destination
-// of this processor under the plan, in the per-processor table that
-// ExchangeRuns takes and clears.
-func (p *ProcOf[E]) PackBuffers(plan *addr.RemapPlan) [][]E {
+// Messages carves arr (n keys) into this processor's messages under
+// the plan, one plan.MsgLen segment per destination in group order, in
+// the per-processor table that ExchangeRuns takes and clears.
+func (p *ProcOf[E]) Messages(plan *addr.RemapPlan, arr []E) [][]E {
 	out := p.outScratch()
-	for _, q := range p.planDests(plan) {
-		out[q] = p.GetBuf(plan.MsgLen)
+	m := plan.MsgLen
+	for g, q := range p.planDests(plan) {
+		out[q] = arr[g*m : (g+1)*m : (g+1)*m]
 	}
 	return out
 }

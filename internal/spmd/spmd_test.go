@@ -69,8 +69,8 @@ func TestRemapBarriers(t *testing.T) {
 	}{
 		{"Remap", func(pr *Proc) { pr.Remap(plan, false) }},
 		{"Exchange", func(pr *Proc) { pr.Exchange(make([][]uint32, p)) }},
-		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan, false) }},
-		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.PackBuffers(plan)) }},
+		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan, false, make([]uint32, len(pr.Data))) }},
+		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.Messages(plan, make([]uint32, len(pr.Data)))) }},
 	} {
 		clear(ch.synced)
 		data := make([][]uint32, p)

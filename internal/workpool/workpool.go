@@ -10,7 +10,7 @@
 // virtual processors while the aggregate executing-worker count stays
 // capped at GOMAXPROCS no matter how many engines are in flight.
 //
-// ParallelFor is work-conserving: the caller claims tiles itself, so a
+// ParallelTiles is work-conserving: the caller claims tiles itself, so a
 // job completes even if every helper is busy elsewhere, and a pool of
 // size 1 degenerates to a plain loop with no synchronization at all.
 // Correctness therefore never depends on helper availability — helpers
@@ -38,15 +38,10 @@ type Tiler interface {
 	Tile(lo, hi int)
 }
 
-// tileFunc adapts ParallelFor's function to Tiler.
-type tileFunc func(lo, hi int)
-
-func (f tileFunc) Tile(lo, hi int) { f(lo, hi) }
-
 // job is one ParallelTiles invocation: a [0,n) index space claimed in
 // grain-sized tiles via an atomic cursor. Whoever holds a tile —
 // caller or helper — runs t on it; the claim is the steal. Jobs are
-// pooled: once the submitter's Wait returns no helper touches the job
+// stashed: once the submitter's Wait returns no helper touches the job
 // again, so it is recycled for the next call.
 type job struct {
 	next  atomic.Int64
@@ -59,10 +54,34 @@ type job struct {
 
 type panicValue struct{ v any }
 
-var jobPool = sync.Pool{New: func() any { return new(job) }}
+var jobs Stash
+
+// Stash is a free list of small values that, unlike a sync.Pool, never
+// drops one on a collection or a GOMAXPROCS change.
+type Stash struct {
+	mu   sync.Mutex
+	free []any
+}
+
+// Get takes a stashed value, or nil.
+func (s *Stash) Get() (v any) {
+	s.mu.Lock()
+	if n := len(s.free); n > 0 {
+		v, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.mu.Unlock()
+	return v
+}
+
+// Put stashes v for a later Get.
+func (s *Stash) Put(v any) {
+	s.mu.Lock()
+	s.free = append(s.free, v)
+	s.mu.Unlock()
+}
 
 // New creates a pool with size execution lanes: the caller of
-// ParallelFor is always one lane, so size-1 persistent helper
+// ParallelTiles is always one lane, so size-1 persistent helper
 // goroutines are started. size < 1 is treated as 1 (no helpers).
 func New(size int) *Pool {
 	if size < 1 {
@@ -100,7 +119,7 @@ func (p *Pool) Size() int {
 }
 
 // Close stops the helper goroutines. For tests of non-shared pools
-// only; no ParallelFor may be in flight or issued afterwards.
+// only; no ParallelTiles may be in flight or issued afterwards.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() { close(p.closed) })
 }
@@ -140,21 +159,13 @@ func (j *job) run() {
 	}
 }
 
-// ParallelFor runs f over [0,n) in grain-sized tiles; it is
-// ParallelTiles over a function. The closure f escapes to the job, so
-// a call that must not allocate passes a pooled Tiler to ParallelTiles
-// instead.
-func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
-	p.ParallelTiles(n, grain, tileFunc(f))
-}
-
 // ParallelTiles runs t over [0,n) in grain-sized tiles, on the caller
 // plus however many pool helpers are free — at most enough to give
 // every tile its own lane. It returns when every tile has completed.
 // Tiles execute in claim order but concurrently; t must be safe for
 // concurrent invocation on disjoint ranges. If any invocation panics,
 // ParallelTiles re-panics with the first captured value after all
-// lanes have stopped. The job is pooled, so the call itself allocates
+// lanes have stopped. The job is stashed, so the call itself allocates
 // nothing in steady state.
 //
 // The fast path — nil pool, single-lane pool, or n <= grain — calls t
@@ -171,7 +182,10 @@ func (p *Pool) ParallelTiles(n, grain int, t Tiler) {
 		t.Tile(0, n)
 		return
 	}
-	j := jobPool.Get().(*job)
+	j, _ := jobs.Get().(*job)
+	if j == nil {
+		j = new(job)
+	}
 	j.next.Store(0)
 	j.n, j.grain, j.t = int64(n), int64(grain), t
 	// One lane per tile beyond the caller's; posting is best-effort —
@@ -194,7 +208,7 @@ func (p *Pool) ParallelTiles(n, grain int, t Tiler) {
 	j.wg.Wait()
 	pv := j.fail.Swap(nil)
 	j.t = nil
-	jobPool.Put(j)
+	jobs.Put(j)
 	if pv != nil {
 		panic(pv.v)
 	}

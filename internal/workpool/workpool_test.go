@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// ParallelFor runs f over [0,n) in grain-sized tiles: ParallelTiles
+// over a function, for tests whose tiles are closures.
+func (p *Pool) ParallelFor(n, grain int, f func(lo, hi int)) {
+	p.ParallelTiles(n, grain, tileFunc(f))
+}
+
+type tileFunc func(lo, hi int)
+
+func (f tileFunc) Tile(lo, hi int) { f(lo, hi) }
+
 // TestParallelForCoversEveryIndex proves every index is executed
 // exactly once across pool sizes, tile grains and index-space sizes,
 // including the inline fast paths.
