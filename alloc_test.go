@@ -19,10 +19,9 @@ import (
 // TestNativeSortZeroAllocs pins the end-to-end zero-allocation promise
 // of the shared-memory fast path: a reused native engine sorts in
 // steady state without a single heap allocation — no goroutine spawns
-// (the engine keeps persistent workers), no array churn (FullSort runs
-// in the caller's slice and one persistent spare per processor, and
-// the other bodies circulate theirs through the per-processor free
-// lists), no table rebuilds (the compiled body, the plans' routing
+// (the engine keeps persistent workers), no array churn (every body
+// runs in the caller's slice and the persistent spares on each
+// processor's Scratch), no table rebuilds (the compiled body, the plans' routing
 // deltas and the FullSort run table persist) and no kernel dispatch
 // state (the parallel kernels' tile states are stashed). The table
 // covers P=1 (the in-place local path), P=4 (FullSort merges and the
@@ -40,7 +39,7 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 	defer localsort.SetPool(nil)
 	run := func(t *testing.T, name string, f func() error) {
 		t.Helper()
-		for i := 0; i < 2; i++ { // warm the free lists and spawn workers
+		for i := 0; i < 2; i++ { // allocate the spares and spawn workers
 			if err := f(); err != nil {
 				t.Fatal(err)
 			}
@@ -111,17 +110,39 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 // TestFullSortWorkingSet pins FullSort's memory: a processor runs in
 // two arrays, its view of the caller's keys and one spare, so a warm
 // native engine holds at most N × element width of its own beyond the
-// keys, plus 1 MiB for tables, tile states and headers. It measures the
-// live heap of a fresh engine after two sorts, with the engine still
-// alive and the sync.Pool caches emptied by two collections.
+// keys, plus 1 MiB for tables, tile states and headers.
 func TestFullSortWorkingSet(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("u32/P=%d", p), func(t *testing.T) { testWorkingSet[uint32](t, p, 1<<20) })
-		t.Run(fmt.Sprintf("kv64/P=%d", p), func(t *testing.T) { testWorkingSet[element.KV64](t, p, 1<<18) })
+		native := parbitonic.Config{Processors: p, Backend: parbitonic.Native}
+		t.Run(fmt.Sprintf("u32/P=%d", p), func(t *testing.T) { testWorkingSet[uint32](t, native, 1<<20, 1) })
+		t.Run(fmt.Sprintf("kv64/P=%d", p), func(t *testing.T) { testWorkingSet[element.KV64](t, native, 1<<18, 1) })
 	}
 }
 
-func testWorkingSet[E element.Elem](t *testing.T, p, n int) {
+// TestEngineWorkingSet pins the other shapes to the same rule: smart's
+// optimized phases (here on the simulated backend) and cyclic-blocked
+// keep one spare per processor, blocked-merge two, because its partner
+// still reads the array a compare-split replaced while the radix sort
+// runs.
+func TestEngineWorkingSet(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    parbitonic.Config
+		spares int
+	}{
+		{"cyclic-blocked", parbitonic.Config{Processors: 4, Algorithm: parbitonic.CyclicBlockedBitonic, Backend: parbitonic.Native}, 1},
+		{"simulated-smart", parbitonic.Config{Processors: 4}, 1},
+		{"blocked-merge", parbitonic.Config{Processors: 4, Algorithm: parbitonic.BlockedMergeBitonic, Backend: parbitonic.Native}, 2},
+	} {
+		t.Run(c.name+"/u32/P=4", func(t *testing.T) { testWorkingSet[uint32](t, c.cfg, 1<<20, c.spares) })
+	}
+}
+
+// testWorkingSet measures the live heap of a fresh engine after two
+// sorts of n keys, with the engine still alive and the sync.Pool caches
+// emptied by two collections, and bounds it by spares × n × width +
+// 1 MiB.
+func testWorkingSet[E element.Elem](t *testing.T, cfg parbitonic.Config, n, spares int) {
 	input := workload.Elems[E](workload.FullRange, n, 3)
 	keys := make([]E, n)
 	heap := func() int64 {
@@ -132,7 +153,7 @@ func testWorkingSet[E element.Elem](t *testing.T, p, n int) {
 		return int64(ms.HeapAlloc)
 	}
 	before := heap()
-	e, err := parbitonic.NewEngineOf[E](parbitonic.Config{Processors: p, Backend: parbitonic.Native})
+	e, err := parbitonic.NewEngineOf[E](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +169,7 @@ func testWorkingSet[E element.Elem](t *testing.T, p, n int) {
 	// the engine's own memory counts.
 	runtime.KeepAlive(keys)
 	runtime.KeepAlive(input)
-	limit := int64(n)*int64(element.TypeOf[E]().Width()) + 1<<20
+	limit := int64(spares*n)*int64(element.TypeOf[E]().Width()) + 1<<20
 	if growth > limit {
 		t.Errorf("engine holds %.2f MiB after two sorts of %d keys, want at most %.2f MiB",
 			float64(growth)/(1<<20), n, float64(limit)/(1<<20))

@@ -164,7 +164,7 @@ func Max[E Elem]() E {
 // IsNaN reports whether e is a float NaN — the one value the ordering
 // contract cannot admit (it is unordered under <, which would break
 // the bitonic invariants silently). The public API rejects NaN inputs
-// before staging; every layer below assumes none remain.
+// before a run starts; every layer below assumes none remain.
 func IsNaN[E Elem](e E) bool {
 	switch x := any(e).(type) {
 	case float32:

@@ -19,11 +19,11 @@ import (
 
 // EngineOf is a reusable sorting engine over element type E: the
 // expensive construction a Sort call pays — worker setup, the P×P
-// exchange board, barrier, message-buffer pool — happens once in
+// exchange board, barrier, compiled schedules — happens once in
 // NewEngineOf, and every subsequent Sort call on the engine reuses it,
-// along with the engine's recycled padding buffer and, for the shapes
-// that cannot sort in the caller's slice, its input staging. Repeated
-// sorts of similar sizes on one engine therefore allocate almost
+// along with the engine's recycled padding buffer and each processor's
+// spare arrays. Every shape sorts in views of the caller's slice, so
+// repeated sorts of similar sizes on one engine allocate almost
 // nothing beyond what the algorithms themselves churn. The engine
 // holds no reference to a caller's keys once Sort returns.
 //
@@ -39,17 +39,10 @@ type EngineOf[E element.Elem] struct {
 	cfg Config
 	m   spmd.BackendOf[E]
 
-	// staging holds the previous staged run's final per-processor
-	// slices, recycled as the next staged run's input. Only runs that
-	// cannot sort in place (see views) are staged. The slices are
-	// dropped after an aborted run (ownership is unspecified mid-abort)
-	// and whenever their lengths no longer fit.
-	staging [][]E
-
-	// views is the recycled data header table of an in-place run: one
-	// capacity-capped view of the caller's slice per processor (P=1, and
-	// FullSort, the default smart shape at P >= 2). Its entries are
-	// cleared before Sort returns, so the engine never retains keys.
+	// views is the recycled data header table of a run: one
+	// capacity-capped view of the caller's slice per processor. Its
+	// entries are cleared before Sort returns, so the engine never
+	// retains keys.
 	views [][]E
 
 	// padBuf is the recycled SortPadded staging buffer. Results are
@@ -162,10 +155,9 @@ func rejectNaN[E element.Elem](keys []E) error {
 // SortContext sorts keys in place under ctx, reusing the engine's
 // backend and buffers. len(keys) must divide into power-of-two
 // per-processor shares exactly as for the package-level Sort; failure
-// semantics are those of the package-level SortContext: shapes that
-// sort in the caller's slice (P=1, and the default smart FullSort at
-// P >= 2) write into keys while the run is in flight, so a failed run
-// leaves keys unspecified.
+// semantics are those of the package-level SortContext: every shape
+// sorts in views of keys, writing into them while the run is in
+// flight, so a failed run leaves keys unspecified.
 func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error) {
 	cfg := e.cfg
 	p := cfg.Processors
@@ -185,25 +177,10 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		sum = verify.Sum(keys)
 	}
 
-	// Bitonic bodies that sort in place (core.Options.SortsInPlace: one
-	// processor, or FullSort) run over views of the caller's slice, so
-	// no staging copy-in or copy-out happens. Every other body recycles
-	// its input arrays through the backend's buffer pools, which must
-	// never see caller memory, so it runs over engine-owned staging.
-	bitonic := cfg.Algorithm == SmartBitonic || cfg.Algorithm == CyclicBlockedBitonic ||
-		cfg.Algorithm == BlockedMergeBitonic
-	var opts core.Options
-	if bitonic {
-		opts = coreOptions(cfg, p, n)
-	}
-	inPlace := bitonic && opts.SortsInPlace(p)
-	var data [][]E
-	if inPlace {
-		data = e.lend(keys, p, n)
-	} else {
-		data = e.stage(keys, p, n)
-	}
-
+	// Every body sorts in views of keys. The bitonic bodies keep their
+	// spare arrays on each processor's Scratch, and psort's bodies
+	// allocate theirs, so no buffer pool ever sees caller memory.
+	data := e.lend(keys, p, n)
 	var res spmd.Result
 	var err error
 	switch cfg.Algorithm {
@@ -212,7 +189,7 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		// and the per-processor share n, so repeated sorts of one size
 		// reuse it — schedule and remap plans included.
 		if e.compiled == nil || e.compiledN != n {
-			e.compiled, err = core.Compile[E](p, n, opts)
+			e.compiled, err = core.Compile[E](p, n, coreOptions(cfg, p, n))
 			if err != nil {
 				e.compiledN = 0
 				break
@@ -229,21 +206,11 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 	default:
 		err = fmt.Errorf("parbitonic: unknown algorithm %v", cfg.Algorithm)
 	}
-	completed := err == nil
-	if completed {
+	if err == nil {
 		err = e.collect(keys, sum, res.Time)
 	}
-	// The engine keeps no reference to keys past this call. A staged
-	// run's completed output slices become the next run's staging; after
-	// an abort they are unspecified — they may alias buffers the backend
-	// has already reclaimed — so they are dropped.
-	if inPlace {
-		clear(e.views)
-	} else if completed {
-		copy(e.staging, e.m.Data())
-	} else {
-		clear(e.staging)
-	}
+	// The engine keeps no reference to keys past this call.
+	clear(e.views)
 	e.m.ReleaseData()
 	if err != nil {
 		return Result{}, err
@@ -294,7 +261,9 @@ func coreOptions(cfg Config, p, n int) core.Options {
 
 // collect verifies the finished run's output against the input
 // checksum when cfg.Verify is set, then copies it into keys, skipping
-// every processor slice that already is its own share of keys.
+// every processor slice that already is its own share of keys. A
+// processor whose run ended in a spare array (or, for sample sort, in
+// a merge buffer of its own) is copied.
 func (e *EngineOf[E]) collect(keys []E, sum verify.Checksum, clock float64) error {
 	final := e.m.Data()
 	if e.cfg.Verify {
@@ -313,7 +282,7 @@ func (e *EngineOf[E]) collect(keys []E, sum verify.Checksum, clock float64) erro
 	pos := 0
 	for _, d := range final {
 		if len(d) > 0 && pos < len(keys) && &d[0] == &keys[pos] {
-			pos += len(d) // in-place run: the result is already here
+			pos += len(d) // the result is already here
 			continue
 		}
 		pos += copy(keys[pos:], d)
@@ -324,9 +293,9 @@ func (e *EngineOf[E]) collect(keys []E, sum verify.Checksum, clock float64) erro
 	return nil
 }
 
-// lend returns the views of keys an in-place run sorts in: processor
-// i's share, its capacity capped at its own end so nothing that
-// reslices a view can reach a neighbour's share.
+// lend returns the views of keys a run sorts in: processor i's share,
+// its capacity capped at its own end so nothing that reslices a view
+// can reach a neighbour's share.
 func (e *EngineOf[E]) lend(keys []E, p, n int) [][]E {
 	if len(e.views) != p {
 		e.views = make([][]E, p)
@@ -335,27 +304,6 @@ func (e *EngineOf[E]) lend(keys []E, p, n int) [][]E {
 		e.views[i] = keys[i*n : (i+1)*n : (i+1)*n]
 	}
 	return e.views
-}
-
-// stage copies keys into p per-processor slices of n keys each,
-// recycling the previous run's output slices when they are long
-// enough. Recycled slices are resliced by length, never by capacity:
-// a slice's backing array is owned outright only up to its length
-// once it has passed through the backend's buffer churn.
-func (e *EngineOf[E]) stage(keys []E, p, n int) [][]E {
-	if len(e.staging) != p {
-		e.staging = make([][]E, p)
-	}
-	for i, d := range e.staging {
-		if len(d) >= n {
-			d = d[:n]
-		} else {
-			d = make([]E, n)
-		}
-		copy(d, keys[i*n:(i+1)*n])
-		e.staging[i] = d
-	}
-	return e.staging
 }
 
 // SortPadded sorts keys of arbitrary length by padding with maximal

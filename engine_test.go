@@ -87,8 +87,9 @@ func TestEngineReuse(t *testing.T) {
 
 // TestEngineReuseAfterFailure checks a pooled engine survives an
 // aborted run: a pre-canceled context fails fast with the typed error,
-// and the very next sort on the same engine is correct (the staging
-// recycler must not resurrect slices the abort left in limbo).
+// and the very next sort on the same engine is correct (the spare
+// arrays an aborted run leaves on each processor must not leak into
+// the next run's output).
 func TestEngineReuseAfterFailure(t *testing.T) {
 	for _, backend := range []Backend{Simulated, Native} {
 		e, err := NewEngine(Config{Processors: 4, Backend: backend})
@@ -99,7 +100,7 @@ func TestEngineReuseAfterFailure(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint32(len(keys) - i)
 		}
-		// Warm the staging recycler with a successful run first.
+		// Warm the spare arrays with a successful run first.
 		if _, err := e.Sort(keys); err != nil {
 			t.Fatal(err)
 		}

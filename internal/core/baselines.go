@@ -18,21 +18,27 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 	lgn, lgP := intbits.Log2(n), intbits.Log2(pr.P())
 	lgN := lgn + lgP
 
-	sortScratch := pr.GetBuf(n)
-	localsort.SortScratch(pr.Data, pr.ID%2 == 0, sortScratch)
+	// The run lives in its home array and one spare, which serves the
+	// radix sorts as scratch and each remap as its destination; the
+	// strided merges work in a 2P-key scratch of their own.
+	s := stateOf(pr, 1, n)
+	spare := s.spares[0]
+	localsort.SortScratch(pr.Data, pr.ID%2 == 0, spare)
 	pr.ChargeRadixSort(n)
 	if lgP == 0 {
-		pr.PutBuf(sortScratch)
 		return
 	}
 
 	blocked := toBlocked.New
 	cyclic := toCyclic.New
 
-	scratch := pr.GetBuf(2 << uint(lgP))
+	if cap(s.strided) < 2<<uint(lgP) {
+		s.strided = make([]E, 2<<uint(lgP))
+	}
+	scratch := s.strided[:2<<uint(lgP)]
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
-		pr.Remap(toCyclic, false)
+		spare = pr.Remap(toCyclic, false, spare)
 		// First k steps of the stage execute locally under cyclic. They
 		// form, for every group of 2^k keys whose absolute addresses
 		// differ only in bits lgn..lgn+k-1, a complete butterfly: the
@@ -59,12 +65,12 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 				simulateStep(pr, cyclic, schedule.Step{Bit: stage - 1 - j, Stage: stage})
 			}
 		}
-		pr.Remap(toBlocked, false)
+		spare = pr.Remap(toBlocked, false, spare)
 		// Remaining lg n steps under blocked: each processor holds one
 		// bitonic sequence (Lemma 7 at column lg n); [CDMS94] finishes
 		// with a local radix sort in the stage's direction.
 		if opts.Compute == Optimized {
-			localsort.SortScratch(pr.Data, ascFor(blocked, pr.ID, stage), sortScratch)
+			localsort.SortScratch(pr.Data, ascFor(blocked, pr.ID, stage), spare)
 			pr.ChargeRadixSort(n)
 		} else {
 			for j := lgn; j >= 1; j-- {
@@ -72,8 +78,6 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 			}
 		}
 	}
-	pr.PutBuf(scratch)
-	pr.PutBuf(sortScratch)
 }
 
 // compareSplit fills out with the element-wise minima (keepMin) or
@@ -127,22 +131,17 @@ func blockedMergeSort[E element.Elem](pr *spmd.ProcOf[E]) {
 	n := len(pr.Data)
 	lgn, lgP := intbits.Log2(n), intbits.Log2(pr.P())
 
-	sortScratch := pr.GetBuf(n)
-	localsort.SortScratch(pr.Data, pr.ID%2 == 0, sortScratch)
+	// The run rotates its home array and two spares. A compare-split
+	// writes the array the partner read one step earlier, which the
+	// exchange's barriers have since freed, and leaves the array it
+	// replaced to the partner's compare-split of the same step, so that
+	// one stays busy until the next exchange. The third array is never
+	// shared: the radix sorts use it as scratch while the partner reads.
+	// One processor needs only that one.
+	s := stateOf(pr, min(lgP, 1)+1, n)
+	free, read := s.spares[0], s.spares[1]
+	localsort.SortScratch(pr.Data, pr.ID%2 == 0, free)
 	pr.ChargeRadixSort(n)
-	if lgP == 0 {
-		pr.PutBuf(sortScratch)
-		return
-	}
-
-	// spare holds the local array a compare-split just replaced. The
-	// partner is still reading it (its compare-split of the same step
-	// runs concurrently with ours), so it can only go back to the pool
-	// once a barrier separates us — the next PairExchange provides one.
-	// The last spare goes back at the end: this processor takes no more
-	// buffers in this run, and the next run starts only once the partner
-	// has finished.
-	var spare []E
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
 		// Under the blocked layout absolute bit lgn+k is processor bit k,
@@ -153,26 +152,19 @@ func blockedMergeSort[E element.Elem](pr *spmd.ProcOf[E]) {
 			procBit := bit - lgn
 			partner := pr.ID ^ 1<<uint(procBit)
 			theirs := pr.PairExchange(partner, pr.Data)
-			if spare != nil {
-				pr.PutBuf(spare) // previous round's array: barrier passed
-			}
 			// My rows have absolute bit `bit` equal to my processor bit;
 			// the row with the bit clear receives the minimum iff the
 			// merge is ascending (Definition 3).
 			iAmLow := pr.ID>>uint(procBit)&1 == 0
 			keepMin := iAmLow == asc
-			out := pr.GetBuf(n)
-			compareSplit(out, pr.Data, theirs, keepMin)
-			spare = pr.Data
-			pr.Data = out
+			compareSplit(read, pr.Data, theirs, keepMin)
+			pr.Data, read = read, pr.Data
 			// The [BLM+91] step "simulates a merge step" over both the
 			// local and the received keys: 2n elements of linear work.
 			pr.ChargeMerge(2 * n)
 		}
 		// Remaining lg n steps are local; [BLM+91] uses a radix sort.
-		localsort.SortScratch(pr.Data, asc, sortScratch)
+		localsort.SortScratch(pr.Data, asc, free)
 		pr.ChargeRadixSort(n)
 	}
-	pr.PutBuf(spare)
-	pr.PutBuf(sortScratch)
 }

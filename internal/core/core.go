@@ -110,16 +110,6 @@ func FusedSmart(p, n int) Options {
 	return opts
 }
 
-// SortsInPlace reports whether a body compiled from these options for
-// p processors leaves every processor's result in the array it started
-// on and never hands that array to the buffer pool, so a caller may
-// run it over views of its own slice. A single processor's run is one
-// local sort; FullSort only packs out of its home array and merges its
-// final phase back into it. Every other remap path recycles its input.
-func (o Options) SortsInPlace(p int) bool {
-	return p == 1 || o.Algorithm == Smart && o.Compute == FullSort
-}
-
 // Validate checks option consistency against a machine and data shape.
 func (o Options) Validate(p, n int) error {
 	if n < 1 || n&(n-1) != 0 {
@@ -153,6 +143,8 @@ func (o Options) Validate(p, n int) error {
 // n keys per processor, blocked layout). It takes ownership of data —
 // the slices are consumed. On return the machine's processors hold the
 // globally sorted keys in blocked layout; retrieve them with m.Data().
+// A processor's keys may sit in one of its spare arrays, which the
+// machine's next run writes, so copy them out before sorting again.
 func Sort[E element.Elem](m spmd.BackendOf[E], data [][]E, opts Options) (spmd.Result, error) {
 	return SortContext(context.Background(), m, data, opts)
 }

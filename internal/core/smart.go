@@ -25,41 +25,55 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 
 	// Stages 1..lg n: entirely local under the blocked layout. Their net
 	// effect is one sorted run per processor, alternating direction
-	// (Lemma 6 at the input of stage lg n + 1). One pooled n-element
-	// scratch serves the radix sort and every later local phase, so the
-	// whole run allocates nothing in steady state. FullSort sorts in its
-	// own two arrays instead.
+	// (Lemma 6 at the input of stage lg n + 1). FullSort runs its own
+	// two-array schedule. Otherwise the run lives in its home array and
+	// one spare: the radix sort, every remap's gather and every local
+	// phase use the array that does not hold the keys.
 	if opts.Compute == FullSort && lgP > 0 {
 		fullSortRun(pr, sched, lgn, lgP)
 		return
 	}
-	scratch := pr.GetBuf(n)
-	localsort.SortScratch(pr.Data, pr.ID%2 == 0, scratch)
+	spare := stateOf(pr, 1, n).spares[0]
+	localsort.SortScratch(pr.Data, pr.ID%2 == 0, spare)
 	pr.ChargeRadixSort(n)
-	if lgP == 0 {
-		pr.PutBuf(scratch)
-		return
-	}
 	for _, r := range sched {
-		pr.Remap(r.Plan, opts.Fused)
+		spare = pr.Remap(r.Plan, opts.Fused, spare)
 		if opts.Compute == Simulated {
 			for _, st := range schedule.StepsFrom(lgN, lgP, r.K, r.S, r.StepsAfter) {
 				simulateStep(pr, r.Layout, st)
 			}
 			continue
 		}
-		scratch = smartPhase(pr, r, lgn, lgP, scratch)
+		spare = smartPhase(pr, r, lgn, lgP, spare)
 	}
-	pr.PutBuf(scratch)
 }
 
-// fullScratch is a processor's persistent FullSort working state,
-// parked on pr.Scratch between runs: the run table, reused every round,
-// and the spare array, reused while it holds n keys, so steady-state
-// runs allocate nothing and an aborted run keeps its spare.
-type fullScratch[E element.Elem] struct {
-	runs  []localsort.RunOf[E]
-	spare []E
+// procState is a processor's persistent working state, parked on
+// pr.Scratch and shared by every body of this package: the FullSort
+// run table, the spare arrays a body sorts in beside its home share,
+// and cyclic-blocked's strided scratch. It survives runs and aborts,
+// and a spare is reused while it holds n keys, so steady-state runs
+// allocate nothing. No spare is ever a view of the caller's keys.
+type procState[E element.Elem] struct {
+	runs    []localsort.RunOf[E]
+	spares  [2][]E
+	strided []E
+}
+
+// stateOf returns pr's state with its first k spares holding n keys.
+func stateOf[E element.Elem](pr *spmd.ProcOf[E], k, n int) *procState[E] {
+	s, _ := pr.Scratch.(*procState[E])
+	if s == nil {
+		s = &procState[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
+		pr.Scratch = s
+	}
+	for i := range s.spares[:k] {
+		if cap(s.spares[i]) < n {
+			s.spares[i] = make([]E, n)
+		}
+		s.spares[i] = s.spares[i][:n]
+	}
+	return s
 }
 
 // dirAfterRemap gives the direction processor q's keys are sorted in
@@ -105,20 +119,13 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	// barrier, so an array is free two rounds after it was written.
 	n := len(pr.Data)
 	home := pr.Data
-	s, _ := pr.Scratch.(*fullScratch[E])
-	if s == nil {
-		s = &fullScratch[E]{runs: make([]localsort.RunOf[E], 0, pr.P())}
-		pr.Scratch = s
-	}
-	if cap(s.spare) < n {
-		s.spare = make([]E, n)
-	}
+	s := stateOf(pr, 1, n)
 	toSpare := len(sched)%2 == 0 // an odd number of writes follows the sort
-	cur, next := home, s.spare[:n]
+	cur, next := home, s.spares[0]
 	if toSpare {
 		cur, next = next, cur
 	}
-	localsort.RadixSortTo(home, s.spare, toSpare)
+	localsort.RadixSortTo(home, s.spares[0], toSpare)
 	pr.ChargeRadixSort(n)
 	pr.Data = cur
 	in := pr.RemapExchangeRuns(sched[0].Plan, pr.ID%2 != 0, next)
@@ -172,9 +179,8 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 
 // smartPhase runs the optimized local computation for the lg n (or, for
 // the last remap, S) steps following remap r, per Theorems 2 and 3.
-// scratch is an n-element pooled buffer owned by the caller; the
-// returned slice replaces it (the inside phase ping-pongs it with the
-// local array).
+// scratch is the processor's n-element spare; the returned slice
+// replaces it (the inside phase ping-pongs it with the local array).
 func smartPhase[E element.Elem](pr *spmd.ProcOf[E], r schedule.Remap, lgn, lgP int, scratch []E) []E {
 	n := len(pr.Data)
 	switch r.Kind {

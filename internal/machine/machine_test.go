@@ -149,10 +149,13 @@ func TestRemapMatchesApply(t *testing.T) {
 			want := data
 			m := mustNew(t, testConfig(P, long))
 			mustRun(t, m, data, func(p *Proc) {
+				// Remap hands each old array back as the next destination,
+				// so copy the input that want still reads.
 				p.Data = append([]uint32(nil), p.Data...)
+				spare := make([]uint32, len(p.Data))
 				for i := 1; i < len(layouts); i++ {
 					plan := addr.NewRemapPlan(layouts[i-1], layouts[i])
-					p.Remap(plan, fused)
+					spare = p.Remap(plan, fused, spare)
 				}
 			})
 			for i := 1; i < len(layouts); i++ {
@@ -183,7 +186,7 @@ func TestRemapPhaseCharges(t *testing.T) {
 			data[p] = make([]uint32, n)
 		}
 		m := mustNew(t, testConfig(P, long))
-		return mustRun(t, m, data, func(p *Proc) { p.Remap(plan, fused) })
+		return mustRun(t, m, data, func(p *Proc) { p.Remap(plan, fused, make([]uint32, n)) })
 	}
 
 	longSep := run(true, false)
@@ -231,7 +234,7 @@ func TestRemapVolumeMatchesLemma4(t *testing.T) {
 		data[p] = make([]uint32, n)
 	}
 	m := mustNew(t, testConfig(P, true))
-	res := mustRun(t, m, data, func(p *Proc) { p.Remap(plan, false) })
+	res := mustRun(t, m, data, func(p *Proc) { p.Remap(plan, false, make([]uint32, n)) })
 	want := n - n>>uint(plan.Changed)
 	for i, s := range res.PerProc {
 		if s.VolumeSent != want {

@@ -2,8 +2,9 @@
 // (internal/spmd): the same goroutine-per-processor algorithm bodies
 // that the simulator runs, executed for real speed rather than model
 // fidelity. Nothing on the hot path does model arithmetic — the
-// charger only timestamps phase boundaries — buffers are pooled across
-// remap rounds, the collective exchange hands slices over zero-copy,
+// charger only timestamps phase boundaries — each body alternates its
+// own arrays across remap rounds, the collective exchange hands slices
+// over zero-copy,
 // and a remap gathers each new local array straight out of the peers'
 // memories, so a P-processor sort is a genuine parallel sort of the
 // host machine.

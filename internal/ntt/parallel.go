@@ -97,10 +97,11 @@ func ParallelForward(m *machine.Machine, data [][]uint32) (machine.Result, error
 	plans := plansAlong(append([]*addr.Layout{addr.Blocked(lgN, lgP)}, chain...))
 	tw := twiddles(lgN, false)
 	res, runErr := m.Run(data, func(pr *machine.Proc) {
+		spare := make([]uint32, len(pr.Data)) // each remap's destination
 		hi := lgN
 		for i, l := range chain {
 			if plans[i] != nil {
-				pr.Remap(plans[i], false)
+				spare = pr.Remap(plans[i], false, spare)
 			}
 			lo := hi - lgn
 			if lo < 0 {
@@ -140,10 +141,11 @@ func ParallelInverse(m *machine.Machine, data [][]uint32) (machine.Result, error
 	tw := twiddles(lgN, true)
 	nInv := ModInv(uint32(1 << uint(lgN) % Modulus))
 	res, runErr := m.Run(data, func(pr *machine.Proc) {
+		spare := make([]uint32, len(pr.Data)) // each remap's destination
 		lo := 0
 		for i, l := range rev {
 			if plans[i] != nil {
-				pr.Remap(plans[i], false)
+				spare = pr.Remap(plans[i], false, spare)
 			}
 			// Chunk boundaries mirror the forward chain exactly.
 			hi := lo + chunkWidth(lgN, lgn, lo)
@@ -153,7 +155,7 @@ func ParallelInverse(m *machine.Machine, data [][]uint32) (machine.Result, error
 			lo = hi
 		}
 		if plans[len(rev)] != nil {
-			pr.Remap(plans[len(rev)], false)
+			pr.Remap(plans[len(rev)], false, spare)
 		}
 		for i := range pr.Data {
 			pr.Data[i] = modMul(pr.Data[i], nInv)
@@ -210,13 +212,16 @@ func BlockedForward(m *machine.Machine, data [][]uint32) (machine.Result, error)
 	tw := twiddles(lgN, false)
 	res, runErr := m.Run(data, func(pr *machine.Proc) {
 		n := len(pr.Data)
+		// A pass writes the array the partner read one pass earlier,
+		// which this pass's exchange barriers have freed.
+		spare := make([]uint32, n)
 		shiftBase := lgN - 1
 		for bit := lgN - 1; bit >= lgn; bit-- {
 			procBit := bit - lgn
 			partner := pr.ID ^ 1<<uint(procBit)
 			theirs := pr.PairExchange(partner, pr.Data)
 			iAmLow := pr.ID>>uint(procBit)&1 == 0
-			out := make([]uint32, n)
+			out := spare
 			shift := uint(shiftBase - bit)
 			amask := 1<<uint(bit) - 1
 			for l := 0; l < n; l++ {
@@ -227,7 +232,7 @@ func BlockedForward(m *machine.Machine, data [][]uint32) (machine.Result, error)
 					out[l] = modMul(modSub(theirs[l], pr.Data[l]), t)
 				}
 			}
-			pr.Data = out
+			pr.Data, spare = out, pr.Data
 			pr.ChargeCompareExchange(n)
 		}
 		for bit := lgn - 1; bit >= 0; bit-- {

@@ -9,8 +9,9 @@ import (
 
 // poolKey is the engine shape: engines are interchangeable exactly
 // when processor count, backend, algorithm and the padded
-// keys-per-processor share agree (share keeps staging and message
-// buffers right-sized for the traffic that produced them). The element
+// keys-per-processor share agree (share keeps each processor's spare
+// arrays and compiled schedule right-sized for the traffic that
+// produced them). The element
 // type is fixed by the pool's type parameter, not the key.
 type poolKey struct {
 	p       int
@@ -33,7 +34,7 @@ func keyFor(cfg parbitonic.Config, totalKeys int) poolKey {
 // evictAfter is how many consecutive unhealthy Puts a shape tolerates
 // before its whole idle set is evicted: if three engines of one shape
 // fail in a row, the fault is probably shape-wide (bad buffer sizing,
-// poisoned staging state) rather than one sick engine, so the
+// poisoned per-processor state) rather than one sick engine, so the
 // remaining idle engines of that shape are suspect too.
 const evictAfter = 3
 

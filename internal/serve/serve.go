@@ -7,7 +7,8 @@
 // Three mechanisms, layered:
 //
 //   - Pooling (PoolOf): engines are expensive to build — P workers, a
-//     P×P exchange board, message-buffer pools — and cheap to reuse.
+//     P×P exchange board, compiled schedules, per-processor spare
+//     arrays — and cheap to reuse.
 //     The pool keys engines by shape (P, backend, algorithm,
 //     keys-per-processor share) and recycles them across requests, so
 //     steady-state traffic pays construction ~never.

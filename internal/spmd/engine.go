@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -104,30 +103,14 @@ type ProcOf[E element.Elem] struct {
 	// Scratch is per-processor working state owned by the algorithm
 	// body. The engine never touches it, and it survives across runs,
 	// so bodies that run repeatedly on one engine can park reusable
-	// tables and closures here instead of rebuilding them every run.
+	// tables and spare arrays here instead of rebuilding them every run.
 	Scratch any
 
 	e    *EngineOf[E]
 	outs [][]E // destination-table scratch for PairExchange and packed rounds
 	srcs [][]E // gather-source scratch, reused across remap rounds
 	in   [][]E // received-message table, rewritten by every Exchange
-
-	// free recycles long-message buffers between remap rounds,
-	// bucketed by power-of-two capacity class (bucket i holds buffers
-	// with cap in [2^i, 2^(i+1))), so a small buffer is never burned
-	// on a large request. A receiver returns a message's backing array
-	// to its OWN free list once it has unpacked (or merged from) it;
-	// inventories stay balanced because every processor sends and
-	// receives the same message shape each round. Buffers are always
-	// fully overwritten before being sent, so stale contents are
-	// harmless. Per-processor lists mean no locks and no sync.Pool
-	// boxing — steady-state recycling allocates nothing.
-	free [maxBufClass][][]E
 }
-
-// maxBufClass bounds the buffer capacity classes: class i covers caps
-// in [2^i, 2^(i+1)), so 48 classes cover any slice Go can allocate.
-const maxBufClass = 48
 
 // Proc is the uint32 processor, the element type of the paper's
 // experiments.
@@ -475,13 +458,18 @@ func (e *EngineOf[E]) Data() [][]E {
 }
 
 // ReleaseData drops the engine's references to the last run's local
-// data: every processor's Data and the recycled Data() header array.
-// A caller that lent the run memory it owns (a sort in the caller's
-// slice) releases it before handing that memory back, so nothing in
-// the engine reaches it between runs.
+// data: every processor's Data and received-message table, the
+// exchange board, and the recycled Data() header array. A caller that
+// lent the run memory it owns (a sort in the caller's slice) releases
+// it before handing that memory back, so nothing in the engine reaches
+// it between runs.
 func (e *EngineOf[E]) ReleaseData() {
 	for _, p := range e.procs {
 		p.Data = nil
+		clear(p.in)
+	}
+	for _, row := range e.board {
+		clear(row)
 	}
 	clear(e.dataOut)
 }
@@ -499,35 +487,6 @@ func (p *ProcOf[E]) CorruptKey(i int) {
 	v := p.Data[i]
 	bits := element.Bits(v) ^ 1<<(element.KeyBits[E]()-1)
 	p.Data[i] = element.FromBits[E](bits, element.Aux(v))
-}
-
-// GetBuf returns an n-element buffer, recycled from the processor's
-// free list when its capacity class has one, allocated otherwise.
-// Contents are undefined; callers must overwrite every slot.
-func (p *ProcOf[E]) GetBuf(n int) []E {
-	if n == 0 {
-		return nil
-	}
-	// Class ceil(lg n): every buffer parked there has cap >= 2^class >= n.
-	c := bits.Len(uint(n - 1))
-	if l := p.free[c]; len(l) > 0 {
-		b := l[len(l)-1]
-		l[len(l)-1] = nil
-		p.free[c] = l[:len(l)-1]
-		return b[:n]
-	}
-	return make([]E, n)
-}
-
-// PutBuf parks a buffer on the processor's free list for a later
-// GetBuf. Only hand back buffers no other processor can still read —
-// typically messages this processor received and has fully consumed.
-func (p *ProcOf[E]) PutBuf(b []E) {
-	c := cap(b)
-	if c == 0 {
-		return
-	}
-	p.free[bits.Len(uint(c))-1] = append(p.free[bits.Len(uint(c))-1], b[:c])
 }
 
 // outScratch returns the per-processor destination-slice table (all

@@ -17,10 +17,12 @@ import (
 // pins the count.
 const RemapBarriers = 2
 
-// Remap routes p.Data from plan.Old to plan.New. Every processor
-// publishes its local memory on the exchange board, and after a
-// barrier each one GATHERS its new local array straight out of the
-// senders' memories by stepping the plan's inverse routing
+// Remap routes p.Data from plan.Old to plan.New, gathering the new
+// local array into dst (capacity n, not p.Data's array), and returns the
+// array p.Data held before, which no processor reads any more. Every
+// processor publishes its local memory on the exchange board, and
+// after a barrier each one GATHERS its new local array straight out of
+// the senders' memories by stepping the plan's inverse routing
 // (addr.RemapPlan.GatherWalk). One strided read pass does the work of
 // the paper's pack, message delivery and unpack (Figure 3.17).
 //
@@ -37,10 +39,10 @@ const RemapBarriers = 2
 // pack or unpack pass exists.
 //
 // Ownership hand-off is safe by bulk-synchrony: memories are published
-// before the first barrier, every gather completes before the second,
-// and only then does any processor recycle its old array into the
-// buffer pool, so steady-state remapping allocates nothing.
-func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool) {
+// before the first barrier and every gather completes before the
+// second, so the returned array is the caller's again, and a body that
+// alternates two arrays remaps without allocating.
+func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool, dst []E) []E {
 	e := p.e
 	n := plan.Old.LocalN()
 	if len(p.Data) != n {
@@ -67,7 +69,7 @@ func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool) {
 	for g, s := range p.grp {
 		srcs[g] = e.board[s][s].data
 	}
-	next := p.GetBuf(n)
+	next := dst[:n]
 	w := plan.GatherWalk(p.ID)
 	for i := range next {
 		next[i] = srcs[w.A][w.B]
@@ -82,12 +84,12 @@ func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool) {
 	e.board[p.ID][p.ID] = delivery[E]{}
 	old := p.Data
 	p.Data = next
-	p.PutBuf(old)
 	if charged {
 		e.charge.Unpack(&p.PC, n)
 	}
 	p.tag(obs.PhaseCompute)
 	p.Stats.Remaps++
+	return old
 }
 
 // srcScratch returns the per-processor sender-memory table, reused

@@ -24,7 +24,7 @@
 //
 // The data plane is generic over the element layer: EngineOf[E] and
 // ProcOf[E] carry any parbitonic/element type through the exchange
-// board, buffer pool and remap phases, while the per-processor core
+// board and remap phases, while the per-processor core
 // every Charger sees (PC) stays non-generic — time accounting never
 // depends on the element type beyond its width, which the engine
 // captures once at construction (see PC.Words). The Engine, Proc and
@@ -202,7 +202,8 @@ type BackendOf[E element.Elem] interface {
 	// Data returns the final local data of every processor after a Run.
 	Data() [][]E
 	// ReleaseData drops the backend's references to the last run's
-	// data; Data() then returns nil slices until the next Run.
+	// data, message headers included; Data() then returns nil slices
+	// until the next Run.
 	ReleaseData()
 }
 

@@ -67,7 +67,7 @@ func TestRemapBarriers(t *testing.T) {
 		name string
 		body func(pr *Proc)
 	}{
-		{"Remap", func(pr *Proc) { pr.Remap(plan, false) }},
+		{"Remap", func(pr *Proc) { pr.Remap(plan, false, make([]uint32, len(pr.Data))) }},
 		{"Exchange", func(pr *Proc) { pr.Exchange(make([][]uint32, p)) }},
 		{"RemapExchangeRuns", func(pr *Proc) { pr.RemapExchangeRuns(plan, false, make([]uint32, len(pr.Data))) }},
 		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.Messages(plan, make([]uint32, len(pr.Data)))) }},
@@ -86,28 +86,6 @@ func TestRemapBarriers(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestBufPoolRoundTrip(t *testing.T) {
-	e := mustEngine(t, EngineConfig{P: 1, Charge: &countCharger{}})
-	p := e.procs[0]
-	b := p.GetBuf(64)
-	if len(b) != 64 {
-		t.Fatalf("GetBuf(64) returned %d keys", len(b))
-	}
-	b[0] = 7
-	p.PutBuf(b)
-	c := p.GetBuf(32)
-	if len(c) != 32 {
-		t.Fatalf("GetBuf(32) returned %d keys", len(c))
-	}
-	// A buffer smaller than requested must not be handed back short.
-	p.PutBuf(make([]uint32, 4))
-	d := p.GetBuf(128)
-	if len(d) != 128 {
-		t.Fatalf("GetBuf(128) returned %d keys", len(d))
-	}
-	p.PutBuf(nil) // must not panic
 }
 
 func TestNewEngineValidation(t *testing.T) {

@@ -17,11 +17,10 @@ import (
 	"parbitonic/internal/workload"
 )
 
-// The tests in this file pin the ownership contract of the in-place
-// FullSort: the default native smart shape at P >= 2 sorts in views of
-// the caller's slice, and once Sort returns, on success or failure,
-// nothing in the engine or its backend refers to that slice, so a
-// later sort on the same engine cannot write into it.
+// The tests in this file pin the ownership contract of a sort: every
+// shape sorts in views of the caller's slice, and once Sort returns, on
+// success or failure, nothing in the engine or its backend refers to
+// that slice, so a later sort on the same engine cannot write into it.
 
 // overlaps reports whether the arrays under a and b, up to their
 // capacities, share memory.
@@ -38,7 +37,7 @@ func overlaps[E any](a, b []E) bool {
 // reaches keys.
 func assertReleased[E element.Elem](t *testing.T, e *EngineOf[E], keys []E) {
 	t.Helper()
-	for name, set := range map[string][][]E{"m.Data()": e.m.Data(), "staging": e.staging, "views": e.views} {
+	for name, set := range map[string][][]E{"m.Data()": e.m.Data(), "views": e.views} {
 		for i, d := range set {
 			if overlaps(d, keys) {
 				t.Fatalf("after Sort returned, %s[%d] still refers to the caller's keys", name, i)
@@ -70,30 +69,54 @@ func TestEngineOwnership(t *testing.T) {
 }
 
 // testOwnership sorts A, keeps a copy of the result, sorts B on the
-// same engine and checks A did not change, at P = 2, 4 and 8 and at
-// shares of 2^12 and 2^18 keys (both FullSort shapes; the larger one
-// reaches the hybrid radix). A last case sorts A on an engine whose
-// run is corrupted, so verification fails with the result already in
-// A; B then sorts correctly and A still does not change.
+// same engine and checks A did not change. The default native shape
+// runs at P = 2, 4 and 8 and at shares of 2^12 and 2^18 keys (both
+// FullSort shapes; the larger one reaches the hybrid radix). The other
+// shapes run once each: the native baselines at P=4 (Remap with
+// strided merges, and pair exchanges over three rotating arrays),
+// native smart at P=8 with 16 keys a processor (the optimized phases
+// over Remap), simulated smart with step simulation, and the psort
+// comparators. A last case sorts A on an engine whose run is
+// corrupted, so verification fails with the result already in A; B
+// then sorts correctly and A still does not change.
 func testOwnership[E element.Elem](t *testing.T) {
 	ty := element.TypeOf[E]()
+	check := func(t *testing.T, cfg Config, keys int) {
+		e, err := NewEngineOf[E](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		a := workload.Elems[E](workload.FullRange, keys, 11)
+		sortAndCheck(t, e, a)
+		kept := slices.Clone(a)
+		sortAndCheck(t, e, workload.Elems[E](workload.FullRange, keys, 12))
+		if !slices.Equal(a, kept) {
+			t.Fatal("sorting B on the engine changed A")
+		}
+	}
 	for _, p := range []int{2, 4, 8} {
 		for _, n := range []int{1 << 12, 1 << 18} {
 			t.Run(fmt.Sprintf("%v/P=%d/n=%d", ty, p, n), func(t *testing.T) {
-				e, err := NewEngineOf[E](Config{Processors: p, Backend: Native})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				a := workload.Elems[E](workload.FullRange, p*n, 11)
-				sortAndCheck(t, e, a)
-				kept := slices.Clone(a)
-				sortAndCheck(t, e, workload.Elems[E](workload.FullRange, p*n, 12))
-				if !slices.Equal(a, kept) {
-					t.Fatal("sorting B on the engine changed A")
-				}
+				check(t, Config{Processors: p, Backend: Native}, p*n)
 			})
 		}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		n    int
+	}{
+		{"cyclic-blocked/P=4", Config{Processors: 4, Algorithm: CyclicBlockedBitonic, Backend: Native}, 1 << 12},
+		{"blocked-merge/P=4", Config{Processors: 4, Algorithm: BlockedMergeBitonic, Backend: Native}, 1 << 12},
+		{"smart/P=8/n=16", Config{Processors: 8, Backend: Native}, 16},
+		{"simulated-steps/P=4", Config{Processors: 4, Sim: SimOptions{SimulateSteps: true}}, 1 << 10},
+		{"sample/P=4", Config{Processors: 4, Algorithm: SampleSort, Backend: Native}, 1 << 12},
+		{"radix/P=4", Config{Processors: 4, Algorithm: RadixSort, Backend: Native}, 1 << 12},
+	} {
+		t.Run(fmt.Sprintf("%v/%s", ty, c.name), func(t *testing.T) {
+			check(t, c.cfg, c.cfg.Processors*c.n)
+		})
 	}
 	t.Run(fmt.Sprintf("%v/verify-failure", ty), func(t *testing.T) {
 		inj := fault.NewInjector(fault.Plan{Kind: fault.Corrupt, Proc: 1, Round: 1})
@@ -117,59 +140,84 @@ func testOwnership[E element.Elem](t *testing.T) {
 	})
 }
 
-// cancelAt cancels the armed context when processor 0 charges compute
-// after round remaps, and holds that processor until the abort has
-// landed, so the run is canceled at exactly that point.
+// cancelAt cancels the armed context when processor 0 makes its
+// local compute charge number at (counted from 0 once armed), and
+// holds that processor until the abort has landed, so the run is
+// canceled at exactly that point.
 type cancelAt struct {
 	spmd.Charger
-	round  int
-	cancel atomic.Pointer[context.CancelFunc]
+	at, seen int // seen is processor 0's own count
+	cancel   atomic.Pointer[context.CancelFunc]
 }
 
 func (c *cancelAt) Compute(p *spmd.PC, t float64) {
-	if p.ID == 0 && p.Stats.Remaps == c.round {
-		if f := c.cancel.Swap(nil); f != nil {
-			(*f)()
+	if p.ID == 0 && c.cancel.Load() != nil {
+		if c.seen == c.at {
+			(*c.cancel.Swap(nil))()
 			for !p.Aborting() {
 				runtime.Gosched()
 			}
 		}
+		c.seen++
 	}
 	c.Charger.Compute(p, t)
 }
 
-// TestInPlaceCancelThenReuse cancels an in-place P=2 sort of 2^20 keys
-// in each of its rounds: after the radix sort, after the first merge
-// and after the final merge into the caller's slice. Each canceled
-// sort returns ErrCanceled and releases its keys, and the next sort on
-// the same engine is correct and leaves the canceled input alone.
+// TestInPlaceCancelThenReuse cancels sorts of 2^20 keys after each of
+// processor 0's local compute phases. Smart P=2 (FullSort) has three
+// rounds: the radix sort, the first merge and the final merge into the
+// caller's slice. Blocked-merge P=4 has six phases, three radix sorts
+// and three compare-splits, over pair exchanges that rotate the home
+// array and two spares. Each canceled sort returns ErrCanceled and
+// releases its keys, and the next sort on the same engine is correct
+// and leaves the canceled input alone.
 func TestInPlaceCancelThenReuse(t *testing.T) {
-	for round := 0; round <= 2; round++ {
-		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
-			c := &cancelAt{round: round}
-			e, err := NewEngine(Config{Processors: 2, Backend: Native, WrapCharger: func(inner spmd.Charger) spmd.Charger {
-				c.Charger = inner
-				return c
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 21))
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		phases int
+	}{
+		{"round", Config{Processors: 2, Backend: Native}, 3},
+		{"blocked-merge/P=4/phase", Config{Processors: 4, Algorithm: BlockedMergeBitonic, Backend: Native}, 6},
+	} {
+		for at := 0; at < c.phases; at++ {
+			t.Run(fmt.Sprintf("%s=%d", c.name, at), func(t *testing.T) {
+				cancelAfter(t, c.cfg, at)
+			})
+		}
+	}
+}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			c.cancel.Store(&cancel)
-			a := workload.Elems[uint32](workload.FullRange, 1<<20, 22)
-			if _, err := e.SortContext(ctx, a); !errors.Is(err, spmd.ErrCanceled) {
-				t.Fatalf("canceled sort returned %v, want ErrCanceled", err)
-			}
-			assertReleased(t, e, a)
-			kept := slices.Clone(a)
-			sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 23))
-			if !slices.Equal(a, kept) {
-				t.Fatal("the sort after the cancel changed the canceled input")
-			}
-		})
+// cancelAfter runs one TestInPlaceCancelThenReuse case: a warm sort,
+// a sort canceled at processor 0's compute charge at, and a sort that
+// must leave the canceled input alone.
+func cancelAfter(t *testing.T, cfg Config, at int) {
+	c := &cancelAt{at: at}
+	cfg.WrapCharger = func(inner spmd.Charger) spmd.Charger {
+		c.Charger = inner
+		return c
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 21))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.cancel.Store(&cancel)
+	a := workload.Elems[uint32](workload.FullRange, 1<<20, 22)
+	if _, err := e.SortContext(ctx, a); !errors.Is(err, spmd.ErrCanceled) {
+		t.Fatalf("canceled sort returned %v, want ErrCanceled", err)
+	}
+	if c.cancel.Load() != nil {
+		t.Fatalf("processor 0 made fewer than %d compute charges", at+1)
+	}
+	assertReleased(t, e, a)
+	kept := slices.Clone(a)
+	sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 23))
+	if !slices.Equal(a, kept) {
+		t.Fatal("the sort after the cancel changed the canceled input")
 	}
 }
