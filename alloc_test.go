@@ -28,7 +28,9 @@ import (
 // exchange board), P=8 at 16 keys a processor (the optimized smart
 // phases over the gather Remap and both bitonic block kernels), the
 // cyclic-blocked baseline (Remap with strided local sorts), the
-// blocked-merge baseline (pair exchanges with compare-splits) and KV64
+// blocked-merge baseline (pair exchanges with compare-splits), the
+// psort comparators (sample sort's splitter tables and merge into its
+// spare, radix sort's histogram exchanges and send array) and KV64
 // records. It runs on a 1-lane kernel pool and on a 2-lane one, the
 // shared pool of any host with 2 or more cores, whose helper lane
 // takes kernel tiles. One more case, smart P=2 over 2^20 keys on a
@@ -72,6 +74,8 @@ func TestNativeSortZeroAllocs(t *testing.T) {
 				{"smart P=8", 8, 128, parbitonic.SmartBitonic},
 				{"cyclic-blocked P=4", 4, 1 << 14, parbitonic.CyclicBlockedBitonic},
 				{"blocked-merge P=4", 4, 1 << 14, parbitonic.BlockedMergeBitonic},
+				{"sample P=4", 4, 1 << 14, parbitonic.SampleSort},
+				{"radix P=4", 4, 1 << 14, parbitonic.RadixSort},
 			} {
 				e := engine(t, c.p, c.alg)
 				keys := workload.Elems[uint32](workload.FullRange, c.n, 5)
@@ -120,8 +124,10 @@ func TestFullSortWorkingSet(t *testing.T) {
 }
 
 // TestEngineWorkingSet pins the other shapes to the same rule: smart's
-// optimized phases (here on the simulated backend) and cyclic-blocked
-// keep one spare per processor, blocked-merge two, because its partner
+// optimized phases (here on the simulated backend), cyclic-blocked and
+// the psort comparators keep one spare per processor (radix sort's send
+// array; sample sort's radix scratch and merge output, which holds the
+// largest share received), blocked-merge two, because its partner
 // still reads the array a compare-split replaced while the radix sort
 // runs.
 func TestEngineWorkingSet(t *testing.T) {
@@ -133,6 +139,8 @@ func TestEngineWorkingSet(t *testing.T) {
 		{"cyclic-blocked", parbitonic.Config{Processors: 4, Algorithm: parbitonic.CyclicBlockedBitonic, Backend: parbitonic.Native}, 1},
 		{"simulated-smart", parbitonic.Config{Processors: 4}, 1},
 		{"blocked-merge", parbitonic.Config{Processors: 4, Algorithm: parbitonic.BlockedMergeBitonic, Backend: parbitonic.Native}, 2},
+		{"sample", parbitonic.Config{Processors: 4, Algorithm: parbitonic.SampleSort, Backend: parbitonic.Native}, 1},
+		{"radix", parbitonic.Config{Processors: 4, Algorithm: parbitonic.RadixSort, Backend: parbitonic.Native}, 1},
 	} {
 		t.Run(c.name+"/u32/P=4", func(t *testing.T) { testWorkingSet[uint32](t, c.cfg, 1<<20, c.spares) })
 	}

@@ -50,10 +50,11 @@ type EngineOf[E element.Elem] struct {
 	// a reference into it across reuse (see TestSortPaddedNoRetention).
 	padBuf []E
 
-	// compiled is the core-algorithm body compiled for compiledN keys
-	// per processor (core.Compile): schedules, remap plans and gather
-	// tables are built once and amortized over every sort of the same
-	// size, and a steady-state Sort allocates nothing for them.
+	// compiled is the algorithm body for compiledN keys per processor:
+	// a bitonic body from core.Compile, whose schedules, remap plans and
+	// gather tables are built once and amortized over every sort of the
+	// same size, or a psort comparator body, bound once. A steady-state
+	// Sort allocates nothing for either.
 	compiled  func(*spmd.ProcOf[E])
 	compiledN int
 }
@@ -177,34 +178,22 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		sum = verify.Sum(keys)
 	}
 
-	// Every body sorts in views of keys. The bitonic bodies keep their
-	// spare arrays on each processor's Scratch, and psort's bodies
-	// allocate theirs, so no buffer pool ever sees caller memory.
+	// Every body sorts in views of keys, with its spare arrays on each
+	// processor's Scratch. The compiled body depends only on the
+	// engine's fixed config and the per-processor share n, so repeated
+	// sorts of one size reuse it — schedule and remap plans included.
 	data := e.lend(keys, p, n)
 	var res spmd.Result
 	var err error
-	switch cfg.Algorithm {
-	case SmartBitonic, CyclicBlockedBitonic, BlockedMergeBitonic:
-		// The compiled body depends only on the engine's fixed config
-		// and the per-processor share n, so repeated sorts of one size
-		// reuse it — schedule and remap plans included.
-		if e.compiled == nil || e.compiledN != n {
-			e.compiled, err = core.Compile[E](p, n, coreOptions(cfg, p, n))
-			if err != nil {
-				e.compiledN = 0
-				break
-			}
-			e.compiledN = n
+	if e.compiled == nil || e.compiledN != n {
+		e.compiled, err = compile[E](cfg, p, n)
+		e.compiledN = n
+		if err != nil {
+			e.compiled = nil
 		}
+	}
+	if err == nil {
 		res, err = e.m.RunContext(ctx, data, e.compiled)
-	case SampleSort:
-		var sres psort.SampleSortResult
-		sres, err = psort.SampleSortContext(ctx, e.m, data)
-		res = sres.Result
-	case RadixSort:
-		res, err = psort.RadixSortContext(ctx, e.m, data)
-	default:
-		err = fmt.Errorf("parbitonic: unknown algorithm %v", cfg.Algorithm)
 	}
 	if err == nil {
 		err = e.collect(keys, sum, res.Time)
@@ -232,6 +221,20 @@ func (e *EngineOf[E]) SortContext(ctx context.Context, keys []E) (Result, error)
 		cfg.Observe(buildReport(cfg, len(keys), element.Words[E](), result))
 	}
 	return result, nil
+}
+
+// compile returns the body that sorts n keys per processor on p
+// processors with cfg's algorithm.
+func compile[E element.Elem](cfg Config, p, n int) (func(*spmd.ProcOf[E]), error) {
+	switch cfg.Algorithm {
+	case SmartBitonic, CyclicBlockedBitonic, BlockedMergeBitonic:
+		return core.Compile[E](p, n, coreOptions(cfg, p, n))
+	case SampleSort:
+		return psort.SampleBody[E], nil
+	case RadixSort:
+		return psort.RadixBody[E], nil
+	}
+	return nil, fmt.Errorf("parbitonic: unknown algorithm %v", cfg.Algorithm)
 }
 
 // coreOptions maps the public Config to core.Options for the three

@@ -120,6 +120,9 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	n := len(pr.Data)
 	home := pr.Data
 	s := stateOf(pr, 1, n)
+	// The run table holds views of the peers' arrays, home among them,
+	// so it is cleared when the run returns or unwinds.
+	defer func() { clear(s.runs[:cap(s.runs)]) }()
 	toSpare := len(sched)%2 == 0 // an odd number of writes follows the sort
 	cur, next := home, s.spares[0]
 	if toSpare {

@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"errors"
-	"testing"
-
-	"parbitonic/internal/spmd"
-)
+import "testing"
 
 func TestAllGather(t *testing.T) {
 	const P = 8
@@ -18,57 +13,4 @@ func TestAllGather(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestBroadcast(t *testing.T) {
-	const P = 8
-	m := mustNew(t, testConfig(P, true))
-	mustRun(t, m, nil, func(p *Proc) {
-		var payload []uint32
-		if p.ID == 3 {
-			payload = []uint32{7, 8, 9}
-		}
-		got := p.Broadcast(3, payload)
-		if len(got) != 3 || got[0] != 7 || got[2] != 9 {
-			t.Errorf("proc %d: broadcast got %v", p.ID, got)
-		}
-	})
-}
-
-func TestAllReduceSum(t *testing.T) {
-	const P = 4
-	m := mustNew(t, testConfig(P, true))
-	mustRun(t, m, nil, func(p *Proc) {
-		got := p.AllReduceSum([]uint32{uint32(p.ID), 1})
-		if got[0] != 0+1+2+3 || got[1] != P {
-			t.Errorf("proc %d: sum %v", p.ID, got)
-		}
-	})
-}
-
-func TestExclusiveScanSum(t *testing.T) {
-	const P = 4
-	m := mustNew(t, testConfig(P, true))
-	mustRun(t, m, nil, func(p *Proc) {
-		got := p.ExclusiveScanSum([]uint32{1, uint32(p.ID)})
-		wantA := uint32(p.ID) // p ones below me
-		var wantB uint32
-		for q := 0; q < p.ID; q++ {
-			wantB += uint32(q)
-		}
-		if got[0] != wantA || got[1] != wantB {
-			t.Errorf("proc %d: scan %v, want [%d %d]", p.ID, got, wantA, wantB)
-		}
-	})
-}
-
-func TestCollectiveLengthMismatch(t *testing.T) {
-	m := mustNew(t, testConfig(2, true))
-	_, err := m.Run(nil, func(p *Proc) {
-		p.AllReduceSum(make([]uint32, 1+p.ID))
-	})
-	var pe *spmd.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("mismatched AllReduceSum returned %v, want *spmd.PanicError", err)
-	}
 }

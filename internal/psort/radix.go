@@ -55,145 +55,159 @@ func RadixSortContext[E element.Elem](ctx context.Context, m spmd.BackendOf[E], 
 			return spmd.Result{}, fmt.Errorf("psort: ragged data at processor %d", i)
 		}
 	}
-	return m.RunContext(ctx, data, func(pr *spmd.ProcOf[E]) { radixBody(pr, n) })
+	return m.RunContext(ctx, data, RadixBody[E])
 }
 
-func radixBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
-	P := pr.P()
+// procState is a processor's persistent psort state, parked on
+// pr.Scratch: the one spare array a body sorts in beside its home share
+// (radix sort's send array; sample sort's radix scratch, then its merge
+// output) and the small tables around it. It survives runs and aborts
+// and grows only when a run needs more, so steady-state runs allocate
+// nothing. Its tables hold element values or views of the spare, and
+// the run table is cleared once its merge is done, so none of them
+// reaches the caller's keys once a round ends.
+type procState[E element.Elem] struct {
+	spare   []E
+	hist    []E            // radix: this pass's digit counts, the histogram message
+	send    [radixSize]int // radix: digit counts, then each digit's next send slot
+	home    [radixSize]int // radix: each digit's next slot in home
+	samples []E            // sample: the P-1 sent, then the P(P-1) gathered
+	runs    []localsort.RunOf[E]
+}
+
+func stateOf[E element.Elem](pr *spmd.ProcOf[E]) *procState[E] {
+	s, _ := pr.Scratch.(*procState[E])
+	if s == nil {
+		s = new(procState[E])
+		pr.Scratch = s
+	}
+	return s
+}
+
+// grow returns buf resliced to n, reallocated only when it is shorter.
+func grow[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
+// RadixBody is RadixSort's SPMD body, for a run in which every
+// processor holds the same number of keys; an engine that sorts
+// repeatedly binds it once, since a generic function value allocates.
+// It sorts in home, the processor's share, and one send array. A pass
+// counts home's digits, gathers every processor's histogram,
+// scatters home into the send array by digit, sends each destination
+// its slice of that array, and scatters the received runs back into
+// home by digit. The send array is free again once the next pass's
+// histogram exchange is done, because every peer unpacks before it
+// publishes its histogram.
+func RadixBody[E element.Elem](pr *spmd.ProcOf[E]) {
+	P, home := pr.P(), pr.Data
+	n := len(home)
 	w := float64(pr.Words())
 	passes := localsort.RadixPassesOf[E]()
+	s := stateOf(pr)
+	s.spare = grow(s.spare, n)
+	s.hist = grow(s.hist, radixSize)
+	send := s.spare
 	// Float elements run the whole sort in order-image space (a
 	// bijective, order-preserving bit transform): every counting pass is
 	// then a native integer loop and the images travel the exchanges
 	// unchanged. Integer and record elements are their own images.
-	element.ToImages(pr.Data)
-	scratch := make([]E, n)
+	element.ToImages(home)
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * radixBits)
 
-		// Local stable counting sort by this pass's digit; afterwards
-		// the local keys are in (digit, previous order) order, which is
-		// global-rank order within each digit.
-		var hist [radixSize]uint32
-		countScatter(pr.Data, scratch, shift, &hist)
-		pr.Data, scratch = scratch, pr.Data
+		// Counts travel as elements through their order images
+		// (lossless: they are far below any key width).
+		digitPass(home, nil, shift, &s.send)
+		for d := range s.hist {
+			s.hist[d] = element.FromBits[E](uint64(s.send[d]), 0)
+		}
 		pr.ChargeCompute(pr.Costs().RadixPass * float64(n) * w)
+		hists := pr.AllGather(s.hist)
 
-		// Exchange histograms so every processor can compute global
-		// ranks: senderStart[p][d] is the global rank of processor p's
-		// first digit-d key. Counts travel as elements through their
-		// order images (lossless: they are far below any key width).
-		mine := make([]E, radixSize)
-		for d, c := range hist {
-			mine[d] = element.FromBits[E](uint64(c), 0)
-		}
-		histIn := pr.AllGather(mine)
-
-		senderStart := make([][]int, P)
-		for p := range senderStart {
-			senderStart[p] = make([]int, radixSize)
-		}
-		counts := make([][]int, P)
-		for p := range counts {
-			counts[p] = make([]int, radixSize)
-			for d, v := range histIn[p] {
-				counts[p][d] = int(element.Bits(v))
+		// Global rank orders keys by (digit, processor, local order), so
+		// my digit-d keys hold the ranks from start, and each
+		// destination's keys are one slice of the digit-sorted send
+		// array, cut where a rank boundary q*n falls. Digit d's first
+		// rank in my range is where its received keys start in home.
+		msgs := pr.Outbox()
+		q, lo := 0, 0
+		total, sent, base := 0, 0, pr.ID*n
+		for d := range s.send {
+			below, all := 0, 0
+			for p, h := range hists {
+				c := int(element.Bits(h[d]))
+				if p < pr.ID {
+					below += c
+				}
+				all += c
 			}
-		}
-		running := 0
-		for d := 0; d < radixSize; d++ {
-			for p := 0; p < P; p++ {
-				senderStart[p][d] = running
-				running += counts[p][d]
+			mine, start := s.send[d], total+below
+			for q < P-1 && (q+1)*n < start+mine {
+				cut := sent + max((q+1)*n-start, 0)
+				msgs[q] = send[lo:cut:cut]
+				q, lo = q+1, cut
 			}
+			s.send[d] = sent
+			s.home[d] = min(max(total-base, 0), n)
+			sent += mine
+			total += all
 		}
+		msgs[q] = send[lo:n:n]
 		pr.ChargeCompute(pr.Costs().RadixPass * float64(radixSize*P) / 4)
 
-		// Route: my digit-d keys occupy global ranks
-		// [senderStart[me][d], +hist[d]); walking my digit-sorted keys
-		// assigns consecutive ranks per digit, so per-destination
-		// messages come out in (digit, rank) order automatically.
-		msgs := make([][]E, P)
-		d := 0
-		remaining := int(hist[0])
-		rank := senderStart[pr.ID][0]
-		for _, k := range pr.Data {
-			for remaining == 0 {
-				d++
-				remaining = int(hist[d])
-				rank = senderStart[pr.ID][d]
-			}
-			q := rank / n
-			msgs[q] = append(msgs[q], k)
-			rank++
-			remaining--
-		}
+		digitPass(home, send, shift, &s.send)
 		if pr.Long() {
 			pr.ChargeCompute(pr.Costs().Pack * float64(n) * w)
 		}
 		in := pr.Exchange(msgs)
 
-		// Unpack: sender p's digit-d keys destined to me occupy the
-		// contiguous rank range [senderStart[p][d], +count) clipped to
-		// my segment, and p's message lists them in (digit, rank) order.
-		next := pr.Data[:n]
-		base := pr.ID * n
-		for p := 0; p < P; p++ {
-			msg := in[p]
-			idx := 0
-			for d := 0; d < radixSize && idx < len(msg); d++ {
-				cnt := counts[p][d]
-				if cnt == 0 {
-					continue
-				}
-				lo, hi := senderStart[p][d], senderStart[p][d]+cnt
-				if hi <= base || lo >= base+n {
-					continue
-				}
-				from, to := max(lo, base), min(hi, base+n)
-				for r := from; r < to; r++ {
-					next[r-base] = msg[idx]
-					idx++
-				}
-			}
-			if idx != len(msg) {
-				panic("psort: radix unpack consumed wrong message length")
-			}
+		// Sender p's keys follow those of lower senders within a digit,
+		// so scattering the runs in sender order is stable.
+		got := 0
+		for _, msg := range in {
+			got += len(msg)
 		}
-		pr.Data = next
-		scratch = scratch[:n]
+		if got != n {
+			panic(fmt.Sprintf("psort: radix pass delivered %d keys to processor %d, want %d", got, pr.ID, n))
+		}
+		for _, msg := range in {
+			digitPass(msg, home, shift, &s.home)
+		}
 		if pr.Long() {
 			pr.ChargeCompute(pr.Costs().Unpack * float64(n) * w)
 		}
 	}
-	element.FromImages(pr.Data)
+	element.FromImages(home)
 }
 
-// countScatter performs one stable counting pass: it fills hist with
-// the digit histogram of src at the given shift and scatters src into
-// dst in digit order. It dispatches once on the element kind to one
-// body over the elements' order images: float elements, already in
-// image form, move as integers of their width.
-func countScatter[E element.Elem](src, dst []E, shift uint, hist *[radixSize]uint32) {
+// digitPass is the counting kernel of a radix pass over the digit of
+// src's order images at shift. With dst nil it sets offs to the digit
+// histogram of src; otherwise it scatters src into dst by digit, each
+// key to its digit's offset, advancing that offset. It dispatches once
+// on the element kind: float elements, already in image form, move as
+// integers of their width.
+func digitPass[E element.Elem](src, dst []E, shift uint, offs *[radixSize]int) {
 	switch any(*new(E)).(type) {
 	case uint32, float32:
-		countScatterOf[uint32, uint32](element.Cast[uint32](src), element.Cast[uint32](dst), shift, hist)
+		digitPassOf[uint32, uint32](element.Cast[uint32](src), element.Cast[uint32](dst), shift, offs)
 	case uint64, float64:
-		countScatterOf[uint64, uint64](element.Cast[uint64](src), element.Cast[uint64](dst), shift, hist)
+		digitPassOf[uint64, uint64](element.Cast[uint64](src), element.Cast[uint64](dst), shift, offs)
 	case element.KV64:
-		countScatterOf[E, uint64](src, dst, shift, hist)
+		digitPassOf[E, uint64](src, dst, shift, offs)
 	}
 }
 
-func countScatterOf[S element.Elem, K element.Uint](src, dst []S, shift uint, hist *[radixSize]uint32) {
-	for i := range src {
-		hist[(element.KeyOf[K](&src[i])>>shift)&radixMask]++
-	}
-	var offs [radixSize]int
-	sum := 0
-	for d := 0; d < radixSize; d++ {
-		offs[d] = sum
-		sum += int(hist[d])
+func digitPassOf[S element.Elem, K element.Uint](src, dst []S, shift uint, offs *[radixSize]int) {
+	if dst == nil {
+		clear(offs[:])
+		for i := range src {
+			offs[(element.KeyOf[K](&src[i])>>shift)&radixMask]++
+		}
+		return
 	}
 	for i := range src {
 		p := &src[i]

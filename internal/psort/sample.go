@@ -1,8 +1,10 @@
 package psort
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parbitonic/element"
@@ -46,7 +48,7 @@ func SampleSortContext[E element.Elem](ctx context.Context, m spmd.BackendOf[E],
 			return SampleSortResult{}, fmt.Errorf("psort: ragged data at processor %d", i)
 		}
 	}
-	res, err := m.RunContext(ctx, data, func(pr *spmd.ProcOf[E]) { sampleBody(pr, n) })
+	res, err := m.RunContext(ctx, data, SampleBody[E])
 	if err != nil {
 		return SampleSortResult{}, err
 	}
@@ -59,36 +61,40 @@ func SampleSortContext[E element.Elem](ctx context.Context, m spmd.BackendOf[E],
 	return out, nil
 }
 
-func sampleBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
+// SampleBody is SampleSort's SPMD body, for a run in which every
+// processor holds the same number of keys; an engine that sorts
+// repeatedly binds it once, since a generic function value allocates.
+// It sorts home, the processor's share, with the spare as the
+// radix scratch, sends slices of home, and merges what it receives into
+// the spare, grown to the largest share received.
+func SampleBody[E element.Elem](pr *spmd.ProcOf[E]) {
+	n := len(pr.Data)
 	P := pr.P()
-	if P == 1 {
-		localsort.RadixSort(pr.Data)
-		pr.ChargeRadixSort(n)
-		return
-	}
+	s := stateOf(pr)
+	home := pr.Data
 
 	// Phase 1: local sort.
-	localsort.RadixSort(pr.Data)
+	s.spare = grow(s.spare, n)
+	localsort.RadixSortTo(home, s.spare, false)
 	pr.ChargeRadixSort(n)
+	if P == 1 {
+		return
+	}
 
 	// Phase 2: every processor contributes P-1 evenly spaced samples;
 	// an all-gather gives everyone the full P(P-1) sample set, from
 	// which each processor deterministically derives the same P-1
-	// splitters — no separate broadcast step needed.
-	samples := make([]E, 0, P-1)
-	for i := 1; i < P; i++ {
-		samples = append(samples, pr.Data[i*n/P])
+	// splitters, every (P-1)th sample — no separate broadcast step
+	// needed.
+	s.samples = grow(s.samples, (P+1)*(P-1))
+	mine, all := s.samples[:P-1], s.samples[P-1:]
+	for i := range mine {
+		mine[i] = home[(i+1)*n/P]
 	}
-	gathered := pr.AllGather(samples)
-	all := make([]E, 0, P*(P-1))
-	for _, s := range gathered {
-		all = append(all, s...)
+	for src, got := range pr.AllGather(mine) {
+		copy(all[src*(P-1):], got)
 	}
-	sort.Slice(all, func(i, j int) bool { return element.Less(all[i], all[j]) })
-	splitters := make([]E, P-1)
-	for i := 1; i < P; i++ {
-		splitters[i-1] = all[i*(P-1)]
-	}
+	slices.SortFunc(all, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
 	pr.ChargeCompute(pr.Costs().Merge * float64(len(all)))
 
 	// Phase 3: partition the sorted local keys by the splitters (binary
@@ -96,19 +102,16 @@ func sampleBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
 	// duplicates of one value all land on one processor — the
 	// low-entropy hazard of §5.5. (For records "equal" means equal
 	// keys: all payloads of one key value land together.)
-	bounds := make([]int, P+1)
-	bounds[P] = n
-	for i, s := range splitters {
-		bounds[i+1] = sort.Search(n, func(j int) bool { return element.Less(s, pr.Data[j]) })
-	}
-	for i := 1; i < P; i++ { // bounds must be monotone even with duplicate splitters
-		if bounds[i] < bounds[i-1] {
-			bounds[i] = bounds[i-1]
+	msgs := pr.Outbox()
+	lo := 0
+	for q := range msgs {
+		hi := n
+		if q < P-1 {
+			sp := all[(q+1)*(P-1)]
+			hi = max(lo, sort.Search(n, func(j int) bool { return element.Less(sp, home[j]) }))
 		}
-	}
-	msgs := make([][]E, P)
-	for q := 0; q < P; q++ {
-		msgs[q] = pr.Data[bounds[q]:bounds[q+1]]
+		msgs[q] = home[lo:hi:hi]
+		lo = hi
 	}
 	if pr.Long() {
 		pr.ChargeCompute(pr.Costs().Pack * float64(n*pr.Words()))
@@ -117,16 +120,19 @@ func sampleBody[E element.Elem](pr *spmd.ProcOf[E], n int) {
 
 	// Phase 4: p-way merge of the received runs (each already sorted
 	// ascending). The merge replaces a separate unpack pass — the §4.3
-	// fusion applied to sample sort, as [AISS95] does.
-	runs := make([]localsort.RunOf[E], 0, P)
+	// fusion applied to sample sort, as [AISS95] does. The runs are
+	// views of the senders' homes, so the table is cleared after it.
+	runs := s.runs[:0]
 	total := 0
 	for _, msg := range in {
 		runs = append(runs, localsort.RunOf[E]{Keys: msg})
 		total += len(msg)
 	}
-	merged := make([]E, total)
-	localsort.MergeRuns(merged, runs)
-	pr.Data = merged
+	s.spare = grow(s.spare, total)
+	localsort.MergeRuns(s.spare, runs)
+	clear(runs)
+	s.runs = runs
+	pr.Data = s.spare
 	pr.ChargeMerge(total)
 	pr.Barrier()
 }

@@ -107,7 +107,7 @@ type ProcOf[E element.Elem] struct {
 	Scratch any
 
 	e    *EngineOf[E]
-	outs [][]E // destination-table scratch for PairExchange and packed rounds
+	outs [][]E // the Outbox: destination table, cleared by every Exchange
 	srcs [][]E // gather-source scratch, reused across remap rounds
 	in   [][]E // received-message table, rewritten by every Exchange
 }
@@ -201,9 +201,9 @@ func abortEvent(cause error) obs.Event {
 
 // recoverState repairs the engine after an aborted run — the barrier is
 // un-poisoned, the exchange board drained of any half-published
-// deliveries, and every processor's destination-table scratch cleared
-// (an abort between pack and clearOuts leaves stale out-slices that
-// the NEXT run's exchange would deliver as phantom messages), along
+// deliveries, and every processor's Outbox cleared (an abort between
+// filling it and its Exchange leaves stale out-slices that the NEXT
+// run's exchange would deliver as phantom messages), along
 // with its received-message table, which may still reach a peer's view
 // of the caller's keys — so the engine is immediately reusable.
 func (e *EngineOf[E]) recoverState() {
@@ -214,7 +214,7 @@ func (e *EngineOf[E]) recoverState() {
 		}
 	}
 	for _, p := range e.procs {
-		p.clearOuts()
+		clear(p.outs)
 		clear(p.in)
 	}
 	e.aborting.Store(false)
@@ -489,18 +489,14 @@ func (p *ProcOf[E]) CorruptKey(i int) {
 	p.Data[i] = element.FromBits[E](bits, element.Aux(v))
 }
 
-// outScratch returns the per-processor destination-slice table (all
-// entries nil). Callers must nil the entries they set once the round's
-// exchange has completed; clearOuts does that.
-func (p *ProcOf[E]) outScratch() [][]E {
+// Outbox returns the processor's destination table, one entry per
+// processor, all nil: a body sets out[q] to the message for q and
+// passes the table to Exchange, which clears it. Messages and
+// PairExchange fill the same table, and an aborted run's entries are
+// cleared before the engine runs again.
+func (p *ProcOf[E]) Outbox() [][]E {
 	if p.outs == nil {
 		p.outs = make([][]E, p.e.p)
 	}
 	return p.outs
-}
-
-func (p *ProcOf[E]) clearOuts() {
-	for i := range p.outs {
-		p.outs[i] = nil
-	}
 }

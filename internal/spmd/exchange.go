@@ -13,9 +13,11 @@ import (
 // position p.ID). Only slice headers cross the board — the handoff is
 // zero-copy; receivers read the sender's backing array directly.
 // Transfer time is charged per the backend's policy and all clocks
-// synchronize afterwards. The returned table is the processor's own
-// scratch: it is rewritten by this processor's next Exchange, so
-// consume it (or copy the headers out) before the next round.
+// synchronize afterwards. out is cleared once published, so a body
+// that fills its Outbox leaves no message header behind. The returned
+// table is the processor's own scratch: it is rewritten by this
+// processor's next Exchange, so consume it (or copy the headers out)
+// before the next round.
 func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 	p.checkAbort()
 	p.tag(obs.PhaseTransfer)
@@ -31,6 +33,7 @@ func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 			msgs++
 		}
 	}
+	clear(out)
 	p.Stats.VolumeSent += vol
 	p.Stats.MessagesSent += msgs
 	e.bar.maxClock(&p.PC) // publish sends
@@ -56,11 +59,19 @@ func (p *ProcOf[E]) PairExchange(partner int, out []E) []E {
 	if partner < 0 || partner >= p.e.p || partner == p.ID {
 		panic(fmt.Sprintf("spmd: bad partner %d for processor %d", partner, p.ID))
 	}
-	outs := p.outScratch()
+	outs := p.Outbox()
 	outs[partner] = out
-	in := p.Exchange(outs)[partner]
-	p.clearOuts()
-	return in
+	return p.Exchange(outs)[partner]
+}
+
+// AllGather sends mine to every processor and returns all
+// contributions indexed by source (the local contribution included).
+func (p *ProcOf[E]) AllGather(mine []E) [][]E {
+	outs := p.Outbox()
+	for q := range outs {
+		outs[q] = mine
+	}
+	return p.Exchange(outs)
 }
 
 // planDests returns this processor's destination group under the
@@ -111,7 +122,6 @@ func (p *ProcOf[E]) ExchangeRuns(plan *addr.RemapPlan, out [][]E) [][]E {
 		}
 	}
 	in := p.Exchange(out)
-	clear(out)
 	p.Data = nil
 	p.Stats.Remaps++
 	return in
@@ -121,7 +131,7 @@ func (p *ProcOf[E]) ExchangeRuns(plan *addr.RemapPlan, out [][]E) [][]E {
 // the plan, one plan.MsgLen segment per destination in group order, in
 // the per-processor table that ExchangeRuns takes and clears.
 func (p *ProcOf[E]) Messages(plan *addr.RemapPlan, arr []E) [][]E {
-	out := p.outScratch()
+	out := p.Outbox()
 	m := plan.MsgLen
 	for g, q := range p.planDests(plan) {
 		out[q] = arr[g*m : (g+1)*m : (g+1)*m]

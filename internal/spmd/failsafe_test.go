@@ -183,8 +183,8 @@ func TestCtxErrorMapping(t *testing.T) {
 }
 
 // TestNoStaleOutsAfterAbort pins the scratch-recovery contract behind
-// engine pooling: a run that dies between pack (outScratch entries
-// set) and clearOuts must not leak those out-slices into the NEXT
+// engine pooling: a run that dies between pack (Outbox entries set)
+// and its Exchange must not leak those out-slices into the NEXT
 // run's exchange as phantom messages. Regression test for a bug found
 // by chaos-testing pooled engines: a crash fault at remap round >= 1
 // poisoned every later run on the engine with "lost keys across a
@@ -193,9 +193,9 @@ func TestNoStaleOutsAfterAbort(t *testing.T) {
 	e := mustEngine(t, EngineConfig{P: 2, Charge: nopCharger{}})
 
 	// Run 1: both processors stage outgoing messages in the pooled
-	// scratch the way pack does, then die before any clearOuts.
+	// Outbox the way pack does, then die before exchanging.
 	err := runWithWatchdog(t, 2*time.Second, e, context.Background(), func(p *Proc) {
-		out := p.outScratch()
+		out := p.Outbox()
 		out[1-p.ID] = []uint32{0xBAD, 0xBAD}
 		panic("mid-pack death")
 	})
@@ -207,13 +207,12 @@ func TestNoStaleOutsAfterAbort(t *testing.T) {
 	// Run 2: a clean exchange where nobody sends anything. Any stale
 	// scratch entry from run 1 would surface as a phantom delivery.
 	_, err = e.RunContext(context.Background(), nil, func(p *Proc) {
-		in := p.Exchange(p.outScratch())
+		in := p.Exchange(p.Outbox())
 		for src, msg := range in {
 			if src != p.ID && len(msg) > 0 {
 				panic("phantom message from an aborted run's scratch")
 			}
 		}
-		p.clearOuts()
 	})
 	if err != nil {
 		t.Fatalf("second run: %v", err)

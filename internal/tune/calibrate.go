@@ -153,7 +153,7 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	if err != nil {
 		return KernelCosts{}, err
 	}
-	round, err := radixRound(ctx, reps, base)
+	round, procs, err := radixRound(ctx, reps, base)
 	if err != nil {
 		return KernelCosts{}, err
 	}
@@ -163,7 +163,7 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 		MergeNS:      merge / float64(n),
 		CompareNS:    compare / float64(n),
 		CopyNS:       cp / float64(n),
-		RadixRoundNS: round / float64(n) / float64(passes),
+		RadixRoundNS: round / float64(n/procs) / float64(passes),
 	}
 	// Clock-resolution floor: a pass can measure as ~0 on very fast
 	// hosts with quick sizes; a zero cost would make the planner treat
@@ -188,20 +188,26 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 }
 
 // radixRound times the parallel radix sort's own body, all of its
-// digit rounds, on a one-processor native engine: each round's
-// counting pass, route by global rank and unpack run as psort runs
-// them, with no peer to exchange with. It returns the trimmed mean in
-// nanoseconds per sort of base.
-func radixRound[E element.Elem](ctx context.Context, reps int, base []E) (float64, error) {
-	eng, err := native.NewOf[E](native.Config{P: 1})
+// digit rounds, on a native engine of syncProcs processors that share
+// base: each round's digit count, histogram exchange, scatter into the
+// send array, key exchange and scatter back home run as a parallel
+// plan runs them, peers' reads and barrier waits included (a round at
+// P=2 measured 1.3× one at P=1 on a 2-vCPU host). It returns the
+// trimmed mean in nanoseconds per sort of base and the processor count.
+func radixRound[E element.Elem](ctx context.Context, reps int, base []E) (float64, int, error) {
+	procs := syncProcs()
+	eng, err := native.NewOf[E](native.Config{P: procs})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer eng.Close()
-	var data [][]E
+	data := make([][]E, procs)
+	share := len(base) / procs
 	var runErr error
 	ns, err := measure(ctx, reps, func() {
-		data = [][]E{append([]E(nil), base...)}
+		for q := range data {
+			data[q] = append(data[q][:0], base[q*share:(q+1)*share]...)
+		}
 	}, func() {
 		if _, err := psort.RadixSortContext(ctx, eng, data); err != nil && runErr == nil {
 			runErr = err
@@ -210,7 +216,7 @@ func radixRound[E element.Elem](ctx context.Context, reps int, base []E) (float6
 	if err == nil {
 		err = runErr
 	}
-	return ns, err
+	return ns, procs, err
 }
 
 // measure times fn reps times (plus one warmup), running setup

@@ -335,8 +335,8 @@ func (pl *Planner) candidates(prof *Profile, cs costSet, backend Backend, totalK
 
 	// Parallel radix sort ([AISS95]): one counting pass plus one
 	// all-to-all scatter per digit. A native digit round is measured
-	// whole — counting pass, route by global rank, unpack — since its
-	// routing costs far more than a copy.
+	// whole — digit count, scatter into the send array, exchanges,
+	// scatter back home — since its scatters cost far more than a copy.
 	rm := logp.Metrics{R: cs.passes, V: cs.passes * n, M: cs.passes * (p - 1)}
 	computeRadix := radixAll + (cs.pack+cs.unpack)*float64(rm.V)*cf
 	if backend == BackendNative {

@@ -70,7 +70,15 @@ const ProfileSchema = "parbitonic-profile"
 // halved the calibrated merge_ns (u32 4.9–5.1 → 2.1–2.4 ns on a 2-vCPU
 // x86-64 host); version-4 profiles would price merges about 2× too
 // high.
-const ProfileVersion = 5
+//
+// Version 6: the parallel radix sort's digit round scatters into a
+// persistent send array and unpacks with one counting scatter, which
+// made it about 2.3× cheaper (u32 15.5–23.7 → 8.1–9.7 ns on one
+// processor of a 2-vCPU x86-64 host), and radix_round_ns is timed on
+// the sync_procs engine, where a round also reads its peers' arrays
+// and waits at its barriers (u32 10.3–12.1 ns at P=2); version-5
+// profiles would overprice radix sort.
+const ProfileVersion = 6
 
 // ErrProfileVersion is wrapped by the error Load and Validate return
 // for a profile written by another format version.
@@ -91,10 +99,11 @@ type KernelCosts struct {
 	// CopyNS is one bulk copy pass, per element — the pack/unpack
 	// analogue of the native exchange path.
 	CopyNS float64 `json:"copy_ns"`
-	// RadixRoundNS is one digit round of the parallel radix sort on
-	// one processor — counting pass, route by global rank, unpack —
-	// per element (psort.RadixSort on a one-processor native engine,
-	// per pass).
+	// RadixRoundNS is one digit round of the parallel radix sort —
+	// digit count, histogram exchange, scatter into the send array, key
+	// exchange, scatter of the received runs back home — per element of
+	// a processor's share (psort.RadixSort on the native engine of
+	// SyncProcs processors, per pass).
 	RadixRoundNS float64 `json:"radix_round_ns"`
 }
 
@@ -213,11 +222,14 @@ func (p *Profile) KernelsFor(t element.Type) KernelCosts {
 // BarrierNS is an empty P=2 barrier round trip and RunNS a P=2
 // sample sort of four keys on a 2-vCPU x86-64 host (469–749 ns over
 // ten calibrations, 8.3–16.8 µs over five, go1.24), rounded;
-// RadixRoundNS keeps the 2.3x ratio to RadixPassNS measured there, and
-// MergeNS is u32 MergeTwo on that host (2.07–2.37 ns over five
-// calibrations), rounded.
-// Like
-// spmd.DefaultCosts for the simulator, these are fallbacks, not
+// RadixRoundNS keeps the measured cost of a P=2 radix plan relative
+// to the sample-sort plan (u32 1.01–1.17×, kv64 1.34–1.55× over five
+// calibrations there): against the fallback's own sample-sort terms
+// that is 2.64–2.74 ns × width (u32, u64 and kv64 medians), rounded.
+// The round is only 1.1–1.3× a u32 radix pass on that host, but the
+// fallback radix pass sits about 6× below the host's, so that ratio
+// would rank radix sort ahead of the faster sample sort. MergeNS is u32 MergeTwo on that host (2.07–2.37 ns over five
+// calibrations), rounded. Like spmd.DefaultCosts for the simulator, these are fallbacks, not
 // measurements of your machine — run the calibrator (bitonic-sort
 // -calibrate) for host-accurate planning.
 func Fallback() *Profile {
@@ -227,7 +239,7 @@ func Fallback() *Profile {
 			MergeNS:      2.2 * w,
 			CompareNS:    1.6 * w,
 			CopyNS:       0.35 * w,
-			RadixRoundNS: 3.2 * w,
+			RadixRoundNS: 2.7 * w,
 		}
 	}
 	return &Profile{

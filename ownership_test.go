@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"parbitonic/element"
@@ -46,6 +47,28 @@ func assertReleased[E element.Elem](t *testing.T, e *EngineOf[E], keys []E) {
 	}
 }
 
+// finalized sets a finalizer on keys' array, which must be a fresh
+// allocation, and returns a probe that collects garbage until the
+// finalizer has run. The probe reports false if the array stayed
+// reachable; call it once the test holds no reference to keys, while
+// the engine under test is still alive, so a table anywhere in the
+// engine or its bodies that still reaches the array fails it.
+func finalized[E any](keys []E) func() bool {
+	done := make(chan struct{})
+	runtime.SetFinalizer(&keys[0], func(*E) { close(done) })
+	return func() bool {
+		for range 20 {
+			runtime.GC()
+			select {
+			case <-done:
+				return true
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		return false
+	}
+}
+
 // sortAndCheck sorts keys on e and fails unless the result is the
 // sorted input and e released keys.
 func sortAndCheck[E element.Elem](t *testing.T, e *EngineOf[E], keys []E) {
@@ -69,16 +92,17 @@ func TestEngineOwnership(t *testing.T) {
 }
 
 // testOwnership sorts A, keeps a copy of the result, sorts B on the
-// same engine and checks A did not change. The default native shape
-// runs at P = 2, 4 and 8 and at shares of 2^12 and 2^18 keys (both
-// FullSort shapes; the larger one reaches the hybrid radix). The other
+// same engine and checks A did not change and B's array is collectable
+// with the engine alive. The default native shape runs at P = 2, 4 and
+// 8 and at shares of 2^12 and 2^18 keys (both FullSort shapes; the
+// larger one reaches the hybrid radix). The other
 // shapes run once each: the native baselines at P=4 (Remap with
 // strided merges, and pair exchanges over three rotating arrays),
 // native smart at P=8 with 16 keys a processor (the optimized phases
 // over Remap), simulated smart with step simulation, and the psort
 // comparators. A last case sorts A on an engine whose run is
 // corrupted, so verification fails with the result already in A; B
-// then sorts correctly and A still does not change.
+// then sorts correctly, A still does not change and B is collectable.
 func testOwnership[E element.Elem](t *testing.T) {
 	ty := element.TypeOf[E]()
 	check := func(t *testing.T, cfg Config, keys int) {
@@ -90,9 +114,14 @@ func testOwnership[E element.Elem](t *testing.T) {
 		a := workload.Elems[E](workload.FullRange, keys, 11)
 		sortAndCheck(t, e, a)
 		kept := slices.Clone(a)
-		sortAndCheck(t, e, workload.Elems[E](workload.FullRange, keys, 12))
+		b := workload.Elems[E](workload.FullRange, keys, 12)
+		freed := finalized(b)
+		sortAndCheck(t, e, b)
 		if !slices.Equal(a, kept) {
 			t.Fatal("sorting B on the engine changed A")
+		}
+		if !freed() {
+			t.Fatal("after Sort returned, the engine keeps B's array reachable")
 		}
 	}
 	for _, p := range []int{2, 4, 8} {
@@ -133,9 +162,14 @@ func testOwnership[E element.Elem](t *testing.T) {
 		}
 		assertReleased(t, e, a)
 		kept := slices.Clone(a)
-		sortAndCheck(t, e, workload.Elems[E](workload.FullRange, 4<<12, 14))
+		b := workload.Elems[E](workload.FullRange, 4<<12, 14)
+		freed := finalized(b)
+		sortAndCheck(t, e, b)
 		if !slices.Equal(a, kept) {
 			t.Fatal("sorting B on the engine changed the failed run's A")
+		}
+		if !freed() {
+			t.Fatal("after Sort returned, the engine keeps B's array reachable")
 		}
 	})
 }
@@ -164,13 +198,17 @@ func (c *cancelAt) Compute(p *spmd.PC, t float64) {
 }
 
 // TestInPlaceCancelThenReuse cancels sorts of 2^20 keys after each of
-// processor 0's local compute phases. Smart P=2 (FullSort) has three
+// processor 0's local compute charges. Smart P=2 (FullSort) has three
 // rounds: the radix sort, the first merge and the final merge into the
-// caller's slice. Blocked-merge P=4 has six phases, three radix sorts
-// and three compare-splits, over pair exchanges that rotate the home
-// array and two spares. Each canceled sort returns ErrCanceled and
-// releases its keys, and the next sort on the same engine is correct
-// and leaves the canceled input alone.
+// caller's slice; smart P=4 has one more merge. Blocked-merge P=4 has
+// six phases, three radix sorts and three compare-splits, over pair
+// exchanges that rotate the home array and two spares. Radix sort
+// charges four times in each of its three u32 digit passes (count,
+// ranks, pack, unpack) and sample sort four times (local sort,
+// splitters, pack, merge). Each canceled sort returns ErrCanceled and
+// releases its keys, the next sort on the same engine is correct and
+// leaves the canceled input alone, and the keys of a last canceled
+// sort are collectable while the engine lives.
 func TestInPlaceCancelThenReuse(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -178,7 +216,10 @@ func TestInPlaceCancelThenReuse(t *testing.T) {
 		phases int
 	}{
 		{"round", Config{Processors: 2, Backend: Native}, 3},
+		{"smart/P=4/round", Config{Processors: 4, Backend: Native}, 4},
 		{"blocked-merge/P=4/phase", Config{Processors: 4, Algorithm: BlockedMergeBitonic, Backend: Native}, 6},
+		{"radix/P=4/charge", Config{Processors: 4, Algorithm: RadixSort, Backend: Native}, 12},
+		{"sample/P=4/charge", Config{Processors: 4, Algorithm: SampleSort, Backend: Native}, 4},
 	} {
 		for at := 0; at < c.phases; at++ {
 			t.Run(fmt.Sprintf("%s=%d", c.name, at), func(t *testing.T) {
@@ -189,8 +230,9 @@ func TestInPlaceCancelThenReuse(t *testing.T) {
 }
 
 // cancelAfter runs one TestInPlaceCancelThenReuse case: a warm sort,
-// a sort canceled at processor 0's compute charge at, and a sort that
-// must leave the canceled input alone.
+// a sort canceled at processor 0's compute charge at, a sort that must
+// leave the canceled input alone, and a second canceled sort whose
+// keys must be collectable once the test drops them.
 func cancelAfter(t *testing.T, cfg Config, at int) {
 	c := &cancelAt{at: at}
 	cfg.WrapCharger = func(inner spmd.Charger) spmd.Charger {
@@ -204,20 +246,35 @@ func cancelAfter(t *testing.T, cfg Config, at int) {
 	defer e.Close()
 	sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 21))
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c.cancel.Store(&cancel)
 	a := workload.Elems[uint32](workload.FullRange, 1<<20, 22)
-	if _, err := e.SortContext(ctx, a); !errors.Is(err, spmd.ErrCanceled) {
-		t.Fatalf("canceled sort returned %v, want ErrCanceled", err)
-	}
-	if c.cancel.Load() != nil {
-		t.Fatalf("processor 0 made fewer than %d compute charges", at+1)
-	}
+	cancelSort(t, e, c, a)
 	assertReleased(t, e, a)
 	kept := slices.Clone(a)
 	sortAndCheck(t, e, workload.Elems[uint32](workload.FullRange, 1<<20, 23))
 	if !slices.Equal(a, kept) {
 		t.Fatal("the sort after the cancel changed the canceled input")
+	}
+
+	b := workload.Elems[uint32](workload.FullRange, 1<<20, 24)
+	freed := finalized(b)
+	cancelSort(t, e, c, b)
+	if !freed() {
+		t.Fatal("after a canceled Sort, the engine keeps its keys reachable")
+	}
+}
+
+// cancelSort sorts keys on e with c armed and fails unless the sort is
+// canceled at c's charge.
+func cancelSort(t *testing.T, e *Engine, c *cancelAt, keys []uint32) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.seen = 0
+	c.cancel.Store(&cancel)
+	if _, err := e.SortContext(ctx, keys); !errors.Is(err, spmd.ErrCanceled) {
+		t.Fatalf("canceled sort returned %v, want ErrCanceled", err)
+	}
+	if c.cancel.Load() != nil {
+		t.Fatalf("processor 0 made fewer than %d compute charges", c.at+1)
 	}
 }
