@@ -103,6 +103,27 @@ func (p *RemapPlan) PackWalk(proc int, desc bool) Walk {
 // steps that keep the destination and add one to the offset.
 func (p *RemapPlan) PackSegment() int { return 1 << uint(p.segLg) }
 
+// Deal reports whether the plan packs as a segment deal, and its shape:
+// old local address l goes to group member (l>>segLg) & (2^fanLg-1), in
+// Dests order, at pack offset ((l >> (segLg+fanLg)) << segLg) |
+// (l & (2^segLg-1)). That holds when the destination's local bits are
+// the fanLg address bits above the pack segment, in order, and the
+// offset keeps every other address bit in order. A deal needs no walk:
+// a contiguous run of addresses lands in fixed strides of its messages.
+func (p *RemapPlan) Deal() (segLg, fanLg int, ok bool) {
+	for i, m := range p.destFromL {
+		if m.from != p.segLg+i {
+			return 0, 0, false
+		}
+	}
+	for j := 1; j < len(p.offFromL); j++ {
+		if p.offFromL[j].from < p.offFromL[j-1].from {
+			return 0, 0, false
+		}
+	}
+	return p.segLg, p.Changed, true
+}
+
 // PackSegWalk is PackWalk over pack segments instead of addresses: it
 // walks processor proc's segments from the lowest upwards, or from the
 // highest downwards when desc, and A is the segment's destination and

@@ -106,32 +106,39 @@ func dirAfterRemap(sched []schedule.Remap, lgn, i, q int) bool {
 //   - packing for the next remap is the merge's emission pass, so no
 //     separate pack or unpack pass exists (§4.3, Figure 4.8).
 func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn, lgP int) {
-	// After the ascending local sort (the round-0 pack walks descending
-	// processors from the top), every phase is ONE pass: a p-way merge
-	// of the received runs that writes straight into the next remap's
-	// messages (merge = unpack + sort + pack, the thesis's first Ch. 7
+	// Round 0 is a radix sort that lands its keys already packed for
+	// the first remap, a segment deal (§4.3 fuses packing into the local
+	// sort). After it, every phase is ONE pass: a p-way merge of the
+	// received runs that writes straight into the next remap's messages
+	// (merge = unpack + sort + pack, the thesis's first Ch. 7
 	// refinement); the final one writes home, the array the run started
-	// on. The run lives in home and one spare: each write after the sort
-	// goes into the array the previous one did not, and the sort lands
-	// where the parity of their count makes the final merge write home.
-	// A round's messages are read only by the merge after their exchange,
-	// which every processor finishes before the next exchange's publish
-	// barrier, so an array is free two rounds after it was written.
+	// on. The run lives in home and one spare: each write goes into the
+	// array the previous one did not, and the sort lands where the
+	// parity of the writes after it makes the final merge write home.
+	// A round's messages are read only by the merge after their
+	// exchange, which every processor finishes before the next
+	// exchange's publish barrier, so an array is free two rounds after
+	// it was written.
 	n := len(pr.Data)
 	home := pr.Data
 	s := stateOf(pr, 1, n)
 	// The run table holds views of the peers' arrays, home among them,
 	// so it is cleared when the run returns or unwinds.
 	defer func() { clear(s.runs[:cap(s.runs)]) }()
-	toSpare := len(sched)%2 == 0 // an odd number of writes follows the sort
-	cur, next := home, s.spares[0]
+	plan := sched[0].Plan
+	if seg, fan, ok := plan.Deal(); !ok || seg != 0 || fan != 1 {
+		panic("core: FullSort's first remap is not the two-way deal its sort lands")
+	}
+	toSpare := len(sched)%2 != 0 // an odd number of merges follows the sort
+	cur, next := s.spares[0], home
 	if toSpare {
 		cur, next = next, cur
 	}
-	localsort.RadixSortTo(home, s.spares[0], toSpare)
+	// The element of ascending rank i sits at local address i, or n-1-i
+	// on a descending processor.
+	localsort.RadixSortDeal(home, s.spares[0], pr.ID%2 != 0, toSpare)
 	pr.ChargeRadixSort(n)
-	pr.Data = cur
-	in := pr.RemapExchangeRuns(sched[0].Plan, pr.ID%2 != 0, next)
+	in := pr.ExchangeRuns(plan, pr.Messages(plan, next))
 	for i, r := range sched {
 		cur, next = next, cur
 		// The usual-regime shape Validate guaranteed: an inside remap,

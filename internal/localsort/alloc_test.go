@@ -18,7 +18,7 @@ import (
 )
 
 // The kernels promise zero steady-state allocations when the caller
-// supplies scratch: count tables are pooled or stack-resident, runs
+// supplies scratch: count tables are stashed, pooled or stack-resident, runs
 // tables live on the stack, the routed merge steps its plan's walk
 // instead of reading a routing table, the ping-pong layouts end in
 // place, and the tiled kernels carve their per-tile scratch out of the
@@ -47,6 +47,17 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 			localsort.RadixSortTo(keys, scratch, toScratch)
 		})
 	}
+	for _, desc := range []bool{false, true} {
+		for _, toScratch := range []bool{false, true} {
+			assertZeroAllocs(t, fmt.Sprintf("RadixSortDeal(desc=%v,toScratch=%v)", desc, toScratch), func() {
+				localsort.RadixSortDeal(keys, scratch, desc, toScratch)
+			})
+		}
+	}
+	small := keys[:256] // the flat 8-bit layout
+	assertZeroAllocs(t, "RadixSortDeal/small", func() {
+		localsort.RadixSortDeal(small, scratch, true, false)
+	})
 	assertZeroAllocs(t, "SortScratch", func() {
 		localsort.SortScratch(keys, false, scratch)
 	})

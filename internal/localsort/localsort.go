@@ -18,6 +18,7 @@
 package localsort
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -95,10 +96,8 @@ func RadixPassesOf[E element.Elem]() int {
 	return RadixPasses * element.KeyBits[E]() / 32
 }
 
-// countPool recycles the large-layout count tables across radix sorts:
-// the KV64 16-bit LSD wants up to 4 passes × 64Ki uint32 entries, and
-// the key hybrid borrows a small prefix for its partition and region
-// tables.
+// countPool recycles the KV64 16-bit LSD's count tables across radix
+// sorts: up to 4 passes × 64Ki uint32 entries.
 var countPool = sync.Pool{
 	New: func() any {
 		b := make([]uint32, 4*radixLargeSize)
@@ -131,12 +130,66 @@ func RadixSort[E element.Elem](keys []E) {
 // RadixSortTo is RadixSort with a caller-owned ping-pong buffer, which
 // a short scratch replaces unless toScratch, landing the result in
 // scratch[:len(keys)] when toScratch, else in keys (the other array is
-// left undefined). The key hybrid lands on either side at no cost; the
-// flat LSD layouts copy once to land in scratch.
+// left undefined). The key hybrid lands in scratch at no cost and in
+// keys through a copy folded into its histogram read; the flat LSD
+// layouts copy once when their pass count lands on the other side.
 func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
+	radixSort(keys, scratch, toScratch, deal{})
+}
+
+// RadixSortDeal is RadixSortTo for the first remap of a FullSort: it
+// sorts keys ascending and lands them already packed for the s=0, c=1
+// segment deal (addr.RemapPlan.Deal) in the landing array, scratch
+// when toScratch, else keys. The element of ascending rank i sits at
+// local address l = i, or n-1-i when desc, and lands at
+// (l&1)·n/2 + l>>1, so half b of the landing array is the message to
+// the deal's group member b. Every layout deals in its last scatter,
+// so the pack takes no pass of its own; len(keys) must be a power of
+// two of at least 2.
+func RadixSortDeal[E element.Elem](keys, scratch []E, desc, toScratch bool) {
+	n := len(keys)
+	if n < 2 || n&(n-1) != 0 {
+		panic("localsort: RadixSortDeal length is not a power of two of at least 2")
+	}
+	d := deal{on: true, hs: uint(bits.TrailingZeros(uint(n)) - 1)}
+	if desc {
+		d.flip = uint32(n - 1)
+	}
+	radixSort(keys, scratch, toScratch, d)
+}
+
+// deal is a radix sort's landing permutation: with on, ascending rank
+// r lands at at(r) (see RadixSortDeal), else at r.
+type deal struct {
+	on   bool
+	flip uint32 // n-1 on a descending processor: rank r sits at address r^flip
+	hs   uint   // lg n - 1: address bit 0 picks the half
+}
+
+// at returns the landing index of ascending rank r.
+func (d deal) at(r uint32) uint32 {
+	l := r ^ d.flip
+	return l>>1 | (l&1)<<d.hs
+}
+
+// landRun lands src, the ranks from lo up, in dst: as one copy to
+// dst[lo:], or dealt.
+func landRun[E any](dst, src []E, lo int, d deal) {
+	if !d.on {
+		copy(dst[lo:lo+len(src)], src)
+		return
+	}
+	r := uint32(lo)
+	for _, v := range src {
+		dst[d.at(r)] = v
+		r++
+	}
+}
+
+func radixSort[E element.Elem](keys, scratch []E, toScratch bool, d deal) {
 	if len(scratch) < len(keys) {
 		if toScratch {
-			panic("localsort: RadixSortTo scratch shorter than keys")
+			panic("localsort: radix sort scratch shorter than keys")
 		}
 		scratch = make([]E, len(keys))
 	}
@@ -152,70 +205,85 @@ func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
 	element.ToImages(keys)
 	switch any(*new(E)).(type) {
 	case uint32, float32:
-		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch), toScratch)
+		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch), toScratch, d)
 	case uint64, float64:
-		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch), toScratch)
+		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch), toScratch, d)
 	case element.KV64:
-		radixUint[E, uint64](keys, scratch, toScratch)
+		radixUint[E, uint64](keys, scratch, toScratch, d)
 	}
 	element.FromImages(dst)
 }
 
 // radixUint sorts keys by their K digits using scratch as the
-// ping-pong buffer, landing in scratch when toScratch: K is the
-// key-only storage itself, or a KV64 record's key. Small inputs run a
-// flat LSD with 8-bit digits and stack tables. Large key-only inputs
-// take the cache-blocked MSD+LSD hybrid; large record inputs a flat
-// LSD with 16-bit digits over pooled tables. Every layout is stable,
-// so the choice is invisible in the output.
-func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
+// ping-pong buffer, landing in scratch when toScratch, by the deal d:
+// K is the key-only storage itself, or a KV64 record's key. Small
+// inputs run a flat LSD with 8-bit digits and stack tables. Large
+// key-only inputs take the cache-blocked MSD+LSD hybrid; large record
+// inputs a flat LSD with 16-bit digits over pooled tables. Every
+// layout is stable, so the choice is invisible in the output.
+func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, d deal) {
 	keyBits := element.KeyBits[S]()
 	switch {
 	case len(keys) < radixLargeMin:
 		var count [(64 / radixSmallBits) * radixSmallSize]uint32
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:])
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:], d)
 	case element.TypeOf[S]() == element.TKV64:
 		cp := countPool.Get().(*[]uint32)
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp)
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp, d)
 		countPool.Put(cp)
 	default:
-		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch)
+		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch, d)
 	}
 }
+
+const (
+	// hybridGrain is the number of regions a hybrid lane claims at a
+	// time. A fixed few dozen shares the finishing work between lanes
+	// whatever the keys' top bits: keys that leave the top bit clear
+	// fill only the lower half of the regions.
+	hybridGrain = 64
+
+	// hybridBounceMax bounds a lane's bounce buffer, in keys. A larger
+	// (oversize) region bounces through its span of an n-key array
+	// instead (see finishOversize).
+	hybridBounceMax = 1 << 16
+)
 
 // radixUintHybrid sorts large key arrays with one MSD partition pass
 // followed by cache-resident LSD finishing. The top hybridTopBits bits
 // scatter every key into its final 2048-aligned region — a few hundred
 // elements each on uniform inputs — and each region is then finished
 // independently by an LSD radix over the remaining low bits whose
-// working set (region, bounce space, count tables) stays in cache.
+// working set (region, bounce buffer, count tables) stays in cache.
 // DRAM sees three sequential sweeps (histogram, partition read,
 // partition write) plus one read+write of cache-warm regions, versus
 // the 2·passes+3 full-array sweeps of the flat layout whose every
-// permute round-trips memory. The finishing passes end where the
-// partition wrote iff their count is even, so that parity and the
-// landing side pick the partition target with no final copy; a target
-// of keys is first mirrored into scratch in the histogram read. Region
-// scatter is stable and the per-region LSD is stable, so
-// the whole is a stable sort like the flat layout it replaces.
-func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool) {
+// permute round-trips memory. The region passes bounce through a
+// per-lane buffer. A plain sort partitions into the landing array and
+// finishes each region in place. A dealing sort partitions into the
+// other array and each region's last scatter deals it into the landing
+// one. A partition into keys first mirrors them into scratch in the
+// histogram read. Region scatter is stable and the per-region LSD is
+// stable, so the whole is a stable sort like the flat layout it
+// replaces.
+func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool, d deal) {
 	topShift := uint(keyBits - hybridTopBits)
-	lowBits := keyBits - hybridTopBits
-	passes := (lowBits + hybridTopBits - 1) / hybridTopBits
-	cp := countPool.Get().(*[]uint32)
-	count := (*cp)[:hybridTopSize]
-	starts := (*cp)[hybridTopSize : 2*hybridTopSize]
-	clear(count)
-	dst, other := keys, scratch
+	h := getTiles[hybridTiles[T], T](&hybridStash)
+	count, starts := &h.count, &h.starts
+	clear(count[:])
+	// The deals scatter over every region's span of land, so a dealing
+	// sort partitions into the other array.
+	land, spare := keys, scratch
 	if toScratch {
-		dst, other = scratch, keys
+		land, spare = scratch, keys
 	}
-	into := dst
-	if passes&1 != 0 {
-		into, other = other, dst
+	part := land
+	if d.on {
+		part, spare = spare, land
 	}
 	from := keys
-	if &into[0] == &keys[0] {
+	if &part[0] == &keys[0] {
+		// Partitioning into keys: mirror them into scratch first.
 		for i, k := range keys {
 			count[int(k>>topShift)]++
 			scratch[i] = k
@@ -226,68 +294,119 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 			count[int(k>>topShift)]++
 		}
 	}
-	sum := uint32(0)
-	for d := range count {
-		c := count[d]
-		count[d] = sum
-		starts[d] = sum
+	sum, big := uint32(0), uint32(0)
+	for r, c := range count {
+		count[r], starts[r] = sum, sum
 		sum += c
+		big = max(big, c)
 	}
 	for _, k := range from {
-		d := int(k >> topShift)
-		into[count[d]] = k
-		count[d]++
+		r := int(k >> topShift)
+		part[count[r]] = k
+		count[r]++
 	}
-	// Regions are disjoint in keys, scratch and the shared (now
-	// read-only) offset tables, so they finish in parallel on whatever
-	// helper lanes are idle; each tile draws its own digit tables from
-	// the pool.
+	// Regions are disjoint in both arrays and the partition tables are
+	// now read-only, so they finish in parallel on whatever helper lanes
+	// are idle: each lane claims hybridGrain regions at a time and
+	// finishes them in a working set of its own.
+	lowBits := keyBits - hybridTopBits
+	h.land, h.part, h.spare, h.lowBits, h.deal = land, part, spare, lowBits, d
 	wp := kernelPool()
-	if wp.Size() == 1 {
-		// Sequential: borrow cp's tail for the digit tables.
-		low := (*cp)[2*hybridTopSize : (2+hybridMaxLowPasses)*hybridTopSize]
-		hybridFinishRange(dst, into, other, starts, count, lowBits, low, 0, hybridTopSize)
-	} else {
-		h := getTiles[hybridTiles[T], T](&hybridStash)
-		*h = hybridTiles[T]{dst: dst, into: into, other: other, starts: starts, count: count, lowBits: lowBits}
-		wp.ParallelTiles(hybridTopSize, (hybridTopSize+wp.Size()-1)/wp.Size(), h)
-		*h = hybridTiles[T]{}
-		hybridStash[element.TypeOf[T]()].Put(h)
+	lanes := wp.Size()
+	for len(h.work) < lanes {
+		h.work = append(h.work, hybridWork[T]{})
 	}
-	countPool.Put(cp)
+	digits := lowBits/hybridTopBits*hybridTopSize + 1<<(lowBits%hybridTopBits)
+	for i := range h.work[:lanes] {
+		h.work[i].fit(digits, int(min(big, hybridBounceMax)))
+	}
+	if d.on && big > hybridBounceMax {
+		// Oversize regions bounce through their spans of land, which the
+		// deals scatter over, so they finish before any deal lands.
+		h.early = true
+		h.next.Store(0)
+		wp.ParallelTiles(lanes, 1, h)
+		h.early = false
+	}
+	h.next.Store(0)
+	wp.ParallelTiles(lanes, 1, h)
+	h.land, h.part, h.spare = nil, nil, nil
+	hybridStash[element.TypeOf[T]()].Put(h)
 }
 
-// hybridTiles is the state a hybrid sort's region tiles share.
+// hybridTiles is a hybrid sort's state: its partition tables, the
+// arrays and parameters its lanes share, and each lane's working set.
+// It is stashed with its tables, so steady-state sorts allocate
+// nothing.
 type hybridTiles[T element.Uint] struct {
-	dst, into, other []T
-	starts, count    []uint32
-	lowBits          int
+	count, starts [hybridTopSize]uint32 // each region's end and start in part
+	land, part    []T                   // the landing array, the partitioned one
+	spare         []T                   // what oversize regions bounce through
+	lowBits       int
+	deal          deal
+	early         bool            // finish the oversize regions only
+	next          atomic.Int64    // the first region no lane has claimed
+	work          []hybridWork[T] // one per lane
 }
 
-// Tile finishes regions [dlo, dhi) with digit tables of its own.
-func (h *hybridTiles[T]) Tile(dlo, dhi int) {
-	tp := countPool.Get().(*[]uint32)
-	low := (*tp)[:hybridMaxLowPasses*hybridTopSize]
-	hybridFinishRange(h.dst, h.into, h.other, h.starts, h.count, h.lowBits, low, dlo, dhi)
-	countPool.Put(tp)
+// hybridWork is one lane's working set: its regions' digit tables and
+// the buffer they bounce through.
+type hybridWork[T element.Uint] struct {
+	digits []uint32
+	bounce []T
 }
 
-// hybridFinishRange finishes the hybrid regions [dlo, dhi): each
-// region of into is LSD-sorted over its low bits, bouncing through
-// other, and lands in dst.
-func hybridFinishRange[T element.Uint](dst, into, other []T, starts, count []uint32, lowBits int, low []uint32, dlo, dhi int) {
-	for d := dlo; d < dhi; d++ {
-		lo, hi := int(starts[d]), int(count[d])
-		if hi-lo < 2 {
-			if hi == lo+1 {
-				dst[lo] = into[lo]
+// fit grows w to digits table entries and bounce keys.
+func (w *hybridWork[T]) fit(digits, bounce int) {
+	if len(w.digits) < digits {
+		w.digits = make([]uint32, digits)
+	}
+	if len(w.bounce) < bounce {
+		w.bounce = make([]T, 1<<bits.Len(uint(bounce-1)))
+	}
+}
+
+// Tile runs the lane numbered lane: it claims regions hybridGrain at a
+// time until none are left and finishes them.
+func (h *hybridTiles[T]) Tile(lane, _ int) {
+	w := &h.work[lane]
+	for {
+		rlo := int(h.next.Add(hybridGrain)) - hybridGrain
+		if rlo >= hybridTopSize {
+			return
+		}
+		for r := rlo; r < rlo+hybridGrain; r++ {
+			lo, hi := int(h.starts[r]), int(h.count[r])
+			seg := h.part[lo:hi]
+			switch {
+			case hi-lo > hybridBounceMax:
+				h.finishOversize(seg, lo, w.digits)
+			case h.early:
+			case hi-lo < 2:
+				landRun(h.land, seg, lo, h.deal)
+			case !h.deal.on:
+				if res := lsdLow(seg, w.bounce[:hi-lo], h.lowBits, w.digits); &res[0] != &seg[0] {
+					copy(seg, res)
+				}
+			default:
+				lsdDeal(seg, w.bounce[:hi-lo], h.lowBits, w.digits, h.land, lo, h.deal)
 			}
-			continue
 		}
-		res := lsdLow(into[lo:hi], other[lo:hi], lowBits, low)
-		if &res[0] != &dst[lo] {
-			copy(dst[lo:hi], res)
-		}
+	}
+}
+
+// finishOversize finishes a region too large for a lane's bounce
+// buffer by bouncing it through its span of h.spare: the other array
+// for a plain sort, the landing one for a dealing sort, which finishes
+// its oversize regions back in part while early and deals each with
+// one copy in the main round.
+func (h *hybridTiles[T]) finishOversize(seg []T, lo int, digits []uint32) {
+	if h.deal.on && !h.early {
+		landRun(h.land, seg, lo, h.deal)
+		return
+	}
+	if res := lsdLow(seg, h.spare[lo:lo+len(seg)], h.lowBits, digits); &res[0] != &seg[0] {
+		copy(seg, res)
 	}
 }
 
@@ -300,14 +419,7 @@ func hybridFinishRange[T element.Uint](dst, into, other []T, starts, count []uin
 func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 	n := uint32(len(seg))
 	if lowBits == 21 { // uint32 keys: one 11-bit and one 10-bit pass
-		c0 := count[:1<<11]
-		c1 := count[1<<11 : 1<<11+1<<10]
-		clear(c0)
-		clear(c1)
-		for _, k := range seg {
-			c0[int(k&0x7ff)]++
-			c1[int(k>>11&0x3ff)]++
-		}
+		c0, c1 := hist21(seg, count)
 		src, dst := seg, buf
 		if c0[int(src[0]&0x7ff)] != n {
 			scatterPass(src, dst, 0, 0x7ff, c0)
@@ -319,34 +431,107 @@ func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 		}
 		return src
 	}
-	var shifts [hybridMaxLowPasses]uint
-	var masks [hybridMaxLowPasses]T
-	var offs [hybridMaxLowPasses]int
-	passes, off := 0, 0
-	for b := 0; b < lowBits; b += hybridTopBits {
-		w := min(hybridTopBits, lowBits-b)
-		shifts[passes] = uint(b)
-		masks[passes] = T(1)<<w - 1
-		offs[passes] = off
-		off += 1 << w
-		passes++
+	var lp lowPasses[T]
+	lp.fill(seg, lowBits, count)
+	src, dst := seg, buf
+	for p := 0; p < lp.passes; p++ {
+		if cnt := lp.cnt(p, count); cnt[int(src[0]>>lp.shifts[p]&lp.masks[p])] != n {
+			scatterPass(src, dst, lp.shifts[p], lp.masks[p], cnt)
+			src, dst = dst, src
+		}
 	}
-	clear(count[:off])
-	for _, k := range seg {
-		for p := 0; p < passes; p++ {
-			count[offs[p]+int(k>>shifts[p]&masks[p])]++
+	return src
+}
+
+// lsdDeal is lsdLow whose last scatter lands the region, the ranks
+// from lo up, in land dealt by d; seg is left undefined.
+func lsdDeal[T element.Uint](seg, buf []T, lowBits int, count []uint32, land []T, lo int, d deal) {
+	n := uint32(len(seg))
+	if lowBits == 21 {
+		c0, c1 := hist21(seg, count)
+		switch id0, id1 := c0[int(seg[0]&0x7ff)] == n, c1[int(seg[0]>>11&0x3ff)] == n; {
+		case !id0 && !id1:
+			scatterPass(seg, buf, 0, 0x7ff, c0)
+			scatterDeal(buf, land, 11, 0x3ff, c1, uint32(lo), d)
+		case !id1:
+			scatterDeal(seg, land, 11, 0x3ff, c1, uint32(lo), d)
+		case !id0:
+			scatterDeal(seg, land, 0, 0x7ff, c0, uint32(lo), d)
+		default:
+			landRun(land, seg, lo, d)
+		}
+		return
+	}
+	var lp lowPasses[T]
+	lp.fill(seg, lowBits, count)
+	last := -1
+	for p := 0; p < lp.passes; p++ {
+		if lp.cnt(p, count)[int(seg[0]>>lp.shifts[p]&lp.masks[p])] != n {
+			last = p
 		}
 	}
 	src, dst := seg, buf
-	for p := 0; p < passes; p++ {
-		cnt := count[offs[p] : offs[p]+int(masks[p])+1]
-		if cnt[int(src[0]>>shifts[p]&masks[p])] == n {
-			continue
+	for p := 0; p < last; p++ {
+		if cnt := lp.cnt(p, count); cnt[int(src[0]>>lp.shifts[p]&lp.masks[p])] != n {
+			scatterPass(src, dst, lp.shifts[p], lp.masks[p], cnt)
+			src, dst = dst, src
 		}
-		scatterPass(src, dst, shifts[p], masks[p], cnt)
-		src, dst = dst, src
 	}
-	return src
+	if last < 0 {
+		landRun(land, seg, lo, d)
+		return
+	}
+	scatterDeal(src, land, lp.shifts[last], lp.masks[last], lp.cnt(last, count), uint32(lo), d)
+}
+
+// hist21 fills the two digit histograms of uint32 keys' low 21 bits,
+// 11 and 10 bits wide, into count. This fused read is the hottest loop
+// of the large-n sort.
+func hist21[T element.Uint](seg []T, count []uint32) (c0, c1 []uint32) {
+	c0 = count[:1<<11]
+	c1 = count[1<<11 : 1<<11+1<<10]
+	clear(c0)
+	clear(c1)
+	for _, k := range seg {
+		c0[int(k&0x7ff)]++
+		c1[int(k>>11&0x3ff)]++
+	}
+	return c0, c1
+}
+
+// lowPasses is the general digit layout of a region's low bits: 11-bit
+// digits, the last taking the remainder, their histograms side by side
+// in one count table.
+type lowPasses[T element.Uint] struct {
+	passes int
+	shifts [hybridMaxLowPasses]uint
+	masks  [hybridMaxLowPasses]T
+	offs   [hybridMaxLowPasses]int
+}
+
+// fill lays out the passes over lowBits and fills seg's histograms
+// into count in one read.
+func (lp *lowPasses[T]) fill(seg []T, lowBits int, count []uint32) {
+	off := 0
+	for b := 0; b < lowBits; b += hybridTopBits {
+		w := min(hybridTopBits, lowBits-b)
+		lp.shifts[lp.passes] = uint(b)
+		lp.masks[lp.passes] = T(1)<<w - 1
+		lp.offs[lp.passes] = off
+		off += 1 << w
+		lp.passes++
+	}
+	clear(count[:off])
+	for _, k := range seg {
+		for p := 0; p < lp.passes; p++ {
+			count[lp.offs[p]+int(k>>lp.shifts[p]&lp.masks[p])]++
+		}
+	}
+}
+
+// cnt returns pass p's histogram in count.
+func (lp *lowPasses[T]) cnt(p int, count []uint32) []uint32 {
+	return count[lp.offs[p] : lp.offs[p]+int(lp.masks[p])+1]
 }
 
 // scatterPass turns the digit histogram cnt into running offsets and
@@ -366,12 +551,30 @@ func scatterPass[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32)
 	}
 }
 
+// scatterDeal is scatterPass for the ranks from lo up, landing each in
+// dst dealt by dl.
+func scatterDeal[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32, lo uint32, dl deal) {
+	sum := lo
+	for d := range cnt {
+		c := cnt[d]
+		cnt[d] = sum
+		sum += c
+	}
+	for _, k := range src {
+		d := int(k >> shift & mask)
+		dst[dl.at(cnt[d])] = k
+		cnt[d]++
+	}
+}
+
 // radixUintPasses is the flat LSD layout: passes stable counting
 // passes of bits-wide digits of each element's K key, whole elements
-// moved per pass, bouncing between keys and scratch (one copy lands
-// the result on the side toScratch asks). The histograms of every pass fill in one read; a pass whose digit is
-// shared by all elements is the identity and is skipped.
-func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, passes, bits int, count []uint32) {
+// moved per pass, bouncing between keys and scratch. The histograms of
+// every pass fill in one read; a pass whose digit is shared by all
+// elements is the identity and is skipped. The last pass that moves
+// elements lands them, dealt by d, when it writes the side toScratch
+// asks; otherwise one copy (a deal copy) lands them.
+func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, passes, bits int, count []uint32, d deal) {
 	n := len(keys)
 	size := 1 << bits
 	mask := K(size - 1)
@@ -383,33 +586,61 @@ func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratc
 			count[off+int(k>>(uint(p*bits))&mask)]++
 		}
 	}
-	src, dst := keys, scratch
+	var moving [64 / radixSmallBits]int
+	m := 0
+	k0 := element.KeyOf[K](&keys[0])
 	for p := 0; p < passes; p++ {
+		if count[p*size+int(k0>>uint(p*bits)&mask)] != uint32(n) {
+			moving[m] = p
+			m++
+		}
+	}
+	land := keys
+	if toScratch {
+		land = scratch
+	}
+	// Moving pass i writes scratch iff i is even.
+	dealt := -1
+	if d.on && m > 0 && (m%2 == 1) == toScratch {
+		dealt = m - 1
+	}
+	src, dst := keys, scratch
+	for i, p := range moving[:m] {
 		shift := uint(p * bits)
 		cnt := count[p*size : (p+1)*size]
-		if cnt[int(element.KeyOf[K](&src[0])>>shift&mask)] == uint32(n) {
-			continue // all keys share this digit: the pass is the identity
-		}
 		sum := uint32(0)
-		for d := range cnt {
-			c := cnt[d]
-			cnt[d] = sum
+		for j := range cnt {
+			c := cnt[j]
+			cnt[j] = sum
 			sum += c
 		}
-		for i := range src {
-			e := &src[i]
-			d := int(element.KeyOf[K](e) >> shift & mask)
-			dst[cnt[d]] = *e
-			cnt[d]++
+		if i == dealt {
+			for j := range src {
+				e := &src[j]
+				r := int(element.KeyOf[K](e) >> shift & mask)
+				dst[d.at(cnt[r])] = *e
+				cnt[r]++
+			}
+			return
+		}
+		for j := range src {
+			e := &src[j]
+			r := int(element.KeyOf[K](e) >> shift & mask)
+			dst[cnt[r]] = *e
+			cnt[r]++
 		}
 		src, dst = dst, src
 	}
-	if toScratch {
-		keys = scratch
+	if &src[0] == &land[0] {
+		if !d.on {
+			return
+		}
+		// Nothing moved and the landing array holds the keys: deal
+		// them from the other one.
+		copy(dst, src)
+		src = dst
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
+	landRun(land, src, 0, d)
 }
 
 // Sort sorts keys in place in the direction given by asc, using radix

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/schedule"
+	"parbitonic/internal/workpool"
 )
 
 func randomKeys(rng *rand.Rand, n int) []uint32 {
@@ -70,9 +72,8 @@ func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
 // stable sort by order image, at sizes on both sides of the large
 // layouts' threshold (the hybrid for keys, 16-bit digits for KV64),
 // through RadixSort and through RadixSortTo landing on either side.
-// The hybrid partitions by the parity of its low-pass count and the
-// landing side, so the u32 (two low passes) and u64 (five) cases
-// between them run all four of its directions.
+// The hybrid partitions into the array it does not land in, so the two
+// landing sides run both of its directions.
 func TestRadixSortMatchesStdlib(t *testing.T) {
 	for i, f := range []func(*testing.T){
 		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
@@ -110,6 +111,102 @@ func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 			}
 			check(fmt.Sprintf("RadixSortTo(toScratch=%v)", toScratch), got)
 		}
+	}
+}
+
+// TestRadixSortDeal checks that the dealing sort equals a sort followed
+// by round 0's pack: for every element type, ascending and descending
+// processor, and either landing side, RadixSortDeal must land exactly
+// what a stable sort packed by the P=2 round-0 plan's walk puts in its
+// two messages. Sizes straddle the large layouts' threshold and reach
+// n = 2; the inputs include all-equal keys (every pass the identity)
+// and keys that share their top 11 bits (one oversize hybrid region).
+// Pools of 1 and 3 lanes run the sequential and the tiled finish.
+func TestRadixSortDeal(t *testing.T) {
+	defer SetPool(nil)
+	for _, lanes := range []int{1, 3} {
+		wp := workpool.New(lanes)
+		SetPool(wp)
+		for i, f := range []func(*testing.T){
+			testRadixSortDeal[uint32], testRadixSortDeal[uint64],
+			testRadixSortDeal[float32], testRadixSortDeal[float64],
+			testRadixSortDeal[element.KV64],
+		} {
+			t.Run(fmt.Sprintf("%v/lanes=%d", element.Types()[i], lanes), f)
+		}
+		wp.Close()
+	}
+}
+
+func testRadixSortDeal[E element.Elem](t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kb := element.KeyBits[E]()
+	gen := []struct {
+		name string
+		f    func(n int) []E
+	}{
+		{"random", func(n int) []E { return randomElems[E](rng, n) }},
+		{"equal", func(n int) []E {
+			out := make([]E, n)
+			for i := range out {
+				out[i] = element.FromBits[E](1<<(kb-1)|12345, uint64(i))
+			}
+			return out
+		}},
+		{"one-region", func(n int) []E {
+			out := make([]E, n)
+			for i := range out {
+				low := rng.Uint64() & (1<<(kb-hybridTopBits) - 1)
+				out[i] = element.FromBits[E](1<<(kb-1)|low, uint64(i))
+			}
+			return out
+		}},
+	}
+	for _, n := range []int{2, 4, 256, radixLargeMin / 2, radixLargeMin, 2 * radixLargeMin} {
+		plan := schedule.New(bits.TrailingZeros(uint(n))+1, 1, schedule.Head)[0].Plan
+		for _, g := range gen {
+			input := g.f(n)
+			sorted := slices.Clone(input)
+			slices.SortStableFunc(sorted, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
+			for proc, desc := range []bool{false, true} {
+				// Sort, then pack by the walk: rank i sits at address i,
+				// or n-1-i on the descending processor.
+				want := make([]E, n)
+				dests := plan.Dests(proc)
+				w := plan.PackWalk(proc, desc)
+				for _, v := range sorted {
+					want[slices.Index(dests, int(w.A))*plan.MsgLen+int(w.B)] = v
+					w = w.Next()
+				}
+				for _, toScratch := range []bool{false, true} {
+					keys := slices.Clone(input)
+					scratch := make([]E, n+1) // a longer scratch lands in its prefix
+					RadixSortDeal(keys, scratch, desc, toScratch)
+					got := keys
+					if toScratch {
+						got = scratch[:n]
+					}
+					for i := range want {
+						if element.Bits(got[i]) != element.Bits(want[i]) || element.Aux(got[i]) != element.Aux(want[i]) {
+							t.Fatalf("%s n=%d desc=%v toScratch=%v: mismatch at %d: got %v want %v", g.name, n, desc, toScratch, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRadixSortDealPanicsOnBadLength(t *testing.T) {
+	for _, n := range []int{0, 1, 6} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("n=%d: no panic", n)
+				}
+			}()
+			RadixSortDeal(make([]uint32, n), make([]uint32, n), false, false)
+		}()
 	}
 }
 

@@ -355,16 +355,21 @@ func unpackRuns(plan *addr.RemapPlan, in [][]uint32) []uint32 {
 	return next
 }
 
-// The fused entry points: RemapExchangeRuns packs and hands back the
-// runs, ExchangeRuns ships runs the caller packed. Unpacked by hand,
-// both must land the keys where addr.Apply does, charging no pack or
-// unpack time.
-func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
+// The fused entry point: ExchangeRuns ships messages the caller packed
+// into Messages, here once by the plan's deal formula (blocked to
+// cyclic is a segment deal, as FullSort's first remap is) and once by
+// the pack walk. Unpacked by hand, both must land the keys where
+// addr.Apply does, charging no pack or unpack time.
+func TestExchangeRunsPrepacked(t *testing.T) {
 	lgN, lgP := 8, 2
 	P := 1 << uint(lgP)
 	n := 1 << uint(lgN-lgP)
 	planA := addr.NewRemapPlan(addr.Blocked(lgN, lgP), addr.Cyclic(lgN, lgP))
 	planB := addr.NewRemapPlan(addr.Cyclic(lgN, lgP), addr.Blocked(lgN, lgP))
+	s, c, ok := planA.Deal()
+	if !ok {
+		t.Fatal("blocked to cyclic is not a deal")
+	}
 	rng := rand.New(rand.NewSource(3))
 	data := make([][]uint32, P)
 	for p := range data {
@@ -382,10 +387,17 @@ func TestRemapExchangeRunsAndPrepacked(t *testing.T) {
 	}
 	m := mustNew(t, testConfig(P, true))
 	res := mustRun(t, m, copied, func(p *Proc) {
-		// Remap 1: keep the runs, reassemble by the unpack mask.
-		p.Data = unpackRuns(planA, p.RemapExchangeRuns(planA, false, make([]uint32, planA.Old.LocalN())))
-		// Remap 2: pre-pack by hand into a fresh array's messages.
-		out := p.Messages(planB, make([]uint32, planB.Old.LocalN()))
+		// Remap 1: deal into a fresh array's messages, keep the runs,
+		// reassemble by the unpack mask.
+		arr := make([]uint32, planA.Old.LocalN())
+		out := p.Messages(planA, arr)
+		for l, v := range p.Data {
+			member := l >> s & (1<<c - 1)
+			arr[member*planA.MsgLen+(l>>(s+c)<<s|l&(1<<s-1))] = v
+		}
+		p.Data = unpackRuns(planA, p.ExchangeRuns(planA, out))
+		// Remap 2: pack by the walk.
+		out = p.Messages(planB, make([]uint32, planB.Old.LocalN()))
 		w := planB.PackWalk(p.ID, false)
 		for _, v := range p.Data {
 			out[w.A][w.B] = v

@@ -81,29 +81,6 @@ func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
 	return p.grp
 }
 
-// RemapExchangeRuns is the packed form of a remap without its unpack
-// phase: it packs p.Data into dst (see Messages; not p.Data's array),
-// exchanges, and returns the received long messages by source so the
-// caller can fuse the unpacking into its local computation (§4.3's
-// p-way merge). With desc, p.Data[i] sits at old local address n-1-i,
-// so an ascending local sort packs as the descending one. p.Data is
-// set to nil. No pack or unpack time is charged: the pack is fused
-// into the local sort before it.
-func (p *ProcOf[E]) RemapExchangeRuns(plan *addr.RemapPlan, desc bool, dst []E) [][]E {
-	n := plan.Old.LocalN()
-	if len(p.Data) != n {
-		panic(fmt.Sprintf("spmd: processor %d holds %d keys, plan wants %d", p.ID, len(p.Data), n))
-	}
-	p.tag(obs.PhasePack)
-	out := p.Messages(plan, dst)
-	w := plan.PackWalk(p.ID, desc)
-	for _, v := range p.Data {
-		out[w.A][w.B] = v
-		w = w.Next()
-	}
-	return p.ExchangeRuns(plan, out)
-}
-
 // ExchangeRuns performs a remap whose messages the caller has already
 // packed (out[q] must be a plan.MsgLen slice for every group
 // destination, nil elsewhere; Messages provides them). Used when the

@@ -9,9 +9,9 @@ import (
 
 // RemapBarriers is the number of barriers one remap crosses on every
 // data path: Remap's publish and release barriers below, and
-// Exchange's publish and read barriers, which RemapExchangeRuns and
-// ExchangeRuns go through once each. A native remap's data movement
-// is local computation (the gather, or the routed merge feeding
+// Exchange's publish and read barriers, which ExchangeRuns goes
+// through once. A native remap's data movement is local computation
+// (the gather, or the dealing sort or routed merge feeding
 // ExchangeRuns), so the native planner prices a remap as this many
 // measured barrier round trips (internal/tune). TestRemapBarriers
 // pins the count.
