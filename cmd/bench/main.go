@@ -254,8 +254,10 @@ func kernelSweep(quick bool) []Entry {
 // sort, the full local sort (radix + direction fix-up), the bitonic
 // merge of a bitonic sequence, the two-way merge, and MergeRuns and
 // MergeRunsRouted on FullSort's P=2 shape (two runs, the second stored
-// descending; routed through the last remap's plan, as round 1 packs)
-// — the per-phase primitives every parallel run is built from.
+// descending; routed through the last remap's plan, as round 1 packs),
+// once more with the runs read strided out of two sorted arrays, as the
+// first merge reads them — the per-phase primitives every parallel run
+// is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
 	work := make([]E, size)
@@ -278,6 +280,12 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	for _, q := range last.Dests(0) {
 		msgs[q] = make([]E, last.MsgLen)
 	}
+	// FullSort's first merge: every second key of two sorted arrays,
+	// read in place.
+	sa, sb := append([]E(nil), keys...), workload.Elems[E](workload.Uniform31, size, 1997)
+	localsort.SortScratch(sa, true, scratch)
+	localsort.SortScratch(sb, true, scratch)
+	strided := []localsort.RunOf[E]{localsort.DealtRun(sa, 0, false), localsort.DealtRun(sb, 0, true)}
 
 	var out []Entry
 	for _, k := range []struct {
@@ -290,6 +298,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		{"merge-two", func() { localsort.MergeTwo(work, a, b, true) }},
 		{"merge-runs", func() { localsort.MergeRuns(work, runs) }},
 		{"merge-routed", func() { localsort.MergeRunsRouted(msgs, last, 0, runs, true) }},
+		{"merge-strided", func() { localsort.MergeRunsRouted(msgs, last, 0, strided, true) }},
 	} {
 		mean, min := measureKernel(reps, k.f)
 		out = append(out, Entry{

@@ -30,8 +30,9 @@ func fullSortShaped(sched []schedule.Remap) bool {
 // schedule is a segment deal: Deal's formula gives each old local
 // address the destination and pack offset of Dest and PackOffset, on
 // every processor, and the pack walk in both directions visits what
-// the formula names at l = i (ascending) or n-1-i (descending). Round 0
-// is the s=0, c=1 deal that a dealing radix sort lands.
+// the formula names at l = i (ascending) or n-1-i (descending), and
+// Member names each receiver's place in its senders' groups. Round 0
+// is the s=0, c=1 deal that FullSort's first merge reads in place.
 func TestFullSortPlansAreDeals(t *testing.T) {
 	for _, lgN := range []int{8, 12, 16, 20} {
 		for lgP := 1; lgP <= 5; lgP++ {
@@ -64,6 +65,11 @@ func checkDeal(t *testing.T, plan *addr.RemapPlan, round0 bool) {
 	member := func(l int) int { return l >> s & (1<<c - 1) }
 	offset := func(l int) int { return l>>(s+c)<<s | l&low }
 	for proc := 0; proc < plan.Old.P(); proc++ {
+		for _, src := range plan.AppendSenders(nil, proc) {
+			if g := plan.Member(proc); plan.Dests(src)[g] != proc {
+				t.Fatalf("proc %d: Member %d, but sender %d's group is %v", proc, g, src, plan.Dests(src))
+			}
+		}
 		dests := plan.Dests(proc)
 		for l := 0; l < n; l++ {
 			if d, o := plan.Dest(proc, l), plan.PackOffset(l); d != dests[member(l)] || o != offset(l) {

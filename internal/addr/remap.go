@@ -110,6 +110,8 @@ func (p *RemapPlan) PackSegment() int { return 1 << uint(p.segLg) }
 // the fanLg address bits above the pack segment, in order, and the
 // offset keeps every other address bit in order. A deal needs no walk:
 // a contiguous run of addresses lands in fixed strides of its messages.
+// FullSort's round 0 is the segLg=0, fanLg=1 deal, so a receiver reads
+// its message in place as every second key of the sender's array.
 func (p *RemapPlan) Deal() (segLg, fanLg int, ok bool) {
 	for i, m := range p.destFromL {
 		if m.from != p.segLg+i {
@@ -151,6 +153,17 @@ func (p *RemapPlan) GatherWalk(proc int) Walk {
 		base |= (proc >> uint(mv.to) & 1) << uint(mv.from)
 	}
 	return Walk{B: int32(base), delta: &p.gatherDelta}
+}
+
+// Member returns proc's index in the Dests order of every group that
+// sends to it: the bits of proc that a destination takes from the
+// sender's local address, in destination-bit order.
+func (p *RemapPlan) Member(proc int) int {
+	g := 0
+	for i, m := range p.destFromL {
+		g |= (proc >> uint(m.to) & 1) << uint(i)
+	}
+	return g
 }
 
 // AppendSenders appends the processors that send data to proc under

@@ -106,9 +106,14 @@ func dirAfterRemap(sched []schedule.Remap, lgn, i, q int) bool {
 //   - packing for the next remap is the merge's emission pass, so no
 //     separate pack or unpack pass exists (§4.3, Figure 4.8).
 func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn, lgP int) {
-	// Round 0 is a radix sort that lands its keys already packed for
-	// the first remap, a segment deal (§4.3 fuses packing into the local
-	// sort). After it, every phase is ONE pass: a p-way merge of the
+	// Round 0 is a radix sort whose sorted array is itself the first
+	// remap's messages: that remap is a two-way segment deal, so each
+	// receiver reads its half in place as every second key of the
+	// sender's array (localsort.DealtRun) and no pack pass runs (§4.3
+	// fuses packing into the local sort). The sort stays in its own
+	// landing array, whose keys are warm, where a sort that wrote the
+	// messages apart would partition into the spare, cold when a run
+	// starts. After it, every phase is ONE pass: a p-way merge of the
 	// received runs that writes straight into the next remap's messages
 	// (merge = unpack + sort + pack, the thesis's first Ch. 7
 	// refinement); the final one writes home, the array the run started
@@ -127,18 +132,17 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 	defer func() { clear(s.runs[:cap(s.runs)]) }()
 	plan := sched[0].Plan
 	if seg, fan, ok := plan.Deal(); !ok || seg != 0 || fan != 1 {
-		panic("core: FullSort's first remap is not the two-way deal its sort lands")
+		panic("core: FullSort's first remap is not the two-way deal its merge reads in place")
 	}
 	toSpare := len(sched)%2 != 0 // an odd number of merges follows the sort
 	cur, next := s.spares[0], home
 	if toSpare {
 		cur, next = next, cur
 	}
-	// The element of ascending rank i sits at local address i, or n-1-i
-	// on a descending processor.
-	localsort.RadixSortDeal(home, s.spares[0], pr.ID%2 != 0, toSpare)
+	localsort.RadixSortTo(home, s.spares[0], toSpare)
 	pr.ChargeRadixSort(n)
-	in := pr.ExchangeRuns(plan, pr.Messages(plan, next))
+	in := pr.PublishInPlace(plan, next)
+	member := plan.Member(pr.ID)
 	for i, r := range sched {
 		cur, next = next, cur
 		// The usual-regime shape Validate guaranteed: an inside remap,
@@ -155,12 +159,16 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 			if len(msg) == 0 {
 				continue
 			}
-			srcAsc := src%2 == 0 // after the initial local sorts
-			if i > 0 {
-				srcAsc = dirAfterRemap(sched, lgn, i-1, src)
+			var run localsort.RunOf[E]
+			if i == 0 {
+				// Whole sorted arrays arrive, and round 0's senders
+				// sorted ascending or descending by parity.
+				run = localsort.DealtRun(msg, member, src%2 != 0)
+			} else {
+				run = localsort.RunOf[E]{Keys: msg, Desc: !dirAfterRemap(sched, lgn, i-1, src)}
 			}
-			runs = append(runs, localsort.RunOf[E]{Keys: msg, Desc: !srcAsc})
-			total += len(msg)
+			runs = append(runs, run)
+			total += run.Len()
 		}
 		s.runs = runs
 		if total != n {

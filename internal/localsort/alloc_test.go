@@ -47,16 +47,9 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 			localsort.RadixSortTo(keys, scratch, toScratch)
 		})
 	}
-	for _, desc := range []bool{false, true} {
-		for _, toScratch := range []bool{false, true} {
-			assertZeroAllocs(t, fmt.Sprintf("RadixSortDeal(desc=%v,toScratch=%v)", desc, toScratch), func() {
-				localsort.RadixSortDeal(keys, scratch, desc, toScratch)
-			})
-		}
-	}
 	small := keys[:256] // the flat 8-bit layout
-	assertZeroAllocs(t, "RadixSortDeal/small", func() {
-		localsort.RadixSortDeal(small, scratch, true, false)
+	assertZeroAllocs(t, "RadixSortTo/small", func() {
+		localsort.RadixSortTo(small, scratch, true)
 	})
 	assertZeroAllocs(t, "SortScratch", func() {
 		localsort.SortScratch(keys, false, scratch)
@@ -94,6 +87,14 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 	last := schedule.New(17, 1, schedule.Head)[1].Plan
 	assertZeroAllocs(t, "MergeRunsRouted/2-segments", func() {
 		localsort.MergeRunsRouted(out, last, 0, two, false)
+	})
+	// FullSort's first merge: every second key of two sorted arrays,
+	// read in place, routed through the same plan.
+	wa := workload.Elems[E](workload.Sorted, allocN, 3)
+	wb := workload.Elems[E](workload.Sorted, allocN, 4)
+	strided := []localsort.RunOf[E]{localsort.DealtRun(wa, 0, false), localsort.DealtRun(wb, 0, true)}
+	assertZeroAllocs(t, "MergeRunsRouted/2-strided", func() {
+		localsort.MergeRunsRouted(out, last, 0, strided, true)
 	})
 	assertZeroAllocs(t, "SortBitonicBlocks", func() {
 		localsort.SortBitonicBlocks(keys, 1024, 1, scratch)

@@ -130,63 +130,13 @@ func RadixSort[E element.Elem](keys []E) {
 // RadixSortTo is RadixSort with a caller-owned ping-pong buffer, which
 // a short scratch replaces unless toScratch, landing the result in
 // scratch[:len(keys)] when toScratch, else in keys (the other array is
-// left undefined). The key hybrid lands in scratch at no cost and in
-// keys through a copy folded into its histogram read; the flat LSD
+// left undefined). The key hybrid partitions into keys out of a mirror
+// of them that its histogram read streams into scratch, and copies
+// each finished region into scratch when toScratch. The flat LSD
 // layouts copy once when their pass count lands on the other side.
+// Native FullSort's round 0 is this sort, whose sorted array its peers
+// then read in place.
 func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
-	radixSort(keys, scratch, toScratch, deal{})
-}
-
-// RadixSortDeal is RadixSortTo for the first remap of a FullSort: it
-// sorts keys ascending and lands them already packed for the s=0, c=1
-// segment deal (addr.RemapPlan.Deal) in the landing array, scratch
-// when toScratch, else keys. The element of ascending rank i sits at
-// local address l = i, or n-1-i when desc, and lands at
-// (l&1)·n/2 + l>>1, so half b of the landing array is the message to
-// the deal's group member b. Every layout deals in its last scatter,
-// so the pack takes no pass of its own; len(keys) must be a power of
-// two of at least 2.
-func RadixSortDeal[E element.Elem](keys, scratch []E, desc, toScratch bool) {
-	n := len(keys)
-	if n < 2 || n&(n-1) != 0 {
-		panic("localsort: RadixSortDeal length is not a power of two of at least 2")
-	}
-	d := deal{on: true, hs: uint(bits.TrailingZeros(uint(n)) - 1)}
-	if desc {
-		d.flip = uint32(n - 1)
-	}
-	radixSort(keys, scratch, toScratch, d)
-}
-
-// deal is a radix sort's landing permutation: with on, ascending rank
-// r lands at at(r) (see RadixSortDeal), else at r.
-type deal struct {
-	on   bool
-	flip uint32 // n-1 on a descending processor: rank r sits at address r^flip
-	hs   uint   // lg n - 1: address bit 0 picks the half
-}
-
-// at returns the landing index of ascending rank r.
-func (d deal) at(r uint32) uint32 {
-	l := r ^ d.flip
-	return l>>1 | (l&1)<<d.hs
-}
-
-// landRun lands src, the ranks from lo up, in dst: as one copy to
-// dst[lo:], or dealt.
-func landRun[E any](dst, src []E, lo int, d deal) {
-	if !d.on {
-		copy(dst[lo:lo+len(src)], src)
-		return
-	}
-	r := uint32(lo)
-	for _, v := range src {
-		dst[d.at(r)] = v
-		r++
-	}
-}
-
-func radixSort[E element.Elem](keys, scratch []E, toScratch bool, d deal) {
 	if len(scratch) < len(keys) {
 		if toScratch {
 			panic("localsort: radix sort scratch shorter than keys")
@@ -205,34 +155,34 @@ func radixSort[E element.Elem](keys, scratch []E, toScratch bool, d deal) {
 	element.ToImages(keys)
 	switch any(*new(E)).(type) {
 	case uint32, float32:
-		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch), toScratch, d)
+		radixUint[uint32, uint32](element.Cast[uint32](keys), element.Cast[uint32](scratch), toScratch)
 	case uint64, float64:
-		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch), toScratch, d)
+		radixUint[uint64, uint64](element.Cast[uint64](keys), element.Cast[uint64](scratch), toScratch)
 	case element.KV64:
-		radixUint[E, uint64](keys, scratch, toScratch, d)
+		radixUint[E, uint64](keys, scratch, toScratch)
 	}
 	element.FromImages(dst)
 }
 
 // radixUint sorts keys by their K digits using scratch as the
-// ping-pong buffer, landing in scratch when toScratch, by the deal d:
-// K is the key-only storage itself, or a KV64 record's key. Small
-// inputs run a flat LSD with 8-bit digits and stack tables. Large
-// key-only inputs take the cache-blocked MSD+LSD hybrid; large record
-// inputs a flat LSD with 16-bit digits over pooled tables. Every
-// layout is stable, so the choice is invisible in the output.
-func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, d deal) {
+// ping-pong buffer, landing in scratch when toScratch: K is the
+// key-only storage itself, or a KV64 record's key. Small inputs run a
+// flat LSD with 8-bit digits and stack tables. Large key-only inputs
+// take the cache-blocked MSD+LSD hybrid; large record inputs a flat
+// LSD with 16-bit digits over pooled tables. Every layout is stable,
+// so the choice is invisible in the output.
+func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
 	keyBits := element.KeyBits[S]()
 	switch {
 	case len(keys) < radixLargeMin:
 		var count [(64 / radixSmallBits) * radixSmallSize]uint32
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:], d)
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:])
 	case element.TypeOf[S]() == element.TKV64:
 		cp := countPool.Get().(*[]uint32)
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp, d)
+		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp)
 		countPool.Put(cp)
 	default:
-		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch, d)
+		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch)
 	}
 }
 
@@ -244,8 +194,7 @@ const (
 	hybridGrain = 64
 
 	// hybridBounceMax bounds a lane's bounce buffer, in keys. A larger
-	// (oversize) region bounces through its span of an n-key array
-	// instead (see finishOversize).
+	// (oversize) region bounces through its span of scratch instead.
 	hybridBounceMax = 1 << 16
 )
 
@@ -258,41 +207,22 @@ const (
 // DRAM sees three sequential sweeps (histogram, partition read,
 // partition write) plus one read+write of cache-warm regions, versus
 // the 2·passes+3 full-array sweeps of the flat layout whose every
-// permute round-trips memory. The region passes bounce through a
-// per-lane buffer. A plain sort partitions into the landing array and
-// finishes each region in place. A dealing sort partitions into the
-// other array and each region's last scatter deals it into the landing
-// one. A partition into keys first mirrors them into scratch in the
-// histogram read. Region scatter is stable and the per-region LSD is
-// stable, so the whole is a stable sort like the flat layout it
-// replaces.
-func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool, d deal) {
+// permute round-trips memory. The partition always writes keys, warm
+// from the caller, out of a mirror of them that the histogram read
+// streams into scratch; each region then finishes in place and, when
+// toScratch, is copied from the cache into its span of scratch. A
+// partition straight into scratch, cold when a sort starts, ran 2–4 %
+// slower at P=4 (native FullSort of 2^20 u32 keys). Region scatter
+// is stable and the per-region LSD is stable, so the whole is a stable
+// sort like the flat layout it replaces.
+func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool) {
 	topShift := uint(keyBits - hybridTopBits)
 	h := getTiles[hybridTiles[T], T](&hybridStash)
 	count, starts := &h.count, &h.starts
 	clear(count[:])
-	// The deals scatter over every region's span of land, so a dealing
-	// sort partitions into the other array.
-	land, spare := keys, scratch
-	if toScratch {
-		land, spare = scratch, keys
-	}
-	part := land
-	if d.on {
-		part, spare = spare, land
-	}
-	from := keys
-	if &part[0] == &keys[0] {
-		// Partitioning into keys: mirror them into scratch first.
-		for i, k := range keys {
-			count[int(k>>topShift)]++
-			scratch[i] = k
-		}
-		from = scratch
-	} else {
-		for _, k := range keys {
-			count[int(k>>topShift)]++
-		}
+	for i, k := range keys {
+		count[int(k>>topShift)]++
+		scratch[i] = k
 	}
 	sum, big := uint32(0), uint32(0)
 	for r, c := range count {
@@ -300,9 +230,9 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 		sum += c
 		big = max(big, c)
 	}
-	for _, k := range from {
+	for _, k := range scratch {
 		r := int(k >> topShift)
-		part[count[r]] = k
+		keys[count[r]] = k
 		count[r]++
 	}
 	// Regions are disjoint in both arrays and the partition tables are
@@ -310,7 +240,7 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 	// are idle: each lane claims hybridGrain regions at a time and
 	// finishes them in a working set of its own.
 	lowBits := keyBits - hybridTopBits
-	h.land, h.part, h.spare, h.lowBits, h.deal = land, part, spare, lowBits, d
+	h.keys, h.scratch, h.lowBits, h.toScratch = keys, scratch, lowBits, toScratch
 	wp := kernelPool()
 	lanes := wp.Size()
 	for len(h.work) < lanes {
@@ -320,17 +250,9 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 	for i := range h.work[:lanes] {
 		h.work[i].fit(digits, int(min(big, hybridBounceMax)))
 	}
-	if d.on && big > hybridBounceMax {
-		// Oversize regions bounce through their spans of land, which the
-		// deals scatter over, so they finish before any deal lands.
-		h.early = true
-		h.next.Store(0)
-		wp.ParallelTiles(lanes, 1, h)
-		h.early = false
-	}
 	h.next.Store(0)
 	wp.ParallelTiles(lanes, 1, h)
-	h.land, h.part, h.spare = nil, nil, nil
+	h.keys, h.scratch = nil, nil
 	hybridStash[element.TypeOf[T]()].Put(h)
 }
 
@@ -339,12 +261,10 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 // It is stashed with its tables, so steady-state sorts allocate
 // nothing.
 type hybridTiles[T element.Uint] struct {
-	count, starts [hybridTopSize]uint32 // each region's end and start in part
-	land, part    []T                   // the landing array, the partitioned one
-	spare         []T                   // what oversize regions bounce through
+	count, starts [hybridTopSize]uint32 // each region's end and start in keys
+	keys, scratch []T                   // the partitioned array, the other one
 	lowBits       int
-	deal          deal
-	early         bool            // finish the oversize regions only
+	toScratch     bool            // land the regions in scratch
 	next          atomic.Int64    // the first region no lane has claimed
 	work          []hybridWork[T] // one per lane
 }
@@ -367,7 +287,9 @@ func (w *hybridWork[T]) fit(digits, bounce int) {
 }
 
 // Tile runs the lane numbered lane: it claims regions hybridGrain at a
-// time until none are left and finishes them.
+// time until none are left and finishes each, bouncing it through the
+// lane's buffer, or through its span of scratch when it is too large
+// for that.
 func (h *hybridTiles[T]) Tile(lane, _ int) {
 	w := &h.work[lane]
 	for {
@@ -377,36 +299,22 @@ func (h *hybridTiles[T]) Tile(lane, _ int) {
 		}
 		for r := rlo; r < rlo+hybridGrain; r++ {
 			lo, hi := int(h.starts[r]), int(h.count[r])
-			seg := h.part[lo:hi]
-			switch {
-			case hi-lo > hybridBounceMax:
-				h.finishOversize(seg, lo, w.digits)
-			case h.early:
-			case hi-lo < 2:
-				landRun(h.land, seg, lo, h.deal)
-			case !h.deal.on:
-				if res := lsdLow(seg, w.bounce[:hi-lo], h.lowBits, w.digits); &res[0] != &seg[0] {
-					copy(seg, res)
-				}
-			default:
-				lsdDeal(seg, w.bounce[:hi-lo], h.lowBits, w.digits, h.land, lo, h.deal)
+			seg, land := h.keys[lo:hi], h.keys[lo:hi]
+			if h.toScratch {
+				land = h.scratch[lo:hi]
+			}
+			if hi-lo < 2 {
+				copy(land, seg)
+				continue
+			}
+			buf := h.scratch[lo:hi]
+			if hi-lo <= hybridBounceMax {
+				buf = w.bounce[:hi-lo]
+			}
+			if res := lsdLow(seg, buf, h.lowBits, w.digits); &res[0] != &land[0] {
+				copy(land, res)
 			}
 		}
-	}
-}
-
-// finishOversize finishes a region too large for a lane's bounce
-// buffer by bouncing it through its span of h.spare: the other array
-// for a plain sort, the landing one for a dealing sort, which finishes
-// its oversize regions back in part while early and deals each with
-// one copy in the main round.
-func (h *hybridTiles[T]) finishOversize(seg []T, lo int, digits []uint32) {
-	if h.deal.on && !h.early {
-		landRun(h.land, seg, lo, h.deal)
-		return
-	}
-	if res := lsdLow(seg, h.spare[lo:lo+len(seg)], h.lowBits, digits); &res[0] != &seg[0] {
-		copy(seg, res)
 	}
 }
 
@@ -415,7 +323,8 @@ func (h *hybridTiles[T]) finishOversize(seg []T, lo int, digits []uint32) {
 // between seg and buf, and returns whichever of the two holds the
 // result. Identity passes (single occupied bucket) are skipped. The
 // two-pass shape every uint32 region takes is unrolled — its fused
-// histogram read is the hottest loop of the large-n sort.
+// histogram read is the hottest loop of the large-n sort, and constant
+// digit shifts keep its scatters free of shift-range checks.
 func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 	n := uint32(len(seg))
 	if lowBits == 21 { // uint32 keys: one 11-bit and one 10-bit pass
@@ -441,47 +350,6 @@ func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 		}
 	}
 	return src
-}
-
-// lsdDeal is lsdLow whose last scatter lands the region, the ranks
-// from lo up, in land dealt by d; seg is left undefined.
-func lsdDeal[T element.Uint](seg, buf []T, lowBits int, count []uint32, land []T, lo int, d deal) {
-	n := uint32(len(seg))
-	if lowBits == 21 {
-		c0, c1 := hist21(seg, count)
-		switch id0, id1 := c0[int(seg[0]&0x7ff)] == n, c1[int(seg[0]>>11&0x3ff)] == n; {
-		case !id0 && !id1:
-			scatterPass(seg, buf, 0, 0x7ff, c0)
-			scatterDeal(buf, land, 11, 0x3ff, c1, uint32(lo), d)
-		case !id1:
-			scatterDeal(seg, land, 11, 0x3ff, c1, uint32(lo), d)
-		case !id0:
-			scatterDeal(seg, land, 0, 0x7ff, c0, uint32(lo), d)
-		default:
-			landRun(land, seg, lo, d)
-		}
-		return
-	}
-	var lp lowPasses[T]
-	lp.fill(seg, lowBits, count)
-	last := -1
-	for p := 0; p < lp.passes; p++ {
-		if lp.cnt(p, count)[int(seg[0]>>lp.shifts[p]&lp.masks[p])] != n {
-			last = p
-		}
-	}
-	src, dst := seg, buf
-	for p := 0; p < last; p++ {
-		if cnt := lp.cnt(p, count); cnt[int(src[0]>>lp.shifts[p]&lp.masks[p])] != n {
-			scatterPass(src, dst, lp.shifts[p], lp.masks[p], cnt)
-			src, dst = dst, src
-		}
-	}
-	if last < 0 {
-		landRun(land, seg, lo, d)
-		return
-	}
-	scatterDeal(src, land, lp.shifts[last], lp.masks[last], lp.cnt(last, count), uint32(lo), d)
 }
 
 // hist21 fills the two digit histograms of uint32 keys' low 21 bits,
@@ -551,30 +419,14 @@ func scatterPass[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32)
 	}
 }
 
-// scatterDeal is scatterPass for the ranks from lo up, landing each in
-// dst dealt by dl.
-func scatterDeal[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32, lo uint32, dl deal) {
-	sum := lo
-	for d := range cnt {
-		c := cnt[d]
-		cnt[d] = sum
-		sum += c
-	}
-	for _, k := range src {
-		d := int(k >> shift & mask)
-		dst[dl.at(cnt[d])] = k
-		cnt[d]++
-	}
-}
-
 // radixUintPasses is the flat LSD layout: passes stable counting
 // passes of bits-wide digits of each element's K key, whole elements
 // moved per pass, bouncing between keys and scratch. The histograms of
 // every pass fill in one read; a pass whose digit is shared by all
-// elements is the identity and is skipped. The last pass that moves
-// elements lands them, dealt by d, when it writes the side toScratch
-// asks; otherwise one copy (a deal copy) lands them.
-func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, passes, bits int, count []uint32, d deal) {
+// elements is the identity and is skipped. When the last pass that
+// moves elements writes the other side than toScratch asks, one copy
+// lands them.
+func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool, passes, bits int, count []uint32) {
 	n := len(keys)
 	size := 1 << bits
 	mask := K(size - 1)
@@ -595,17 +447,8 @@ func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratc
 			m++
 		}
 	}
-	land := keys
-	if toScratch {
-		land = scratch
-	}
-	// Moving pass i writes scratch iff i is even.
-	dealt := -1
-	if d.on && m > 0 && (m%2 == 1) == toScratch {
-		dealt = m - 1
-	}
 	src, dst := keys, scratch
-	for i, p := range moving[:m] {
+	for _, p := range moving[:m] {
 		shift := uint(p * bits)
 		cnt := count[p*size : (p+1)*size]
 		sum := uint32(0)
@@ -613,15 +456,6 @@ func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratc
 			c := cnt[j]
 			cnt[j] = sum
 			sum += c
-		}
-		if i == dealt {
-			for j := range src {
-				e := &src[j]
-				r := int(element.KeyOf[K](e) >> shift & mask)
-				dst[d.at(cnt[r])] = *e
-				cnt[r]++
-			}
-			return
 		}
 		for j := range src {
 			e := &src[j]
@@ -631,16 +465,9 @@ func radixUintPasses[S element.Elem, K element.Uint](keys, scratch []S, toScratc
 		}
 		src, dst = dst, src
 	}
-	if &src[0] == &land[0] {
-		if !d.on {
-			return
-		}
-		// Nothing moved and the landing array holds the keys: deal
-		// them from the other one.
+	if (&src[0] == &keys[0]) == toScratch {
 		copy(dst, src)
-		src = dst
 	}
-	landRun(land, src, 0, d)
 }
 
 // Sort sorts keys in place in the direction given by asc, using radix

@@ -72,8 +72,8 @@ func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
 // stable sort by order image, at sizes on both sides of the large
 // layouts' threshold (the hybrid for keys, 16-bit digits for KV64),
 // through RadixSort and through RadixSortTo landing on either side.
-// The hybrid partitions into the array it does not land in, so the two
-// landing sides run both of its directions.
+// The hybrid partitions into the array it lands in, so the two landing
+// sides run both of its directions.
 func TestRadixSortMatchesStdlib(t *testing.T) {
 	for i, f := range []func(*testing.T){
 		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
@@ -114,11 +114,12 @@ func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 	}
 }
 
-// TestRadixSortDeal checks that the dealing sort equals a sort followed
-// by round 0's pack: for every element type, ascending and descending
-// processor, and either landing side, RadixSortDeal must land exactly
-// what a stable sort packed by the P=2 round-0 plan's walk puts in its
-// two messages. Sizes straddle the large layouts' threshold and reach
+// TestRadixSortDeal checks FullSort's round 0 as its first merge sees
+// it: a share sorted by RadixSortTo and read through DealtRun must give
+// each group member exactly the message that the P=2 round-0 plan's
+// pack walk builds from a stable sort, read in ascending order, for
+// every element type, ascending and descending sender, and either
+// landing side. Sizes straddle the large layouts' threshold and reach
 // n = 2; the inputs include all-equal keys (every pass the identity)
 // and keys that share their top 11 bits (one oversize hybrid region).
 // Pools of 1 and 3 lanes run the sequential and the tiled finish.
@@ -171,42 +172,41 @@ func testRadixSortDeal[E element.Elem](t *testing.T) {
 			for proc, desc := range []bool{false, true} {
 				// Sort, then pack by the walk: rank i sits at address i,
 				// or n-1-i on the descending processor.
-				want := make([]E, n)
-				dests := plan.Dests(proc)
+				msgs := make([][]E, plan.Old.P())
+				for _, q := range plan.Dests(proc) {
+					msgs[q] = make([]E, plan.MsgLen)
+				}
 				w := plan.PackWalk(proc, desc)
 				for _, v := range sorted {
-					want[slices.Index(dests, int(w.A))*plan.MsgLen+int(w.B)] = v
+					msgs[w.A][w.B] = v
 					w = w.Next()
 				}
 				for _, toScratch := range []bool{false, true} {
 					keys := slices.Clone(input)
 					scratch := make([]E, n+1) // a longer scratch lands in its prefix
-					RadixSortDeal(keys, scratch, desc, toScratch)
+					RadixSortTo(keys, scratch, toScratch)
 					got := keys
 					if toScratch {
 						got = scratch[:n]
 					}
-					for i := range want {
-						if element.Bits(got[i]) != element.Bits(want[i]) || element.Aux(got[i]) != element.Aux(want[i]) {
-							t.Fatalf("%s n=%d desc=%v toScratch=%v: mismatch at %d: got %v want %v", g.name, n, desc, toScratch, i, got[i], want[i])
+					for member, q := range plan.Dests(proc) {
+						want := slices.Clone(msgs[q])
+						if desc {
+							slices.Reverse(want)
+						}
+						run := DealtRun(got, member, desc)
+						if run.Len() != len(want) {
+							t.Fatalf("%s n=%d desc=%v: member %d's run holds %d keys, want %d", g.name, n, desc, member, run.Len(), len(want))
+						}
+						for i := range want {
+							if v := run.Keys[i*run.Stride]; element.Bits(v) != element.Bits(want[i]) || element.Aux(v) != element.Aux(want[i]) {
+								t.Fatalf("%s n=%d desc=%v toScratch=%v member %d: mismatch at %d: got %v want %v", g.name, n, desc, toScratch, member, i, v, want[i])
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-func TestRadixSortDealPanicsOnBadLength(t *testing.T) {
-	for _, n := range []int{0, 1, 6} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("n=%d: no panic", n)
-				}
-			}()
-			RadixSortDeal(make([]uint32, n), make([]uint32, n), false, false)
-		}()
 	}
 }
 
@@ -454,7 +454,8 @@ func BenchmarkSortBitonicVsRadix(b *testing.B) {
 // BenchmarkMergeRuns times the merge kernels on FullSort's P=2 shape:
 // two sorted runs of 256Ki uint32 keys each, one of them descending,
 // merged into a contiguous array or routed into two message buffers,
-// and a four-run merge through the loser tree.
+// the same routed merge reading its runs strided, and a four-run merge
+// through the loser tree.
 func BenchmarkMergeRuns(b *testing.B) {
 	const half = 1 << 18
 	rng := rand.New(rand.NewSource(9))
@@ -494,6 +495,14 @@ func BenchmarkMergeRuns(b *testing.B) {
 	b.Run("two-last", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MergeRunsRouted(out, last, 0, two, true)
+		}
+	})
+	// FullSort's first merge at P=2: every second key of two sorted
+	// arrays of 2^19 keys, read in place.
+	strided := []Run{DealtRun(mk(2*half, false).Keys, 0, false), DealtRun(mk(2*half, false).Keys, 0, true)}
+	b.Run("two-strided", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MergeRunsRouted(out, last, 0, strided, true)
 		}
 	})
 	cross := schedule.New(21, 2, schedule.Head)[1].Plan

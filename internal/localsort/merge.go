@@ -15,28 +15,54 @@ import (
 // payloads, and no comparison or emission goes through a func value or
 // an interface.
 
-// RunOf is one sorted input run for MergeRuns. Desc marks runs stored
-// in descending order (they are consumed from the tail), which is how
-// the long messages from the second half of a communication group
-// arrive in §4.3's unpack-fused merge.
+// RunOf is one sorted input run for MergeRuns: the elements Keys[0],
+// Keys[Stride], Keys[2·Stride], ..., every element of Keys when Stride
+// is 0 or 1. Desc marks runs stored in descending order (they are
+// consumed from the tail), which is how the long messages from the
+// second half of a communication group arrive in §4.3's unpack-fused
+// merge. A strided run reads a message in place out of the sender's
+// whole array: FullSort's first merge takes every second key of each
+// sender's sorted share.
 type RunOf[E element.Elem] struct {
-	Keys []E
-	Desc bool
+	Keys   []E
+	Desc   bool
+	Stride int
 }
 
 // Run is a uint32 run, the element type of the paper's experiments.
 type Run = RunOf[uint32]
 
+// DealtRun returns the run that round 0 of a FullSort sends to group
+// member g out of arr, the sender's share sorted ascending, read in
+// place. That round is the two-way segment deal (addr.RemapPlan.Deal
+// with s=0, c=1): address l goes to member l&1, and rank i sits at
+// address i, or n-1-i on a descending sender, so the run is every
+// second key of arr from g, or from 1-g when desc. len(arr) must be
+// even.
+func DealtRun[E element.Elem](arr []E, g int, desc bool) RunOf[E] {
+	if desc {
+		g = 1 - g
+	}
+	return RunOf[E]{Keys: arr[g:], Stride: 2}
+}
+
+// Len returns the number of elements of r.
+func (r RunOf[E]) Len() int {
+	st := r.step()
+	return (len(r.Keys) + st - 1) / st
+}
+
+// step returns the storage distance between consecutive elements of r.
+func (r RunOf[E]) step() int { return max(r.Stride, 1) }
+
 // cursor walks a run in ascending key order: i is the storage index of
-// the head, step is +1 for an ascending run and -1 for a Desc run read
-// from its tail, and n counts the elements left.
+// the head, step is +Stride for an ascending run and -Stride for a Desc
+// run read from its tail, and n counts the elements left.
 type cursor struct{ i, step, n int }
 
 func (r RunOf[E]) cursor() cursor {
-	if r.Desc {
-		return cursor{len(r.Keys) - 1, -1, len(r.Keys)}
-	}
-	return cursor{0, 1, len(r.Keys)}
+	head, _, step := r.ends()
+	return cursor{head, step, r.Len()}
 }
 
 // MergeTwo merges the ascending-sorted slices a and b into dst (whose
@@ -81,7 +107,7 @@ func MergeRunsRouted[E element.Elem](out [][]E, plan *addr.RemapPlan, proc int, 
 func runsLen[E element.Elem](runs []RunOf[E]) int {
 	n := 0
 	for _, r := range runs {
-		n += len(r.Keys)
+		n += r.Len()
 	}
 	return n
 }
@@ -200,7 +226,7 @@ func mergeRunsOf[S element.Elem, K element.Ord](dst []S, out [][]S, plan *addr.R
 	case 0:
 	case 1:
 		head, _, step := runs[first].ends()
-		emitRun(&front, runs[first].Keys, head, step, len(runs[first].Keys))
+		emitRun(&front, runs[first].Keys, head, step, runs[first].Len())
 	case 2:
 		mergeTwoRuns[S, K](&front, &back, runs[first], runs[second])
 	default:
@@ -211,16 +237,19 @@ func mergeRunsOf[S element.Elem, K element.Ord](dst []S, out [][]S, plan *addr.R
 // ends returns the storage indices of r's head (smallest key) and tail
 // (largest), and the step from head towards tail.
 func (r RunOf[E]) ends() (head, tail, step int) {
+	st := r.step()
+	last := (r.Len() - 1) * st
 	if r.Desc {
-		return len(r.Keys) - 1, 0, -1
+		return last, 0, -st
 	}
-	return 0, len(r.Keys) - 1, 1
+	return 0, last, st
 }
 
 // mergeTwoRuns is the two-run kernel. Its front end takes the smaller
 // head and its back end the larger tail: two chains that do not wait
 // on each other. It works in blocks of min(na, nb) steps, na and nb
-// counting what is left of each run between its head and its tail.
+// counting what is left of each run between its head and its tail:
+// their distance divided by the run's step, plus one.
 // The k smallest and the k largest elements are disjoint while
 // 2k <= na+nb, and neither run can run dry inside a block, so the
 // block loops check no counts, and two runs of equal length finish in
@@ -229,7 +258,7 @@ func (r RunOf[E]) ends() (head, tail, step int) {
 func mergeTwoRuns[S element.Elem, K element.Ord](f, bk *sink[S], a, b RunOf[S]) {
 	ia, ja, sa := a.ends()
 	ib, jb, sb := b.ends()
-	for m := min((ja-ia)*sa, (jb-ib)*sb) + 1; m > 0; m = min((ja-ia)*sa, (jb-ib)*sb) + 1 {
+	for m := min((ja-ia)/sa, (jb-ib)/sb) + 1; m > 0; m = min((ja-ia)/sa, (jb-ib)/sb) + 1 {
 		if f.L == 1 {
 			ia, ib, ja, jb, f.w, bk.w = routeEnds[S, K](f.out, m, a.Keys, b.Keys, ia, ib, ja, jb, sa, sb, f.w, bk.w)
 			continue
@@ -242,10 +271,10 @@ func mergeTwoRuns[S element.Elem, K element.Ord](f, bk *sink[S], a, b RunOf[S]) 
 			m -= c
 		}
 	}
-	if na := (ja-ia)*sa + 1; na > 0 {
+	if na := (ja-ia)/sa + 1; na > 0 {
 		emitRun(f, a.Keys, ia, sa, na)
 	} else {
-		emitRun(f, b.Keys, ib, sb, (jb-ib)*sb+1)
+		emitRun(f, b.Keys, ib, sb, (jb-ib)/sb+1)
 	}
 }
 
@@ -365,8 +394,8 @@ func routeEnds[S element.Elem, K element.Ord](out [][]S, n int, a, b []S, ia, ib
 }
 
 // emitRun emits n elements of one run, from storage index i on by
-// step, through s: bulk copies where the run and the sink move the
-// same way.
+// step, through s: bulk copies where the run is contiguous (step ±1)
+// and moves the same way as the sink, one element at a time otherwise.
 func emitRun[S element.Elem](s *sink[S], keys []S, i, step, n int) {
 	for n > 0 {
 		c := min(n, s.room())

@@ -72,7 +72,10 @@ func sameBits[E element.Elem](a, b E) bool {
 func mergeOracle[E element.Elem](runs []localsort.RunOf[E]) []E {
 	var all []E
 	for _, r := range runs {
-		seq := slices.Clone(r.Keys)
+		var seq []E
+		for i := 0; i < len(r.Keys); i += max(r.Stride, 1) {
+			seq = append(seq, r.Keys[i])
+		}
 		if r.Desc {
 			slices.Reverse(seq)
 		}
@@ -148,7 +151,7 @@ func randomRoute(rng *rand.Rand, n int) (*addr.RemapPlan, int) {
 func runsTotal[E element.Elem](runs []localsort.RunOf[E]) int {
 	n := 0
 	for _, r := range runs {
-		n += len(r.Keys)
+		n += r.Len()
 	}
 	return n
 }
@@ -274,6 +277,72 @@ func TestMergeKernelsMatchStableOracle(t *testing.T) {
 	t.Run("f32", runMergeProperties[float32])
 	t.Run("f64", runMergeProperties[float64])
 	t.Run("kv64", runMergeProperties[element.KV64])
+}
+
+// stridedRun returns every second element of a sorted array of 2m
+// elements over domain from offset o, the shape of a round-0 message
+// read in place; a Desc run's array is stored descending.
+func stridedRun[E element.Elem](rng *rand.Rand, m, o, domain int, desc bool, id *int) localsort.RunOf[E] {
+	arr := randomRuns[E](rng, []int{2 * m}, domain, 0, id)[0].Keys
+	if desc {
+		slices.Reverse(arr)
+	}
+	return localsort.RunOf[E]{Keys: arr[o:], Desc: desc, Stride: 2}
+}
+
+func runStridedMergeProperties[E element.Elem](t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	id := 0
+	keyByKey := false
+	for _, m := range []int{1, 2, 3, 64, 1000, 1024} {
+		for mask := uint(0); mask < 16; mask++ {
+			// Bits 0 and 1 pick each run's offset, bits 2 and 3 mark it
+			// Desc, so both parities meet both directions.
+			o0, o1 := int(mask&1), int(mask>>1&1)
+			for _, domain := range []int{1, 3, 1 << 20} {
+				label := fmt.Sprintf("m=%d mask=%04b domain=%d", m, mask, domain)
+				runs := []localsort.RunOf[E]{
+					stridedRun[E](rng, m, o0, domain, mask&4 != 0, &id),
+					stridedRun[E](rng, m, o1, domain, mask&8 != 0, &id),
+				}
+				want := mergeOracle(runs)
+				checkMerge(t, label, runs, want)
+				// One strided run beside a contiguous one, and alone.
+				mixed := []localsort.RunOf[E]{runs[0], randomRuns[E](rng, []int{m}, domain, mask>>3, &id)[0]}
+				checkMerge(t, label+" mixed", mixed, mergeOracle(mixed))
+				checkMerge(t, label+" alone", runs[1:], mergeOracle(runs[1:]))
+				tree := append(slices.Clone(runs), mixed[1])
+				checkMerge(t, label+" tree", tree, mergeOracle(tree))
+				if m&(m-1) != 0 {
+					continue
+				}
+				for _, plan := range segmentRoutes(2 * m) {
+					keyByKey = keyByKey || plan.PackSegment() == 1 && m > 1
+					for proc := 0; proc < plan.Old.P(); proc++ {
+						checkRouted(t, label, plan, proc, runs, want)
+					}
+				}
+			}
+		}
+	}
+	if !keyByKey {
+		t.Fatal("no route went key by key")
+	}
+}
+
+// TestMergeStridedRuns checks the merge kernels on strided runs, the
+// shape of FullSort's first merge, which reads each peer's message as
+// every second key of the peer's sorted array: for all five element
+// types, runs of both offsets stored either way, merged contiguously,
+// beside a contiguous run, alone, through the loser tree, and routed
+// in both region directions through every FullSort remap at P=2, 4
+// and 8, the first merge's among them, at least one key by key.
+func TestMergeStridedRuns(t *testing.T) {
+	t.Run("u32", runStridedMergeProperties[uint32])
+	t.Run("u64", runStridedMergeProperties[uint64])
+	t.Run("f32", runStridedMergeProperties[float32])
+	t.Run("f64", runStridedMergeProperties[float64])
+	t.Run("kv64", runStridedMergeProperties[element.KV64])
 }
 
 // TestMergeKV64TiesKeepRunOrder pins the tie rule directly: records

@@ -9,6 +9,7 @@ import (
 
 	"parbitonic/internal/addr"
 	"parbitonic/internal/logp"
+	"parbitonic/internal/schedule"
 	"parbitonic/internal/spmd"
 )
 
@@ -423,6 +424,77 @@ func TestExchangeRunsPrepacked(t *testing.T) {
 	}
 	if res.Sum.PackTime != 0 || res.Sum.UnpackTime != 0 {
 		t.Errorf("fused paths must charge no pack/unpack time: %v/%v", res.Sum.PackTime, res.Sum.UnpackTime)
+	}
+}
+
+// TestPublishInPlace pins PublishInPlace's contract on FullSort's
+// round-0 plan at P=2, 4 and 8: every receiver reads its message as
+// every second key of each sender's published array, from the offset
+// of its member index, and unpacked by hand those views land the keys
+// where addr.Apply does. Counters and clocks must equal ExchangeRuns
+// of the deal-packed messages on the same plan.
+func TestPublishInPlace(t *testing.T) {
+	const lgN = 10
+	for lgP := 1; lgP <= 3; lgP++ {
+		P, n := 1<<uint(lgP), 1<<uint(lgN-lgP)
+		plan := schedule.New(lgN, lgP, schedule.Head)[0].Plan
+		if s, c, ok := plan.Deal(); !ok || s != 0 || c != 1 {
+			t.Fatalf("P=%d: round 0 is not the two-way deal", P)
+		}
+		rng := rand.New(rand.NewSource(int64(P)))
+		data := make([][]uint32, P)
+		for p := range data {
+			data[p] = make([]uint32, n)
+			for i := range data[p] {
+				data[p][i] = rng.Uint32()
+			}
+		}
+		want := addr.Apply(plan.Old, plan.New, data)
+		clone := func() [][]uint32 {
+			out := make([][]uint32, P)
+			for p := range data {
+				out[p] = append([]uint32(nil), data[p]...)
+			}
+			return out
+		}
+		m := mustNew(t, testConfig(P, true))
+		packed := mustRun(t, m, clone(), func(p *Proc) {
+			arr := make([]uint32, n)
+			out := p.Messages(plan, arr)
+			for l, v := range p.Data {
+				arr[l&1*plan.MsgLen+l>>1] = v
+			}
+			p.Data = unpackRuns(plan, p.ExchangeRuns(plan, out))
+		})
+		inPlace := mustRun(t, m, clone(), func(p *Proc) {
+			g := plan.Member(p.ID)
+			in := p.PublishInPlace(plan, p.Data)
+			if p.Data != nil {
+				t.Errorf("P=%d proc %d: PublishInPlace left Data set", P, p.ID)
+			}
+			next := make([]uint32, n)
+			for src, arr := range in {
+				for k := 0; g+2*k < len(arr); k++ {
+					next[plan.UnpackLocal(src, k)] = arr[g+2*k]
+				}
+			}
+			p.Data = next
+		})
+		for p := 0; p < P; p++ {
+			for l := 0; l < n; l++ {
+				if m.Data()[p][l] != want[p][l] {
+					t.Fatalf("P=%d: in-place views differ from addr.Apply at (%d,%d)", P, p, l)
+				}
+			}
+			a, b := packed.PerProc[p], inPlace.PerProc[p]
+			if a.VolumeSent != b.VolumeSent || a.MessagesSent != b.MessagesSent || a.TransferTime != b.TransferTime || a.Remaps != b.Remaps {
+				t.Errorf("P=%d proc %d: in place sent %d keys in %d messages, transfer %v, %d remaps; ExchangeRuns %d, %d, %v, %d",
+					P, p, b.VolumeSent, b.MessagesSent, b.TransferTime, b.Remaps, a.VolumeSent, a.MessagesSent, a.TransferTime, a.Remaps)
+			}
+		}
+		if packed.Time != inPlace.Time || inPlace.Sum.PackTime != 0 || inPlace.Sum.UnpackTime != 0 {
+			t.Errorf("P=%d: in-place makespan %v (pack %v, unpack %v), ExchangeRuns %v", P, inPlace.Time, inPlace.Sum.PackTime, inPlace.Sum.UnpackTime, packed.Time)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ type ProcOf[E element.Elem] struct {
 	e    *EngineOf[E]
 	outs [][]E // the Outbox: destination table, cleared by every Exchange
 	srcs [][]E // gather-source scratch, reused across remap rounds
-	in   [][]E // received-message table, rewritten by every Exchange
+	in   [][]E // received-message table, rewritten by every Exchange and PublishInPlace
 }
 
 // Proc is the uint32 processor, the element type of the paper's

@@ -37,10 +37,7 @@ func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 	p.Stats.VolumeSent += vol
 	p.Stats.MessagesSent += msgs
 	e.bar.maxClock(&p.PC) // publish sends
-	if p.in == nil {
-		p.in = make([][]E, e.p)
-	}
-	in := p.in
+	in := p.inbox()
 	for src := 0; src < e.p; src++ {
 		in[src] = e.board[src][p.ID].data
 	}
@@ -48,6 +45,15 @@ func (p *ProcOf[E]) Exchange(out [][]E) [][]E {
 	e.bar.maxClock(&p.PC) // everyone has read; board reusable, clocks synced
 	p.tag(obs.PhaseCompute)
 	return in
+}
+
+// inbox returns the processor's received-message table, one entry per
+// source processor, rewritten by every Exchange and PublishInPlace.
+func (p *ProcOf[E]) inbox() [][]E {
+	if p.in == nil {
+		p.in = make([][]E, p.e.p)
+	}
+	return p.in
 }
 
 // PairExchange swaps data with one partner processor: both send their

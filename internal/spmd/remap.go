@@ -8,13 +8,13 @@ import (
 )
 
 // RemapBarriers is the number of barriers one remap crosses on every
-// data path: Remap's publish and release barriers below, and
-// Exchange's publish and read barriers, which ExchangeRuns goes
-// through once. A native remap's data movement is local computation
-// (the gather, or the dealing sort or routed merge feeding
-// ExchangeRuns), so the native planner prices a remap as this many
-// measured barrier round trips (internal/tune). TestRemapBarriers
-// pins the count.
+// data path: Remap's and PublishInPlace's publish and release barriers
+// below, and Exchange's publish and read barriers, which ExchangeRuns
+// goes through once. A native remap's data movement is local
+// computation (the gather, or the routed merge feeding ExchangeRuns,
+// or the merge that reads PublishInPlace's arrays), so the native
+// planner prices a remap as this many measured barrier round trips
+// (internal/tune). TestRemapBarriers pins the count.
 const RemapBarriers = 2
 
 // Remap routes p.Data from plan.Old to plan.New, gathering the new
@@ -55,18 +55,12 @@ func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool, dst []E) []E {
 		e.charge.Pack(&p.PC, n)
 	}
 
-	// Publish this processor's memory on the board diagonal and count
-	// the long messages the packed pipeline would send: the gather
-	// below reads exactly those elements.
-	e.board[p.ID][p.ID] = delivery[E]{data: p.Data}
-	vol, msgs := plan.SendCounts(p.ID)
-	p.Stats.VolumeSent += vol
-	p.Stats.MessagesSent += msgs
-	e.bar.maxClock(&p.PC) // all memories published
-
-	p.grp = plan.AppendSenders(p.grp[:0], p.ID)
-	srcs := p.srcScratch(len(p.grp))
-	for g, s := range p.grp {
+	// The gather below reads exactly the elements of the long messages
+	// the packed pipeline would send.
+	vol, msgs := p.publish(plan, p.Data)
+	grp := p.senders(plan)
+	srcs := p.srcScratch(len(grp))
+	for g, s := range grp {
 		srcs[g] = e.board[s][s].data
 	}
 	next := dst[:n]
@@ -90,6 +84,61 @@ func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool, dst []E) []E {
 	p.tag(obs.PhaseCompute)
 	p.Stats.Remaps++
 	return old
+}
+
+// PublishInPlace performs a remap whose messages stay where their
+// sender wrote them: every processor publishes arr, its n keys laid
+// out so that each receiver can read its message in place, and gets
+// back its senders' arrays, indexed by sender like ExchangeRuns'
+// result (nil for processors that send it nothing). FullSort's round 0
+// publishes its sorted share, and each receiver reads every second key
+// of it (addr.RemapPlan.Deal). The call crosses Remap's two barriers
+// and records and charges the long messages the packed pipeline sends
+// (plan.SendCounts), which are ExchangeRuns' counts for the packed
+// messages, so clocks and counters are the same as for that path. A
+// received array stays valid until its sender writes it again: a
+// FullSort body does so two rounds later, after the next exchange's
+// publish barrier. p.Data is set nil.
+func (p *ProcOf[E]) PublishInPlace(plan *addr.RemapPlan, arr []E) [][]E {
+	e := p.e
+	if n := plan.Old.LocalN(); len(arr) != n {
+		panic(fmt.Sprintf("spmd: processor %d publishes %d keys, plan wants %d", p.ID, len(arr), n))
+	}
+	p.checkAbort()
+	p.tag(obs.PhaseTransfer)
+	vol, msgs := p.publish(plan, arr)
+	in := p.inbox()
+	clear(in)
+	for _, s := range p.senders(plan) {
+		in[s] = e.board[s][s].data
+	}
+	e.charge.Transfer(&p.PC, vol, msgs)
+	e.bar.maxClock(&p.PC) // every lookup done; the board diagonal is free
+	e.board[p.ID][p.ID] = delivery[E]{}
+	p.Data = nil
+	p.Stats.Remaps++
+	p.tag(obs.PhaseCompute)
+	return in
+}
+
+// publish puts arr on the board diagonal, records the long messages the
+// packed pipeline sends under plan, and returns their counts once
+// every processor has published.
+func (p *ProcOf[E]) publish(plan *addr.RemapPlan, arr []E) (vol, msgs int) {
+	p.e.board[p.ID][p.ID] = delivery[E]{data: arr}
+	vol, msgs = plan.SendCounts(p.ID)
+	p.Stats.VolumeSent += vol
+	p.Stats.MessagesSent += msgs
+	p.e.bar.maxClock(&p.PC) // all memories published
+	return vol, msgs
+}
+
+// senders returns the processors that send to p under the plan, in
+// GatherWalk's A order, in per-processor scratch rewritten by the next
+// call.
+func (p *ProcOf[E]) senders(plan *addr.RemapPlan) []int {
+	p.grp = plan.AppendSenders(p.grp[:0], p.ID)
+	return p.grp
 }
 
 // srcScratch returns the per-processor sender-memory table, reused
