@@ -252,12 +252,11 @@ func kernelSweep(quick bool) []Entry {
 
 // kernelGroupOf measures one element type's kernels: the hybrid radix
 // sort, the full local sort (radix + direction fix-up), the bitonic
-// merge of a bitonic sequence, the two-way merge, and MergeRuns and
-// MergeRunsRouted on FullSort's P=2 shape (two runs, the second stored
-// descending; routed through the last remap's plan, as round 1 packs),
-// once more with the runs read strided out of two sorted arrays, as the
-// first merge reads them — the per-phase primitives every parallel run
-// is built from.
+// merge of a bitonic sequence, the two-way merge, MergeRuns on two
+// contiguous runs, and MergeRuns over FullSort's in-place deal views:
+// every second key of two sorted arrays (round 0 at P=2) and every
+// fourth key of four (the crossing at P=4) — the per-phase primitives
+// every parallel run is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
 	work := make([]E, size)
@@ -271,21 +270,21 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	b := append([]E(nil), keys[size/2:]...)
 	localsort.SortScratch(a, true, scratch)
 	localsort.SortScratch(b, true, scratch)
-	bDesc := append([]E(nil), b...)
-	localsort.Reverse(bDesc)
-	runs := []localsort.RunOf[E]{{Keys: a}, {Keys: bDesc, Desc: true}}
-	sched := schedule.New(intbits.Log2(size)+1, 1, schedule.Head)
-	last := sched[len(sched)-1].Plan
-	msgs := make([][]E, 2)
-	for _, q := range last.Dests(0) {
-		msgs[q] = make([]E, last.MsgLen)
+	runs := []localsort.RunOf[E]{{Keys: a}, {Keys: b}}
+	// Deal views of sorted arrays of size keys, read in place, the
+	// senders' regions alternating in direction.
+	views := func(lgP, remap int) []localsort.RunOf[E] {
+		plan := schedule.New(intbits.Log2(size)+lgP, lgP, schedule.Head)[remap].Plan
+		s, c, _ := plan.Deal()
+		out := make([]localsort.RunOf[E], 1<<c)
+		for q := range out {
+			arr := workload.Elems[E](workload.Uniform31, size, 1997+uint64(q))
+			localsort.SortScratch(arr, true, scratch)
+			out[q] = localsort.DealtRun(arr, s, c, 0, q%2 != 0)
+		}
+		return out
 	}
-	// FullSort's first merge: every second key of two sorted arrays,
-	// read in place.
-	sa, sb := append([]E(nil), keys...), workload.Elems[E](workload.Uniform31, size, 1997)
-	localsort.SortScratch(sa, true, scratch)
-	localsort.SortScratch(sb, true, scratch)
-	strided := []localsort.RunOf[E]{localsort.DealtRun(sa, 0, false), localsort.DealtRun(sb, 0, true)}
+	strided, crossing := views(1, 0), views(2, 1)
 
 	var out []Entry
 	for _, k := range []struct {
@@ -295,10 +294,10 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		{"radix", func() { copy(work, keys); localsort.RadixSortTo(work, scratch, false) }},
 		{"localsort", func() { copy(work, keys); localsort.SortScratch(work, true, scratch) }},
 		{"bitonic-merge", func() { bitseq.SortBitonic(work, bitonic, true) }},
-		{"merge-two", func() { localsort.MergeTwo(work, a, b, true) }},
+		{"merge-two", func() { localsort.MergeTwo(work, a, b) }},
 		{"merge-runs", func() { localsort.MergeRuns(work, runs) }},
-		{"merge-routed", func() { localsort.MergeRunsRouted(msgs, last, 0, runs, true) }},
-		{"merge-strided", func() { localsort.MergeRunsRouted(msgs, last, 0, strided, true) }},
+		{"merge-strided", func() { localsort.MergeRuns(work, strided) }},
+		{"merge-crossing", func() { localsort.MergeRuns(work, crossing) }},
 	} {
 		mean, min := measureKernel(reps, k.f)
 		out = append(out, Entry{

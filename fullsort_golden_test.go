@@ -23,13 +23,13 @@ type fullSortGoldenEntry struct {
 	Sum  string `json:"sum"`
 }
 
-// fullSortTieWorkload is 2^12 KV64 records over eight keys, each with
-// its index as payload: every key repeats about 512 times, so the
+// fullSortTieWorkload is 2^lgN KV64 records over eight keys, each with
+// its index as payload: every key repeats about 2^lgN/8 times, so the
 // output order of the payloads is the order in which the sort's
 // rounds break ties.
-func fullSortTieWorkload() []element.KV64 {
+func fullSortTieWorkload(lgN int) []element.KV64 {
 	rng := rand.New(rand.NewSource(30))
-	keys := make([]element.KV64, 1<<12)
+	keys := make([]element.KV64, 1<<lgN)
 	for i := range keys {
 		keys[i] = element.KV64{K: uint64(rng.Intn(8)) << 40, V: uint64(i)}
 	}
@@ -37,7 +37,10 @@ func fullSortTieWorkload() []element.KV64 {
 }
 
 // TestFullSortExactOutput pins FullSort's output bit for bit, payload
-// order included, at P=2, 4 and 8 on both backends. Stable sorting
+// order included, at P=2, 4, 8 and 16 on both backends: 2^12 records
+// up to P=8, and 2^16 at P=16, the smallest FullSort-shaped size there
+// (2^12 keys at P=16 are not), whose second crossing reads segments of
+// eight keys. Stable sorting
 // alone does not fix it: each round merges its runs in source order,
 // so the tie order records how every round reads its peers' data. A
 // round that reads a different half of a peer, or reads the right
@@ -45,12 +48,13 @@ func fullSortTieWorkload() []element.KV64 {
 func TestFullSortExactOutput(t *testing.T) {
 	var got []fullSortGoldenEntry
 	for _, backend := range []parbitonic.Backend{parbitonic.Simulated, parbitonic.Native} {
-		for _, p := range []int{2, 4, 8} {
+		for _, c := range []struct{ p, lgN int }{{2, 12}, {4, 12}, {8, 12}, {16, 16}} {
+			p := c.p
 			cfg := parbitonic.Config{Processors: p, Backend: backend, Verify: true}
 			if backend == parbitonic.Simulated {
 				cfg.Sim.FusePackUnpack = true // FullSort on the simulator
 			}
-			keys := fullSortTieWorkload()
+			keys := fullSortTieWorkload(c.lgN)
 			if _, err := parbitonic.Sort(keys, cfg); err != nil {
 				t.Fatalf("%v P=%d: %v", backend, p, err)
 			}

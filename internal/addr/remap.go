@@ -42,10 +42,10 @@ type RemapPlan struct {
 	nlFromP   []bitMove // new local bits sourced from the sender's proc number
 
 	// XOR deltas of the walks (see Walk): (dest, offset) over old local
-	// addresses and over pack segments, and (sender group, source local)
-	// over new local addresses. They depend on the bit moves only, so
-	// one set serves every processor.
-	packDelta, segDelta, gatherDelta [32][2]int32
+	// addresses, and (sender group, source local) over new local
+	// addresses. They depend on the bit moves only, so one set serves
+	// every processor.
+	packDelta, gatherDelta [32][2]int32
 
 	// segLg is lg of PackSegment.
 	segLg int
@@ -110,8 +110,9 @@ func (p *RemapPlan) PackSegment() int { return 1 << uint(p.segLg) }
 // the fanLg address bits above the pack segment, in order, and the
 // offset keeps every other address bit in order. A deal needs no walk:
 // a contiguous run of addresses lands in fixed strides of its messages.
-// FullSort's round 0 is the segLg=0, fanLg=1 deal, so a receiver reads
-// its message in place as every second key of the sender's array.
+// Every FullSort remap is a deal, so a receiver reads its message in
+// place as 2^segLg-key segments at stride 2^(segLg+fanLg) of the
+// sender's array (localsort.DealtRun).
 func (p *RemapPlan) Deal() (segLg, fanLg int, ok bool) {
 	for i, m := range p.destFromL {
 		if m.from != p.segLg+i {
@@ -124,18 +125,6 @@ func (p *RemapPlan) Deal() (segLg, fanLg int, ok bool) {
 		}
 	}
 	return p.segLg, p.Changed, true
-}
-
-// PackSegWalk is PackWalk over pack segments instead of addresses: it
-// walks processor proc's segments from the lowest upwards, or from the
-// highest downwards when desc, and A is the segment's destination and
-// B the pack offset of its lowest local address.
-func (p *RemapPlan) PackSegWalk(proc int, desc bool) Walk {
-	l := 0
-	if desc {
-		l = p.Old.LocalN() - p.PackSegment()
-	}
-	return Walk{A: int32(p.Dest(proc, l)), B: int32(p.PackOffset(l)), delta: &p.segDelta}
 }
 
 // GatherWalk is the inverse routing, for remaps that pull data instead
@@ -241,16 +230,6 @@ func NewRemapPlan(old, new *Layout) *RemapPlan {
 		j++
 	}
 	p.segLg = j
-	// Segment s starts at address s<<j, and s ^ (s+1) is the mask of
-	// the t+1 low bits, so the step's address change is the mask of
-	// bits j..j+t: the pack walk's delta[j+t] without delta[j-1].
-	for t := 0; t+j < len(p.packDelta); t++ {
-		p.segDelta[t] = p.packDelta[t+j]
-		if j > 0 {
-			p.segDelta[t][0] ^= p.packDelta[j-1][0]
-			p.segDelta[t][1] ^= p.packDelta[j-1][1]
-		}
-	}
 	// The gather routing inverts the unpack mask: new local bits sourced
 	// from the sender's processor number select the sender within the
 	// group (in nlFromP order, matching AppendSenders), and those sourced
@@ -296,12 +275,7 @@ func (p *RemapPlan) GroupSize() int { return 1 << uint(p.Changed) }
 // including proc itself if it keeps data, in ascending offset order of
 // the varying destination bits.
 func (p *RemapPlan) Dests(proc int) []int {
-	return p.AppendDests(make([]int, 0, p.GroupSize()), proc)
-}
-
-// AppendDests appends proc's destination group to dst and returns it,
-// for callers that route every round and keep their own scratch.
-func (p *RemapPlan) AppendDests(dst []int, proc int) []int {
+	dst := make([]int, 0, p.GroupSize())
 	fixed := gather(proc, p.destFromP)
 	for g := 0; g < p.GroupSize(); g++ {
 		d := fixed

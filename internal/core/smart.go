@@ -100,51 +100,43 @@ func dirAfterRemap(sched []schedule.Remap, lgn, i, q int) bool {
 //
 //   - every incoming long message is a sorted run (the sender was fully
 //     sorted and the pack mask preserves local order within a message);
-//   - merging all runs in the processor's merge-region direction yields
-//     the canonical per-processor multiset fully sorted, which is what
-//     the next remap needs (§4.1, Figures 4.3-4.5);
-//   - packing for the next remap is the merge's emission pass, so no
-//     separate pack or unpack pass exists (§4.3, Figure 4.8).
+//   - merging all runs yields the canonical per-processor multiset
+//     fully sorted, which is what the next remap needs (§4.1, Figures
+//     4.3-4.5);
+//   - no separate pack or unpack pass exists (§4.3, Figure 4.8): each
+//     receiver reads its messages in place, so the pack is the read.
+//
+// Every round leaves its keys ascending in its landing array: the
+// radix sort, then each merge. Every remap of the schedule is a
+// segment deal (addr.RemapPlan.Deal), so PublishInPlace publishes that
+// array and each receiver reads its message out of it as 2^s-key
+// segments at stride 2^(s+c) (localsort.DealtRun), the member bits
+// complemented for a sender whose region is descending, since local
+// address l of such a region sits at n-1-l. Each run yields the ranks
+// the packed message held, in the same order, so output and tie order
+// are those of a pack, exchange and unpack.
+//
+// The run lives in home and one spare: each write goes into the array
+// the previous one did not, and the sort lands where the parity of the
+// merges after it makes the final merge write home. A round's array is
+// read only by the merge after its publish, which every processor
+// finishes before the next publish barrier, so an array is free two
+// rounds after it was written.
 func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn, lgP int) {
-	// Round 0 is a radix sort whose sorted array is itself the first
-	// remap's messages: that remap is a two-way segment deal, so each
-	// receiver reads its half in place as every second key of the
-	// sender's array (localsort.DealtRun) and no pack pass runs (§4.3
-	// fuses packing into the local sort). The sort stays in its own
-	// landing array, whose keys are warm, where a sort that wrote the
-	// messages apart would partition into the spare, cold when a run
-	// starts. After it, every phase is ONE pass: a p-way merge of the
-	// received runs that writes straight into the next remap's messages
-	// (merge = unpack + sort + pack, the thesis's first Ch. 7
-	// refinement); the final one writes home, the array the run started
-	// on. The run lives in home and one spare: each write goes into the
-	// array the previous one did not, and the sort lands where the
-	// parity of the writes after it makes the final merge write home.
-	// A round's messages are read only by the merge after their
-	// exchange, which every processor finishes before the next
-	// exchange's publish barrier, so an array is free two rounds after
-	// it was written.
 	n := len(pr.Data)
 	home := pr.Data
 	s := stateOf(pr, 1, n)
 	// The run table holds views of the peers' arrays, home among them,
 	// so it is cleared when the run returns or unwinds.
 	defer func() { clear(s.runs[:cap(s.runs)]) }()
-	plan := sched[0].Plan
-	if seg, fan, ok := plan.Deal(); !ok || seg != 0 || fan != 1 {
-		panic("core: FullSort's first remap is not the two-way deal its merge reads in place")
-	}
 	toSpare := len(sched)%2 != 0 // an odd number of merges follows the sort
-	cur, next := s.spares[0], home
+	cur, next := home, s.spares[0]
 	if toSpare {
 		cur, next = next, cur
 	}
 	localsort.RadixSortTo(home, s.spares[0], toSpare)
 	pr.ChargeRadixSort(n)
-	in := pr.PublishInPlace(plan, next)
-	member := plan.Member(pr.ID)
 	for i, r := range sched {
-		cur, next = next, cur
 		// The usual-regime shape Validate guaranteed: an inside remap,
 		// then crossings, then the last remap.
 		switch {
@@ -153,20 +145,24 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 			i == len(sched)-1 && i > 0 && r.Kind != schedule.Last:
 			panic("core: unexpected schedule shape for FullSort")
 		}
+		seg, fan, ok := r.Plan.Deal()
+		if !ok {
+			panic("core: a FullSort remap is not the segment deal its merge reads in place")
+		}
+		in := pr.PublishInPlace(r.Plan, cur)
+		member := r.Plan.Member(pr.ID)
 		runs := s.runs[:0]
 		total := 0
-		for src, msg := range in {
-			if len(msg) == 0 {
+		for src, arr := range in {
+			if len(arr) == 0 {
 				continue
 			}
-			var run localsort.RunOf[E]
-			if i == 0 {
-				// Whole sorted arrays arrive, and round 0's senders
-				// sorted ascending or descending by parity.
-				run = localsort.DealtRun(msg, member, src%2 != 0)
-			} else {
-				run = localsort.RunOf[E]{Keys: msg, Desc: !dirAfterRemap(sched, lgn, i-1, src)}
+			// Round 0's regions run ascending or descending by parity.
+			asc := src%2 == 0
+			if i > 0 {
+				asc = dirAfterRemap(sched, lgn, i-1, src)
 			}
+			run := localsort.DealtRun(arr, seg, fan, member, !asc)
 			runs = append(runs, run)
 			total += run.Len()
 		}
@@ -174,24 +170,12 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 		if total != n {
 			panic("core: FullSort lost keys across a remap")
 		}
-
+		localsort.MergeRuns(next, runs)
 		if i == len(sched)-1 {
-			// Final phase: the last remap's steps sort ascending; the
-			// merge materializes the finished local array at home.
-			localsort.MergeRuns(home, runs)
-			pr.Data = home
-			pr.ChargeMerge(total)
-			return
+			pr.Data = home // the final merge wrote home
 		}
-
-		// Merge-with-pack: the element of ascending rank e sits at local
-		// index e (ascending region) or n-1-e (descending region) and goes
-		// to the next plan's destination slot for that index.
-		plan := sched[i+1].Plan
-		out := pr.Messages(plan, next)
-		localsort.MergeRunsRouted(out, plan, pr.ID, runs, dirAfterRemap(sched, lgn, i, pr.ID))
 		pr.ChargeMerge(total)
-		in = pr.ExchangeRuns(plan, out)
+		cur, next = next, cur
 	}
 }
 

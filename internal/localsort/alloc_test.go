@@ -9,19 +9,15 @@ import (
 	"testing"
 
 	"parbitonic/element"
-	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/localsort"
-	"parbitonic/internal/schedule"
 	"parbitonic/internal/workload"
 	"parbitonic/internal/workpool"
 )
 
 // The kernels promise zero steady-state allocations when the caller
 // supplies scratch: count tables are stashed, pooled or stack-resident, runs
-// tables live on the stack, the routed merge steps its plan's walk
-// instead of reading a routing table, the ping-pong layouts end in
-// place, and the tiled kernels carve their per-tile scratch out of the
+// tables live on the stack, the ping-pong layouts end in place, and the tiled kernels carve their per-tile scratch out of the
 // caller's and draw their tile states from a stash.
 // These tests pin that promise with the allocator's own accounting, on
 // a 1-lane pool (the sequential paths) and on a 2-lane one (the tile
@@ -59,43 +55,45 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 	b := workload.Elems[E](workload.Sorted, allocN/2, 2)
 	dst := make([]E, allocN)
 	assertZeroAllocs(t, "MergeTwo", func() {
-		localsort.MergeTwo(dst, a, b, true)
+		localsort.MergeTwo(dst, a, b)
 	})
 
-	// FullSort's shapes: runs with one read from its tail, merged into
-	// dst (two-run kernel, loser tree) or routed into two buffers.
-	desc := append([]E(nil), b...)
-	localsort.Reverse(desc)
-	two := []localsort.RunOf[E]{{Keys: a}, {Keys: desc, Desc: true}}
+	// FullSort's shapes: two contiguous runs (the two-run kernel) and
+	// four (the loser tree), then deal views read in place out of
+	// sorted arrays: every second key of two, every fourth key of four,
+	// and segments of two at stride 16 of eight.
 	q := allocN / 4
-	four := []localsort.RunOf[E]{{Keys: a[:q]}, {Keys: a[q:]}, {Keys: desc[:q], Desc: true}, {Keys: desc[q:], Desc: true}}
+	two := []localsort.RunOf[E]{{Keys: a}, {Keys: b}}
+	four := []localsort.RunOf[E]{{Keys: a[:q]}, {Keys: a[q:]}, {Keys: b[:q]}, {Keys: b[q:]}}
 	assertZeroAllocs(t, "MergeRuns/2", func() {
 		localsort.MergeRuns(dst, two)
 	})
 	assertZeroAllocs(t, "MergeRuns/4", func() {
 		localsort.MergeRuns(dst, four)
 	})
-	out := [][]E{make([]E, allocN/2), make([]E, allocN/2)}
-	plan := addr.NewRemapPlan(addr.Blocked(17, 1), addr.Cyclic(17, 1))
-	assertZeroAllocs(t, "MergeRunsRouted/2", func() {
-		localsort.MergeRunsRouted(out, plan, 0, two, false)
-	})
-	assertZeroAllocs(t, "MergeRunsRouted/4", func() {
-		localsort.MergeRunsRouted(out, plan, 0, four, true)
-	})
-	// The P=2 last remap: each half of the array is one pack segment.
-	last := schedule.New(17, 1, schedule.Head)[1].Plan
-	assertZeroAllocs(t, "MergeRunsRouted/2-segments", func() {
-		localsort.MergeRunsRouted(out, last, 0, two, false)
-	})
-	// FullSort's first merge: every second key of two sorted arrays,
-	// read in place, routed through the same plan.
-	wa := workload.Elems[E](workload.Sorted, allocN, 3)
-	wb := workload.Elems[E](workload.Sorted, allocN, 4)
-	strided := []localsort.RunOf[E]{localsort.DealtRun(wa, 0, false), localsort.DealtRun(wb, 0, true)}
-	assertZeroAllocs(t, "MergeRunsRouted/2-strided", func() {
-		localsort.MergeRunsRouted(out, last, 0, strided, true)
-	})
+	sorted := make([][]E, 8)
+	for i := range sorted {
+		sorted[i] = workload.Elems[E](workload.Sorted, allocN, uint64(3+i))
+	}
+	views := func(s, c int) []localsort.RunOf[E] {
+		runs := make([]localsort.RunOf[E], 1<<c)
+		for i := range runs {
+			runs[i] = localsort.DealtRun(sorted[i], s, c, 1, i%2 != 0)
+		}
+		return runs
+	}
+	for _, v := range []struct {
+		name string
+		runs []localsort.RunOf[E]
+	}{
+		{"MergeRuns/2-strided", views(0, 1)},
+		{"MergeRuns/4-strided", views(0, 2)},
+		{"MergeRuns/8-segmented", views(1, 3)},
+	} {
+		assertZeroAllocs(t, v.name, func() {
+			localsort.MergeRuns(dst, v.runs)
+		})
+	}
 	assertZeroAllocs(t, "SortBitonicBlocks", func() {
 		localsort.SortBitonicBlocks(keys, 1024, 1, scratch)
 	})

@@ -12,7 +12,6 @@ import (
 	"testing/quick"
 
 	"parbitonic/element"
-	"parbitonic/internal/addr"
 	"parbitonic/internal/bitseq"
 	"parbitonic/internal/schedule"
 	"parbitonic/internal/workpool"
@@ -194,7 +193,7 @@ func testRadixSortDeal[E element.Elem](t *testing.T) {
 						if desc {
 							slices.Reverse(want)
 						}
-						run := DealtRun(got, member, desc)
+						run := DealtRun(got, 0, 1, member, desc)
 						if run.Len() != len(want) {
 							t.Fatalf("%s n=%d desc=%v: member %d's run holds %d keys, want %d", g.name, n, desc, member, run.Len(), len(want))
 						}
@@ -256,17 +255,11 @@ func TestMergeTwo(t *testing.T) {
 		a := sortedCopy(randomKeys(rng, rng.Intn(50)))
 		b := sortedCopy(randomKeys(rng, rng.Intn(50)))
 		dst := make([]uint32, len(a)+len(b))
-		MergeTwo(dst, a, b, true)
+		MergeTwo(dst, a, b)
 		want := sortedCopy(append(append([]uint32{}, a...), b...))
 		for i := range want {
 			if dst[i] != want[i] {
-				t.Fatalf("asc merge wrong at %d", i)
-			}
-		}
-		MergeTwo(dst, a, b, false)
-		for i := range want {
-			if dst[len(dst)-1-i] != want[i] {
-				t.Fatalf("desc merge wrong at %d", i)
+				t.Fatalf("merge wrong at %d", i)
 			}
 		}
 	}
@@ -278,7 +271,7 @@ func TestMergeTwoPanicsOnBadLength(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	MergeTwo(make([]uint32, 3), make([]uint32, 1), make([]uint32, 1), true)
+	MergeTwo(make([]uint32, 3), make([]uint32, 1), make([]uint32, 1))
 }
 
 func TestMergeRuns(t *testing.T) {
@@ -291,8 +284,12 @@ func TestMergeRuns(t *testing.T) {
 			keys := sortedCopy(randomKeys(rng, rng.Intn(40)))
 			all = append(all, keys...)
 			if rng.Intn(2) == 0 {
-				Reverse(keys)
-				runs = append(runs, Run{Keys: keys, Desc: true})
+				// Read every second element of an interleaved array.
+				arr := make([]uint32, 2*len(keys))
+				for j, v := range keys {
+					arr[2*j], arr[2*j+1] = v, ^v
+				}
+				runs = append(runs, Run{Keys: arr, Stride: 2})
 			} else {
 				runs = append(runs, Run{Keys: keys})
 			}
@@ -311,9 +308,15 @@ func TestMergeRuns(t *testing.T) {
 func TestMergeRunsEdgeCases(t *testing.T) {
 	MergeRuns[uint32](nil, nil) // empty: no panic
 	dst := make([]uint32, 3)
-	MergeRuns(dst, []Run{{Keys: []uint32{3, 2, 1}, Desc: true}})
-	if dst[0] != 1 || dst[2] != 3 {
-		t.Errorf("single descending run: %v", dst)
+	MergeRuns(dst, []Run{{Keys: []uint32{1, 9, 2, 9, 3}, Stride: 2}})
+	if dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
+		t.Errorf("single strided run: %v", dst)
+	}
+	// A segmented run alone, its partial last segment not read.
+	dst = make([]uint32, 4)
+	MergeRuns(dst, []Run{{Keys: []uint32{1, 2, 9, 9, 3, 4, 9, 9, 5}, Stride: 4, Seg: 2}})
+	if dst[0] != 1 || dst[1] != 2 || dst[2] != 3 || dst[3] != 4 {
+		t.Errorf("single segmented run: %v", dst)
 	}
 	// Runs with empty slices mixed in.
 	dst = make([]uint32, 2)
@@ -451,68 +454,39 @@ func BenchmarkSortBitonicVsRadix(b *testing.B) {
 	})
 }
 
-// BenchmarkMergeRuns times the merge kernels on FullSort's P=2 shape:
-// two sorted runs of 256Ki uint32 keys each, one of them descending,
-// merged into a contiguous array or routed into two message buffers,
-// the same routed merge reading its runs strided, and a four-run merge
-// through the loser tree.
+// BenchmarkMergeRuns times the merge kernels on FullSort's shapes,
+// 2^19 uint32 keys out: two contiguous runs (the last merge at P=2),
+// four through the loser tree, and deal views read in place out of
+// sorted arrays of 2^19 keys, their senders alternating in direction:
+// every second key of two (round 0 at P=2), every fourth key of four
+// (the crossing at P=4), and segments of two at stride 16 of eight
+// (P=8's s=1, c=3 crossing).
 func BenchmarkMergeRuns(b *testing.B) {
 	const half = 1 << 18
 	rng := rand.New(rand.NewSource(9))
-	mk := func(n int, desc bool) Run {
-		keys := sortedCopy(randomKeys(rng, n))
-		if desc {
-			Reverse(keys)
+	mk := func(n int) Run { return Run{Keys: sortedCopy(randomKeys(rng, n))} }
+	views := func(s, c int) []Run {
+		runs := make([]Run, 1<<c)
+		for q := range runs {
+			runs[q] = DealtRun(mk(2*half).Keys, s, c, 0, q%2 != 0)
 		}
-		return Run{Keys: keys, Desc: desc}
+		return runs
 	}
-	two := []Run{mk(half, false), mk(half, true)}
-	four := []Run{mk(half/2, false), mk(half/2, true), mk(half/2, false), mk(half/2, true)}
 	dst := make([]uint32, 2*half)
-	b.Run("two", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRuns(dst, two)
-		}
-	})
-	b.Run("four", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRuns(dst, four)
-		}
-	})
-	out := [][]uint32{make([]uint32, half), make([]uint32, half)}
-	// Processor 0 of a blocked-to-cyclic remap at P=2: local bit 0
-	// picks the buffer, the rest is the offset.
-	plan := addr.NewRemapPlan(addr.Blocked(20, 1), addr.Cyclic(20, 1))
-	b.Run("two-routed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRunsRouted(out, plan, 0, two, false)
-		}
-	})
-	// FullSort's routed merges: the P=2 last remap sends each half of
-	// the local array whole (one pack segment per buffer), and the P=4
-	// crossing routes key by key.
-	last := schedule.New(20, 1, schedule.Head)[1].Plan
-	b.Run("two-last", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRunsRouted(out, last, 0, two, true)
-		}
-	})
-	// FullSort's first merge at P=2: every second key of two sorted
-	// arrays of 2^19 keys, read in place.
-	strided := []Run{DealtRun(mk(2*half, false).Keys, 0, false), DealtRun(mk(2*half, false).Keys, 0, true)}
-	b.Run("two-strided", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRunsRouted(out, last, 0, strided, true)
-		}
-	})
-	cross := schedule.New(21, 2, schedule.Head)[1].Plan
-	outs := make([][]uint32, 4)
-	for _, q := range cross.Dests(0) {
-		outs[q] = make([]uint32, cross.MsgLen)
+	for _, bc := range []struct {
+		name string
+		runs []Run
+	}{
+		{"two", []Run{mk(half), mk(half)}},
+		{"four", []Run{mk(half / 2), mk(half / 2), mk(half / 2), mk(half / 2)}},
+		{"two-strided", views(0, 1)},
+		{"four-crossing", views(0, 2)},
+		{"eight-segmented", views(1, 3)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MergeRuns(dst, bc.runs)
+			}
+		})
 	}
-	b.Run("two-crossing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeRunsRouted(outs, cross, 0, two, true)
-		}
-	})
 }

@@ -4,104 +4,101 @@ import (
 	"unsafe"
 
 	"parbitonic/element"
-	"parbitonic/internal/addr"
 )
 
-// The merge kernels: MergeTwo, MergeRuns and MergeRunsRouted. Each
-// runs one generic body over the key view of element.KeyOf — storage
-// S, keys compared natively as K — for all five element types, and
-// integer storage lets the two-run kernel select the emitted element
-// with a conditional move instead of a jump. Records keep their
-// payloads, and no comparison or emission goes through a func value or
-// an interface.
+// The merge kernels: MergeTwo and MergeRuns. Each runs one generic body
+// over the key view of element.KeyOf — storage S, keys compared
+// natively as K — for all five element types, and integer storage lets
+// the two-run kernel select the emitted element with a conditional move
+// instead of a jump. Records keep their payloads, and no comparison or
+// emission goes through a func value or an interface.
 
-// RunOf is one sorted input run for MergeRuns: the elements Keys[0],
-// Keys[Stride], Keys[2·Stride], ..., every element of Keys when Stride
-// is 0 or 1. Desc marks runs stored in descending order (they are
-// consumed from the tail), which is how the long messages from the
-// second half of a communication group arrive in §4.3's unpack-fused
-// merge. A strided run reads a message in place out of the sender's
-// whole array: FullSort's first merge takes every second key of each
-// sender's sorted share.
+// RunOf is one ascending input run for MergeRuns: Seg elements of Keys
+// from index 0, then Seg from index Stride, from 2·Stride, ..., as
+// long as a whole segment remains. Seg 0 or 1 reads one element every
+// Stride, and Stride 0 or 1 reads every element of Keys. A strided run
+// reads a message in place out of the sender's whole array (DealtRun).
 type RunOf[E element.Elem] struct {
-	Keys   []E
-	Desc   bool
-	Stride int
+	Keys        []E
+	Stride, Seg int
 }
 
 // Run is a uint32 run, the element type of the paper's experiments.
 type Run = RunOf[uint32]
 
-// DealtRun returns the run that round 0 of a FullSort sends to group
-// member g out of arr, the sender's share sorted ascending, read in
-// place. That round is the two-way segment deal (addr.RemapPlan.Deal
-// with s=0, c=1): address l goes to member l&1, and rank i sits at
-// address i, or n-1-i on a descending sender, so the run is every
-// second key of arr from g, or from 1-g when desc. len(arr) must be
-// even.
-func DealtRun[E element.Elem](arr []E, g int, desc bool) RunOf[E] {
+// DealtRun returns the run that a FullSort remap dealing with shape
+// (s, c) — addr.RemapPlan.Deal — sends to group member g out of arr,
+// the sender's keys sorted ascending, read in place. The deal sends
+// local address l to member (l>>s) & (2^c-1), in address order, and
+// rank i sits at address i, or n-1-i on a descending sender, which
+// complements the member bits. So the run is the 2^s-key segments of
+// arr at stride 2^(s+c) from segment g, or g XOR (2^c-1) when desc; a
+// run of one segment is contiguous. len(arr) must be a multiple of
+// 2^(s+c).
+func DealtRun[E element.Elem](arr []E, s, c, g int, desc bool) RunOf[E] {
 	if desc {
-		g = 1 - g
+		g ^= 1<<c - 1
 	}
-	return RunOf[E]{Keys: arr[g:], Stride: 2}
+	seg, stride := 1<<s, 1<<(s+c)
+	if stride == len(arr) {
+		return RunOf[E]{Keys: arr[g*seg : (g+1)*seg]}
+	}
+	return RunOf[E]{Keys: arr[g*seg:], Stride: stride, Seg: seg}
 }
 
 // Len returns the number of elements of r.
 func (r RunOf[E]) Len() int {
-	st := r.step()
-	return (len(r.Keys) + st - 1) / st
+	st, sg := r.step(), r.seg()
+	return (len(r.Keys) + st - sg) / st * sg
 }
 
-// step returns the storage distance between consecutive elements of r.
+// step returns the storage distance between consecutive segments of r.
 func (r RunOf[E]) step() int { return max(r.Stride, 1) }
 
-// cursor walks a run in ascending key order: i is the storage index of
-// the head, step is +Stride for an ascending run and -Stride for a Desc
-// run read from its tail, and n counts the elements left.
-type cursor struct{ i, step, n int }
+// seg returns the length of r's segments.
+func (r RunOf[E]) seg() int { return min(max(r.Seg, 1), r.step()) }
+
+// cursor walks a run in storage order: i is the storage index of the
+// head, n counts the elements left, left those left in the head's
+// segment, and the step out of a segment's last element skips gap more.
+type cursor struct{ i, n, left, seg, gap int }
 
 func (r RunOf[E]) cursor() cursor {
-	head, _, step := r.ends()
-	return cursor{head, step, r.Len()}
+	sg := r.seg()
+	return cursor{0, r.Len(), sg, sg, r.step() - sg}
+}
+
+// next advances c past its head.
+func (c *cursor) next() {
+	c.i++
+	c.n--
+	if c.left--; c.left == 0 {
+		c.i += c.gap
+		c.left = c.seg
+	}
 }
 
 // MergeTwo merges the ascending-sorted slices a and b into dst (whose
-// length must be len(a)+len(b)) in the direction given by asc, with
-// the two-run kernel MergeRuns uses.
-func MergeTwo[E element.Elem](dst, a, b []E, asc bool) {
+// length must be len(a)+len(b)) ascending, with the two-run kernel
+// MergeRuns uses.
+func MergeTwo[E element.Elem](dst, a, b []E) {
 	if len(dst) != len(a)+len(b) {
 		panic("localsort: MergeTwo length mismatch")
 	}
 	runs := [2]RunOf[E]{{Keys: a}, {Keys: b}}
-	mergeRuns(dst, nil, nil, 0, runs[:], asc)
+	mergeRuns(dst, runs[:])
 }
 
 // MergeRuns merges the sorted runs into dst ascending: a branchless
-// two-ended loop for two non-empty runs, a loser tree — O(total ·
-// log p) comparisons — for more. Equal keys come out in run order.
-// This is the p-way merge the paper fuses with unpacking so the
-// separate unpack pass disappears (§4.3).
+// two-ended loop for two non-empty runs without segments, a loser tree
+// — O(total · log p) comparisons — for more, or for segmented runs.
+// Equal keys come out in run order. This is the p-way merge the paper
+// fuses with unpacking so the separate unpack pass disappears (§4.3).
 func MergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
 	if len(dst) != runsLen(runs) {
 		panic("localsort: MergeRuns length mismatch")
 	}
-	mergeRuns(dst, nil, nil, 0, runs, true)
-}
-
-// MergeRunsRouted is MergeRuns emitting through processor proc's pack
-// routing under plan instead of into a contiguous array: the element of
-// ascending rank e belongs at local index l = e of an ascending region
-// (asc) or l = n-1-e of a descending one, and is stored in
-// out[plan.Dest(proc, l)] at plan.PackOffset(l). Packing for the next
-// remap is then the merge's own emission pass — the thesis's "single
-// local computation step" (Ch. 7). It fills a pack segment
-// (plan.PackSegment) at a time as one slice of its message. The runs
-// must hold the plan's n local keys in total.
-func MergeRunsRouted[E element.Elem](out [][]E, plan *addr.RemapPlan, proc int, runs []RunOf[E], asc bool) {
-	if runsLen(runs) != plan.Old.LocalN() {
-		panic("localsort: MergeRunsRouted length mismatch")
-	}
-	mergeRuns(nil, out, plan, proc, runs, asc)
+	mergeRuns(dst, runs)
 }
 
 func runsLen[E element.Elem](runs []RunOf[E]) int {
@@ -113,102 +110,28 @@ func runsLen[E element.Elem](runs []RunOf[E]) int {
 }
 
 // mergeRuns dispatches once per call on the element kind. Float
-// elements merge over their same-width integer storage: the run table,
-// dst and the message buffers are recast (identical layouts) and only
-// the key view stays float, so comparisons keep float order.
-func mergeRuns[E element.Elem](dst []E, out [][]E, plan *addr.RemapPlan, proc int, runs []RunOf[E], asc bool) {
+// elements merge over their same-width integer storage: the run table
+// and dst are recast (identical layouts) and only the key view stays
+// float, so comparisons keep float order.
+func mergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
 	switch any(*new(E)).(type) {
 	case uint32:
-		mergeRunsOf[E, uint32](dst, out, plan, proc, runs, asc)
+		mergeRunsOf[E, uint32](dst, runs)
 	case uint64, element.KV64:
-		mergeRunsOf[E, uint64](dst, out, plan, proc, runs, asc)
+		mergeRunsOf[E, uint64](dst, runs)
 	case float32:
-		mergeRunsOf[uint32, float32](element.Cast[uint32](dst), *element.Recast[[][]uint32](&out), plan, proc, *element.Recast[[]RunOf[uint32]](&runs), asc)
+		mergeRunsOf[uint32, float32](element.Cast[uint32](dst), *element.Recast[[]RunOf[uint32]](&runs))
 	case float64:
-		mergeRunsOf[uint64, float64](element.Cast[uint64](dst), *element.Recast[[][]uint64](&out), plan, proc, *element.Recast[[]RunOf[uint64]](&runs), asc)
+		mergeRunsOf[uint64, float64](element.Cast[uint64](dst), *element.Recast[[]RunOf[uint64]](&runs))
 	}
-}
-
-// minSegment is the shortest pack segment a routed merge emits a
-// segment at a time. Below it a segment's set-up costs more than the
-// pack walk's per-key step (measured at P=2 on 2^19 u32 keys: segments
-// of 4 tie with the walk, segments of 8 beat it by a fifth).
-const minSegment = 8
-
-// sink is where one end of a merge emits, in the order that end
-// produces elements: seg[i] is the next slot, i moves by d (+1 or -1)
-// and left slots remain in seg. A contiguous target is one segment,
-// dst itself, and L is 0. A routed one loads the segments of out in
-// the order w walks them, L slots each, w always one segment ahead;
-// with L = 1 the two-run kernel steps w itself, key by key.
-type sink[S element.Elem] struct {
-	seg     []S
-	i, d    int
-	left, L int
-	out     [][]S
-	w       addr.Walk
-}
-
-// room returns the free slots of the current segment, loading the next
-// segment when it is full.
-func (s *sink[S]) room() int {
-	if s.left == 0 {
-		s.seg = s.out[s.w.A][s.w.B : int(s.w.B)+s.L]
-		s.w = s.w.Next()
-		s.i, s.left = 0, s.L
-		if s.d < 0 {
-			s.i = s.L - 1
-		}
-	}
-	return s.left
-}
-
-// piece returns the next c slots, in storage order.
-func (s *sink[S]) piece(c int) []S {
-	if s.d > 0 {
-		return s.seg[s.i : s.i+c]
-	}
-	return s.seg[s.i-c+1 : s.i+1]
-}
-
-// advance accounts for c filled slots.
-func (s *sink[S]) advance(c int) {
-	s.i += c * s.d
-	s.left -= c
-}
-
-// sinks returns the targets of a merge's two ends over n elements. The
-// front emits ranks 0, 1, ... and the back ranks n-1, n-2, ...; rank e
-// goes to position e of an ascending target and n-1-e of a descending
-// one, so the front writes forward exactly when asc. A routed target
-// is cut into the plan's pack segments when they reach minSegment and
-// walked key by key (segments of one) otherwise.
-func sinks[S element.Elem](dst []S, out [][]S, plan *addr.RemapPlan, proc, n int, asc bool) (front, back sink[S]) {
-	d := 1
-	if !asc {
-		d = -1
-	}
-	if plan == nil {
-		front = sink[S]{seg: dst, i: 0, d: d, left: n}
-		back = sink[S]{seg: dst, i: n - 1, d: -d, left: n}
-		if !asc {
-			front.i, back.i = n-1, 0
-		}
-		return front, back
-	}
-	L, walk := 1, plan.PackWalk
-	if seg := plan.PackSegment(); seg >= minSegment {
-		L, walk = seg, plan.PackSegWalk
-	}
-	front = sink[S]{d: d, L: L, out: out, w: walk(proc, !asc)}
-	back = sink[S]{d: -d, L: L, out: out, w: walk(proc, asc)}
-	return front, back
 }
 
 // mergeRunsOf picks the kernel by the number of non-empty runs; empty
-// runs take no part in any of them.
-func mergeRunsOf[S element.Elem, K element.Ord](dst []S, out [][]S, plan *addr.RemapPlan, proc int, runs []RunOf[S], asc bool) {
-	live, first, second := 0, 0, 0
+// runs take no part in any of them. Segmented runs go to the loser
+// tree, which steps them by its cursors: only merges of eight runs or
+// more meet them (FullSort's deals with s >= 1 need c >= 3).
+func mergeRunsOf[S element.Elem, K element.Ord](dst []S, runs []RunOf[S]) {
+	live, first, second, segs := 0, 0, 0, false
 	for r := range runs {
 		if len(runs[r].Keys) == 0 {
 			continue
@@ -220,61 +143,43 @@ func mergeRunsOf[S element.Elem, K element.Ord](dst []S, out [][]S, plan *addr.R
 			second = r
 		}
 		live++
+		segs = segs || runs[r].seg() > 1
 	}
-	front, back := sinks(dst, out, plan, proc, runsLen(runs), asc)
-	switch live {
-	case 0:
-	case 1:
-		head, _, step := runs[first].ends()
-		emitRun(&front, runs[first].Keys, head, step, runs[first].Len())
-	case 2:
-		mergeTwoRuns[S, K](&front, &back, runs[first], runs[second])
+	switch {
+	case live == 0:
+	case segs || live > 2:
+		mergeTree[S, K](dst, runs)
+	case live == 1:
+		emitRun(dst, runs[first].Keys, 0, runs[first].step())
 	default:
-		mergeTree[S, K](&front, runs)
+		mergeTwoRuns[S, K](dst, runs[first], runs[second])
 	}
-}
-
-// ends returns the storage indices of r's head (smallest key) and tail
-// (largest), and the step from head towards tail.
-func (r RunOf[E]) ends() (head, tail, step int) {
-	st := r.step()
-	last := (r.Len() - 1) * st
-	if r.Desc {
-		return last, 0, -st
-	}
-	return 0, last, st
 }
 
 // mergeTwoRuns is the two-run kernel. Its front end takes the smaller
-// head and its back end the larger tail: two chains that do not wait
-// on each other. It works in blocks of min(na, nb) steps, na and nb
-// counting what is left of each run between its head and its tail:
-// their distance divided by the run's step, plus one.
+// head into dst from the start and its back end the larger tail into
+// dst from the end: two chains that do not wait on each other. It
+// works in blocks of min(na, nb) steps, na and nb counting what is
+// left of each run between its head and its tail: their distance
+// divided by the run's step, plus one.
 // The k smallest and the k largest elements are disjoint while
 // 2k <= na+nb, and neither run can run dry inside a block, so the
 // block loops check no counts, and two runs of equal length finish in
 // one block. Once a run is exhausted the front emits the other's
 // middle.
-func mergeTwoRuns[S element.Elem, K element.Ord](f, bk *sink[S], a, b RunOf[S]) {
-	ia, ja, sa := a.ends()
-	ib, jb, sb := b.ends()
+func mergeTwoRuns[S element.Elem, K element.Ord](dst []S, a, b RunOf[S]) {
+	sa, sb := a.step(), b.step()
+	ia, ib := 0, 0                           // heads
+	ja, jb := (a.Len()-1)*sa, (b.Len()-1)*sb // tails
+	f, k := 0, len(dst)                      // dst[f:k] is still to fill
 	for m := min((ja-ia)/sa, (jb-ib)/sb) + 1; m > 0; m = min((ja-ia)/sa, (jb-ib)/sb) + 1 {
-		if f.L == 1 {
-			ia, ib, ja, jb, f.w, bk.w = routeEnds[S, K](f.out, m, a.Keys, b.Keys, ia, ib, ja, jb, sa, sb, f.w, bk.w)
-			continue
-		}
-		for m > 0 {
-			c := min(m, f.room(), bk.room())
-			ia, ib, ja, jb = mergeEnds[S, K](f.piece(c), bk.piece(c), f.d > 0, a.Keys, b.Keys, ia, ib, ja, jb, sa, sb)
-			f.advance(c)
-			bk.advance(c)
-			m -= c
-		}
+		ia, ib, ja, jb = mergeEnds[S, K](dst[f:f+m], dst[k-m:k], a.Keys, b.Keys, ia, ib, ja, jb, sa, sb)
+		f, k = f+m, k-m
 	}
-	if na := (ja-ia)/sa + 1; na > 0 {
-		emitRun(f, a.Keys, ia, sa, na)
+	if ja >= ia {
+		emitRun(dst[f:k], a.Keys, ia, sa)
 	} else {
-		emitRun(f, b.Keys, ib, sb, (jb-ib)/sb+1)
+		emitRun(dst[f:k], b.Keys, ib, sb)
 	}
 }
 
@@ -290,34 +195,27 @@ func checkBlock[S element.Elem](n int, a, b []S, ia, ib, ja, jb, sa, sb int) {
 	_, _, _, _ = b[ib], b[ib+k*sb], b[jb], b[jb-k*sb]
 }
 
-// The block loops below are the two chains of mergeTwoRuns. The front
-// compares the heads a[ia] and b[ib] and emits the smaller, a's on a
-// tie; the back compares the tails a[ja] and b[jb] and emits the
-// larger, b's on a tie, so equal keys keep run order. Each comparison
-// sets the flags that both select the emitted element by conditional
-// move and, through a 0/1 value, mask the step of the one index that
-// moves; no jump depends on a key.
+// mergeEnds runs len(fo) steps of both chains of mergeTwoRuns: the
+// front compares the heads a[ia] and b[ib], emits the smaller, a's on a
+// tie, and fills fo forward; the back compares the tails a[ja] and
+// b[jb], emits the larger, b's on a tie, and fills bo (as long as fo)
+// backward, so equal keys keep run order. Each comparison sets the
+// flags that both select the emitted element by conditional move and,
+// through a 0/1 value, mask the step of the one index that moves; no
+// jump depends on a key. It returns the moved heads and tails.
 //
-// They read the runs through unsafe.Add, with the block's bounds
-// checked once by checkBlock, and take the key view of element.KeyOf
+// It reads the runs through unsafe.Add, with the block's bounds
+// checked once by checkBlock, and takes the key view of element.KeyOf
 // inline. Per-element bounds checks, or the generic call's dictionary
 // load, take the registers that keep both chains' indices out of
 // memory; spilled, each step waits on a store-forward, and the loop ran
 // 60 % slower (u32, 2^19 keys).
-
-// mergeEnds runs len(fo) steps of both chains. With fwd the front fills
-// fo forward and the back fills bo backward; otherwise the front fills
-// fo backward and the back bo forward. bo is at least as long as fo. It
-// returns the moved heads and tails.
-func mergeEnds[S element.Elem, K element.Ord](fo, bo []S, fwd bool, a, b []S, ia, ib, ja, jb, sa, sb int) (int, int, int, int) {
+func mergeEnds[S element.Elem, K element.Ord](fo, bo []S, a, b []S, ia, ib, ja, jb, sa, sb int) (int, int, int, int) {
 	n := len(fo)
 	checkBlock(n, a, b, ia, ib, ja, jb, sa, sb)
 	pa, pb := unsafe.Pointer(unsafe.SliceData(a)), unsafe.Pointer(unsafe.SliceData(b))
 	z := int(unsafe.Sizeof(*new(S)))
-	pf, pk, d := unsafe.Pointer(&fo[0]), unsafe.Pointer(&bo[n-1]), z
-	if !fwd {
-		pf, pk, d = unsafe.Pointer(&fo[n-1]), unsafe.Pointer(&bo[0]), -z
-	}
+	pf, pk := unsafe.Pointer(&fo[0]), unsafe.Pointer(&bo[n-1])
 	for c := n; ; {
 		ea, eb := (*S)(unsafe.Add(pa, ia*z)), (*S)(unsafe.Add(pb, ib*z))
 		x, y := *ea, *eb
@@ -348,70 +246,21 @@ func mergeEnds[S element.Elem, K element.Ord](fo, bo []S, fwd bool, a, b []S, ia
 		if c--; c == 0 {
 			break // pf and pk stay inside fo and bo
 		}
-		pf, pk = unsafe.Add(pf, d), unsafe.Add(pk, -d)
+		pf, pk = unsafe.Add(pf, z), unsafe.Add(pk, -z)
 	}
 	return ia, ib, ja, jb
 }
 
-// routeEnds is mergeEnds for key-by-key routes, n steps: the front
-// emits to out[wf.A][wf.B] and the back to out[wb.A][wb.B], each
-// stepping its pack walk after every element. It returns the moved
-// heads, tails and walks.
-func routeEnds[S element.Elem, K element.Ord](out [][]S, n int, a, b []S, ia, ib, ja, jb, sa, sb int, wf, wb addr.Walk) (int, int, int, int, addr.Walk, addr.Walk) {
-	checkBlock(n, a, b, ia, ib, ja, jb, sa, sb)
-	pa, pb := unsafe.Pointer(unsafe.SliceData(a)), unsafe.Pointer(unsafe.SliceData(b))
-	z := int(unsafe.Sizeof(*new(S)))
-	for ; n > 0; n-- {
-		ea, eb := (*S)(unsafe.Add(pa, ia*z)), (*S)(unsafe.Add(pb, ib*z))
-		x, y := *ea, *eb
-		lt := *(*K)(unsafe.Pointer(eb)) < *(*K)(unsafe.Pointer(ea))
-		if lt {
-			x = y
-		}
-		t := 0
-		if lt {
-			t = 1
-		}
-		fa, fb := (*S)(unsafe.Add(pa, ja*z)), (*S)(unsafe.Add(pb, jb*z))
-		u, v := *fa, *fb
-		gt := *(*K)(unsafe.Pointer(fa)) > *(*K)(unsafe.Pointer(fb))
-		if gt {
-			v = u
-		}
-		r := 0
-		if gt {
-			r = 1
-		}
-		ia += sa & (t - 1)
-		ib += sb & -t
-		ja -= sa & -r
-		jb -= sb & (r - 1)
-		out[wf.A][wf.B] = x
-		out[wb.A][wb.B] = v
-		wf, wb = wf.Next(), wb.Next()
+// emitRun fills dst with the elements of one run without segments,
+// from storage index i on by step: one bulk copy where the run is
+// contiguous.
+func emitRun[S element.Elem](dst, keys []S, i, step int) {
+	if step == 1 {
+		copy(dst, keys[i:])
+		return
 	}
-	return ia, ib, ja, jb, wf, wb
-}
-
-// emitRun emits n elements of one run, from storage index i on by
-// step, through s: bulk copies where the run is contiguous (step ±1)
-// and moves the same way as the sink, one element at a time otherwise.
-func emitRun[S element.Elem](s *sink[S], keys []S, i, step, n int) {
-	for n > 0 {
-		c := min(n, s.room())
-		switch {
-		case s.d == step && step > 0:
-			copy(s.seg[s.i:s.i+c], keys[i:i+c])
-		case s.d == step:
-			copy(s.seg[s.i-c+1:s.i+1], keys[i-c+1:i+1])
-		default:
-			for k, j := i, s.i; k != i+c*step; k, j = k+step, j+s.d {
-				s.seg[j] = keys[k]
-			}
-		}
-		s.advance(c)
-		i += c * step
-		n -= c
+	for j := range dst {
+		dst[j] = keys[i+j*step]
 	}
 }
 
@@ -483,8 +332,7 @@ func (t *loserTree[S, K]) pop() (int, int) {
 	w := t.node[0]
 	c := &t.cur[w]
 	i := c.i
-	c.i += c.step
-	c.n--
+	c.next()
 	if c.n > 0 {
 		t.head[w] = element.KeyOf[K](&t.runs[w].Keys[c.i])
 	}
@@ -498,11 +346,10 @@ func (t *loserTree[S, K]) pop() (int, int) {
 	return w, i
 }
 
-// mergeTree merges three or more runs through a loser tree, emitting
-// through s a segment at a time. All its state lives in stack arrays
-// for up to maxStackRuns runs, so the steady-state merge allocates
-// nothing.
-func mergeTree[S element.Elem, K element.Ord](s *sink[S], runs []RunOf[S]) {
+// mergeTree merges three or more runs, or segmented ones, through a
+// loser tree into dst. All its state lives in stack arrays for up to
+// maxStackRuns runs, so the steady-state merge allocates nothing.
+func mergeTree[S element.Elem, K element.Ord](dst []S, runs []RunOf[S]) {
 	size := 1
 	for size < len(runs) {
 		size *= 2
@@ -517,15 +364,8 @@ func mergeTree[S element.Elem, K element.Ord](s *sink[S], runs []RunOf[S]) {
 		t.cur, t.head, t.node = make([]cursor, size), make([]K, size), make([]int, 2*size)
 	}
 	t.init()
-	for n := runsLen(runs); n > 0; {
-		c := min(n, s.room())
-		seg, j := s.seg, s.i
-		for range c {
-			r, i := t.pop()
-			seg[j] = runs[r].Keys[i]
-			j += s.d
-		}
-		s.advance(c)
-		n -= c
+	for j := range dst {
+		r, i := t.pop()
+		dst[j] = runs[r].Keys[i]
 	}
 }

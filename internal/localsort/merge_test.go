@@ -9,17 +9,16 @@ import (
 
 	"parbitonic/element"
 	"parbitonic/internal/addr"
-	"parbitonic/internal/intbits"
 	"parbitonic/internal/localsort"
 	"parbitonic/internal/schedule"
 )
 
 // The merge kernels' contract, checked for every element type: the
-// contiguous and the routed emission both equal a stable sort of the
-// runs taken in run order (each run read in its ascending direction),
-// so equal keys come out in run order and, within a run, in the run's
-// own order. KV64 records carry a unique payload, so a tie broken the
-// wrong way shows as a payload out of place.
+// merge equals a stable sort of the runs taken in run order, so equal
+// keys come out in run order and, within a run, in the run's own
+// order, whether a run is contiguous, strided or a segmented deal view.
+// KV64 records carry a unique payload, so a tie broken the wrong way
+// shows as a payload out of place.
 
 // mkElem builds the element for key rank k; id is the KV64 payload.
 // Float keys straddle zero; rank domain/2 is -0 for odd ids and +0
@@ -67,28 +66,36 @@ func sameBits[E element.Elem](a, b E) bool {
 	return element.Bits(a) == element.Bits(b)
 }
 
-// mergeOracle is the expected merge: the runs' elements in ascending
-// read order, concatenated in run order, stably sorted.
+// mergeOracle is the expected merge: the runs' elements in read
+// order, concatenated in run order, stably sorted.
 func mergeOracle[E element.Elem](runs []localsort.RunOf[E]) []E {
 	var all []E
 	for _, r := range runs {
-		var seq []E
-		for i := 0; i < len(r.Keys); i += max(r.Stride, 1) {
-			seq = append(seq, r.Keys[i])
-		}
-		if r.Desc {
-			slices.Reverse(seq)
-		}
-		all = append(all, seq...)
+		all = append(all, readRun(r)...)
 	}
 	slices.SortStableFunc(all, cmpElem[E])
 	return all
 }
 
-// randomRuns builds sorted runs of the given lengths over a key domain
-// of the given size (1 makes every key equal, a few makes heavy
-// duplicates); bit r of descMask marks run r Desc.
-func randomRuns[E element.Elem](rng *rand.Rand, lens []int, domain int, descMask uint, id *int) []localsort.RunOf[E] {
+// readRun returns r's elements in read order, by RunOf's definition:
+// Seg elements (one if Seg is 0) from every Stride-th index while a
+// whole segment remains.
+func readRun[E element.Elem](r localsort.RunOf[E]) []E {
+	stride, seg := max(r.Stride, 1), max(r.Seg, 1)
+	if seg > stride {
+		seg = stride
+	}
+	var seq []E
+	for i := 0; i+seg <= len(r.Keys); i += stride {
+		seq = append(seq, r.Keys[i:i+seg]...)
+	}
+	return seq
+}
+
+// randomRuns builds ascending runs of the given lengths over a key
+// domain of the given size (1 makes every key equal, a few makes heavy
+// duplicates).
+func randomRuns[E element.Elem](rng *rand.Rand, lens []int, domain int, id *int) []localsort.RunOf[E] {
 	runs := make([]localsort.RunOf[E], len(lens))
 	for r := range runs {
 		keys := make([]E, lens[r])
@@ -97,11 +104,7 @@ func randomRuns[E element.Elem](rng *rand.Rand, lens []int, domain int, descMask
 			*id++
 		}
 		slices.SortStableFunc(keys, cmpElem[E])
-		desc := descMask>>uint(r)&1 == 1
-		if desc {
-			slices.Reverse(keys)
-		}
-		runs[r] = localsort.RunOf[E]{Keys: keys, Desc: desc}
+		runs[r] = localsort.RunOf[E]{Keys: keys}
 	}
 	return runs
 }
@@ -113,63 +116,6 @@ func randomLens(rng *rand.Rand, p int) []int {
 		lens[r] = rng.Intn(4) * rng.Intn(12)
 	}
 	return lens
-}
-
-// pow2Lens cuts a power-of-two total of at most 64 into p random run
-// lengths, 0 included: a routed merge always fills one remap's local
-// array.
-func pow2Lens(rng *rand.Rand, p int) []int {
-	n := 1 << uint(rng.Intn(7))
-	cuts := []int{0, n}
-	for r := 1; r < p; r++ {
-		cuts = append(cuts, rng.Intn(n+1))
-	}
-	slices.Sort(cuts)
-	lens := make([]int, p)
-	for r := range lens {
-		lens[r] = cuts[r+1] - cuts[r]
-	}
-	return lens
-}
-
-// randomLayout places lgN absolute-address bits at random, lgP of them
-// selecting the processor.
-func randomLayout(rng *rand.Rand, lgN, lgP int) *addr.Layout {
-	perm := rng.Perm(lgN)
-	return &addr.Layout{LgN: lgN, LgP: lgP, ProcBits: perm[:lgP], LocalBits: perm[lgP:], Name: "random"}
-}
-
-// randomRoute is a remap between two random bit-permutation layouts
-// over n local keys and up to 4 processors, and a processor of it.
-func randomRoute(rng *rand.Rand, n int) (*addr.RemapPlan, int) {
-	lgP := rng.Intn(3)
-	lgN := intbits.Log2(n) + lgP
-	plan := addr.NewRemapPlan(randomLayout(rng, lgN, lgP), randomLayout(rng, lgN, lgP))
-	return plan, rng.Intn(1 << uint(lgP))
-}
-
-func runsTotal[E element.Elem](runs []localsort.RunOf[E]) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Len()
-	}
-	return n
-}
-
-// segmentRoutes returns remaps over n local keys whose pack segments
-// span more than one key: every remap of the smart schedule at P = 2,
-// 4 and 8 (FullSort's routes) and blocked to its last layout.
-func segmentRoutes(n int) []*addr.RemapPlan {
-	var plans []*addr.RemapPlan
-	for lgP := 1; lgP <= 3; lgP++ {
-		lgN := intbits.Log2(n) + lgP
-		sched := schedule.New(lgN, lgP, schedule.Head)
-		for _, r := range sched {
-			plans = append(plans, r.Plan)
-		}
-		plans = append(plans, addr.NewRemapPlan(addr.Blocked(lgN, lgP), sched[len(sched)-1].Layout))
-	}
-	return plans
 }
 
 // checkMerge runs MergeRuns on runs and compares it with want.
@@ -184,83 +130,32 @@ func checkMerge[E element.Elem](t *testing.T, label string, runs []localsort.Run
 	}
 }
 
-// checkRouted runs MergeRunsRouted on runs through processor proc of
-// plan, in both region directions, and compares every local address
-// with want.
-func checkRouted[E element.Elem](t *testing.T, label string, plan *addr.RemapPlan, proc int, runs []localsort.RunOf[E], want []E) {
-	t.Helper()
-	n := len(want)
-	out := make([][]E, plan.Old.P()) // entries outside the group stay nil
-	for _, q := range plan.Dests(proc) {
-		out[q] = make([]E, plan.MsgLen)
-	}
-	for _, asc := range []bool{true, false} {
-		localsort.MergeRunsRouted(out, plan, proc, runs, asc)
-		for l := 0; l < n; l++ {
-			rank := l
-			if !asc {
-				rank = n - 1 - l
-			}
-			if got := out[plan.Dest(proc, l)][plan.PackOffset(l)]; !sameBits(got, want[rank]) {
-				t.Fatalf("%s segment=%d asc=%v: routed local %d = %v, want %v", label, plan.PackSegment(), asc, l, got, want[rank])
-			}
-		}
-	}
-}
-
 func runMergeProperties[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	id := 0
 	for p := 0; p <= 5; p++ {
-		for mask := uint(0); mask < 1<<uint(p); mask++ {
-			for _, domain := range []int{1, 3, 1 << 20} {
-				for trial := 0; trial < 4; trial++ {
-					label := fmt.Sprintf("p=%d desc=%b domain=%d", p, mask, domain)
-					runs := randomRuns[E](rng, randomLens(rng, p), domain, mask, &id)
-					checkMerge(t, label, runs, mergeOracle(runs))
-					if p == 0 {
-						continue // no local array is empty
-					}
-					runs = randomRuns[E](rng, pow2Lens(rng, p), domain, mask, &id)
-					plan, proc := randomRoute(rng, runsTotal(runs))
-					checkRouted(t, label, plan, proc, runs, mergeOracle(runs))
-				}
+		for _, domain := range []int{1, 3, 1 << 20} {
+			for trial := 0; trial < 4<<uint(p); trial++ {
+				label := fmt.Sprintf("p=%d domain=%d", p, domain)
+				runs := randomRuns[E](rng, randomLens(rng, p), domain, &id)
+				checkMerge(t, label, runs, mergeOracle(runs))
 			}
 		}
 	}
 
-	// FullSort's shape: two runs of equal length. A power-of-two total
-	// is routed through segments of every length FullSort meets, and two
-	// ascending runs also go through MergeTwo both ways.
+	// FullSort's P=2 shape: two runs of equal length, also through
+	// MergeTwo.
 	for _, m := range []int{1, 2, 3, 64, 1000, 1024} {
-		for mask := uint(0); mask < 4; mask++ {
-			for _, domain := range []int{1, 3, 1 << 20} {
-				label := fmt.Sprintf("m=%d desc=%b domain=%d", m, mask, domain)
-				runs := randomRuns[E](rng, []int{m, m}, domain, mask, &id)
-				want := mergeOracle(runs)
-				checkMerge(t, label, runs, want)
-				if mask == 0 {
-					dst := make([]E, 2*m)
-					for _, asc := range []bool{true, false} {
-						localsort.MergeTwo(dst, runs[0].Keys, runs[1].Keys, asc)
-						for i := range want {
-							j := i
-							if !asc {
-								j = 2*m - 1 - i
-							}
-							if !sameBits(dst[j], want[i]) {
-								t.Fatalf("%s asc=%v: MergeTwo[%d] = %v, want %v", label, asc, j, dst[j], want[i])
-							}
-						}
-					}
-				}
-				if m&(m-1) != 0 {
-					continue
-				}
-				for _, plan := range segmentRoutes(2 * m) {
-					for proc := 0; proc < plan.Old.P(); proc++ {
-						checkRouted(t, label, plan, proc, runs, want)
-					}
+		for _, domain := range []int{1, 3, 1 << 20} {
+			label := fmt.Sprintf("m=%d domain=%d", m, domain)
+			runs := randomRuns[E](rng, []int{m, m}, domain, &id)
+			want := mergeOracle(runs)
+			checkMerge(t, label, runs, want)
+			dst := make([]E, 2*m)
+			localsort.MergeTwo(dst, runs[0].Keys, runs[1].Keys)
+			for i := range want {
+				if !sameBits(dst[i], want[i]) {
+					t.Fatalf("%s: MergeTwo[%d] = %v, want %v", label, i, dst[i], want[i])
 				}
 			}
 		}
@@ -268,9 +163,8 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 }
 
 // TestMergeKernelsMatchStableOracle runs the property over all five
-// element types, 0-5 runs, every Desc mix, empty runs, all-equal keys
-// and heavy duplicates, and over FullSort's two equal runs routed
-// through pack segments of every length.
+// element types, 0-5 runs, empty runs, all-equal keys and heavy
+// duplicates, and over FullSort's two equal runs.
 func TestMergeKernelsMatchStableOracle(t *testing.T) {
 	t.Run("u32", runMergeProperties[uint32])
 	t.Run("u64", runMergeProperties[uint64])
@@ -279,64 +173,44 @@ func TestMergeKernelsMatchStableOracle(t *testing.T) {
 	t.Run("kv64", runMergeProperties[element.KV64])
 }
 
-// stridedRun returns every second element of a sorted array of 2m
+// stridedRun returns every second element of an ascending array of 2m
 // elements over domain from offset o, the shape of a round-0 message
-// read in place; a Desc run's array is stored descending.
-func stridedRun[E element.Elem](rng *rand.Rand, m, o, domain int, desc bool, id *int) localsort.RunOf[E] {
-	arr := randomRuns[E](rng, []int{2 * m}, domain, 0, id)[0].Keys
-	if desc {
-		slices.Reverse(arr)
-	}
-	return localsort.RunOf[E]{Keys: arr[o:], Desc: desc, Stride: 2}
+// read in place.
+func stridedRun[E element.Elem](rng *rand.Rand, m, o, domain int, id *int) localsort.RunOf[E] {
+	arr := randomRuns[E](rng, []int{2 * m}, domain, id)[0].Keys
+	return localsort.RunOf[E]{Keys: arr[o:], Stride: 2}
 }
 
 func runStridedMergeProperties[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	id := 0
-	keyByKey := false
 	for _, m := range []int{1, 2, 3, 64, 1000, 1024} {
-		for mask := uint(0); mask < 16; mask++ {
-			// Bits 0 and 1 pick each run's offset, bits 2 and 3 mark it
-			// Desc, so both parities meet both directions.
+		for mask := uint(0); mask < 4; mask++ {
+			// The bits pick each run's offset.
 			o0, o1 := int(mask&1), int(mask>>1&1)
 			for _, domain := range []int{1, 3, 1 << 20} {
-				label := fmt.Sprintf("m=%d mask=%04b domain=%d", m, mask, domain)
+				label := fmt.Sprintf("m=%d mask=%02b domain=%d", m, mask, domain)
 				runs := []localsort.RunOf[E]{
-					stridedRun[E](rng, m, o0, domain, mask&4 != 0, &id),
-					stridedRun[E](rng, m, o1, domain, mask&8 != 0, &id),
+					stridedRun[E](rng, m, o0, domain, &id),
+					stridedRun[E](rng, m, o1, domain, &id),
 				}
-				want := mergeOracle(runs)
-				checkMerge(t, label, runs, want)
+				checkMerge(t, label, runs, mergeOracle(runs))
 				// One strided run beside a contiguous one, and alone.
-				mixed := []localsort.RunOf[E]{runs[0], randomRuns[E](rng, []int{m}, domain, mask>>3, &id)[0]}
+				mixed := []localsort.RunOf[E]{runs[0], randomRuns[E](rng, []int{m}, domain, &id)[0]}
 				checkMerge(t, label+" mixed", mixed, mergeOracle(mixed))
 				checkMerge(t, label+" alone", runs[1:], mergeOracle(runs[1:]))
 				tree := append(slices.Clone(runs), mixed[1])
 				checkMerge(t, label+" tree", tree, mergeOracle(tree))
-				if m&(m-1) != 0 {
-					continue
-				}
-				for _, plan := range segmentRoutes(2 * m) {
-					keyByKey = keyByKey || plan.PackSegment() == 1 && m > 1
-					for proc := 0; proc < plan.Old.P(); proc++ {
-						checkRouted(t, label, plan, proc, runs, want)
-					}
-				}
 			}
 		}
-	}
-	if !keyByKey {
-		t.Fatal("no route went key by key")
 	}
 }
 
 // TestMergeStridedRuns checks the merge kernels on strided runs, the
 // shape of FullSort's first merge, which reads each peer's message as
 // every second key of the peer's sorted array: for all five element
-// types, runs of both offsets stored either way, merged contiguously,
-// beside a contiguous run, alone, through the loser tree, and routed
-// in both region directions through every FullSort remap at P=2, 4
-// and 8, the first merge's among them, at least one key by key.
+// types, runs of both offsets, merged by the two-run kernel, beside a
+// contiguous run, alone, and through the loser tree.
 func TestMergeStridedRuns(t *testing.T) {
 	t.Run("u32", runStridedMergeProperties[uint32])
 	t.Run("u64", runStridedMergeProperties[uint64])
@@ -345,19 +219,150 @@ func TestMergeStridedRuns(t *testing.T) {
 	t.Run("kv64", runStridedMergeProperties[element.KV64])
 }
 
+// fullSortShaped reports whether sched is an inside remap, then
+// crossings, then the last remap: the schedules FullSort runs.
+func fullSortShaped(sched []schedule.Remap) bool {
+	for i, r := range sched {
+		want := schedule.Crossing
+		switch {
+		case i == 0:
+			want = schedule.Inside
+		case i == len(sched)-1:
+			want = schedule.Last
+		}
+		if r.Kind != want {
+			return false
+		}
+	}
+	return len(sched) > 1
+}
+
+// dealShapes returns one remap plan for every deal shape (s, c) of the
+// FullSort head schedules at lgN 8-20 and lgP 1-4, each at the smallest
+// lgN where it occurs.
+func dealShapes(t *testing.T) []*addr.RemapPlan {
+	seen := map[[2]int]bool{}
+	var plans []*addr.RemapPlan
+	for lgN := 8; lgN <= 20; lgN++ {
+		for lgP := 1; lgP <= 4; lgP++ {
+			sched := schedule.New(lgN, lgP, schedule.Head)
+			if !fullSortShaped(sched) {
+				continue
+			}
+			for _, r := range sched {
+				s, c, ok := r.Plan.Deal()
+				if !ok {
+					t.Fatalf("lgN=%d lgP=%d: a remap of a FullSort schedule is not a deal", lgN, lgP)
+				}
+				if !seen[[2]int{s, c}] {
+					seen[[2]int{s, c}] = true
+					plans = append(plans, r.Plan)
+				}
+			}
+		}
+	}
+	return plans
+}
+
+// sortedShare returns n ascending elements with about four copies of
+// each key, the keys of every share drawn from one range so that
+// shares tie with each other too.
+func sortedShare[E element.Elem](rng *rand.Rand, n int, id *int) []E {
+	arr := make([]E, n)
+	domain := max(n/4, 2)
+	k := 0
+	for i := range arr {
+		if rng.Intn(4) == 0 && k < domain-1 {
+			k++
+		}
+		arr[i] = mkElem[E](k, domain, *id)
+		*id++
+	}
+	return arr
+}
+
+func runDealViewProperties[E element.Elem](t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	id := 0
+	segmented := false
+	for _, plan := range dealShapes(t) {
+		s, c, _ := plan.Deal()
+		n := plan.Old.LocalN()
+		group := plan.Dests(0)
+		senders := plan.AppendSenders(nil, group[0])
+		slices.Sort(senders)
+		shares := map[int][]E{}
+		for _, src := range senders {
+			shares[src] = sortedShare[E](rng, n, &id)
+		}
+		// flip picks the senders whose regions are descending: the odd
+		// ones, then the even ones.
+		for _, flip := range []int{1, 0} {
+			// The packed reference: rank i at local address i, or n-1-i
+			// on a descending sender, packed by the walk.
+			msgs := map[int][][]E{}
+			for _, src := range senders {
+				out := make([][]E, plan.Old.P())
+				for _, q := range plan.Dests(src) {
+					out[q] = make([]E, plan.MsgLen)
+				}
+				w := plan.PackWalk(src, src%2 == flip)
+				for _, v := range shares[src] {
+					out[w.A][w.B] = v
+					w = w.Next()
+				}
+				msgs[src] = out
+			}
+			for _, g := range []int{0, len(group) - 1} {
+				recv := group[g]
+				label := fmt.Sprintf("s=%d c=%d n=%d flip=%d member=%d", s, c, n, flip, plan.Member(recv))
+				var runs, packed []localsort.RunOf[E]
+				for _, src := range senders {
+					desc := src%2 == flip
+					run := localsort.DealtRun(shares[src], s, c, plan.Member(recv), desc)
+					segmented = segmented || run.Seg > 1
+					msg := slices.Clone(msgs[src][recv])
+					if desc {
+						slices.Reverse(msg)
+					}
+					// Each view reads its packed message's ranks in order.
+					checkMerge(t, label, []localsort.RunOf[E]{run}, msg)
+					runs = append(runs, run)
+					packed = append(packed, localsort.RunOf[E]{Keys: msg})
+				}
+				checkMerge(t, label, runs, mergeOracle(packed))
+			}
+		}
+	}
+	if !segmented {
+		t.Fatal("no deal view had segments")
+	}
+}
+
+// TestMergeDealViews is the oracle for FullSort's in-place reads: for
+// every deal shape (s, c) of the FullSort schedules up to lgN=20 and
+// P=16, senders of both region directions and the first and last
+// member of a group, MergeRuns over the DealtRun views of the senders'
+// ascending shares equals a stable sort, by key and then run, of the
+// messages the pack walk builds from the same shares. Keys repeat
+// within and across shares, on all five element types.
+func TestMergeDealViews(t *testing.T) {
+	t.Run("u32", runDealViewProperties[uint32])
+	t.Run("u64", runDealViewProperties[uint64])
+	t.Run("f32", runDealViewProperties[float32])
+	t.Run("f64", runDealViewProperties[float64])
+	t.Run("kv64", runDealViewProperties[element.KV64])
+}
+
 // TestMergeKV64TiesKeepRunOrder pins the tie rule directly: records
 // with equal keys leave the merge lower-indexed run first, on both the
-// two-run kernel and the loser tree, whichever way the runs are stored.
+// two-run kernel and the loser tree.
 func TestMergeKV64TiesKeepRunOrder(t *testing.T) {
 	for p := 2; p <= 4; p++ {
 		runs := make([]localsort.RunOf[element.KV64], p)
 		for r := range runs {
 			runs[r] = localsort.RunOf[element.KV64]{
 				Keys: []element.KV64{{K: 7, V: uint64(10*r + 1)}, {K: 7, V: uint64(10*r + 2)}},
-				Desc: r%2 == 1,
-			}
-			if runs[r].Desc {
-				slices.Reverse(runs[r].Keys)
 			}
 		}
 		dst := make([]element.KV64, 2*p)
@@ -368,17 +373,4 @@ func TestMergeKV64TiesKeepRunOrder(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMergeRunsRoutedPanicsOnLengthMismatch pins the routed merge's
-// one precondition: the runs hold exactly the plan's local keys.
-func TestMergeRunsRoutedPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on runs shorter than the plan's local array")
-		}
-	}()
-	plan := addr.NewRemapPlan(addr.Blocked(3, 1), addr.Cyclic(3, 1))
-	runs := []localsort.Run{{Keys: []uint32{1, 2}}, {Keys: []uint32{0}}}
-	localsort.MergeRunsRouted([][]uint32{make([]uint32, 2), make([]uint32, 2)}, plan, 0, runs, true)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parbitonic/internal/addr"
+	"parbitonic/internal/localsort"
 	"parbitonic/internal/logp"
 	"parbitonic/internal/schedule"
 	"parbitonic/internal/spmd"
@@ -344,171 +345,104 @@ func TestCacheFactor(t *testing.T) {
 	}
 }
 
-// unpackRuns reassembles received long messages into the new local
-// order through the scalar unpack mask.
-func unpackRuns(plan *addr.RemapPlan, in [][]uint32) []uint32 {
-	next := make([]uint32, plan.New.LocalN())
-	for src, msg := range in {
-		for m, v := range msg {
-			next[plan.UnpackLocal(src, m)] = v
-		}
-	}
-	return next
-}
-
-// The fused entry point: ExchangeRuns ships messages the caller packed
-// into Messages, here once by the plan's deal formula (blocked to
-// cyclic is a segment deal, as FullSort's first remap is) and once by
-// the pack walk. Unpacked by hand, both must land the keys where
-// addr.Apply does, charging no pack or unpack time.
-func TestExchangeRunsPrepacked(t *testing.T) {
-	lgN, lgP := 8, 2
-	P := 1 << uint(lgP)
-	n := 1 << uint(lgN-lgP)
-	planA := addr.NewRemapPlan(addr.Blocked(lgN, lgP), addr.Cyclic(lgN, lgP))
-	planB := addr.NewRemapPlan(addr.Cyclic(lgN, lgP), addr.Blocked(lgN, lgP))
-	s, c, ok := planA.Deal()
-	if !ok {
-		t.Fatal("blocked to cyclic is not a deal")
-	}
-	rng := rand.New(rand.NewSource(3))
-	data := make([][]uint32, P)
-	for p := range data {
-		data[p] = make([]uint32, n)
-		for i := range data[p] {
-			data[p][i] = rng.Uint32()
-		}
-	}
-	want := addr.Apply(planA.Old, planA.New, data)
-	want = addr.Apply(planB.Old, planB.New, want)
-
-	copied := make([][]uint32, P)
-	for p := range data {
-		copied[p] = append([]uint32(nil), data[p]...)
-	}
-	m := mustNew(t, testConfig(P, true))
-	res := mustRun(t, m, copied, func(p *Proc) {
-		// Remap 1: deal into a fresh array's messages, keep the runs,
-		// reassemble by the unpack mask.
-		arr := make([]uint32, planA.Old.LocalN())
-		out := p.Messages(planA, arr)
-		for l, v := range p.Data {
-			member := l >> s & (1<<c - 1)
-			arr[member*planA.MsgLen+(l>>(s+c)<<s|l&(1<<s-1))] = v
-		}
-		p.Data = unpackRuns(planA, p.ExchangeRuns(planA, out))
-		// Remap 2: pack by the walk.
-		out = p.Messages(planB, make([]uint32, planB.Old.LocalN()))
-		w := planB.PackWalk(p.ID, false)
-		for _, v := range p.Data {
-			out[w.A][w.B] = v
-			w = w.Next()
-		}
-		in := p.ExchangeRuns(planB, out)
-		for q, msg := range out {
-			if msg != nil {
-				t.Errorf("proc %d: ExchangeRuns left out[%d] set", p.ID, q)
-			}
-		}
-		p.Data = unpackRuns(planB, in)
-	})
-	for p := 0; p < P; p++ {
-		for l := 0; l < n; l++ {
-			if m.Data()[p][l] != want[p][l] {
-				t.Fatalf("runs/prepacked pipeline differs at (%d,%d)", p, l)
-			}
-		}
-	}
-	if res.Mean.Remaps != 2 {
-		t.Errorf("remaps %d, want 2", res.Mean.Remaps)
-	}
-	if res.Sum.PackTime != 0 || res.Sum.UnpackTime != 0 {
-		t.Errorf("fused paths must charge no pack/unpack time: %v/%v", res.Sum.PackTime, res.Sum.UnpackTime)
-	}
-}
-
-// TestPublishInPlace pins PublishInPlace's contract on FullSort's
-// round-0 plan at P=2, 4 and 8: every receiver reads its message as
-// every second key of each sender's published array, from the offset
-// of its member index, and unpacked by hand those views land the keys
-// where addr.Apply does. Counters and clocks must equal ExchangeRuns
-// of the deal-packed messages on the same plan.
+// TestPublishInPlace pins PublishInPlace's contract on every remap of
+// the FullSort schedules at P=2, 4, 8 and 16: each processor publishes
+// its keys stored ascending by rank, local address l at l, or at n-1-l
+// when its region is descending, and every receiver reads its messages
+// out of the published arrays as deal views (localsort.DealtRun).
+// Unpacked through the unpack mask, those views land the keys where
+// addr.Apply does, and counters and clocks equal those of the fused
+// gather, Remap(plan, true, dst), on the same plan.
 func TestPublishInPlace(t *testing.T) {
-	const lgN = 10
-	for lgP := 1; lgP <= 3; lgP++ {
+	const lgN = 16 // FullSort-shaped at every P here (2^12 keys at P=16 are not)
+	for lgP := 1; lgP <= 4; lgP++ {
 		P, n := 1<<uint(lgP), 1<<uint(lgN-lgP)
-		plan := schedule.New(lgN, lgP, schedule.Head)[0].Plan
-		if s, c, ok := plan.Deal(); !ok || s != 0 || c != 1 {
-			t.Fatalf("P=%d: round 0 is not the two-way deal", P)
-		}
-		rng := rand.New(rand.NewSource(int64(P)))
-		data := make([][]uint32, P)
-		for p := range data {
-			data[p] = make([]uint32, n)
-			for i := range data[p] {
-				data[p][i] = rng.Uint32()
+		for ri, r := range schedule.New(lgN, lgP, schedule.Head) {
+			plan := r.Plan
+			s, c, ok := plan.Deal()
+			if !ok {
+				t.Fatalf("P=%d remap %d is not a deal", P, ri)
 			}
-		}
-		want := addr.Apply(plan.Old, plan.New, data)
-		clone := func() [][]uint32 {
-			out := make([][]uint32, P)
+			rng := rand.New(rand.NewSource(int64(P*100 + ri)))
+			data := make([][]uint32, P)
+			desc := make([]bool, P)
 			for p := range data {
-				out[p] = append([]uint32(nil), data[p]...)
+				data[p] = make([]uint32, n)
+				for i := range data[p] {
+					data[p][i] = rng.Uint32()
+				}
+				desc[p] = rng.Intn(2) == 0
 			}
-			return out
-		}
-		m := mustNew(t, testConfig(P, true))
-		packed := mustRun(t, m, clone(), func(p *Proc) {
-			arr := make([]uint32, n)
-			out := p.Messages(plan, arr)
-			for l, v := range p.Data {
-				arr[l&1*plan.MsgLen+l>>1] = v
+			want := addr.Apply(plan.Old, plan.New, data)
+			clone := func() [][]uint32 {
+				out := make([][]uint32, P)
+				for p := range data {
+					out[p] = append([]uint32(nil), data[p]...)
+				}
+				return out
 			}
-			p.Data = unpackRuns(plan, p.ExchangeRuns(plan, out))
-		})
-		inPlace := mustRun(t, m, clone(), func(p *Proc) {
-			g := plan.Member(p.ID)
-			in := p.PublishInPlace(plan, p.Data)
-			if p.Data != nil {
-				t.Errorf("P=%d proc %d: PublishInPlace left Data set", P, p.ID)
-			}
-			next := make([]uint32, n)
-			for src, arr := range in {
-				for k := 0; g+2*k < len(arr); k++ {
-					next[plan.UnpackLocal(src, k)] = arr[g+2*k]
+			m := mustNew(t, testConfig(P, true))
+			gathered := mustRun(t, m, clone(), func(p *Proc) {
+				p.Remap(plan, true, make([]uint32, n))
+			})
+			inPlace := mustRun(t, m, clone(), func(p *Proc) {
+				arr := make([]uint32, n)
+				for l, v := range p.Data {
+					if desc[p.ID] {
+						l = n - 1 - l
+					}
+					arr[l] = v
+				}
+				g := plan.Member(p.ID)
+				in := p.PublishInPlace(plan, arr)
+				if p.Data != nil {
+					t.Errorf("P=%d proc %d: PublishInPlace left Data set", P, p.ID)
+				}
+				next := make([]uint32, n)
+				msg := make([]uint32, plan.MsgLen)
+				for src, sent := range in {
+					if sent == nil {
+						continue
+					}
+					localsort.MergeRuns(msg, []localsort.Run{localsort.DealtRun(sent, s, c, g, desc[src])})
+					for k, v := range msg {
+						if desc[src] {
+							k = len(msg) - 1 - k // the view reads the message from its tail
+						}
+						next[plan.UnpackLocal(src, k)] = v
+					}
+				}
+				p.Data = next
+			})
+			for p := 0; p < P; p++ {
+				for l := 0; l < n; l++ {
+					if m.Data()[p][l] != want[p][l] {
+						t.Fatalf("P=%d remap %d (s=%d, c=%d): deal views differ from addr.Apply at (%d,%d)", P, ri, s, c, p, l)
+					}
+				}
+				a, b := gathered.PerProc[p], inPlace.PerProc[p]
+				if a.VolumeSent != b.VolumeSent || a.MessagesSent != b.MessagesSent || a.TransferTime != b.TransferTime || a.Remaps != b.Remaps {
+					t.Errorf("P=%d remap %d proc %d: in place sent %d keys in %d messages, transfer %v, %d remaps; fused Remap %d, %d, %v, %d",
+						P, ri, p, b.VolumeSent, b.MessagesSent, b.TransferTime, b.Remaps, a.VolumeSent, a.MessagesSent, a.TransferTime, a.Remaps)
 				}
 			}
-			p.Data = next
-		})
-		for p := 0; p < P; p++ {
-			for l := 0; l < n; l++ {
-				if m.Data()[p][l] != want[p][l] {
-					t.Fatalf("P=%d: in-place views differ from addr.Apply at (%d,%d)", P, p, l)
-				}
+			if gathered.Time != inPlace.Time || inPlace.Sum.PackTime != 0 || inPlace.Sum.UnpackTime != 0 {
+				t.Errorf("P=%d remap %d: in-place makespan %v (pack %v, unpack %v), fused Remap %v", P, ri, inPlace.Time, inPlace.Sum.PackTime, inPlace.Sum.UnpackTime, gathered.Time)
 			}
-			a, b := packed.PerProc[p], inPlace.PerProc[p]
-			if a.VolumeSent != b.VolumeSent || a.MessagesSent != b.MessagesSent || a.TransferTime != b.TransferTime || a.Remaps != b.Remaps {
-				t.Errorf("P=%d proc %d: in place sent %d keys in %d messages, transfer %v, %d remaps; ExchangeRuns %d, %d, %v, %d",
-					P, p, b.VolumeSent, b.MessagesSent, b.TransferTime, b.Remaps, a.VolumeSent, a.MessagesSent, a.TransferTime, a.Remaps)
-			}
-		}
-		if packed.Time != inPlace.Time || inPlace.Sum.PackTime != 0 || inPlace.Sum.UnpackTime != 0 {
-			t.Errorf("P=%d: in-place makespan %v (pack %v, unpack %v), ExchangeRuns %v", P, inPlace.Time, inPlace.Sum.PackTime, inPlace.Sum.UnpackTime, packed.Time)
 		}
 	}
 }
 
-func TestExchangeRunsValidation(t *testing.T) {
+// TestPublishInPlaceValidation: publishing an array of the wrong
+// length surfaces as a *spmd.PanicError, not a deadlock.
+func TestPublishInPlaceValidation(t *testing.T) {
 	plan := addr.NewRemapPlan(addr.Blocked(4, 1), addr.Cyclic(4, 1))
 	m := mustNew(t, testConfig(2, true))
 	_, err := m.Run(nil, func(p *Proc) {
-		out := make([][]uint32, 2)
-		out[0] = make([]uint32, 1) // wrong length: plan.MsgLen is larger
-		out[1] = make([]uint32, 1)
-		p.ExchangeRuns(plan, out)
+		p.PublishInPlace(plan, make([]uint32, 1)) // plan.Old.LocalN() is 8
 	})
 	var pe *spmd.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("short prepacked message returned %v, want *spmd.PanicError", err)
+		t.Fatalf("short published array returned %v, want *spmd.PanicError", err)
 	}
 }

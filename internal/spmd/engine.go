@@ -491,9 +491,9 @@ func (p *ProcOf[E]) CorruptKey(i int) {
 
 // Outbox returns the processor's destination table, one entry per
 // processor, all nil: a body sets out[q] to the message for q and
-// passes the table to Exchange, which clears it. Messages and
-// PairExchange fill the same table, and an aborted run's entries are
-// cleared before the engine runs again.
+// passes the table to Exchange, which clears it. PairExchange fills
+// the same table, and an aborted run's entries are cleared before the
+// engine runs again.
 func (p *ProcOf[E]) Outbox() [][]E {
 	if p.outs == nil {
 		p.outs = make([][]E, p.e.p)

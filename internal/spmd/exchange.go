@@ -3,7 +3,6 @@ package spmd
 import (
 	"fmt"
 
-	"parbitonic/internal/addr"
 	"parbitonic/internal/obs"
 )
 
@@ -78,46 +77,4 @@ func (p *ProcOf[E]) AllGather(mine []E) [][]E {
 		outs[q] = mine
 	}
 	return p.Exchange(outs)
-}
-
-// planDests returns this processor's destination group under the
-// plan, in per-processor scratch rewritten by the next call.
-func (p *ProcOf[E]) planDests(plan *addr.RemapPlan) []int {
-	p.grp = plan.AppendDests(p.grp[:0], p.ID)
-	return p.grp
-}
-
-// ExchangeRuns performs a remap whose messages the caller has already
-// packed (out[q] must be a plan.MsgLen slice for every group
-// destination, nil elsewhere; Messages provides them). Used when the
-// local computation emits directly into the messages — the thesis's
-// "single local computation step" future work — so neither pack nor
-// unpack time is charged. Returns the received messages by source; out
-// is cleared and p.Data set nil.
-func (p *ProcOf[E]) ExchangeRuns(plan *addr.RemapPlan, out [][]E) [][]E {
-	e := p.e
-	if len(out) != e.p {
-		panic(fmt.Sprintf("spmd: prepacked exchange wants %d slices, got %d", e.p, len(out)))
-	}
-	for _, q := range p.planDests(plan) {
-		if len(out[q]) != plan.MsgLen {
-			panic(fmt.Sprintf("spmd: prepacked message to %d has %d keys, plan wants %d", q, len(out[q]), plan.MsgLen))
-		}
-	}
-	in := p.Exchange(out)
-	p.Data = nil
-	p.Stats.Remaps++
-	return in
-}
-
-// Messages carves arr (n keys) into this processor's messages under
-// the plan, one plan.MsgLen segment per destination in group order, in
-// the per-processor table that ExchangeRuns takes and clears.
-func (p *ProcOf[E]) Messages(plan *addr.RemapPlan, arr []E) [][]E {
-	out := p.Outbox()
-	m := plan.MsgLen
-	for g, q := range p.planDests(plan) {
-		out[q] = arr[g*m : (g+1)*m : (g+1)*m]
-	}
-	return out
 }

@@ -33,7 +33,7 @@ type PC struct {
 	// fault injector's key corruption); set once at engine construction.
 	ops procOps
 
-	grp []int // destination- or sender-group scratch, rewritten per round
+	grp []int // sender-group scratch, rewritten per round
 
 	// Observability state, touched only by the owning goroutine: spans
 	// buffer between barrier flushes, and the precomputed pprof label

@@ -9,12 +9,11 @@ import (
 
 // RemapBarriers is the number of barriers one remap crosses on every
 // data path: Remap's and PublishInPlace's publish and release barriers
-// below, and Exchange's publish and read barriers, which ExchangeRuns
-// goes through once. A native remap's data movement is local
-// computation (the gather, or the routed merge feeding ExchangeRuns,
-// or the merge that reads PublishInPlace's arrays), so the native
-// planner prices a remap as this many measured barrier round trips
-// (internal/tune). TestRemapBarriers pins the count.
+// below, and Exchange's publish and read barriers. A native remap's
+// data movement is local computation (the gather, or the merge that
+// reads PublishInPlace's arrays), so the native planner prices a remap
+// as this many measured barrier round trips (internal/tune).
+// TestRemapBarriers pins the count.
 const RemapBarriers = 2
 
 // Remap routes p.Data from plan.Old to plan.New, gathering the new
@@ -89,16 +88,16 @@ func (p *ProcOf[E]) Remap(plan *addr.RemapPlan, fused bool, dst []E) []E {
 // PublishInPlace performs a remap whose messages stay where their
 // sender wrote them: every processor publishes arr, its n keys laid
 // out so that each receiver can read its message in place, and gets
-// back its senders' arrays, indexed by sender like ExchangeRuns'
-// result (nil for processors that send it nothing). FullSort's round 0
-// publishes its sorted share, and each receiver reads every second key
-// of it (addr.RemapPlan.Deal). The call crosses Remap's two barriers
-// and records and charges the long messages the packed pipeline sends
-// (plan.SendCounts), which are ExchangeRuns' counts for the packed
-// messages, so clocks and counters are the same as for that path. A
+// back its senders' arrays, indexed by sender like Exchange's result
+// (nil for processors that send it nothing). Every FullSort round
+// publishes its ascending array, and each receiver reads its message
+// as a deal view of it (addr.RemapPlan.Deal, localsort.DealtRun). The
+// call crosses Remap's two barriers and records and charges the long
+// messages the packed pipeline sends (plan.SendCounts), as Remap does
+// with fused set, so clocks and counters are those of that path. A
 // received array stays valid until its sender writes it again: a
-// FullSort body does so two rounds later, after the next exchange's
-// publish barrier. p.Data is set nil.
+// FullSort body does so two rounds later, after the next publish
+// barrier. p.Data is set nil.
 func (p *ProcOf[E]) PublishInPlace(plan *addr.RemapPlan, arr []E) [][]E {
 	e := p.e
 	if n := plan.Old.LocalN(); len(arr) != n {

@@ -55,9 +55,9 @@ func (c *barrierCounter) Transfer(*PC, int, int) {}
 func (c *barrierCounter) Synced(p *PC)           { c.synced[p.ID]++ }
 
 // TestRemapBarriers pins RemapBarriers, the count the native planner
-// prices a remap at: the gather, a bare exchange, a prepacked remap
-// (Messages, then ExchangeRuns) and an in-place one (PublishInPlace)
-// each cross exactly that many barriers on every processor.
+// prices a remap at: the gather, a bare exchange and an in-place remap
+// (PublishInPlace) each cross exactly that many barriers on every
+// processor.
 func TestRemapBarriers(t *testing.T) {
 	const p, lgN = 2, 4
 	ch := &barrierCounter{synced: make([]int, p)}
@@ -69,7 +69,6 @@ func TestRemapBarriers(t *testing.T) {
 	}{
 		{"Remap", func(pr *Proc) { pr.Remap(plan, false, make([]uint32, len(pr.Data))) }},
 		{"Exchange", func(pr *Proc) { pr.Exchange(make([][]uint32, p)) }},
-		{"ExchangeRuns", func(pr *Proc) { pr.ExchangeRuns(plan, pr.Messages(plan, make([]uint32, len(pr.Data)))) }},
 		{"PublishInPlace", func(pr *Proc) { pr.PublishInPlace(plan, pr.Data) }},
 	} {
 		clear(ch.synced)

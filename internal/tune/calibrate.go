@@ -134,7 +134,7 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 		return KernelCosts{}, err
 	}
 	merge, err := measure(ctx, reps, nil, func() {
-		localsort.MergeTwo(dst, a, b, true)
+		localsort.MergeTwo(dst, a, b)
 	})
 	if err != nil {
 		return KernelCosts{}, err

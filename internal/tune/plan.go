@@ -185,7 +185,7 @@ func (pl *Planner) Rank(totalKeys int, t element.Type) ([]Plan, error) {
 // profile, and communication is synchronization alone: commRun is one
 // parallel run's fixed cost, commFixed the spmd.RemapBarriers barrier
 // round trips a remap crosses, and the volume and message terms are
-// zero, since a native remap moves its data in the gather, routed
+// zero, since a native remap moves its data in the gather, in-place
 // merge or radix digit round that the compute terms price. For the
 // simulated backend they come from the simulator's own model
 // (spmd.DefaultCosts + logp.MeikoCS2), so a simulated plan's score is
