@@ -251,7 +251,8 @@ func kernelSweep(quick bool) []Entry {
 }
 
 // kernelGroupOf measures one element type's kernels: the hybrid radix
-// sort, the full local sort (radix + direction fix-up), the bitonic
+// sort of the paper's 31-bit keys and of keys that fill the type's key
+// width, the full local sort (radix + direction fix-up), the bitonic
 // merge of a bitonic sequence, the two-way merge, MergeRuns on two
 // contiguous runs, and MergeRuns over FullSort's in-place deal views:
 // every second key of two sorted arrays (round 0 at P=2) and every
@@ -259,6 +260,7 @@ func kernelSweep(quick bool) []Entry {
 // every parallel run is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
+	full := workload.FullWidth[E](size, 1996)
 	work := make([]E, size)
 	scratch := make([]E, size)
 
@@ -292,6 +294,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		f    func()
 	}{
 		{"radix", func() { copy(work, keys); localsort.RadixSortTo(work, scratch, false) }},
+		{"radix-full", func() { copy(work, full); localsort.RadixSortTo(work, scratch, false) }},
 		{"localsort", func() { copy(work, keys); localsort.SortScratch(work, true, scratch) }},
 		{"bitonic-merge", func() { bitseq.SortBitonic(work, bitonic, true) }},
 		{"merge-two", func() { localsort.MergeTwo(work, a, b) }},

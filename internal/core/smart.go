@@ -171,9 +171,7 @@ func fullSortRun[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, lgn
 			panic("core: FullSort lost keys across a remap")
 		}
 		localsort.MergeRuns(next, runs)
-		if i == len(sched)-1 {
-			pr.Data = home // the final merge wrote home
-		}
+		pr.Data = next // the round's keys, home after the final merge
 		pr.ChargeMerge(total)
 		cur, next = next, cur
 	}

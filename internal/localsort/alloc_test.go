@@ -35,7 +35,9 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 func runKernelAllocs[E element.Elem](t *testing.T) {
-	keys := workload.Elems[E](workload.FullRange, allocN, 42)
+	// Keys fill the key width, so 64-bit keys spread over the hybrid's
+	// regions as 32-bit ones do.
+	keys := workload.FullWidth[E](allocN, 42)
 	scratch := make([]E, allocN)
 
 	for _, toScratch := range []bool{false, true} {
@@ -158,22 +160,35 @@ func TestKernelsParallelPoolMatchSequential(t *testing.T) {
 	defer one.Close()
 	defer localsort.SetPool(nil)
 
+	// The radix hybrid on a 4-lane pool, and on a 3-lane one at the
+	// 2^19-key share of a P=2 sort of 2^20 keys, whose keys fill half
+	// its regions.
+	three := workpool.New(3)
+	defer three.Close()
+	for _, c := range []struct {
+		lg   int
+		dist workload.Dist
+		pool *workpool.Pool
+	}{{17, workload.FullRange, par}, {19, workload.Uniform31, three}} {
+		in := workload.Elems[uint32](c.dist, 1<<c.lg, 7)
+		scratch := make([]uint32, len(in))
+		seq := append([]uint32(nil), in...)
+		localsort.SetPool(one)
+		localsort.RadixSortTo(seq, scratch, false)
+		got := append([]uint32(nil), in...)
+		localsort.SetPool(c.pool)
+		localsort.RadixSortTo(got, scratch, true) // lands in scratch
+		check(fmt.Sprintf("RadixSortTo/2^%d", c.lg), scratch, seq)
+	}
+
 	n := 1 << 17
 	in := workload.Elems[uint32](workload.FullRange, n, 7)
 	scratch := make([]uint32, n)
 
 	seq := append([]uint32(nil), in...)
 	localsort.SetPool(one)
-	localsort.RadixSortTo(seq, scratch, false)
-	got := append([]uint32(nil), in...)
-	localsort.SetPool(par)
-	localsort.RadixSortTo(got, scratch, true) // lands in scratch
-	check("RadixSortTo", scratch, seq)
-
-	seq = append([]uint32(nil), in...)
-	localsort.SetPool(one)
 	localsort.SortBitonicBlocks(seq, 2048, 2, scratch)
-	got = append([]uint32(nil), in...)
+	got := append([]uint32(nil), in...)
 	localsort.SetPool(par)
 	localsort.SortBitonicBlocks(got, 2048, 2, scratch)
 	check("SortBitonicBlocks", got, seq)

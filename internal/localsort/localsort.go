@@ -1,6 +1,8 @@
 // Package localsort provides the fast local computation routines of
 // Chapter 4: LSD radix sort (the paper's choice for the first lg n
-// stages, §4.4), linear two-way and p-way merges (§4.3's unpack fusion),
+// stages, §4.4; large key sorts first partition by a top digit whose
+// width follows n, and the model still charges the paper's 11-bit,
+// 3-pass layout), linear two-way and p-way merges (§4.3's unpack fusion),
 // and block/strided bitonic-merge sorting built on bitseq.SortBitonic
 // (Theorems 2 and 3). All routines are O(n) or O(n · passes) and avoid
 // comparisons beyond what the input format requires, which is exactly
@@ -58,22 +60,26 @@ func kernelPool() *workpool.Pool {
 // LSD digits: the count tables live on the stack and the pass count
 // per 32 bits is even, so the last permute lands back in the caller's
 // array with no copy-back. Large key-only inputs switch to the hybrid
-// layout — one MSD partition by the top 11 bits (the paper's digit
-// width) into 2048 regions, each finished by an 11-bit LSD radix whose
-// working set is cache-resident (see radixUintHybrid). KV64 records
-// keep a flat LSD with 16-bit digits: fewer whole-record permute
-// passes beat partition locality at 16 bytes per element.
+// layout: one MSD partition whose width follows n (hybridTop), so each
+// region averages about 2^11 keys, each finished by an LSD radix of
+// 12-bit digits whose working set is cache-resident (see
+// radixUintHybrid). KV64 records keep a flat LSD with 16-bit digits:
+// fewer whole-record permute passes beat partition locality at 16
+// bytes per element.
 const (
 	radixSmallBits = 8
 	radixSmallSize = 1 << radixSmallBits
 	radixLargeBits = 16
 	radixLargeSize = 1 << radixLargeBits
 
-	// hybridTopBits is the MSD partition width of the large-n hybrid;
-	// hybridMaxLowPasses bounds its per-region LSD pass count
-	// (ceil((64-11)/11) for uint64 keys).
-	hybridTopBits      = 11
-	hybridTopSize      = 1 << hybridTopBits
+	// The hybrid's layout (hybridTop): regions of about
+	// 2^hybridRegionBits keys, at most 2^hybridTopMax of them, finished
+	// with hybridDigitBits-wide digits in at most hybridMaxLowPasses
+	// passes (ceil((64-5)/12), uint64 keys at radixLargeMin).
+	hybridRegionBits   = 11
+	hybridTopMax       = 11
+	hybridDigitBits    = 12
+	hybridDigitSize    = 1 << hybridDigitBits
 	hybridMaxLowPasses = 5
 
 	// radixLargeMin is the element count from which the large layouts
@@ -168,8 +174,9 @@ func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
 // ping-pong buffer, landing in scratch when toScratch: K is the
 // key-only storage itself, or a KV64 record's key. Small inputs run a
 // flat LSD with 8-bit digits and stack tables. Large key-only inputs
-// take the cache-blocked MSD+LSD hybrid; large record inputs a flat
-// LSD with 16-bit digits over pooled tables. Every layout is stable,
+// take the cache-blocked MSD+LSD hybrid, its partition sized to n by
+// hybridTop; large record inputs a flat LSD with 16-bit digits over
+// pooled tables. Every layout is stable,
 // so the choice is invisible in the output.
 func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
 	keyBits := element.KeyBits[S]()
@@ -186,40 +193,47 @@ func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool
 	}
 }
 
-const (
-	// hybridGrain is the number of regions a hybrid lane claims at a
-	// time. A fixed few dozen shares the finishing work between lanes
-	// whatever the keys' top bits: keys that leave the top bit clear
-	// fill only the lower half of the regions.
-	hybridGrain = 64
+// hybridBounceMax bounds a lane's bounce buffer, in keys. A larger
+// (oversize) region bounces through its span of scratch instead.
+const hybridBounceMax = 1 << 16
 
-	// hybridBounceMax bounds a lane's bounce buffer, in keys. A larger
-	// (oversize) region bounces through its span of scratch instead.
-	hybridBounceMax = 1 << 16
-)
+// hybridTop is the hybrid's partition width for n keys of keyBits
+// bits: regions of about 2^hybridRegionBits keys, up to hybridTopMax
+// bits, and for 32-bit keys at least the 8 that leave two 12-bit
+// digits. Uniform 31-bit keys fill half the regions, so a region holds
+// 2^11–2^12 keys at most sizes: small enough for one lane's cache with
+// its tables, large enough that clearing and summing them is cheap.
+func hybridTop(n, keyBits int) int {
+	top := min(bits.Len(uint(n))-1-hybridRegionBits, hybridTopMax)
+	if keyBits == 32 {
+		top = max(top, 32-2*hybridDigitBits)
+	}
+	return top
+}
 
 // radixUintHybrid sorts large key arrays with one MSD partition pass
-// followed by cache-resident LSD finishing. The top hybridTopBits bits
-// scatter every key into its final 2048-aligned region — a few hundred
-// elements each on uniform inputs — and each region is then finished
-// independently by an LSD radix over the remaining low bits whose
-// working set (region, bounce buffer, count tables) stays in cache.
-// DRAM sees three sequential sweeps (histogram, partition read,
-// partition write) plus one read+write of cache-warm regions, versus
-// the 2·passes+3 full-array sweeps of the flat layout whose every
-// permute round-trips memory. The partition always writes keys, warm
-// from the caller, out of a mirror of them that the histogram read
-// streams into scratch; each region then finishes in place and, when
+// followed by cache-resident LSD finishing. The top hybridTop bits
+// scatter every key into its final region (a few thousand keys on
+// uniform inputs), and each region is then finished independently by
+// an LSD radix over the remaining low bits whose working set (region,
+// bounce buffer, digit tables) stays in cache. DRAM sees three
+// sequential sweeps (histogram, partition read, partition write) plus
+// one read+write of cache-warm regions, versus the 2·passes+3
+// full-array sweeps of the flat layout whose every permute
+// round-trips memory. The partition always writes keys, warm from the
+// caller, out of a mirror of them that the histogram read streams
+// into scratch; each region then finishes in place and, when
 // toScratch, is copied from the cache into its span of scratch. A
 // partition straight into scratch, cold when a sort starts, ran 2–4 %
-// slower at P=4 (native FullSort of 2^20 u32 keys). Region scatter
-// is stable and the per-region LSD is stable, so the whole is a stable
+// slower at P=4 (native FullSort of 2^20 u32 keys). Region scatter is
+// stable and the per-region LSD is stable, so the whole is a stable
 // sort like the flat layout it replaces.
 func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool) {
-	topShift := uint(keyBits - hybridTopBits)
+	top := hybridTop(len(keys), keyBits)
+	topShift := uint(keyBits - top)
 	h := getTiles[hybridTiles[T], T](&hybridStash)
-	count, starts := &h.count, &h.starts
-	clear(count[:])
+	count, starts := h.count[:1<<top], h.starts[:1<<top]
+	clear(count)
 	for i, k := range keys {
 		count[int(k>>topShift)]++
 		scratch[i] = k
@@ -237,16 +251,18 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 	}
 	// Regions are disjoint in both arrays and the partition tables are
 	// now read-only, so they finish in parallel on whatever helper lanes
-	// are idle: each lane claims hybridGrain regions at a time and
-	// finishes them in a working set of its own.
-	lowBits := keyBits - hybridTopBits
+	// are idle: each lane claims a 32nd of the regions at a time (so
+	// lanes share them when keys fill only the lower half) and finishes
+	// them in a working set of its own.
+	lowBits := keyBits - top
 	h.keys, h.scratch, h.lowBits, h.toScratch = keys, scratch, lowBits, toScratch
+	h.regions, h.grain = 1<<top, 1<<top>>5
 	wp := kernelPool()
 	lanes := wp.Size()
 	for len(h.work) < lanes {
 		h.work = append(h.work, hybridWork[T]{})
 	}
-	digits := lowBits/hybridTopBits*hybridTopSize + 1<<(lowBits%hybridTopBits)
+	digits := (lowBits + hybridDigitBits - 1) / hybridDigitBits << hybridDigitBits
 	for i := range h.work[:lanes] {
 		h.work[i].fit(digits, int(min(big, hybridBounceMax)))
 	}
@@ -261,12 +277,13 @@ func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch b
 // It is stashed with its tables, so steady-state sorts allocate
 // nothing.
 type hybridTiles[T element.Uint] struct {
-	count, starts [hybridTopSize]uint32 // each region's end and start in keys
-	keys, scratch []T                   // the partitioned array, the other one
-	lowBits       int
-	toScratch     bool            // land the regions in scratch
-	next          atomic.Int64    // the first region no lane has claimed
-	work          []hybridWork[T] // one per lane
+	count, starts  [1 << hybridTopMax]uint32 // each region's end and start in keys
+	keys, scratch  []T                       // the partitioned array, the other one
+	lowBits        int
+	regions, grain int             // the region count, the regions a lane claims at a time
+	toScratch      bool            // land the regions in scratch
+	next           atomic.Int64    // the first region no lane has claimed
+	work           []hybridWork[T] // one per lane
 }
 
 // hybridWork is one lane's working set: its regions' digit tables and
@@ -286,18 +303,18 @@ func (w *hybridWork[T]) fit(digits, bounce int) {
 	}
 }
 
-// Tile runs the lane numbered lane: it claims regions hybridGrain at a
-// time until none are left and finishes each, bouncing it through the
+// Tile runs the lane numbered lane: it claims regions grain at a time
+// until none are left and finishes each, bouncing it through the
 // lane's buffer, or through its span of scratch when it is too large
 // for that.
 func (h *hybridTiles[T]) Tile(lane, _ int) {
 	w := &h.work[lane]
 	for {
-		rlo := int(h.next.Add(hybridGrain)) - hybridGrain
-		if rlo >= hybridTopSize {
+		rlo := int(h.next.Add(int64(h.grain))) - h.grain
+		if rlo >= h.regions {
 			return
 		}
-		for r := rlo; r < rlo+hybridGrain; r++ {
+		for r := rlo; r < rlo+h.grain; r++ {
 			lo, hi := int(h.starts[r]), int(h.count[r])
 			seg, land := h.keys[lo:hi], h.keys[lo:hi]
 			if h.toScratch {
@@ -319,23 +336,31 @@ func (h *hybridTiles[T]) Tile(lane, _ int) {
 }
 
 // lsdLow finishes one hybrid region: it sorts seg by its low lowBits
-// bits with 11-bit digits (the last pass takes the remainder), bouncing
+// bits with 12-bit digits (the last pass takes the remainder), bouncing
 // between seg and buf, and returns whichever of the two holds the
-// result. Identity passes (single occupied bucket) are skipped. The
-// two-pass shape every uint32 region takes is unrolled — its fused
-// histogram read is the hottest loop of the large-n sort, and constant
-// digit shifts keep its scatters free of shift-range checks.
+// result. Identity passes (single occupied bucket) are skipped. Every
+// uint32 region has 21 to 24 low bits, and sorts by its low 24: the
+// bits above lowBits are the region's own, the same in every key. That
+// two-pass shape is unrolled: its fused histogram read is the hottest
+// loop of the large-n sort, and constant digit shifts and masks keep
+// its scatters free of shift-range checks.
 func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 	n := uint32(len(seg))
-	if lowBits == 21 { // uint32 keys: one 11-bit and one 10-bit pass
-		c0, c1 := hist21(seg, count)
+	if lowBits <= 2*hybridDigitBits {
+		c0, c1 := count[:hybridDigitSize], count[hybridDigitSize:2*hybridDigitSize]
+		clear(c0)
+		clear(c1)
+		for _, k := range seg {
+			c0[int(k&0xfff)]++
+			c1[int(k>>12&0xfff)]++
+		}
 		src, dst := seg, buf
-		if c0[int(src[0]&0x7ff)] != n {
-			scatterPass(src, dst, 0, 0x7ff, c0)
+		if c0[int(src[0]&0xfff)] != n {
+			scatterPass(src, dst, 0, 0xfff, c0)
 			src, dst = dst, src
 		}
-		if c1[int(src[0]>>11&0x3ff)] != n {
-			scatterPass(src, dst, 11, 0x3ff, c1)
+		if c1[int(src[0]>>12&0xfff)] != n {
+			scatterPass(src, dst, 12, 0xfff, c1)
 			src, dst = dst, src
 		}
 		return src
@@ -352,22 +377,7 @@ func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 	return src
 }
 
-// hist21 fills the two digit histograms of uint32 keys' low 21 bits,
-// 11 and 10 bits wide, into count. This fused read is the hottest loop
-// of the large-n sort.
-func hist21[T element.Uint](seg []T, count []uint32) (c0, c1 []uint32) {
-	c0 = count[:1<<11]
-	c1 = count[1<<11 : 1<<11+1<<10]
-	clear(c0)
-	clear(c1)
-	for _, k := range seg {
-		c0[int(k&0x7ff)]++
-		c1[int(k>>11&0x3ff)]++
-	}
-	return c0, c1
-}
-
-// lowPasses is the general digit layout of a region's low bits: 11-bit
+// lowPasses is the general digit layout of a region's low bits: 12-bit
 // digits, the last taking the remainder, their histograms side by side
 // in one count table.
 type lowPasses[T element.Uint] struct {
@@ -381,8 +391,8 @@ type lowPasses[T element.Uint] struct {
 // into count in one read.
 func (lp *lowPasses[T]) fill(seg []T, lowBits int, count []uint32) {
 	off := 0
-	for b := 0; b < lowBits; b += hybridTopBits {
-		w := min(hybridTopBits, lowBits-b)
+	for b := 0; b < lowBits; b += hybridDigitBits {
+		w := min(hybridDigitBits, lowBits-b)
 		lp.shifts[lp.passes] = uint(b)
 		lp.masks[lp.passes] = T(1)<<w - 1
 		lp.offs[lp.passes] = off

@@ -68,11 +68,14 @@ func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
 }
 
 // TestRadixSortMatchesStdlib checks every element type against a
-// stable sort by order image, at sizes on both sides of the large
-// layouts' threshold (the hybrid for keys, 16-bit digits for KV64),
-// through RadixSort and through RadixSortTo landing on either side.
-// The hybrid partitions into the array it lands in, so the two landing
-// sides run both of its directions.
+// stable sort by order image, through RadixSort and through
+// RadixSortTo landing on either side. The hybrid partitions into the
+// array it lands in, so the two landing sides run both of its
+// directions. Sizes straddle the large layouts' threshold (the hybrid
+// for keys, 16-bit digits for KV64) and every step of the hybrid's
+// partition width up to 2^20. Past the threshold the keys fill the key
+// width, leave its top bit clear (half the regions empty), set only
+// bits below every partition (one oversize region), or are all equal.
 func TestRadixSortMatchesStdlib(t *testing.T) {
 	for i, f := range []func(*testing.T){
 		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
@@ -85,32 +88,86 @@ func TestRadixSortMatchesStdlib(t *testing.T) {
 
 func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin - 1, radixLargeMin} {
-		input := randomElems[E](rng, n)
-		want := slices.Clone(input)
-		slices.SortStableFunc(want, func(a, b E) int { return cmp.Compare(element.Bits(a), element.Bits(b)) })
-		check := func(how string, got []E) {
-			t.Helper()
-			for i := range want {
-				if element.Bits(got[i]) != element.Bits(want[i]) || element.Aux(got[i]) != element.Aux(want[i]) {
-					t.Fatalf("%s n=%d: mismatch at %d: got %v want %v", how, n, i, got[i], want[i])
-				}
-			}
-		}
-		keys := slices.Clone(input)
-		RadixSort(keys)
-		check("RadixSort", keys)
-		for _, toScratch := range []bool{false, true} {
-			keys := slices.Clone(input)
-			scratch := make([]E, n+1) // a longer scratch lands in its prefix
-			RadixSortTo(keys, scratch, toScratch)
-			got := keys
-			if toScratch {
-				got = scratch[:n]
-			}
-			check(fmt.Sprintf("RadixSortTo(toScratch=%v)", toScratch), got)
+	kb := element.KeyBits[E]()
+	top := uint64(1) << (kb - 1)
+	shapes := []struct {
+		name string
+		f    func(e E, i int) E
+	}{
+		{"full", func(e E, _ int) E { return e }},
+		{"top-clear", func(e E, _ int) E { return element.FromBits[E](element.Bits(e)&^top, element.Aux(e)) }},
+		{"low-only", func(e E, _ int) E {
+			return element.FromBits[E](element.Bits(e)&(1<<(kb-hybridTopMax)-1), element.Aux(e))
+		}},
+		{"equal", func(_ E, i int) E { return element.FromBits[E](top|12345, uint64(i)) }},
+	}
+	sizes := []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin - 1}
+	for n := radixLargeMin; n <= 1<<20; n *= 2 {
+		hybrid := element.TypeOf[E]() != element.TKV64
+		if n == radixLargeMin || hybrid && hybridTop(n-1, kb) != hybridTop(n, kb) {
+			sizes = append(sizes, n-1, n)
 		}
 	}
+	for _, n := range sizes {
+		for _, sh := range shapes {
+			switch {
+			case n < radixLargeMin && sh.name != "full":
+				continue // the flat layouts: full keys only
+			case n&(n-1) != 0 && (sh.name == "low-only" || sh.name == "equal"):
+				continue // one region at any width: powers of two suffice
+			}
+			input := randomElems[E](rng, n)
+			for i := range input {
+				input[i] = sh.f(input[i], i)
+			}
+			check := func(how string, got []E) {
+				t.Helper()
+				if !sortedLike(got, input) {
+					t.Fatalf("%s %s n=%d: not the stable sort of the input", how, sh.name, n)
+				}
+			}
+			if n < radixLargeMin { // past it, as RadixSortTo(keys, scratch, false)
+				keys := slices.Clone(input)
+				RadixSort(keys)
+				check("RadixSort", keys)
+			}
+			for _, toScratch := range []bool{false, true} {
+				keys := slices.Clone(input)
+				scratch := make([]E, n+1) // a longer scratch lands in its prefix
+				RadixSortTo(keys, scratch, toScratch)
+				got := keys
+				if toScratch {
+					got = scratch[:n]
+				}
+				check(fmt.Sprintf("RadixSortTo(toScratch=%v)", toScratch), got)
+			}
+		}
+	}
+}
+
+// sortedLike reports whether got is the stable sort of in by order
+// image, for inputs whose equal keys carry ascending distinct payloads
+// (KV64 records) or none (key-only types): got must ascend by key, then
+// payload, and hold in's multiset, compared by a sum of mixed hashes.
+// The check is linear, so it runs at the hybrid's largest sizes.
+func sortedLike[E element.Elem](got, in []E) bool {
+	if len(got) != len(in) {
+		return false
+	}
+	hash := func(e E) uint64 {
+		x := element.Bits(e)*0x9e3779b97f4a7c15 ^ element.Aux(e)
+		x ^= x >> 31
+		x *= 0xbf58476d1ce4e5b9
+		return x ^ x>>29
+	}
+	var sum uint64
+	for i := range got {
+		sum += hash(got[i]) - hash(in[i])
+		if i > 0 && cmp.Or(cmp.Compare(element.Bits(got[i-1]), element.Bits(got[i])), cmp.Compare(element.Aux(got[i-1]), element.Aux(got[i]))) > 0 {
+			return false
+		}
+	}
+	return sum == 0
 }
 
 // TestRadixSortDeal checks FullSort's round 0 as its first merge sees
@@ -156,7 +213,7 @@ func testRadixSortDeal[E element.Elem](t *testing.T) {
 		{"one-region", func(n int) []E {
 			out := make([]E, n)
 			for i := range out {
-				low := rng.Uint64() & (1<<(kb-hybridTopBits) - 1)
+				low := rng.Uint64() & (1<<(kb-hybridTopMax) - 1)
 				out[i] = element.FromBits[E](1<<(kb-1)|low, uint64(i))
 			}
 			return out

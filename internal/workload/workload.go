@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"parbitonic/element"
 )
@@ -165,17 +166,14 @@ func PerProc(d Dist, p, n int, seed uint64) [][]uint32 {
 func Elems[E element.Elem](d Dist, n int, seed uint64) []E {
 	keys := Keys(d, n, seed)
 	out := make([]E, n)
+	lo, hi := imageWindow[E]()
 	switch any(*new(E)).(type) {
 	case float32:
-		// Order images of -Inf and +Inf: the valid float32 window.
-		const lo, hi = uint64(0x007FFFFF), uint64(0xFF800000)
 		for i, k := range keys {
 			out[i] = element.FromBits[E](lo+uint64(k)*(hi-lo)>>32, 0)
 		}
 	case float64:
-		// Order images of -Inf and +Inf for float64; the stride keeps
-		// the map injective over 32-bit keys.
-		const lo, hi = uint64(0x000FFFFFFFFFFFFF), uint64(0xFFF0000000000000)
+		// The stride keeps the map injective over 32-bit keys.
 		step := (hi - lo) >> 32
 		for i, k := range keys {
 			out[i] = element.FromBits[E](lo+uint64(k)*step, 0)
@@ -184,6 +182,33 @@ func Elems[E element.Elem](d Dist, n int, seed uint64) []E {
 		for i, k := range keys {
 			out[i] = element.FromBits[E](uint64(k), uint64(i))
 		}
+	}
+	return out
+}
+
+// imageWindow returns the order images [lo, hi) generated keys of E
+// are drawn from: a float type's finite images, those of -Inf through
+// +Inf, or else every key of the type's width.
+func imageWindow[E element.Elem]() (lo, hi uint64) {
+	switch any(*new(E)).(type) {
+	case float32:
+		return 0x007FFFFF, 0xFF800000
+	case float64:
+		return 0x000FFFFFFFFFFFFF, 0xFFF0000000000000
+	}
+	return 0, ^uint64(0) >> (64 - element.KeyBits[E]())
+}
+
+// FullWidth generates n uniform elements whose keys fill E's image
+// window, where Elems' 64-bit integer keys stay below 2^32. KV64
+// records carry their position as payload.
+func FullWidth[E element.Elem](n int, seed uint64) []E {
+	rng := NewRNG(seed)
+	lo, hi := imageWindow[E]()
+	out := make([]E, n)
+	for i := range out {
+		b, _ := bits.Mul64(rng.Next(), hi-lo)
+		out[i] = element.FromBits[E](lo+b, uint64(i))
 	}
 	return out
 }

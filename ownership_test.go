@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 
 	"parbitonic/element"
 	"parbitonic/internal/fault"
+	"parbitonic/internal/obs"
 	"parbitonic/internal/spmd"
 	"parbitonic/internal/verify"
 	"parbitonic/internal/workload"
@@ -276,5 +278,61 @@ func cancelSort(t *testing.T, e *Engine, c *cancelAt, keys []uint32) {
 	}
 	if c.cancel.Load() != nil {
 		t.Fatalf("processor 0 made fewer than %d compute charges", c.at+1)
+	}
+}
+
+// faultLog is an obs sink that keeps the run's events and summary.
+type faultLog struct {
+	obs.Nop
+	mu     sync.Mutex
+	events []obs.Event
+	end    obs.RunSummary
+}
+
+func (l *faultLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+func (l *faultLog) RunEnd(s obs.RunSummary) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.end = s
+}
+
+// TestFaultReachesEveryFullSortRound plans a Corrupt fault for each
+// middle round of a native P=4 FullSort (three remaps): the fault must
+// fire in the round it was planned for, as its event's round says, not
+// at the last merge, and Verify must catch the key it flipped.
+func TestFaultReachesEveryFullSortRound(t *testing.T) {
+	for _, round := range []int{1, 2} {
+		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
+			plan := fault.Plan{Kind: fault.Corrupt, Proc: 1, Round: round}
+			log := &faultLog{}
+			inj := fault.NewInjector(plan).Observe(log)
+			e, err := NewEngineOf[uint32](Config{Processors: 4, Backend: Native, Verify: true, WrapCharger: inj.Wrap, Obs: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			_, err = e.Sort(workload.Keys(workload.Uniform31, 4<<12, 21))
+			var verr *VerifyError
+			if !inj.Fired() || !errors.As(err, &verr) {
+				t.Fatalf("corrupted run returned %v (fired %v), want a *VerifyError", err, inj.Fired())
+			}
+			if log.end.Remaps != 4*3 {
+				t.Fatalf("the run made %d remaps over its processors, want 4 × 3", log.end.Remaps)
+			}
+			var fired []obs.Event
+			for _, ev := range log.events {
+				if ev.Kind == obs.EventFault {
+					fired = append(fired, ev)
+				}
+			}
+			if len(fired) != 1 || fired[0].Proc != plan.Proc || fired[0].Round != plan.Round {
+				t.Fatalf("fault events %+v, want one at proc %d in round %d", fired, plan.Proc, plan.Round)
+			}
+		})
 	}
 }
