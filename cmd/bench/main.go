@@ -255,9 +255,10 @@ func kernelSweep(quick bool) []Entry {
 // width, the full local sort (radix + direction fix-up), the bitonic
 // merge of a bitonic sequence, the two-way merge, MergeRuns on two
 // contiguous runs, and MergeRuns over FullSort's in-place deal views:
-// every second key of two sorted arrays (round 0 at P=2) and every
-// fourth key of four (the crossing at P=4) — the per-phase primitives
-// every parallel run is built from.
+// every second key of two sorted arrays (round 0 at P=2), every fourth
+// key of four (the crossing at P=4) and segments of two at stride 16 of
+// eight (P=8's s=1, c=3 crossing) — the per-phase primitives every
+// parallel run is built from.
 func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 	keys := workload.Elems[E](workload.Uniform31, size, 1996)
 	full := workload.FullWidth[E](size, 1996)
@@ -286,7 +287,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		}
 		return out
 	}
-	strided, crossing := views(1, 0), views(2, 1)
+	strided, crossing, segmented := views(1, 0), views(2, 1), views(3, 2)
 
 	var out []Entry
 	for _, k := range []struct {
@@ -301,6 +302,7 @@ func kernelGroupOf[E element.Elem](size, reps int) []Entry {
 		{"merge-runs", func() { localsort.MergeRuns(work, runs) }},
 		{"merge-strided", func() { localsort.MergeRuns(work, strided) }},
 		{"merge-crossing", func() { localsort.MergeRuns(work, crossing) }},
+		{"merge-segmented", func() { localsort.MergeRuns(work, segmented) }},
 	} {
 		mean, min := measureKernel(reps, k.f)
 		out = append(out, Entry{

@@ -16,9 +16,10 @@ import (
 )
 
 // The kernels promise zero steady-state allocations when the caller
-// supplies scratch: count tables are stashed, pooled or stack-resident, runs
-// tables live on the stack, the ping-pong layouts end in place, and the tiled kernels carve their per-tile scratch out of the
-// caller's and draw their tile states from a stash.
+// supplies scratch: count tables are stashed, pooled or stack-resident,
+// the merges' run tables and chunk buffers are stashed, the ping-pong
+// layouts end in place, and the tiled kernels carve their per-tile
+// scratch out of the caller's and draw their tile states from a stash.
 // These tests pin that promise with the allocator's own accounting, on
 // a 1-lane pool (the sequential paths) and on a 2-lane one (the tile
 // dispatch), so they mean the same thing on any host; the tiled paths'
@@ -61,7 +62,7 @@ func runKernelAllocs[E element.Elem](t *testing.T) {
 	})
 
 	// FullSort's shapes: two contiguous runs (the two-run kernel) and
-	// four (the loser tree), then deal views read in place out of
+	// four (the chunked cascade), then deal views read in place out of
 	// sorted arrays: every second key of two, every fourth key of four,
 	// and segments of two at stride 16 of eight.
 	q := allocN / 4

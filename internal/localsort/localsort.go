@@ -2,7 +2,8 @@
 // Chapter 4: LSD radix sort (the paper's choice for the first lg n
 // stages, §4.4; large key sorts first partition by a top digit whose
 // width follows n, and the model still charges the paper's 11-bit,
-// 3-pass layout), linear two-way and p-way merges (§4.3's unpack fusion),
+// 3-pass layout), linear two-way and p-way merges (§4.3's unpack fusion;
+// a p-way merge cascades the two-way kernel over cache-sized chunks),
 // and block/strided bitonic-merge sorting built on bitseq.SortBitonic
 // (Theorems 2 and 3). All routines are O(n) or O(n · passes) and avoid
 // comparisons beyond what the input format requires, which is exactly
@@ -111,9 +112,10 @@ var countPool = sync.Pool{
 	},
 }
 
-// The parallel kernels' tile states (their arguments, no closure),
-// stashed per element type so dispatching tiles allocates nothing.
-var hybridStash, blockStash, stridedStash [5]workpool.Stash
+// The parallel kernels' tile states (their arguments, no closure) and
+// the chunked merge's working sets, stashed per element type so
+// dispatching tiles and merging allocate nothing.
+var hybridStash, blockStash, stridedStash, mergeStash [5]workpool.Stash
 
 // getTiles draws a *T from the stash slot of element type E.
 func getTiles[T any, E element.Elem](s *[5]workpool.Stash) *T {
@@ -293,13 +295,14 @@ type hybridWork[T element.Uint] struct {
 	bounce []T
 }
 
-// fit grows w to digits table entries and bounce keys.
+// fit grows w to digits table entries and bounce keys: the largest
+// region of the sort, so no lane keeps a power of two beyond it.
 func (w *hybridWork[T]) fit(digits, bounce int) {
 	if len(w.digits) < digits {
 		w.digits = make([]uint32, digits)
 	}
 	if len(w.bounce) < bounce {
-		w.bounce = make([]T, 1<<bits.Len(uint(bounce-1)))
+		w.bounce = make([]T, bounce)
 	}
 }
 

@@ -513,7 +513,7 @@ func BenchmarkSortBitonicVsRadix(b *testing.B) {
 
 // BenchmarkMergeRuns times the merge kernels on FullSort's shapes,
 // 2^19 uint32 keys out: two contiguous runs (the last merge at P=2),
-// four through the loser tree, and deal views read in place out of
+// four through the chunked cascade, and deal views read in place out of
 // sorted arrays of 2^19 keys, their senders alternating in direction:
 // every second key of two (round 0 at P=2), every fourth key of four
 // (the crossing at P=4), and segments of two at stride 16 of eight

@@ -6,12 +6,14 @@ import (
 	"parbitonic/element"
 )
 
-// The merge kernels: MergeTwo and MergeRuns. Each runs one generic body
+// The merge kernels: MergeTwo and MergeRuns. Every merge goes through
+// one two-run kernel; more runs, or segmented ones, merge chunk by
+// chunk in a pairwise cascade of it. The kernel runs one generic body
 // over the key view of element.KeyOf — storage S, keys compared
 // natively as K — for all five element types, and integer storage lets
-// the two-run kernel select the emitted element with a conditional move
-// instead of a jump. Records keep their payloads, and no comparison or
-// emission goes through a func value or an interface.
+// it select the emitted element with a conditional move instead of a
+// jump. Records keep their payloads, and no comparison or emission goes
+// through a func value or an interface.
 
 // RunOf is one ascending input run for MergeRuns: Seg elements of Keys
 // from index 0, then Seg from index Stride, from 2·Stride, ..., as
@@ -58,26 +60,6 @@ func (r RunOf[E]) step() int { return max(r.Stride, 1) }
 // seg returns the length of r's segments.
 func (r RunOf[E]) seg() int { return min(max(r.Seg, 1), r.step()) }
 
-// cursor walks a run in storage order: i is the storage index of the
-// head, n counts the elements left, left those left in the head's
-// segment, and the step out of a segment's last element skips gap more.
-type cursor struct{ i, n, left, seg, gap int }
-
-func (r RunOf[E]) cursor() cursor {
-	sg := r.seg()
-	return cursor{0, r.Len(), sg, sg, r.step() - sg}
-}
-
-// next advances c past its head.
-func (c *cursor) next() {
-	c.i++
-	c.n--
-	if c.left--; c.left == 0 {
-		c.i += c.gap
-		c.left = c.seg
-	}
-}
-
 // MergeTwo merges the ascending-sorted slices a and b into dst (whose
 // length must be len(a)+len(b)) ascending, with the two-run kernel
 // MergeRuns uses.
@@ -90,8 +72,9 @@ func MergeTwo[E element.Elem](dst, a, b []E) {
 }
 
 // MergeRuns merges the sorted runs into dst ascending: a branchless
-// two-ended loop for two non-empty runs without segments, a loser tree
-// — O(total · log p) comparisons — for more, or for segmented runs.
+// two-ended loop for two non-empty runs without segments, and for more
+// runs, or segmented ones, a cascade of that loop over cache-sized
+// chunks (mergeChunked) — O(total · log p) comparisons either way.
 // Equal keys come out in run order. This is the p-way merge the paper
 // fuses with unpacking so the separate unpack pass disappears (§4.3).
 func MergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
@@ -126,34 +109,30 @@ func mergeRuns[E element.Elem](dst []E, runs []RunOf[E]) {
 	}
 }
 
-// mergeRunsOf picks the kernel by the number of non-empty runs; empty
-// runs take no part in any of them. Segmented runs go to the loser
-// tree, which steps them by its cursors: only merges of eight runs or
-// more meet them (FullSort's deals with s >= 1 need c >= 3).
+// mergeRunsOf merges the non-empty runs, the others taking no part:
+// two without segments through the two-run kernel, more, or segmented
+// ones, chunk by chunk (mergeChunked). Only merges of eight runs or
+// more meet segments (FullSort's deals with s >= 1 need c >= 3).
 func mergeRunsOf[S element.Elem, K element.Ord](dst []S, runs []RunOf[S]) {
-	live, first, second, segs := 0, 0, 0, false
-	for r := range runs {
-		if len(runs[r].Keys) == 0 {
-			continue
+	m := getTiles[mergeChunks[S], S](&mergeStash)
+	m.runs = m.runs[:0]
+	segs := false
+	for _, r := range runs {
+		if len(r.Keys) > 0 {
+			m.runs = append(m.runs, r)
+			segs = segs || r.seg() > 1
 		}
-		switch live {
-		case 0:
-			first = r
-		case 1:
-			second = r
-		}
-		live++
-		segs = segs || runs[r].seg() > 1
 	}
-	switch {
-	case live == 0:
-	case segs || live > 2:
-		mergeTree[S, K](dst, runs)
-	case live == 1:
-		emitRun(dst, runs[first].Keys, 0, runs[first].step())
-	default:
-		mergeTwoRuns[S, K](dst, runs[first], runs[second])
+	switch k := len(m.runs); {
+	case k == 1:
+		gatherRun(dst, m.runs[0], 0)
+	case k == 2 && !segs:
+		mergeTwoRuns[S, K](dst, m.runs[0], m.runs[1])
+	case k > 0:
+		mergeChunked[S, K](m, dst)
 	}
+	clear(m.runs)
+	mergeStash[element.TypeOf[S]()].Put(m)
 }
 
 // mergeTwoRuns is the two-run kernel. Its front end takes the smaller
@@ -264,108 +243,118 @@ func emitRun[S element.Elem](dst, keys []S, i, step int) {
 	}
 }
 
-// maxStackRuns bounds the tournament state kept in stack arrays: runs
-// of p-way merges with p beyond it (no algorithm in this module gets
-// there below P=16) fall back to heap tables.
-const maxStackRuns = 16
+// gatherRun fills out with r's elements from rank on: by emitRun for a
+// run without segments, else element by element across them.
+func gatherRun[S element.Elem](out []S, r RunOf[S], rank int) {
+	sg, st := r.seg(), r.step()
+	if sg == 1 {
+		emitRun(out, r.Keys, rank*st, st)
+		return
+	}
+	i, o := rank/sg*st, rank%sg
+	for j := range out {
+		out[j] = r.Keys[i+o]
+		if o++; o == sg {
+			i, o = i+st, 0
+		}
+	}
+}
 
-// loserTree is the tournament of mergeTree over size (a power of two)
-// leaves, one per run plus dead padding. node[0] is the current winner
-// and node[1..size-1] hold the loser of each internal match, so
-// replaying a winner's path costs one comparison per level. head caches
-// each run's head key; an exhausted run loses every match, and equal
-// keys go to the lower run index, the two-run kernel's rule.
-type loserTree[S element.Elem, K element.Ord] struct {
+// mergeChunkBytes is the size of one chunk of a chunked merge's output:
+// the chunk and the buffer its cascade bounces through stay in cache.
+const mergeChunkBytes = 64 << 10
+
+// mergeChunks is a merge's working set, stashed per storage type so
+// steady-state merges allocate nothing: the non-empty runs, each one's
+// first rank not yet merged, the offsets of the current chunk's pieces,
+// and the buffer the chunk's cascade bounces through.
+type mergeChunks[S element.Elem] struct {
 	runs []RunOf[S]
-	cur  []cursor
-	head []K
-	node []int
+	pos  []int
+	off  []int // piece r of the chunk fills [off[r], off[r+1])
+	buf  []S
 }
 
-// beats reports whether run x wins its match against run y.
-func (t *loserTree[S, K]) beats(x, y int) bool {
-	if t.cur[y].n == 0 {
-		return true
+// mergeChunked merges m's runs into dst a chunk of at most c keys at a
+// time. With k runs and d = c/k, a chunk ends before the (key,
+// run)-smallest of each run's element d ranks past the chunk start, so
+// that run gives d keys to the chunk, every other run at most d (one
+// binary search over d+1 keys finds its cut), and equal keys go to the
+// lower run at every cut. The chunk's pieces then merge pairwise
+// through the two-run kernel (mergeCascade).
+func mergeChunked[S element.Elem, K element.Ord](m *mergeChunks[S], dst []S) {
+	k := len(m.runs)
+	m.pos, m.off = append(m.pos[:0], make([]int, k)...), append(m.off[:0], make([]int, k+1)...)
+	d := max(mergeChunkBytes/int(unsafe.Sizeof(*new(S)))/k, 1)
+	if need := min(k*d, len(dst)); len(m.buf) < need {
+		m.buf = make([]S, need)
 	}
-	if t.cur[x].n == 0 {
-		return false
+	for done := 0; done < len(dst); {
+		b, bk := -1, *new(K)
+		for r, run := range m.runs {
+			if i := m.pos[r] + d; i < run.Len() {
+				if key := keyAt[S, K](run, i); b < 0 || key < bk {
+					b, bk = r, key
+				}
+			}
+		}
+		for r, run := range m.runs {
+			lo, hi := m.pos[r], min(m.pos[r]+d, run.Len())
+			switch {
+			case b < 0:
+				hi = run.Len()
+			case r != b:
+				// The first rank that does not precede the boundary.
+				for lo < hi {
+					mid := int(uint(lo+hi) >> 1)
+					if key := keyAt[S, K](run, mid); key < bk || r < b && key == bk {
+						lo = mid + 1
+					} else {
+						hi = mid
+					}
+				}
+			}
+			m.off[r+1] = m.off[r] + hi - m.pos[r]
+		}
+		n := m.off[k]
+		mergeCascade[S, K](m, 0, k, dst[done:done+n], m.buf[:n])
+		for r := range m.pos {
+			m.pos[r] += m.off[r+1] - m.off[r]
+		}
+		done += n
 	}
-	return t.head[x] < t.head[y] || t.head[x] == t.head[y] && x < y
 }
 
-// init plays every match bottom-up, recording winners, then turns each
-// internal node into the loser of its match (top-down, so the children
-// still hold their winners when their parent is converted).
-func (t *loserTree[S, K]) init() {
-	size := len(t.cur)
-	for r := range t.cur {
-		t.cur[r] = cursor{}
-		if r < len(t.runs) {
-			t.cur[r] = t.runs[r].cursor()
-		}
-		if t.cur[r].n > 0 {
-			t.head[r] = element.KeyOf[K](&t.runs[r].Keys[t.cur[r].i])
-		}
-		t.node[size+r] = r
-	}
-	for nd := size - 1; nd > 0; nd-- {
-		l, r := t.node[2*nd], t.node[2*nd+1]
-		t.node[nd] = r
-		if t.beats(l, r) {
-			t.node[nd] = l
-		}
-	}
-	t.node[0] = t.node[1]
-	for nd := 1; nd < size; nd++ {
-		l, r := t.node[2*nd], t.node[2*nd+1]
-		if t.node[nd] == l {
-			t.node[nd] = r
-		} else {
-			t.node[nd] = l
-		}
-	}
+// keyAt returns the key of r's element of rank i.
+func keyAt[S element.Elem, K element.Ord](r RunOf[S], i int) K {
+	sg := r.seg()
+	return element.KeyOf[K](&r.Keys[i/sg*r.step()+i%sg])
 }
 
-// pop returns the winning run and the storage index of its head, then
-// advances that run and replays its path to the root.
-func (t *loserTree[S, K]) pop() (int, int) {
-	w := t.node[0]
-	c := &t.cur[w]
-	i := c.i
-	c.next()
-	if c.n > 0 {
-		t.head[w] = element.KeyOf[K](&t.runs[w].Keys[c.i])
-	}
-	x := w
-	for nd := (w + len(t.cur)) >> 1; nd > 0; nd >>= 1 {
-		if y := t.node[nd]; t.beats(y, x) {
-			t.node[nd], x = x, y
+// mergeCascade merges the chunk's pieces lo..hi-1 into out and returns
+// the run that holds them: out, or one unsegmented piece read in place.
+// The left half of the pieces (the larger, adjacent runs first) lands
+// in other, out's span of the other array, and so does the right; the
+// two then merge into out, lower runs first. So the nodes of one depth
+// write one array, dst's chunk or the buffer, alternately, and a
+// segmented piece is gathered into the array of its depth.
+func mergeCascade[S element.Elem, K element.Ord](m *mergeChunks[S], lo, hi int, out, other []S) RunOf[S] {
+	if hi-lo == 1 {
+		run, pos := m.runs[lo], m.pos[lo]
+		if run.seg() > 1 {
+			gatherRun(out, run, pos)
+			return RunOf[S]{Keys: out}
 		}
+		if len(out) == 0 {
+			return RunOf[S]{}
+		}
+		st := run.step()
+		return RunOf[S]{Keys: run.Keys[pos*st : (pos+len(out)-1)*st+1], Stride: st}
 	}
-	t.node[0] = x
-	return w, i
-}
-
-// mergeTree merges three or more runs, or segmented ones, through a
-// loser tree into dst. All its state lives in stack arrays for up to
-// maxStackRuns runs, so the steady-state merge allocates nothing.
-func mergeTree[S element.Elem, K element.Ord](dst []S, runs []RunOf[S]) {
-	size := 1
-	for size < len(runs) {
-		size *= 2
-	}
-	var curBuf [maxStackRuns]cursor
-	var headBuf [maxStackRuns]K
-	var nodeBuf [2 * maxStackRuns]int
-	t := loserTree[S, K]{runs: runs}
-	if size <= maxStackRuns {
-		t.cur, t.head, t.node = curBuf[:size], headBuf[:size], nodeBuf[:2*size]
-	} else {
-		t.cur, t.head, t.node = make([]cursor, size), make([]K, size), make([]int, 2*size)
-	}
-	t.init()
-	for j := range dst {
-		r, i := t.pop()
-		dst[j] = runs[r].Keys[i]
-	}
+	mid := (lo + hi + 1) / 2
+	split := m.off[mid] - m.off[lo]
+	a := mergeCascade[S, K](m, lo, mid, other[:split], out[:split])
+	b := mergeCascade[S, K](m, mid, hi, other[split:], out[split:])
+	mergeTwoRuns[S, K](out, a, b)
+	return RunOf[S]{Keys: out}
 }

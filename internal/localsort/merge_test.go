@@ -143,6 +143,30 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 		}
 	}
 
+	// Past one chunk of the cascade: 3-8 and 17 runs totalling about
+	// three chunks at this element width, so ties straddle cuts at
+	// domains 1 and 3. One run holds a few keys and, past domain 1,
+	// another holds only the largest key, so both are empty inside
+	// most chunks.
+	chunk := localsort.MergeChunkBytes / int(element.TypeOf[E]().Width())
+	for _, p := range []int{3, 4, 5, 6, 7, 8, 17} {
+		for _, domain := range []int{1, 3, 1 << 20} {
+			label := fmt.Sprintf("p=%d domain=%d chunked", p, domain)
+			lens := make([]int, p)
+			for r := range lens {
+				lens[r] = rng.Intn(6*chunk/p + 1)
+			}
+			lens[rng.Intn(p)] = rng.Intn(8)
+			runs := randomRuns[E](rng, lens, domain, &id)
+			late := runs[rng.Intn(p)].Keys
+			for i := range late {
+				late[i] = mkElem[E](domain-1, domain, id)
+				id++
+			}
+			checkMerge(t, label, runs, mergeOracle(runs))
+		}
+	}
+
 	// FullSort's P=2 shape: two runs of equal length, also through
 	// MergeTwo.
 	for _, m := range []int{1, 2, 3, 64, 1000, 1024} {
@@ -164,7 +188,8 @@ func runMergeProperties[E element.Elem](t *testing.T) {
 
 // TestMergeKernelsMatchStableOracle runs the property over all five
 // element types, 0-5 runs, empty runs, all-equal keys and heavy
-// duplicates, and over FullSort's two equal runs.
+// duplicates, 3-8 and 17 runs across several chunks of the cascade,
+// and FullSort's two equal runs.
 func TestMergeKernelsMatchStableOracle(t *testing.T) {
 	t.Run("u32", runMergeProperties[uint32])
 	t.Run("u64", runMergeProperties[uint64])
@@ -199,8 +224,8 @@ func runStridedMergeProperties[E element.Elem](t *testing.T) {
 				mixed := []localsort.RunOf[E]{runs[0], randomRuns[E](rng, []int{m}, domain, &id)[0]}
 				checkMerge(t, label+" mixed", mixed, mergeOracle(mixed))
 				checkMerge(t, label+" alone", runs[1:], mergeOracle(runs[1:]))
-				tree := append(slices.Clone(runs), mixed[1])
-				checkMerge(t, label+" tree", tree, mergeOracle(tree))
+				three := append(slices.Clone(runs), mixed[1])
+				checkMerge(t, label+" three", three, mergeOracle(three))
 			}
 		}
 	}
@@ -210,7 +235,7 @@ func runStridedMergeProperties[E element.Elem](t *testing.T) {
 // shape of FullSort's first merge, which reads each peer's message as
 // every second key of the peer's sorted array: for all five element
 // types, runs of both offsets, merged by the two-run kernel, beside a
-// contiguous run, alone, and through the loser tree.
+// contiguous run, alone, and as three runs through the cascade.
 func TestMergeStridedRuns(t *testing.T) {
 	t.Run("u32", runStridedMergeProperties[uint32])
 	t.Run("u64", runStridedMergeProperties[uint64])
@@ -238,9 +263,9 @@ func fullSortShaped(sched []schedule.Remap) bool {
 }
 
 // dealShapes returns one remap plan for every deal shape (s, c) of the
-// FullSort head schedules at lgN 8-20 and lgP 1-4, each at the smallest
-// lgN where it occurs.
-func dealShapes(t *testing.T) []*addr.RemapPlan {
+// FullSort head schedules at lgN 8-20 and lgP 1-4 with shares of at
+// least minLocal keys, each at the smallest lgN where it occurs.
+func dealShapes(t *testing.T, minLocal int) []*addr.RemapPlan {
 	seen := map[[2]int]bool{}
 	var plans []*addr.RemapPlan
 	for lgN := 8; lgN <= 20; lgN++ {
@@ -254,7 +279,7 @@ func dealShapes(t *testing.T) []*addr.RemapPlan {
 				if !ok {
 					t.Fatalf("lgN=%d lgP=%d: a remap of a FullSort schedule is not a deal", lgN, lgP)
 				}
-				if !seen[[2]int{s, c}] {
+				if r.Plan.Old.LocalN() >= minLocal && !seen[[2]int{s, c}] {
 					seen[[2]int{s, c}] = true
 					plans = append(plans, r.Plan)
 				}
@@ -285,7 +310,22 @@ func runDealViewProperties[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	id := 0
 	segmented := false
-	for _, plan := range dealShapes(t) {
+	plans := dealShapes(t, 0)
+	smallest := map[[2]int]int{}
+	for _, plan := range plans {
+		s, c, _ := plan.Deal()
+		smallest[[2]int{s, c}] = plan.Old.LocalN()
+	}
+	// Every shape that merges four runs or more again at a share past
+	// one chunk of the cascade, unless its smallest share is, so its
+	// cuts land inside segments.
+	chunk := localsort.MergeChunkBytes / int(element.TypeOf[E]().Width())
+	for _, plan := range dealShapes(t, chunk+1) {
+		if s, c, _ := plan.Deal(); c >= 2 && smallest[[2]int{s, c}] <= chunk {
+			plans = append(plans, plan)
+		}
+	}
+	for _, plan := range plans {
 		s, c, _ := plan.Deal()
 		n := plan.Old.LocalN()
 		group := plan.Dests(0)
@@ -345,7 +385,9 @@ func runDealViewProperties[E element.Elem](t *testing.T) {
 // member of a group, MergeRuns over the DealtRun views of the senders'
 // ascending shares equals a stable sort, by key and then run, of the
 // messages the pack walk builds from the same shares. Keys repeat
-// within and across shares, on all five element types.
+// within and across shares, on all five element types. Each shape
+// runs at its smallest share, and again past one chunk of the
+// cascade when it merges four runs or more.
 func TestMergeDealViews(t *testing.T) {
 	t.Run("u32", runDealViewProperties[uint32])
 	t.Run("u64", runDealViewProperties[uint64])
@@ -356,7 +398,7 @@ func TestMergeDealViews(t *testing.T) {
 
 // TestMergeKV64TiesKeepRunOrder pins the tie rule directly: records
 // with equal keys leave the merge lower-indexed run first, on both the
-// two-run kernel and the loser tree.
+// two-run kernel and the cascade.
 func TestMergeKV64TiesKeepRunOrder(t *testing.T) {
 	for p := 2; p <= 4; p++ {
 		runs := make([]localsort.RunOf[element.KV64], p)
