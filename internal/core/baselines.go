@@ -19,8 +19,8 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 	lgN := lgn + lgP
 
 	// The run lives in its home array and one spare, which serves the
-	// radix sorts as scratch and each remap as its destination; the
-	// strided merges work in a 2P-key scratch of their own.
+	// radix sorts and the strided merges as scratch and each remap as
+	// its destination.
 	s := stateOf(pr, 1, n)
 	spare := s.spares[0]
 	localsort.SortScratch(pr.Data, pr.ID%2 == 0, spare)
@@ -32,10 +32,6 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 	blocked := toBlocked.New
 	cyclic := toCyclic.New
 
-	if cap(s.strided) < 2<<uint(lgP) {
-		s.strided = make([]E, 2<<uint(lgP))
-	}
-	scratch := s.strided[:2<<uint(lgP)]
 	for k := 1; k <= lgP; k++ {
 		stage := lgn + k
 		spare = pr.Remap(toCyclic, false, spare)
@@ -47,17 +43,21 @@ func cyclicBlockedSort[E element.Elem](pr *spmd.ProcOf[E], toCyclic, toBlocked *
 		// merges — one linear pass instead of k compare-exchange sweeps.
 		if opts.Compute == Optimized {
 			// Under cyclic, absolute bit lgn+i is local bit lgn-lgP+i:
-			// groups are strided with stride 2^(lgn-lgP) and count 2^k;
-			// the direction bit (absolute lgn+k) is local bit lgn-lgP+k.
+			// groups are the columns of stride 2^(lgn-lgP) and count 2^k
+			// in each contiguous block of stride<<k keys, and the
+			// direction bit (absolute lgn+k) is the block's low bit.
 			stride := 1 << uint(lgn-lgP)
-			mask := (1<<uint(k) - 1) * stride // the varied local bits
-			dirBit := stride << uint(k)
-			for base := 0; base < n; base++ {
-				if base&mask != 0 {
-					continue
+			block := stride << uint(k)
+			if stride == 1 {
+				// n = P: each group is a contiguous block (the batch
+				// kernel's column buffer would not fit in the spare), its
+				// direction alternating except in the last stage.
+				localsort.SortBitonicBlocks(pr.Data, block, min(lgN-stage, 1), spare)
+			} else {
+				for b := 0; b < n; b += block {
+					asc := stage == lgN || b&block == 0
+					localsort.SortBitonicStridedBatch(pr.Data[b:b+block], stride, 1<<uint(k), asc, spare)
 				}
-				asc := stage == lgN || base&dirBit == 0
-				localsort.SortBitonicStrided(pr.Data, base, stride, 1<<uint(k), asc, scratch)
 			}
 			pr.ChargeMerge(n)
 		} else {

@@ -208,7 +208,8 @@ func TestCyclicBlockedOptimizedMatchesSimulated(t *testing.T) {
 }
 
 func testCyclicBlockedOptimizedMatchesSimulated[E element.Elem](t *testing.T) {
-	for _, d := range [][2]int{{2, 3}, {3, 4}, {4, 5}, {3, 6}} {
+	// {3, 3} is n = P, whose cyclic phase sorts contiguous blocks.
+	for _, d := range [][2]int{{3, 3}, {2, 3}, {3, 4}, {4, 5}, {3, 6}} {
 		lgP, lgn := d[0], d[1]
 		for seed := uint64(1); seed <= 3; seed++ {
 			opt, sim := runBoth[E](t, CyclicBlocked, lgP, lgn, seed)

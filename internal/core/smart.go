@@ -50,14 +50,12 @@ func smartSort[E element.Elem](pr *spmd.ProcOf[E], sched []schedule.Remap, opts 
 
 // procState is a processor's persistent working state, parked on
 // pr.Scratch and shared by every body of this package: the FullSort
-// run table, the spare arrays a body sorts in beside its home share,
-// and cyclic-blocked's strided scratch. It survives runs and aborts,
-// and a spare is reused while it holds n keys, so steady-state runs
-// allocate nothing. No spare is ever a view of the caller's keys.
+// run table and the spare arrays a body sorts in beside its home
+// share. It survives runs and aborts, and a spare is reused while it
+// holds n keys, so steady-state runs allocate nothing. No spare is ever a view of the caller's keys.
 type procState[E element.Elem] struct {
-	runs    []localsort.RunOf[E]
-	spares  [2][]E
-	strided []E
+	runs   []localsort.RunOf[E]
+	spares [2][]E
 }
 
 // stateOf returns pr's state with its first k spares holding n keys.

@@ -74,9 +74,7 @@ func (s *seqState) phaseOptimized(r schedule.Remap, p int) {
 		blockLen := 1 << uint(r.A)
 		localsort.SortBitonicBlocks(data, blockLen, 1<<uint(r.B-1), nil)
 		asc := ascFor(r.Layout, p, lgn+r.K+1)
-		for d := 0; d < blockLen; d++ {
-			localsort.SortBitonicStrided(data, d, blockLen, 1<<uint(r.B), asc, nil)
-		}
+		localsort.SortBitonicStridedBatch(data, blockLen, 1<<uint(r.B), asc, nil)
 	case schedule.Last:
 		localsort.SortBitonicBlocks(data, 1<<uint(r.S), 0, nil)
 	}

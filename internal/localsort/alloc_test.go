@@ -16,7 +16,7 @@ import (
 )
 
 // The kernels promise zero steady-state allocations when the caller
-// supplies scratch: count tables are stashed, pooled or stack-resident,
+// supplies scratch: count tables are stashed or stack-resident,
 // the merges' run tables and chunk buffers are stashed, the ping-pong
 // layouts end in place, and the tiled kernels carve their per-tile
 // scratch out of the caller's and draw their tile states from a stash.

@@ -1,6 +1,6 @@
 // Package localsort provides the fast local computation routines of
 // Chapter 4: LSD radix sort (the paper's choice for the first lg n
-// stages, §4.4; large key sorts first partition by a top digit whose
+// stages, §4.4; large sorts first partition by a top digit whose
 // width follows n, and the model still charges the paper's 11-bit,
 // 3-pass layout), linear two-way and p-way merges (§4.3's unpack fusion;
 // a p-way merge cascades the two-way kernel over cache-sized chunks),
@@ -22,8 +22,8 @@ package localsort
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"parbitonic/element"
 	"parbitonic/internal/bitseq"
@@ -57,21 +57,17 @@ func kernelPool() *workpool.Pool {
 	return workpool.Shared()
 }
 
-// Digit widths of the adaptive radix layout. Small inputs use 8-bit
-// LSD digits: the count tables live on the stack and the pass count
-// per 32 bits is even, so the last permute lands back in the caller's
-// array with no copy-back. Large key-only inputs switch to the hybrid
-// layout: one MSD partition whose width follows n (hybridTop), so each
-// region averages about 2^11 keys, each finished by an LSD radix of
-// 12-bit digits whose working set is cache-resident (see
-// radixUintHybrid). KV64 records keep a flat LSD with 16-bit digits:
-// fewer whole-record permute passes beat partition locality at 16
-// bytes per element.
+// Digit widths of the radix layout. Small inputs use 8-bit LSD digits:
+// the count tables live on the stack and the pass count per 32 bits is
+// even, so the last permute lands back in the caller's array with no
+// copy-back. Large inputs of every type, KV64 records included, take
+// the hybrid layout: one MSD partition whose width follows n
+// (hybridTop), so each region averages about 2^11 keys, each finished
+// by an LSD radix of 12-bit digits whose working set is cache-resident
+// (see radixUintHybrid).
 const (
 	radixSmallBits = 8
 	radixSmallSize = 1 << radixSmallBits
-	radixLargeBits = 16
-	radixLargeSize = 1 << radixLargeBits
 
 	// The hybrid's layout (hybridTop): regions of about
 	// 2^hybridRegionBits keys, at most 2^hybridTopMax of them, finished
@@ -83,8 +79,8 @@ const (
 	hybridDigitSize    = 1 << hybridDigitBits
 	hybridMaxLowPasses = 5
 
-	// radixLargeMin is the element count from which the large layouts
-	// pay for their table zeroing and prefix sums.
+	// radixLargeMin is the element count from which the hybrid pays for
+	// its table zeroing and prefix sums.
 	radixLargeMin = 1 << 16
 )
 
@@ -101,15 +97,6 @@ const RadixPasses = 3
 // uint32/float32, 6 for uint64/float64/KV64).
 func RadixPassesOf[E element.Elem]() int {
 	return RadixPasses * element.KeyBits[E]() / 32
-}
-
-// countPool recycles the KV64 16-bit LSD's count tables across radix
-// sorts: up to 4 passes × 64Ki uint32 entries.
-var countPool = sync.Pool{
-	New: func() any {
-		b := make([]uint32, 4*radixLargeSize)
-		return &b
-	},
 }
 
 // The parallel kernels' tile states (their arguments, no closure) and
@@ -138,12 +125,12 @@ func RadixSort[E element.Elem](keys []E) {
 // RadixSortTo is RadixSort with a caller-owned ping-pong buffer, which
 // a short scratch replaces unless toScratch, landing the result in
 // scratch[:len(keys)] when toScratch, else in keys (the other array is
-// left undefined). The key hybrid partitions into keys out of a mirror
-// of them that its histogram read streams into scratch, and copies
-// each finished region into scratch when toScratch. The flat LSD
-// layouts copy once when their pass count lands on the other side.
-// Native FullSort's round 0 is this sort, whose sorted array its peers
-// then read in place.
+// left undefined). From radixLargeMin elements on, every type takes
+// the hybrid: it partitions into keys out of a mirror of them that its
+// histogram read streams into scratch, and copies each finished region
+// into scratch when toScratch. The flat LSD below it copies once when
+// its pass count lands on the other side. Native FullSort's round 0 is
+// this sort, whose sorted array its peers then read in place.
 func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
 	if len(scratch) < len(keys) {
 		if toScratch {
@@ -174,28 +161,20 @@ func RadixSortTo[E element.Elem](keys, scratch []E, toScratch bool) {
 
 // radixUint sorts keys by their K digits using scratch as the
 // ping-pong buffer, landing in scratch when toScratch: K is the
-// key-only storage itself, or a KV64 record's key. Small inputs run a
-// flat LSD with 8-bit digits and stack tables. Large key-only inputs
-// take the cache-blocked MSD+LSD hybrid, its partition sized to n by
-// hybridTop; large record inputs a flat LSD with 16-bit digits over
-// pooled tables. Every layout is stable,
-// so the choice is invisible in the output.
+// key-only storage itself, or a KV64 record's key. Inputs below
+// radixLargeMin run a flat LSD with 8-bit digits and stack tables,
+// larger ones the cache-blocked MSD+LSD hybrid. Both layouts are
+// stable, so the choice is invisible in the output.
 func radixUint[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
-	keyBits := element.KeyBits[S]()
-	switch {
-	case len(keys) < radixLargeMin:
+	if len(keys) < radixLargeMin {
 		var count [(64 / radixSmallBits) * radixSmallSize]uint32
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixSmallBits, radixSmallBits, count[:])
-	case element.TypeOf[S]() == element.TKV64:
-		cp := countPool.Get().(*[]uint32)
-		radixUintPasses[S, K](keys, scratch, toScratch, keyBits/radixLargeBits, radixLargeBits, *cp)
-		countPool.Put(cp)
-	default:
-		radixUintHybrid(element.Cast[K](keys), element.Cast[K](scratch), keyBits, toScratch)
+		radixUintPasses[S, K](keys, scratch, toScratch, element.KeyBits[S]()/radixSmallBits, radixSmallBits, count[:])
+		return
 	}
+	radixUintHybrid[S, K](keys, scratch, toScratch)
 }
 
-// hybridBounceMax bounds a lane's bounce buffer, in keys. A larger
+// hybridBounceMax bounds a lane's bounce buffer, in elements. A larger
 // (oversize) region bounces through its span of scratch instead.
 const hybridBounceMax = 1 << 16
 
@@ -213,96 +192,130 @@ func hybridTop(n, keyBits int) int {
 	return top
 }
 
-// radixUintHybrid sorts large key arrays with one MSD partition pass
+// radixUintHybrid sorts large arrays with one MSD partition pass
 // followed by cache-resident LSD finishing. The top hybridTop bits
-// scatter every key into its final region (a few thousand keys on
+// scatter every element into its final region (a few thousand on
 // uniform inputs), and each region is then finished independently by
 // an LSD radix over the remaining low bits whose working set (region,
 // bounce buffer, digit tables) stays in cache. DRAM sees three
 // sequential sweeps (histogram, partition read, partition write) plus
 // one read+write of cache-warm regions, versus the 2·passes+3
-// full-array sweeps of the flat layout whose every permute
-// round-trips memory. The partition always writes keys, warm from the
-// caller, out of a mirror of them that the histogram read streams
-// into scratch; each region then finishes in place and, when
-// toScratch, is copied from the cache into its span of scratch. A
-// partition straight into scratch, cold when a sort starts, ran 2–4 %
-// slower at P=4 (native FullSort of 2^20 u32 keys). Region scatter is
-// stable and the per-region LSD is stable, so the whole is a stable
-// sort like the flat layout it replaces.
-func radixUintHybrid[T element.Uint](keys, scratch []T, keyBits int, toScratch bool) {
-	top := hybridTop(len(keys), keyBits)
-	topShift := uint(keyBits - top)
-	h := getTiles[hybridTiles[T], T](&hybridStash)
+// full-array sweeps of a flat layout whose every permute round-trips
+// memory. The partition always writes keys, warm from the caller, out
+// of a mirror of them that the histogram read streams into scratch;
+// each region then finishes in place and, when toScratch, is copied
+// from the cache into its span of scratch. A partition straight into
+// scratch, cold when a sort starts, ran 2–4 % slower at P=4 (native
+// FullSort of 2^20 u32 keys). Region scatter is stable and the
+// per-region LSD is stable, so the whole is a stable sort. 64-bit keys
+// partition under their highest set bit (hybridPartition): keys below
+// 2^32, the workloads' 64-bit keys, would otherwise all land in one
+// oversize region that sorts through DRAM.
+func radixUintHybrid[S element.Elem, K element.Uint](keys, scratch []S, toScratch bool) {
+	top := hybridTop(len(keys), element.KeyBits[S]())
+	h := getTiles[hybridTiles[S, K], S](&hybridStash)
 	count, starts := h.count[:1<<top], h.starts[:1<<top]
-	clear(count)
-	for i, k := range keys {
-		count[int(k>>topShift)]++
-		scratch[i] = k
-	}
-	sum, big := uint32(0), uint32(0)
-	for r, c := range count {
-		count[r], starts[r] = sum, sum
-		sum += c
-		big = max(big, c)
-	}
-	for _, k := range scratch {
-		r := int(k >> topShift)
-		keys[count[r]] = k
-		count[r]++
-	}
+	lowBits, big := hybridPartition[S, K](keys, scratch, count, starts, top)
 	// Regions are disjoint in both arrays and the partition tables are
 	// now read-only, so they finish in parallel on whatever helper lanes
 	// are idle: each lane claims a 32nd of the regions at a time (so
 	// lanes share them when keys fill only the lower half) and finishes
 	// them in a working set of its own.
-	lowBits := keyBits - top
 	h.keys, h.scratch, h.lowBits, h.toScratch = keys, scratch, lowBits, toScratch
-	h.regions, h.grain = 1<<top, 1<<top>>5
+	h.regions, h.grain = 1<<top, max(1<<top>>5, 1)
 	wp := kernelPool()
 	lanes := wp.Size()
 	for len(h.work) < lanes {
-		h.work = append(h.work, hybridWork[T]{})
+		h.work = append(h.work, hybridWork[S]{})
 	}
-	digits := (lowBits + hybridDigitBits - 1) / hybridDigitBits << hybridDigitBits
+	digits := max((lowBits+hybridDigitBits-1)/hybridDigitBits, 2) << hybridDigitBits
 	for i := range h.work[:lanes] {
 		h.work[i].fit(digits, int(min(big, hybridBounceMax)))
 	}
 	h.next.Store(0)
 	wp.ParallelTiles(lanes, 1, h)
 	h.keys, h.scratch = nil, nil
-	hybridStash[element.TypeOf[T]()].Put(h)
+	hybridStash[element.TypeOf[S]()].Put(h)
+}
+
+// hybridPartition is the hybrid's MSD pass: it mirrors keys into
+// scratch as it counts the regions (the top bits of the key width),
+// then scatters the mirror into keys by region, leaving each region's
+// start in starts and end in count. It returns the low bits left and
+// the largest region. For 64-bit keys the width is the bit length of
+// the keys' OR, at least top, recounted from the mirror if it narrows.
+func hybridPartition[S element.Elem, K element.Uint](keys, scratch []S, count, starts []uint32, top int) (lowBits int, big uint32) {
+	keyBits := element.KeyBits[S]()
+	shift := uint(keyBits - top)
+	clear(count)
+	if keyBits == 32 {
+		for i := range keys {
+			e := &keys[i]
+			k := element.KeyOf[K](e)
+			scratch[i] = *e
+			count[int(k>>shift)]++
+		}
+	} else {
+		var or K
+		for i := range keys {
+			e := &keys[i]
+			k := element.KeyOf[K](e)
+			or |= k
+			scratch[i] = *e
+			count[int(k>>shift)]++
+		}
+		if w := max(bits.Len64(uint64(or)), top); w < keyBits {
+			shift = uint(w - top)
+			clear(count)
+			for i := range scratch {
+				count[int(element.KeyOf[K](&scratch[i])>>shift)]++
+			}
+		}
+	}
+	sum := uint32(0)
+	for r, c := range count {
+		count[r], starts[r] = sum, sum
+		sum += c
+		big = max(big, c)
+	}
+	for i := range scratch {
+		e := &scratch[i]
+		r := int(element.KeyOf[K](e) >> shift)
+		keys[count[r]] = *e
+		count[r]++
+	}
+	return int(shift), big
 }
 
 // hybridTiles is a hybrid sort's state: its partition tables, the
 // arrays and parameters its lanes share, and each lane's working set.
 // It is stashed with its tables, so steady-state sorts allocate
 // nothing.
-type hybridTiles[T element.Uint] struct {
+type hybridTiles[S element.Elem, K element.Uint] struct {
 	count, starts  [1 << hybridTopMax]uint32 // each region's end and start in keys
-	keys, scratch  []T                       // the partitioned array, the other one
+	keys, scratch  []S                       // the partitioned array, the other one
 	lowBits        int
 	regions, grain int             // the region count, the regions a lane claims at a time
 	toScratch      bool            // land the regions in scratch
 	next           atomic.Int64    // the first region no lane has claimed
-	work           []hybridWork[T] // one per lane
+	work           []hybridWork[S] // one per lane
 }
 
 // hybridWork is one lane's working set: its regions' digit tables and
 // the buffer they bounce through.
-type hybridWork[T element.Uint] struct {
+type hybridWork[S element.Elem] struct {
 	digits []uint32
-	bounce []T
+	bounce []S
 }
 
-// fit grows w to digits table entries and bounce keys: the largest
+// fit grows w to digits table entries and bounce elements: the largest
 // region of the sort, so no lane keeps a power of two beyond it.
-func (w *hybridWork[T]) fit(digits, bounce int) {
+func (w *hybridWork[S]) fit(digits, bounce int) {
 	if len(w.digits) < digits {
 		w.digits = make([]uint32, digits)
 	}
 	if len(w.bounce) < bounce {
-		w.bounce = make([]T, bounce)
+		w.bounce = make([]S, bounce)
 	}
 }
 
@@ -310,7 +323,7 @@ func (w *hybridWork[T]) fit(digits, bounce int) {
 // until none are left and finishes each, bouncing it through the
 // lane's buffer, or through its span of scratch when it is too large
 // for that.
-func (h *hybridTiles[T]) Tile(lane, _ int) {
+func (h *hybridTiles[S, K]) Tile(lane, _ int) {
 	w := &h.work[lane]
 	for {
 		rlo := int(h.next.Add(int64(h.grain))) - h.grain
@@ -331,49 +344,54 @@ func (h *hybridTiles[T]) Tile(lane, _ int) {
 			if hi-lo <= hybridBounceMax {
 				buf = w.bounce[:hi-lo]
 			}
-			if res := lsdLow(seg, buf, h.lowBits, w.digits); &res[0] != &land[0] {
+			if res := lsdLow[S, K](seg, buf, h.lowBits, w.digits); &res[0] != &land[0] {
 				copy(land, res)
 			}
 		}
 	}
 }
 
-// lsdLow finishes one hybrid region: it sorts seg by its low lowBits
-// bits with 12-bit digits (the last pass takes the remainder), bouncing
-// between seg and buf, and returns whichever of the two holds the
-// result. Identity passes (single occupied bucket) are skipped. Every
-// uint32 region has 21 to 24 low bits, and sorts by its low 24: the
-// bits above lowBits are the region's own, the same in every key. That
-// two-pass shape is unrolled: its fused histogram read is the hottest
-// loop of the large-n sort, and constant digit shifts and masks keep
-// its scatters free of shift-range checks.
-func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
+// lsdLow finishes one hybrid region: it sorts seg by the low lowBits
+// bits of its keys with 12-bit digits (the last pass takes the
+// remainder), bouncing between seg and buf, and returns whichever of
+// the two holds the result. Identity passes (single occupied bucket)
+// are skipped. A region of at most 24 low bits sorts by its low 24:
+// the bits above lowBits are the region's own, or above every key's
+// highest set bit, the same in every key. Every uint32 region takes
+// that two-pass shape, with 21 to 24 low bits. It is unrolled: its
+// fused histogram read is the hottest loop of the large-n sort, and
+// constant digit shifts and masks keep its scatters free of
+// shift-range checks. It, fill and scatterPass read keys by KeyOf's
+// cast in place: an inlined KeyOf call here nil-checks its dictionary
+// for every element.
+func lsdLow[S element.Elem, K element.Uint](seg, buf []S, lowBits int, count []uint32) []S {
 	n := uint32(len(seg))
 	if lowBits <= 2*hybridDigitBits {
 		c0, c1 := count[:hybridDigitSize], count[hybridDigitSize:2*hybridDigitSize]
 		clear(c0)
 		clear(c1)
-		for _, k := range seg {
+		for i := range seg {
+			k := *(*K)(unsafe.Pointer(&seg[i]))
 			c0[int(k&0xfff)]++
 			c1[int(k>>12&0xfff)]++
 		}
 		src, dst := seg, buf
-		if c0[int(src[0]&0xfff)] != n {
-			scatterPass(src, dst, 0, 0xfff, c0)
+		if c0[int(*(*K)(unsafe.Pointer(&src[0]))&0xfff)] != n {
+			scatterPass[S, K](src, dst, 0, 0xfff, c0)
 			src, dst = dst, src
 		}
-		if c1[int(src[0]>>12&0xfff)] != n {
-			scatterPass(src, dst, 12, 0xfff, c1)
+		if c1[int(*(*K)(unsafe.Pointer(&src[0]))>>12&0xfff)] != n {
+			scatterPass[S, K](src, dst, 12, 0xfff, c1)
 			src, dst = dst, src
 		}
 		return src
 	}
-	var lp lowPasses[T]
+	var lp lowPasses[S, K]
 	lp.fill(seg, lowBits, count)
 	src, dst := seg, buf
 	for p := 0; p < lp.passes; p++ {
-		if cnt := lp.cnt(p, count); cnt[int(src[0]>>lp.shifts[p]&lp.masks[p])] != n {
-			scatterPass(src, dst, lp.shifts[p], lp.masks[p], cnt)
+		if cnt := lp.cnt(p, count); cnt[int(*(*K)(unsafe.Pointer(&src[0]))>>lp.shifts[p]&lp.masks[p])] != n {
+			scatterPass[S, K](src, dst, lp.shifts[p], lp.masks[p], cnt)
 			src, dst = dst, src
 		}
 	}
@@ -383,27 +401,28 @@ func lsdLow[T element.Uint](seg, buf []T, lowBits int, count []uint32) []T {
 // lowPasses is the general digit layout of a region's low bits: 12-bit
 // digits, the last taking the remainder, their histograms side by side
 // in one count table.
-type lowPasses[T element.Uint] struct {
+type lowPasses[S element.Elem, K element.Uint] struct {
 	passes int
 	shifts [hybridMaxLowPasses]uint
-	masks  [hybridMaxLowPasses]T
+	masks  [hybridMaxLowPasses]K
 	offs   [hybridMaxLowPasses]int
 }
 
-// fill lays out the passes over lowBits and fills seg's histograms
-// into count in one read.
-func (lp *lowPasses[T]) fill(seg []T, lowBits int, count []uint32) {
+// fill lays out the passes over lowBits and fills the histograms of
+// seg's keys into count in one read.
+func (lp *lowPasses[S, K]) fill(seg []S, lowBits int, count []uint32) {
 	off := 0
 	for b := 0; b < lowBits; b += hybridDigitBits {
 		w := min(hybridDigitBits, lowBits-b)
 		lp.shifts[lp.passes] = uint(b)
-		lp.masks[lp.passes] = T(1)<<w - 1
+		lp.masks[lp.passes] = K(1)<<w - 1
 		lp.offs[lp.passes] = off
 		off += 1 << w
 		lp.passes++
 	}
 	clear(count[:off])
-	for _, k := range seg {
+	for i := range seg {
+		k := *(*K)(unsafe.Pointer(&seg[i]))
 		for p := 0; p < lp.passes; p++ {
 			count[lp.offs[p]+int(k>>lp.shifts[p]&lp.masks[p])]++
 		}
@@ -411,23 +430,24 @@ func (lp *lowPasses[T]) fill(seg []T, lowBits int, count []uint32) {
 }
 
 // cnt returns pass p's histogram in count.
-func (lp *lowPasses[T]) cnt(p int, count []uint32) []uint32 {
+func (lp *lowPasses[S, K]) cnt(p int, count []uint32) []uint32 {
 	return count[lp.offs[p] : lp.offs[p]+int(lp.masks[p])+1]
 }
 
 // scatterPass turns the digit histogram cnt into running offsets and
-// permutes src into dst by the digit at shift/mask — one stable
-// counting-sort pass.
-func scatterPass[T element.Uint](src, dst []T, shift uint, mask T, cnt []uint32) {
+// permutes src into dst by the key digit at shift/mask, whole elements
+// moved — one stable counting-sort pass.
+func scatterPass[S element.Elem, K element.Uint](src, dst []S, shift uint, mask K, cnt []uint32) {
 	sum := uint32(0)
 	for d := range cnt {
 		c := cnt[d]
 		cnt[d] = sum
 		sum += c
 	}
-	for _, k := range src {
-		d := int(k >> shift & mask)
-		dst[cnt[d]] = k
+	for i := range src {
+		e := &src[i]
+		d := int(*(*K)(unsafe.Pointer(e)) >> shift & mask)
+		dst[cnt[d]] = *e
 		cnt[d]++
 	}
 }
@@ -551,25 +571,6 @@ func sortBlockRange[E element.Elem](keys []E, blockLen, descMask int, scratch []
 	}
 }
 
-// SortBitonicStrided sorts the strided subsequence
-// keys[start], keys[start+stride], ... (count elements), which must be
-// bitonic, in the direction given by asc. Used for the second phase of
-// a crossing remap (Theorem 3), where the blocks to sort are
-// interleaved in local memory. scratch needs 2*count capacity.
-func SortBitonicStrided[E element.Elem](keys []E, start, stride, count int, asc bool, scratch []E) {
-	if len(scratch) < 2*count {
-		scratch = make([]E, 2*count)
-	}
-	in, out := scratch[:count], scratch[count:2*count]
-	for i := 0; i < count; i++ {
-		in[i] = keys[start+i*stride]
-	}
-	bitseq.SortBitonic(out, in, asc)
-	for i := 0; i < count; i++ {
-		keys[start+i*stride] = out[i]
-	}
-}
-
 // stridedGroupBytes bounds the column-group working set of
 // SortBitonicStridedBatch so gathers, sorts and scatters stay
 // cache-resident.
@@ -578,13 +579,13 @@ const stridedGroupBytes = 32 << 10
 // SortBitonicStridedBatch runs the complete phase-two sweep of a
 // crossing remap (Theorem 3): it sorts ALL stride interleaved columns
 // keys[d], keys[d+stride], ... (count elements each, each bitonic) in
-// direction asc. Column-at-a-time sweeps (SortBitonicStrided in a
-// loop) stream the entire array once per column because consecutive
-// column elements sit stride apart; this version processes columns in
-// cache-sized groups — one sequential pass gathers a group into
-// contiguous per-column scratch, the sorts run in cache, one
-// sequential pass scatters back — so every cache line of keys is
-// loaded O(stride/group) times instead of stride times.
+// direction asc. A column-at-a-time sweep streams the entire array
+// once per column because consecutive column elements sit stride
+// apart; this kernel processes columns in cache-sized groups — one
+// sequential pass gathers a group into contiguous per-column scratch,
+// the sorts run in cache, one sequential pass scatters back — so every
+// cache line of keys is loaded O(stride/group) times instead of stride
+// times.
 //
 // Each lane wants (group+1)*count elements of scratch, where group =
 // stridedGroupBytes / (count * elem width); pass what you have (nil

@@ -71,11 +71,14 @@ func randomElems[E element.Elem](rng *rand.Rand, n int) []E {
 // stable sort by order image, through RadixSort and through
 // RadixSortTo landing on either side. The hybrid partitions into the
 // array it lands in, so the two landing sides run both of its
-// directions. Sizes straddle the large layouts' threshold (the hybrid
-// for keys, 16-bit digits for KV64) and every step of the hybrid's
-// partition width up to 2^20. Past the threshold the keys fill the key
-// width, leave its top bit clear (half the regions empty), set only
-// bits below every partition (one oversize region), or are all equal.
+// directions. Sizes straddle the hybrid's threshold and every step of
+// its partition width up to 2^20. Past the threshold the keys fill the
+// key width, leave its top bit clear (half the regions empty), set the
+// top bit and only bits below every partition (one oversize region),
+// or are all equal. 64-bit images also occupy only their low w bits,
+// the top one set, for every width the hybrid partitions under
+// differently: none (all zero), one below its partition, around 32
+// bits, and one short of the full width.
 func TestRadixSortMatchesStdlib(t *testing.T) {
 	for i, f := range []func(*testing.T){
 		testRadixSortMatchesStdlib[uint32], testRadixSortMatchesStdlib[uint64],
@@ -90,21 +93,33 @@ func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	kb := element.KeyBits[E]()
 	top := uint64(1) << (kb - 1)
-	shapes := []struct {
-		name string
-		f    func(e E, i int) E
-	}{
-		{"full", func(e E, _ int) E { return e }},
-		{"top-clear", func(e E, _ int) E { return element.FromBits[E](element.Bits(e)&^top, element.Aux(e)) }},
-		{"low-only", func(e E, _ int) E {
-			return element.FromBits[E](element.Bits(e)&(1<<(kb-hybridTopMax)-1), element.Aux(e))
-		}},
-		{"equal", func(_ E, i int) E { return element.FromBits[E](top|12345, uint64(i)) }},
+	type shape struct {
+		name  string
+		f     func(e E, i int) E
+		large bool // one region, or a narrowed width: powers of two suffice
+	}
+	shapes := []shape{
+		{"full", func(e E, _ int) E { return e }, false},
+		{"top-clear", func(e E, _ int) E { return element.FromBits[E](element.Bits(e)&^top, element.Aux(e)) }, false},
+		{"one-region", func(e E, _ int) E {
+			return element.FromBits[E](top|element.Bits(e)&(1<<(kb-hybridTopMax)-1), element.Aux(e))
+		}, true},
+		{"equal", func(_ E, i int) E { return element.FromBits[E](top|12345, uint64(i)) }, true},
+	}
+	if kb == 64 {
+		for _, w := range []int{0, 4, 31, 32, 33, 63} {
+			shapes = append(shapes, shape{fmt.Sprintf("width-%d", w), func(e E, i int) E {
+				b := element.Bits(e) & (1<<w - 1)
+				if i == 0 && w > 0 {
+					b |= 1 << (w - 1)
+				}
+				return element.FromBits[E](b, element.Aux(e))
+			}, true})
+		}
 	}
 	sizes := []int{0, 1, 2, 3, 17, 256, 1000, 1 << 14, radixLargeMin - 1}
 	for n := radixLargeMin; n <= 1<<20; n *= 2 {
-		hybrid := element.TypeOf[E]() != element.TKV64
-		if n == radixLargeMin || hybrid && hybridTop(n-1, kb) != hybridTop(n, kb) {
+		if n == radixLargeMin || hybridTop(n-1, kb) != hybridTop(n, kb) {
 			sizes = append(sizes, n-1, n)
 		}
 	}
@@ -112,9 +127,9 @@ func testRadixSortMatchesStdlib[E element.Elem](t *testing.T) {
 		for _, sh := range shapes {
 			switch {
 			case n < radixLargeMin && sh.name != "full":
-				continue // the flat layouts: full keys only
-			case n&(n-1) != 0 && (sh.name == "low-only" || sh.name == "equal"):
-				continue // one region at any width: powers of two suffice
+				continue // the flat layout: full keys only
+			case n&(n-1) != 0 && sh.large:
+				continue
 			}
 			input := randomElems[E](rng, n)
 			for i := range input {
@@ -175,7 +190,7 @@ func sortedLike[E element.Elem](got, in []E) bool {
 // each group member exactly the message that the P=2 round-0 plan's
 // pack walk builds from a stable sort, read in ascending order, for
 // every element type, ascending and descending sender, and either
-// landing side. Sizes straddle the large layouts' threshold and reach
+// landing side. Sizes straddle the hybrid's threshold and reach
 // n = 2; the inputs include all-equal keys (every pass the identity)
 // and keys that share their top 11 bits (one oversize hybrid region).
 // Pools of 1 and 3 lanes run the sequential and the tiled finish.
@@ -443,42 +458,45 @@ func TestSortBitonicBlocksPanics(t *testing.T) {
 	SortBitonicBlocks(make([]uint32, 10), 3, 0, nil)
 }
 
-func TestSortBitonicStrided(t *testing.T) {
+// TestSortBitonicStridedBatch plants a bitonic sequence in every
+// column of a strided array and checks that each column comes out
+// sorted in the direction asked, on a 1-lane and a 3-lane pool, with
+// no scratch, a scratch that holds two columns, and a full one.
+func TestSortBitonicStridedBatch(t *testing.T) {
+	defer SetPool(nil)
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 100; trial++ {
-		stride := 1 << (1 + rng.Intn(4))
-		count := 1 << (1 + rng.Intn(5))
-		keys := make([]uint32, stride*count)
-		for i := range keys {
-			keys[i] = rng.Uint32()
-		}
-		// Plant a bitonic sequence along each stride lane; sort lane 0
-		// ascending and verify only lane values moved.
-		for lane := 0; lane < stride; lane++ {
-			blk := makeBitonicBlock(rng, count)
-			for i := 0; i < count; i++ {
-				keys[lane+i*stride] = blk[i]
+	for _, lanes := range []int{1, 3} {
+		wp := workpool.New(lanes)
+		SetPool(wp)
+		for trial := 0; trial < 100; trial++ {
+			stride := 1 << rng.Intn(10)
+			count := 1 << (1 + rng.Intn(6))
+			keys := make([]uint32, stride*count)
+			for d := 0; d < stride; d++ {
+				for i, v := range makeBitonicBlock(rng, count) {
+					keys[d+i*stride] = v
+				}
+			}
+			before := slices.Clone(keys)
+			asc := rng.Intn(2) == 0
+			scratch := [][]uint32{nil, make([]uint32, 2*count), make([]uint32, len(keys))}[trial%3]
+			SortBitonicStridedBatch(keys, stride, count, asc, scratch)
+			for d := 0; d < stride; d++ {
+				var got, all []uint32
+				for i := 0; i < count; i++ {
+					got = append(got, keys[d+i*stride])
+					all = append(all, before[d+i*stride])
+				}
+				want := sortedCopy(all)
+				if !asc {
+					slices.Reverse(want)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("lanes=%d stride=%d count=%d asc=%v: column %d not sorted", lanes, stride, count, asc, d)
+				}
 			}
 		}
-		before := append([]uint32(nil), keys...)
-		lane := rng.Intn(stride)
-		SortBitonicStrided(keys, lane, stride, count, true, nil)
-		var got, all []uint32
-		for i := 0; i < count; i++ {
-			got = append(got, keys[lane+i*stride])
-			all = append(all, before[lane+i*stride])
-		}
-		want := sortedCopy(all)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("lane not sorted at %d", i)
-			}
-		}
-		for i := range keys {
-			if (i-lane)%stride != 0 && keys[i] != before[i] {
-				t.Fatalf("non-lane element %d was modified", i)
-			}
-		}
+		wp.Close()
 	}
 }
 
