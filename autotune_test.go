@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"parbitonic/element"
+	"parbitonic/internal/logp"
 	"parbitonic/internal/obs"
+	"parbitonic/internal/spmd"
+	"parbitonic/internal/tune"
 	"parbitonic/internal/workload"
 )
 
@@ -234,4 +237,248 @@ func TestAutoKVPayload(t *testing.T) {
 			t.Fatalf("payload for key %d changed", r.K)
 		}
 	}
+}
+
+// TestPlannerGoldenSmall hand-computes the worked example of TUNING.md
+// from the committed profile: sorting 4096 uint32 keys on up to 4
+// processors. Every plan cost below is derived by hand from the kernel
+// costs, the §3.4 metrics and the profile's round-number costs (5 µs
+// per parallel run, 1 µs per barrier, spmd.RemapBarriers = 2 barriers
+// per remap); the planner must reproduce them exactly.
+func TestPlannerGoldenSmall(t *testing.T) {
+	ranked := rankPlans(exampleProfile(t), Native, 4096, 4, element.TU32)
+	if spmd.RemapBarriers != 2 {
+		t.Fatalf("spmd.RemapBarriers = %d; the hand computation below assumes 2", spmd.RemapBarriers)
+	}
+
+	// P=1: compute only, 3 radix passes x 1 ns over 4096 keys = 12.288
+	// µs, and no run or barrier cost.
+	seq := findPlan(ranked, SmartBitonic, 1)
+	if seq == nil {
+		t.Fatal("no P=1 plan in ranking")
+	}
+	wantSeq := 3 * 0.001 * 4096 // µs
+	if !nearlyEqual(seq.PredictedUS, wantSeq) || seq.CommUS != 0 {
+		t.Errorf("P=1 predicted = %v µs (comm %v), want %v (comm 0)", seq.PredictedUS, seq.CommUS, wantSeq)
+	}
+
+	// P=2 smart: n=2048, lgN=12, lgP=1. The schedule has R=2 remaps,
+	// each changing 1 bit: V = 2*(2048-1024) = 2048, M = 2*(2^1-1) = 2.
+	// Those metrics must agree with logp.Smart.
+	sm := logp.Smart(12, 1)
+	if sm.R != 2 || sm.V != 2048 || sm.M != 2 {
+		t.Fatalf("logp.Smart(12,1) = %+v; the hand computation below assumes R=2,V=2048,M=2", sm)
+	}
+	p2 := findPlan(ranked, SmartBitonic, 2)
+	if p2 == nil {
+		t.Fatal("no P=2 smart plan in ranking")
+	}
+	// compute = 3 passes·1ns·2048 + 2 merges·2ns·2048   = 6.144+8.192 µs
+	// comm    = 5µs run + 2 remaps·2 barriers·1µs       = 9 µs
+	wantCompute := 3*0.001*2048 + 2*0.002*2048
+	wantComm := 5 + 2.0*2*1
+	if !nearlyEqual(p2.ComputeUS, wantCompute) || !nearlyEqual(p2.CommUS, wantComm) {
+		t.Errorf("P=2 smart = compute %v comm %v, want %v / %v",
+			p2.ComputeUS, p2.CommUS, wantCompute, wantComm)
+	}
+	if p2.R != 2 || p2.V != 2048 || p2.M != 2 {
+		t.Errorf("P=2 smart metrics = R=%d V=%d M=%d, want 2/2048/2", p2.R, p2.V, p2.M)
+	}
+
+	// P=2 blocked-merge: R=1 step, V=2048, M=1; the compare-split works
+	// over 2n keys. compute = 6.144 + 1·2ns·2·2048 + (0.5+0.5)ns·2048 =
+	// 16.384, comm = 5 + 1·2·1 = 7.
+	bm := findPlan(ranked, BlockedMergeBitonic, 2)
+	if bm == nil {
+		t.Fatal("no P=2 blocked-merge plan in ranking")
+	}
+	if !nearlyEqual(bm.PredictedUS, 16.384+7) {
+		t.Errorf("P=2 blocked-merge predicted = %v, want 23.384", bm.PredictedUS)
+	}
+
+	// P=4 radix sort: n=1024, 3 digit rounds over V = 3·1024 keys at the
+	// measured 3 ns round: compute = 9.216, comm = 5 + 3·2·1 = 11.
+	rx := findPlan(ranked, RadixSort, 4)
+	if rx == nil {
+		t.Fatal("no P=4 radix plan in ranking")
+	}
+	if !nearlyEqual(rx.ComputeUS, 9.216) || !nearlyEqual(rx.CommUS, 11) {
+		t.Errorf("P=4 radix = compute %v comm %v, want 9.216 / 11", rx.ComputeUS, rx.CommUS)
+	}
+
+	// The run cost keeps 4096 keys sequential. The runner-up is P=4
+	// sample sort: n=1024, R=1, V=1024, M=3. compute = 3·1ns·1024 +
+	// lgP=2 merges·2ns·1024 + (0.5+0.5)ns·1024 = 3.072 + 4.096 + 1.024
+	// = 8.192, comm = 5 + 1·2·1 = 7, 15.192 in all.
+	if ranked[0] != *seq {
+		t.Fatalf("best plan = %v, want sequential %v", ranked[0], *seq)
+	}
+	if second := ranked[1]; second.Algorithm != SampleSort || second.Processors != 4 || !nearlyEqual(second.PredictedUS, 8.192+7) {
+		t.Errorf("second plan = %v, want sample-sort P=4 at 15.192 µs", second)
+	}
+
+	// Determinism: ranking twice gives the same order.
+	again := rankPlans(exampleProfile(t), Native, 4096, 4, element.TU32)
+	for i := range ranked {
+		if ranked[i] != again[i] {
+			t.Fatalf("rank not deterministic at %d: %v vs %v", i, ranked[i], again[i])
+		}
+	}
+}
+
+// TestPlannerNativeCommIsSyncTime: a native plan's communication is
+// synchronization and nothing else — one run's dispatch and join plus
+// the barriers its remaps cross, RunNS + R·spmd.RemapBarriers·
+// BarrierNS, and zero for the sequential plan. Its volume and messages
+// move in the compute terms, so plans with equal R price the same
+// communication however V and M differ: sample sort at P=2 and P=4
+// (R=1; M is 1 or 3), radix sort at P=2 and P=4 (R=3), and blocked
+// merge against radix sort at P=4 (R=3; M is 3 or 9). The terms hold
+// for every element width.
+func TestPlannerNativeCommIsSyncTime(t *testing.T) {
+	prof := exampleProfile(t)
+	const total = 1 << 16
+	for _, typ := range []element.Type{element.TU32, element.TKV64} {
+		for _, plan := range rankPlans(prof, Native, total, 4, typ) {
+			want := 0.0
+			if plan.Processors > 1 {
+				want = (prof.RunNS + float64(plan.R*spmd.RemapBarriers)*prof.BarrierNS) / 1e3
+			}
+			if !nearlyEqual(plan.CommUS, want) {
+				t.Errorf("%s %v: CommUS = %v, want RunNS + R·%d·BarrierNS = %v", typ, plan, plan.CommUS, spmd.RemapBarriers, want)
+			}
+		}
+	}
+	u32 := rankPlans(prof, Native, total, 4, element.TU32)
+	for _, pair := range []struct {
+		name string
+		a, b *Plan
+	}{
+		{"sample P=2 vs P=4", findPlan(u32, SampleSort, 2), findPlan(u32, SampleSort, 4)},
+		{"radix P=2 vs P=4", findPlan(u32, RadixSort, 2), findPlan(u32, RadixSort, 4)},
+		{"blocked-merge vs radix at P=4", findPlan(u32, BlockedMergeBitonic, 4), findPlan(u32, RadixSort, 4)},
+	} {
+		a, b := pair.a, pair.b
+		if a == nil || b == nil {
+			t.Fatalf("%s: missing plan", pair.name)
+		}
+		if a.R != b.R || (a.V == b.V && a.M == b.M) {
+			t.Fatalf("%s: want equal R and different V or M, got %+v and %+v", pair.name, *a, *b)
+		}
+		if a.CommUS != b.CommUS || !(a.CommUS > 0) {
+			t.Errorf("%s: CommUS %v vs %v, want equal and positive at R=%d", pair.name, a.CommUS, b.CommUS, a.R)
+		}
+	}
+}
+
+// TestPlannerSmallInputsStaySequential: a parallel native plan pays a
+// run's dispatch and join, so on the example and fallback profiles
+// small uint32 inputs must plan on one processor even when eight are
+// allowed.
+func TestPlannerSmallInputsStaySequential(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		prof  *tune.Profile
+		sizes []int
+	}{
+		{"example", exampleProfile(t), []int{256, 1024, 2048}},
+		{"fallback", tune.Fallback(), []int{256, 1024, 4096}},
+	} {
+		for _, total := range c.sizes {
+			if plan := rankPlans(c.prof, Native, total, 8, element.TU32)[0]; plan.Processors != 1 {
+				t.Errorf("%s profile, %d keys: plan %v, want P=1", c.name, total, plan)
+			}
+		}
+	}
+}
+
+// TestPlannerPrefersParallelAtScale: with the same profile, a large
+// input amortizes the fixed remap cost and the planner must leave P=1.
+func TestPlannerPrefersParallelAtScale(t *testing.T) {
+	ranked := rankPlans(exampleProfile(t), Native, 1<<22, 8, element.TU32)
+	plan := ranked[0]
+	if plan.Processors < 2 {
+		t.Errorf("plan for 4M keys = %v, want a parallel shape", plan)
+	}
+	seq := findPlan(ranked, SmartBitonic, 1)
+	if seq == nil || seq.PredictedUS <= plan.PredictedUS {
+		t.Errorf("sequential (%v) should predict slower than chosen %v", seq, plan)
+	}
+}
+
+// TestPlannerSimulatedMatchesModel: simulated-backend scores must be
+// expressed in the simulator's own units — the comm term must equal
+// logp.TotalLong under Meiko parameters exactly.
+func TestPlannerSimulatedMatchesModel(t *testing.T) {
+	ranked := rankPlans(exampleProfile(t), Simulated, 4096, 4, element.TU32)
+	p2 := findPlan(ranked, SmartBitonic, 2)
+	if p2 == nil {
+		t.Fatal("no P=2 simulated smart plan")
+	}
+	params := logp.MeikoCS2(2)
+	sm := logp.Smart(12, 1)
+	want := params.TotalLong(sm.R, sm.V, sm.M)
+	if !nearlyEqual(p2.CommUS, want) {
+		t.Errorf("simulated comm = %v, want logp.TotalLong = %v", p2.CommUS, want)
+	}
+	// The profile's native costs must not leak into simulated scores:
+	// wiping them changes nothing.
+	b2 := findPlan(rankPlans(tune.Fallback(), Simulated, 4096, 4, element.TU32), SmartBitonic, 2)
+	if b2 == nil || !nearlyEqual(b2.PredictedUS, p2.PredictedUS) {
+		t.Errorf("simulated score depends on the machine profile: %v vs %v", b2, p2)
+	}
+}
+
+// TestPlannerWidthScaling: a wider element must never score cheaper
+// than the same plan shape for a narrower one.
+func TestPlannerWidthScaling(t *testing.T) {
+	prof := exampleProfile(t)
+	for _, n := range []int{1 << 10, 1 << 16} {
+		u32 := findPlan(rankPlans(prof, Native, n, 4, element.TU32), SmartBitonic, 2)
+		u64 := findPlan(rankPlans(prof, Native, n, 4, element.TU64), SmartBitonic, 2)
+		if u32 == nil || u64 == nil {
+			t.Fatalf("missing P=2 smart plan at n=%d", n)
+		}
+		if u64.PredictedUS <= u32.PredictedUS {
+			t.Errorf("n=%d: u64 plan (%v µs) must cost more than u32 (%v µs)",
+				n, u64.PredictedUS, u32.PredictedUS)
+		}
+	}
+}
+
+// TestPlannerRejectsBadInput: there is no plan for zero keys, and an
+// Auto sort on an unknown backend fails when it builds the planned
+// engine.
+func TestPlannerRejectsBadInput(t *testing.T) {
+	if _, err := PlanFor[uint32](0, Config{Backend: Native, ProfilePath: exampleProfilePath}); err == nil {
+		t.Error("planning 0 keys must error")
+	}
+	keys := workload.Keys(workload.FullRange, 1024, 1)
+	if _, err := Sort(keys, Config{Auto: true, Backend: Backend(7)}); err == nil {
+		t.Error("unknown backend must error")
+	}
+}
+
+// exampleProfile loads the committed test profile that TUNING.md's
+// worked example is written against.
+func exampleProfile(t *testing.T) *tune.Profile {
+	t.Helper()
+	p, err := tune.Load(exampleProfilePath)
+	if err != nil {
+		t.Fatalf("loading example profile: %v", err)
+	}
+	return p
+}
+
+func findPlan(plans []Plan, alg Algorithm, p int) *Plan {
+	for i := range plans {
+		if plans[i].Algorithm == alg && plans[i].Processors == p {
+			return &plans[i]
+		}
+	}
+	return nil
+}
+
+func nearlyEqual(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }

@@ -244,8 +244,8 @@ func BenchmarkAblation_Compute(b *testing.B) {
 func BenchmarkExperimentSuite(b *testing.B) {
 	cfg := experiments.Config{Seed: 1996, Scale: 9}
 	for i := 0; i < b.N; i++ {
-		if tabs := experiments.All(cfg); len(tabs) != 14 {
-			b.Fatalf("expected 14 tables, got %d", len(tabs))
+		for _, e := range experiments.Suite {
+			e.Run(cfg)
 		}
 	}
 }

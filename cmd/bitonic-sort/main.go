@@ -363,8 +363,8 @@ func runCalibrate(path string, quick bool, timeout time.Duration) error {
 		if !ok {
 			continue
 		}
-		fmt.Printf("%-8s         radix=%.2f  merge=%.2f  compare=%.2f  copy=%.2f  radix-round=%.2f (ns/elem)\n",
-			t, k.RadixPassNS, k.MergeNS, k.CompareNS, k.CopyNS, k.RadixRoundNS)
+		fmt.Printf("%-8s         radix=%.2f  merge=%.2f  copy=%.2f  radix-round=%.2f (ns/elem)\n",
+			t, k.RadixPassNS, k.MergeNS, k.CopyNS, k.RadixRoundNS)
 	}
 	how := "fallback, not measured"
 	if prof.SyncProcs > 0 {

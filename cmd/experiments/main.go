@@ -79,22 +79,16 @@ func main() {
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Elem: elem}
 	fmt.Printf("# Reproduction run (scale 1/2^%d of paper sizes, seed %d)\n\n", *scale, *seed)
 	start := time.Now()
-	runners := []func(experiments.Config) *experiments.Table{
-		experiments.Table51, experiments.Table52, experiments.Fig53, experiments.Fig54,
-		experiments.Table53, experiments.Table54, experiments.Fig57, experiments.Fig58,
-		experiments.AnalysisRVM, experiments.AblationShift, experiments.AblationCompute,
-		experiments.FutureWorkOverlap, experiments.NativeThroughput,
-		experiments.ElemWidth, experiments.ServeLoad,
-	}
+	suite := experiments.Suite
 	if *auto {
-		runners = append(runners, experiments.AutotunedVsFixed)
+		suite = append(suite, experiments.Autotuned)
 	}
 	ran := 0
-	for _, run := range runners {
-		tab := run(cfg)
-		if *only != "" && !strings.Contains(tab.ID, *only) {
+	for _, e := range suite {
+		if !strings.Contains(e.ID, *only) {
 			continue
 		}
+		tab := e.Run(cfg)
 		tab.Render(os.Stdout)
 		if *charts {
 			if c := tab.Chart(); c != nil {

@@ -141,9 +141,8 @@ func FromBits[E Elem](bits, aux uint64) E {
 	panic("element: impossible kind")
 }
 
-// Max returns the maximum element of E: the padding sentinel every
-// layer pads with. No valid element orders after it (NaN is excluded
-// by the API boundary), so padding always sorts to the very end.
+// Max returns the maximum element of E. No valid element orders
+// after it (NaN is excluded by the API boundary).
 func Max[E Elem]() E {
 	var e E
 	switch any(e).(type) {

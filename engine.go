@@ -1,8 +1,10 @@
 package parbitonic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"parbitonic/element"
@@ -309,8 +311,8 @@ func (e *EngineOf[E]) lend(keys []E, p, n int) [][]E {
 	return e.views
 }
 
-// SortPadded sorts keys of arbitrary length by padding with maximal
-// keys to the next valid shape, exactly like the package-level
+// SortPadded sorts keys of arbitrary length by padding with copies of
+// its largest element to the next valid shape, exactly like the package-level
 // SortPadded, but staging the padded run in a buffer the engine
 // recycles across calls. The sorted result is always copied back into
 // keys — the caller never receives a view into the recycled buffer.
@@ -335,7 +337,10 @@ func (e *EngineOf[E]) SortPaddedContext(ctx context.Context, keys []E) (Result, 
 	}
 	padded := e.padBuf[:total]
 	copy(padded, keys)
-	pad := element.Max[E]()
+	// Padding copies the input's own largest element rather than
+	// element.Max, so it sets no key bit the input lacks and a radix
+	// sort partitions under the input's width, not the type's.
+	pad := largest(keys)
 	for i := len(keys); i < total; i++ {
 		padded[i] = pad
 	}
@@ -343,29 +348,47 @@ func (e *EngineOf[E]) SortPaddedContext(ctx context.Context, keys []E) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
-	// All padding elements are the maximal element, so they sort to the
-	// tail — possibly interleaved with genuine elements that equal the
-	// maximum. Strip exactly the pad count of sentinel-valued elements
-	// from the tail; everything else (including genuine maximal-key
-	// records, whose payloads differ from the sentinel's) is kept, so
-	// the result is exactly the sorted input multiset.
+	// The padding sorts to the tail, possibly interleaved with genuine
+	// elements that order equal to it: copies of it, KV64 records with
+	// its key and other payloads, -0.0 beside a +0.0 pad. Strip exactly
+	// the pad count of elements bit-equal to the pad from the tail;
+	// everything else is kept, so the result is exactly the sorted
+	// input multiset.
+	padBits, padAux := element.Bits(pad), element.Aux(pad)
 	padCount := total - len(keys)
-	j := len(keys) - 1
-	for i := total - 1; i >= 0; i-- {
-		if padCount > 0 && padded[i] == pad {
+	i, j := total, len(keys) // i-j pads remain in padded[:i]
+	for padCount > 0 {
+		i--
+		if element.Bits(padded[i]) == padBits && element.Aux(padded[i]) == padAux {
 			padCount--
 			continue
 		}
-		if j < 0 {
-			return Result{}, fmt.Errorf("parbitonic: internal error, padding strip found too many keys")
+		if j == 0 {
+			return Result{}, fmt.Errorf("parbitonic: internal error, padding strip lost %d pads", padCount)
 		}
-		keys[j] = padded[i]
 		j--
+		keys[j] = padded[i]
 	}
-	if j != -1 || padCount != 0 {
-		return Result{}, fmt.Errorf("parbitonic: internal error, padding strip lost keys (%d left, %d pads unmatched)", j+1, padCount)
-	}
+	copy(keys[:j], padded[:j])
 	return res, nil
+}
+
+// largest returns the largest element of keys by order image: +0.0
+// over -0.0 (the max builtin's rule), and for KV64 the first record
+// with the largest key.
+func largest[E element.Elem](keys []E) E {
+	switch s := any(keys).(type) {
+	case []uint32:
+		return any(slices.Max(s)).(E)
+	case []uint64:
+		return any(slices.Max(s)).(E)
+	case []float32:
+		return any(slices.Max(s)).(E)
+	case []float64:
+		return any(slices.Max(s)).(E)
+	}
+	kv := any(keys).([]element.KV64)
+	return any(slices.MaxFunc(kv, func(a, b element.KV64) int { return cmp.Compare(a.K, b.K) })).(E)
 }
 
 // PaddedSize returns the padded key count a SortPadded run of `keys`

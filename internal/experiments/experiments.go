@@ -474,15 +474,30 @@ func AblationCompute(c Config) *Table {
 	return t
 }
 
-// All runs every experiment in paper order.
-func All(c Config) []*Table {
-	return []*Table{
-		Table51(c), Table52(c), Fig53(c), Fig54(c),
-		Table53(c), Table54(c), Fig57(c), Fig58(c),
-		AnalysisRVM(c), AblationShift(c), AblationCompute(c),
-		FutureWorkOverlap(c), NativeThroughput(c), ElemWidth(c),
-	}
+// Experiment is one experiment of the suite: the ID its table carries,
+// so a caller can select experiments before paying for their runs,
+// and the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func(Config) *Table
 }
+
+// Suite lists the reproduction's experiments in paper order, then the
+// native and service measurements.
+var Suite = []Experiment{
+	{"Table 5.1 / Figure 5.2", Table51}, {"Table 5.2 / Figure 5.1", Table52},
+	{"Figure 5.3", Fig53}, {"Figure 5.4", Fig54},
+	{"Table 5.3 / Figure 5.5", Table53}, {"Table 5.4 / Figure 5.6", Table54},
+	{"Figure 5.7", Fig57}, {"Figure 5.8", Fig58},
+	{"§3.4 analysis", AnalysisRVM}, {"Lemma 5 ablation", AblationShift},
+	{"Chapter 4 ablation", AblationCompute}, {"Chapter 7 what-if", FutureWorkOverlap},
+	{"Native throughput", NativeThroughput}, {"Element width", ElemWidth},
+	{"Serve load", ServeLoad},
+}
+
+// Autotuned is the autotuned-vs-fixed race, which measures wall clock
+// for seconds and so runs only on request.
+var Autotuned = Experiment{"Autotuned vs fixed", AutotunedVsFixed}
 
 // FutureWorkOverlap quantifies the thesis's Chapter 7 suggestion to
 // "overlap computation and communication": from a traced run, a

@@ -154,7 +154,11 @@ func TestAblationComputeSpeedup(t *testing.T) {
 
 func TestAllRunsAndRenders(t *testing.T) {
 	var sb strings.Builder
-	for _, tab := range All(fastConfig()) {
+	for _, e := range Suite {
+		tab := e.Run(fastConfig())
+		if tab.ID != e.ID {
+			t.Errorf("suite lists %q, its table says %q: -only would select by the wrong name", e.ID, tab.ID)
+		}
 		if tab.ID == "" || len(tab.Rows) == 0 || len(tab.Columns) == 0 {
 			t.Errorf("degenerate table %+v", tab.ID)
 		}

@@ -22,7 +22,7 @@ import (
 // member has given up.
 //
 // The batch packs into a buffer allocated for this run alone and sorts
-// it with SortPaddedContext, whose strip-by-value keeps records keyed
+// it with SortPaddedContext, whose bit-equal strip keeps records keyed
 // like the padding intact. Each member then gets a view of its part of
 // that buffer, capped at its length: the buffer is never reused, so no
 // result aliases memory a later run writes, and appending to one

@@ -265,9 +265,9 @@ func TestBatchEveryElementType(t *testing.T) {
 
 // TestBatchKV64TagMeetsPadding: two KV64 requests whose keys use all
 // 63 low bits share a run, so the second member's tag turns its
-// largest keys into the padding key 2^64-1 (one record becomes equal
-// to the padding record itself). The padded sort must keep every one
-// of them, payloads intact.
+// largest keys into 2^64-1, the run's largest key, and one of those
+// records pads the run (so it equals the padding record itself). The
+// padded sort must keep every one of them, payloads intact.
 func TestBatchKV64TagMeetsPadding(t *testing.T) {
 	ins := typedInputs(2, func(c, i int) element.KV64 {
 		k := uint64(i % 9)

@@ -93,8 +93,8 @@ type Config struct {
 	// Native template must leave it zero, or New fails).
 	//
 	// With Engine.Auto set the shape fields become autotuner inputs
-	// instead: the planner (internal/tune, TUNING.md) picks Algorithm,
-	// Strategy and Processors per request size, Processors caps the
+	// instead: the planner (parbitonic.PlanFor, TUNING.md) picks
+	// Algorithm and Processors per request size, Processors caps the
 	// candidate P (0 means GOMAXPROCS), and engines pool under the
 	// plan-chosen shapes. Resolved plans are cached per padded-size
 	// bucket; choices surface as the plan_chosen counter, the
@@ -643,9 +643,10 @@ func batchable[E element.Elem](r *request[E], cfg Config) bool {
 // fits reports whether adding r to batch keeps the tag-bit scheme
 // sound: with k members, tags need b = bits.Len(k-1) high bits, so
 // every member's keys must fit in the remaining KeyBits-b bits, and
-// the summed size must stay under MaxBatchKeys. A tagged key may equal
-// the all-ones padding key: the padded sort strips padding by value,
-// so a tagged record keyed like the padding stays in the result, and a
+// the summed size must stay under MaxBatchKeys. A tagged key may be
+// the batch's largest: the padded sort pads with copies of that
+// element and strips exactly the pad count of bit-equal copies, so a
+// tagged record keyed like the padding stays in the result, and a
 // scalar equal to the padding is interchangeable with it.
 func fits[E element.Elem](batch []*request[E], total int, mx uint64, r *request[E], cfg Config) bool {
 	if !batchable(r, cfg) || total+len(r.keys) > cfg.MaxBatchKeys {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"parbitonic/element"
-	"parbitonic/internal/bitseq"
 	"parbitonic/internal/localsort"
 	"parbitonic/internal/native"
 	"parbitonic/internal/psort"
@@ -28,13 +27,12 @@ type Options struct {
 
 // Calibrate microbenchmarks the host and returns a machine profile:
 // per-element kernel costs for every element type (radix pass, linear
-// merge, compare-exchange sweep, bulk copy and one parallel radix
-// digit round — measured with warmup and trimmed means) and the
-// native backend's two synchronization costs, the wall time of the
-// smallest parallel run and of one empty PC.Barrier round trip on an
-// idle engine at the largest power-of-two P <= min(GOMAXPROCS, 8)
-// (see syncCosts). A host with
-// GOMAXPROCS < 2 cannot run a parallel barrier and keeps the
+// merge, bulk copy and one parallel radix digit round — measured with
+// warmup and trimmed means) and the native backend's two
+// synchronization costs, the wall time of the smallest parallel run
+// and of one empty PC.Barrier round trip on an idle engine at the
+// largest power-of-two P <= min(GOMAXPROCS, 8) (see syncCosts). A host
+// with GOMAXPROCS < 2 cannot run a parallel barrier and keeps the
 // Fallback values, with SyncProcs 0. The context aborts the engine
 // runs; kernel microbenchmarks check it between measurements.
 func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
@@ -115,15 +113,6 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	localsort.RadixSort(a)
 	localsort.RadixSort(b)
 
-	// A bitonic sequence for the compare-exchange kernel: ascending
-	// first half then descending second half. Split mutates, so it is
-	// rebuilt from this template before every measurement.
-	bitonic := make([]E, n)
-	copy(bitonic, a)
-	for i, v := range b {
-		bitonic[n-1-i] = v
-	}
-
 	passes := localsort.RadixPassesOf[E]()
 	radix, err := measure(ctx, reps, func() {
 		copy(buf, base)
@@ -135,14 +124,6 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	}
 	merge, err := measure(ctx, reps, nil, func() {
 		localsort.MergeTwo(dst, a, b)
-	})
-	if err != nil {
-		return KernelCosts{}, err
-	}
-	compare, err := measure(ctx, reps, func() {
-		copy(buf, bitonic)
-	}, func() {
-		bitseq.Split(buf)
 	})
 	if err != nil {
 		return KernelCosts{}, err
@@ -161,7 +142,6 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	k := KernelCosts{
 		RadixPassNS:  radix / float64(n) / float64(passes),
 		MergeNS:      merge / float64(n),
-		CompareNS:    compare / float64(n),
 		CopyNS:       cp / float64(n),
 		RadixRoundNS: round / float64(n/procs) / float64(passes),
 	}
@@ -174,9 +154,6 @@ func kernelCosts[E element.Elem](ctx context.Context, n, reps int, seed uint64) 
 	}
 	if k.MergeNS < floorNS {
 		k.MergeNS = floorNS
-	}
-	if k.CompareNS < floorNS {
-		k.CompareNS = floorNS
 	}
 	if k.CopyNS < floorNS {
 		k.CopyNS = floorNS

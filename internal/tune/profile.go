@@ -1,28 +1,18 @@
-// Package tune closes the loop the paper opens in §3.4: it measures
-// the cost parameters of the machine it is running on and uses the
-// paper's cost model to pick the execution plan — algorithm,
-// processor count, backend, remap strategy — that the model predicts
-// fastest for a given data size and element type.
+// Package tune measures the cost parameters of the machine it is
+// running on, the inputs the paper's §3.4 cost model needs to pick an
+// execution plan for this host (parbitonic.PlanFor scores the plans;
+// see TUNING.md).
 //
-// The package has three parts:
+// The package has two parts:
 //
 //   - A calibrator (Calibrate) that microbenchmarks the host's local
-//     kernels — radix pass, linear merge, compare-exchange sweep, bulk
-//     copy and one digit round of the parallel radix sort, per element
-//     type — and times one empty run and one empty barrier round trip
-//     on the native backend, producing a Profile.
+//     kernels — radix pass, linear merge, bulk copy and one digit
+//     round of the parallel radix sort, per element type — and times
+//     one empty run and one empty barrier round trip on the native
+//     backend, producing a Profile.
 //   - A versioned machine-profile JSON (Profile, Save/Load,
 //     DefaultPath) so calibration is paid once per host, not per
 //     process.
-//   - A planner (Planner) that enumerates candidate plans, scores each
-//     as local computation plus communication and returns the
-//     predicted-fastest Plan. A native plan's communication is
-//     synchronization: one run's dispatch and join plus the barriers
-//     its remaps cross (spmd.RemapBarriers per remap), at measured
-//     costs; on shared memory a remap's data movement is already local
-//     computation. A simulated plan's communication is the §3.4 closed
-//     form T = (L+2o-g)R + GV + (g-G)M, the model the simulator
-//     charges.
 //
 // The shipped defaults in spmd.DefaultCosts and logp.MeikoCS2 model
 // the paper's 1996 Meiko CS-2; Fallback is this package's equivalent
@@ -78,7 +68,13 @@ const ProfileSchema = "parbitonic-profile"
 // the sync_procs engine, where a round also reads its peers' arrays
 // and waits at its barriers (u32 10.3–12.1 ns at P=2); version-5
 // profiles would overprice radix sort.
-const ProfileVersion = 6
+//
+// Version 7: compare_ns is gone; no reachable plan read it. The costs
+// that remain mean what they meant, but a version-6 build sharing the
+// cache path requires compare_ns: it would reject a version-6 profile
+// without it as invalid, an error, where a version mismatch only falls
+// back.
+const ProfileVersion = 7
 
 // ErrProfileVersion is wrapped by the error Load and Validate return
 // for a profile written by another format version.
@@ -93,9 +89,6 @@ type KernelCosts struct {
 	// MergeNS is one linear two-way merge, per element emitted
 	// (localsort.MergeTwo).
 	MergeNS float64 `json:"merge_ns"`
-	// CompareNS is one compare-exchange network step over the local
-	// data, per element (bitseq.Split).
-	CompareNS float64 `json:"compare_ns"`
 	// CopyNS is one bulk copy pass, per element — the pack/unpack
 	// analogue of the native exchange path.
 	CopyNS float64 `json:"copy_ns"`
@@ -175,8 +168,7 @@ func (p *Profile) Validate() error {
 			v     float64
 		}{
 			{"radix_pass_ns", k.RadixPassNS}, {"merge_ns", k.MergeNS},
-			{"compare_ns", k.CompareNS}, {"copy_ns", k.CopyNS},
-			{"radix_round_ns", k.RadixRoundNS},
+			{"copy_ns", k.CopyNS}, {"radix_round_ns", k.RadixRoundNS},
 		} {
 			if !positiveCost(c.v) {
 				return fmt.Errorf("tune: kernel %s.%s = %v is not a positive cost", name, c.field, c.v)
@@ -210,7 +202,6 @@ func (p *Profile) KernelsFor(t element.Type) KernelCosts {
 	return KernelCosts{
 		RadixPassNS:  base.RadixPassNS * w,
 		MergeNS:      base.MergeNS * w,
-		CompareNS:    base.CompareNS * w,
 		CopyNS:       base.CopyNS * w,
 		RadixRoundNS: base.RadixRoundNS * w,
 	}
@@ -237,7 +228,6 @@ func Fallback() *Profile {
 		return KernelCosts{
 			RadixPassNS:  1.4 * w,
 			MergeNS:      2.2 * w,
-			CompareNS:    1.6 * w,
 			CopyNS:       0.35 * w,
 			RadixRoundNS: 2.7 * w,
 		}

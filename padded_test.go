@@ -1,7 +1,9 @@
 package parbitonic_test
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
 	"parbitonic"
@@ -10,17 +12,41 @@ import (
 )
 
 // TestPaddedMaxValueRoundTrip pins the padding contract for every
-// element type: SortPadded pads with element.Max and strips exactly
-// the pad count of sentinel-valued elements from the tail, so inputs
-// that themselves contain the maximal value must come back intact —
-// the strip must never eat a genuine key. Lengths are chosen to force
-// real padding on every processor count tried.
+// element type: SortPadded pads with copies of the input's largest
+// element and strips exactly the pad count of bit-equal elements from
+// the tail, so inputs holding the type's maximum, copies of the pad,
+// or elements that order equal to the pad without being bit-equal to
+// it must come back intact — the strip must never eat a genuine
+// element. Lengths are chosen to force real padding on every processor
+// count tried.
 func TestPaddedMaxValueRoundTrip(t *testing.T) {
 	t.Run("u32", func(t *testing.T) { testPaddedMax[uint32](t) })
 	t.Run("u64", func(t *testing.T) { testPaddedMax[uint64](t) })
 	t.Run("f32", func(t *testing.T) { testPaddedMax[float32](t) })
 	t.Run("f64", func(t *testing.T) { testPaddedMax[float64](t) })
 	t.Run("kv64", func(t *testing.T) { testPaddedMax[element.KV64](t) })
+	// Both float zeros and nothing larger: the pad is +0.0, and -0.0,
+	// which orders equal to it, is not padding.
+	negZero := math.Copysign(0, -1)
+	t.Run("f32-zeros", func(t *testing.T) {
+		z := float32(negZero)
+		checkPadded(t, "zeros", []float32{0, z, -1.5, z, 0, -2}, parbitonic.Simulated, 1, 4, 8)
+	})
+	t.Run("f64-zeros", func(t *testing.T) {
+		checkPadded(t, "zeros", []float64{negZero, 0, -3, negZero, negZero}, parbitonic.Simulated, 1, 4, 8)
+	})
+	// Records sharing the largest key with different payloads: one of
+	// them pads, and every one keeps its payload.
+	t.Run("kv64-shared-max", func(t *testing.T) {
+		recs := []element.KV64{{K: 7, V: 1}, {K: 3, V: 9}, {K: 7, V: 2}, {K: 7, V: 3}, {K: 1}, {K: 7, V: 1}}
+		checkPadded(t, "shared-max", recs, parbitonic.Simulated, 1, 4, 8)
+	})
+	// A non-power-of-two count of u64 keys below 2^32 on the native
+	// backend, with shares large enough for the radix hybrid.
+	t.Run("u64-native", func(t *testing.T) {
+		keys := workload.Elems[uint64](workload.Uniform31, 100003, 1996)
+		checkPadded(t, "uniform31", keys, parbitonic.Native, 1, 2)
+	})
 }
 
 func testPaddedMax[E element.Elem](t *testing.T) {
@@ -29,32 +55,41 @@ func testPaddedMax[E element.Elem](t *testing.T) {
 	// patterns inside the non-NaN order window, so elements cannot be
 	// minted from raw small integers here).
 	base := workload.Elems[E](workload.Uniform31, 11, 1996)
-	for _, p := range []int{1, 4, 8} {
-		for _, tc := range []struct {
-			name string
-			in   []E
-		}{
-			{"max-interleaved", []E{mx, base[0], mx, base[1], mx}},
-			{"all-max", []E{mx, mx, mx, mx, mx, mx, mx}},
-			{"max-at-head", append([]E{mx}, base...)},
-		} {
-			in := append([]E(nil), tc.in...)
-			want := append([]E(nil), in...)
-			sort.SliceStable(want, func(i, j int) bool { return element.Less(want[i], want[j]) })
-			if parbitonic.PaddedSize(len(in), p) == len(in) {
-				t.Fatalf("p=%d %s: length %d needs no padding, test is vacuous", p, tc.name, len(in))
+	checkPadded(t, "max-interleaved", []E{mx, base[0], mx, base[1], mx}, parbitonic.Simulated, 1, 4, 8)
+	checkPadded(t, "all-max", []E{mx, mx, mx, mx, mx, mx, mx}, parbitonic.Simulated, 1, 4, 8)
+	checkPadded(t, "max-at-head", append([]E{mx}, base...), parbitonic.Simulated, 1, 4, 8)
+	checkPadded(t, "no-max", base, parbitonic.Simulated, 1, 4, 8)
+}
+
+// checkPadded runs SortPadded over a copy of in on each processor
+// count and checks that the output is ordered and holds exactly in's
+// elements, bit for bit.
+func checkPadded[E element.Elem](t *testing.T, name string, in []E, backend parbitonic.Backend, procs ...int) {
+	t.Helper()
+	images := func(s []E) [][2]uint64 {
+		out := make([][2]uint64, len(s))
+		for i, e := range s {
+			out[i] = [2]uint64{element.Bits(e), element.Aux(e)}
+		}
+		slices.SortFunc(out, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		return out
+	}
+	want := images(in)
+	for _, p := range procs {
+		got := slices.Clone(in)
+		if parbitonic.PaddedSize(len(got), p) == len(got) {
+			t.Fatalf("p=%d %s: length %d needs no padding, test is vacuous", p, name, len(got))
+		}
+		if _, err := parbitonic.SortPadded(got, parbitonic.Config{Processors: p, Backend: backend}); err != nil {
+			t.Fatalf("p=%d %s: SortPadded: %v", p, name, err)
+		}
+		for i := 1; i < len(got); i++ {
+			if element.Less(got[i], got[i-1]) {
+				t.Fatalf("p=%d %s: out of order at %d: %v after %v", p, name, i, got[i], got[i-1])
 			}
-			if _, err := parbitonic.SortPadded(in, parbitonic.Config{Processors: p}); err != nil {
-				t.Fatalf("p=%d %s: SortPadded: %v", p, tc.name, err)
-			}
-			if len(in) != len(want) {
-				t.Fatalf("p=%d %s: length changed: got %d want %d", p, tc.name, len(in), len(want))
-			}
-			for i := range want {
-				if element.Bits(in[i]) != element.Bits(want[i]) || element.Aux(in[i]) != element.Aux(want[i]) {
-					t.Fatalf("p=%d %s: wrong element at %d: got %v want %v", p, tc.name, i, in[i], want[i])
-				}
-			}
+		}
+		if !slices.Equal(images(got), want) {
+			t.Fatalf("p=%d %s: output is not the input multiset", p, name)
 		}
 	}
 }

@@ -117,9 +117,10 @@ type Config struct {
 
 	Algorithm Algorithm
 
-	// Auto lets the cost-model planner choose Algorithm, Processors
-	// and Strategy per sort, from the data size, the element type and
-	// the machine profile (internal/tune; see TUNING.md). Backend is
+	// Auto lets the cost-model planner choose Algorithm and Processors
+	// per sort, from the data size, the element type and the machine
+	// profile (PlanFor; see TUNING.md). Sim.Strategy becomes HeadRemap,
+	// the strategy plans are scored for. Backend is
 	// respected, not chosen: plans are scored in the backend's own
 	// time unit. Auto applies to the package-level Sort/SortPadded
 	// functions — engines are fixed-shape, so NewEngineOf rejects it;
@@ -429,7 +430,7 @@ func machineConfig(cfg Config) machine.Config {
 }
 
 // SortPadded sorts keys of arbitrary length: the input is padded with
-// maximal keys up to the next length divisible into power-of-two
+// copies of its largest element up to the next length divisible into power-of-two
 // per-processor shares (PaddedSize), sorted with Sort, and the padding
 // stripped. Result statistics refer to the padded run.
 func SortPadded[E element.Elem](keys []E, cfg Config) (Result, error) {
